@@ -15,12 +15,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import BlowUpError, ContractError
-from .spectral import RealField, SpectralGrid, SobolevIndex, sobolev_norm
+from .spectral import RealField, SpectralGrid
 from .symbols import (
     coth_dx2_symbol,
     depth_dispersion_dx_symbol,
@@ -342,7 +342,3 @@ def relative_drift(values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     scale = max(abs(values[0]), 1e-300)
     return float(np.max(np.abs(values - values[0])) / scale)
-
-
-def sobolev_monitor(index: SobolevIndex) -> Callable[[RealField], float]:
-    return lambda u: sobolev_norm(u, index)

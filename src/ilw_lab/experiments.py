@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import configparser
 import json
-import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -32,8 +30,8 @@ from .evolution import (
     make_two_depth,
     relative_drift,
 )
-from .lax import check_kappa, gronwall_experiment, modes_to_xi_max, \
-    resolvent_form, weighted_resolvent_form
+from .lax import LaxSpectrum, build_lax, gronwall_experiment, \
+    modes_to_xi_max, resolvent_form
 from .spectral import RealField, SpectralGrid
 from .symbols import smoothing_operator_scan
 from .waves import (
@@ -100,6 +98,9 @@ def read_snapshot(path) -> RealField:
         raise ContractError("not a coefficient snapshot: %s" % path)
     n_points = struct.unpack("<I", data[4:8])[0]
     length = struct.unpack("<d", data[8:16])[0]
+    if (len(data) - 16) % 16:
+        raise ContractError("snapshot payload is not a whole number of "
+                            "complex128 coefficients: %s" % path)
     coeffs = np.frombuffer(data[16:], dtype="<c16")
     if coeffs.shape[0] != n_points:
         raise ContractError("snapshot payload does not match its header")
@@ -287,18 +288,9 @@ def _write_json(path, payload):
 
 
 def _worker_count() -> int:
-    env = os.environ.get("ILW_LAB_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items) -> list:
-    # items arrive pre-sorted; executor.map preserves their order
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        return list(pool.map(fn, items))
+    # every runner works on the calling thread; the benchmark harness
+    # (perfbench/child.py) still reads this to record the worker count
+    return 1
 
 
 # -- runners ---------------------------------------------------------------------
@@ -399,10 +391,14 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
     state = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
-    xi_max = modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0 else None
-    kcheck = check_kappa(state, p["s"], p["kappa"], xi_max=xi_max)
+    xi_max = (modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0
+              else 0.5 * grid.max_frequency)
+    spectrum = LaxSpectrum(build_lax(state, xi_max), state)
+    kcheck = spectrum.check_kappa(p["s"], p["kappa"])
+    profile = spectrum.weighted_form(p["kappa"], p["s"])
+    # free its m x m matrices before the independent Cholesky cross-check
+    del spectrum
     form_value = resolvent_form(state, p["kappa"], xi_max=xi_max)
-    profile = weighted_resolvent_form(state, p["kappa"], p["s"], xi_max=xi_max)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.output_dir / "beta_profile.csv"
@@ -432,16 +428,15 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
     dt = p["dt"] if p["dt"] > 0 else None
     depths = sorted(p["depth_list"])
     tasks = [(depth, p["seed"] + i) for depth in depths for i in range(p["seeds"])]
-
-    def one(task):
-        depth, seed = task
-        u0 = random_field(grid, p["s"], p["amplitude"], seed, p["decay"])
-        return gronwall_experiment(
-            u0, depth, p["s"], p["kappa"], t_final=p["t_final"], dt=dt,
+    if not tasks:
+        raise ContractError("empty ensemble: no seeds or no depths")
+    results = [
+        gronwall_experiment(
+            random_field(grid, p["s"], p["amplitude"], seed, p["decay"]),
+            depth, p["s"], p["kappa"], t_final=p["t_final"], dt=dt,
             n_samples=p["samples"], c_s=p["c_s"], epsilon=p["epsilon"],
             equation=p["equation"])
-
-    results = _parallel_map(one, tasks)
+        for depth, seed in tasks]
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.output_dir / "runs.csv"
@@ -565,10 +560,9 @@ def run_twodepth(cfg: ExperimentConfig) -> RunReport:
                          store_stride=n_steps).final()
 
     depths = sorted(p["min_depth_list"])
-
-    def one(min_depth):
-        d1 = min_depth
-        d2 = p["depth_ratio"] * min_depth
+    gaps = []
+    for d1 in depths:
+        d2 = p["depth_ratio"] * d1
         problem = make_two_depth(p["c1"], p["c2"], d1, d2, grid,
                                  frame=p["frame"])
         state = evolve(problem, u0, p["t_final"], dt,
@@ -576,9 +570,7 @@ def run_twodepth(cfg: ExperimentConfig) -> RunReport:
         if p["frame"] == "original":
             gamma = p["c1"] / d1 + p["c2"] / d2
             state = galilean(state, gamma, p["t_final"], "pure_shift")
-        return (state - limit_final).l2_norm()
-
-    gaps = _parallel_map(one, depths)
+        gaps.append((state - limit_final).l2_norm())
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.output_dir / "twodepth.csv"

@@ -124,6 +124,7 @@ class LaxSpectrum:
             raise ContractError("field and truncation grids differ")
         self.lax = lax
         self.grid = lax.grid
+        self.u = u
         self.g = hardy_project(u)[: lax.frequencies.shape[0]]
         self.eigenvalues, self.eigenvectors = scipy.linalg.eigh(lax.matrix)
         self._coords = self.eigenvectors.conj().T @ self.g
@@ -153,6 +154,45 @@ class LaxSpectrum:
         scaled = -self._coords[:, None] / (self.eigenvalues[:, None] + taus[None, :])
         return self.eigenvectors @ scaled
 
+    def check_kappa(self, s: float, kappa: float, c_s: float = 1.0) -> KappaCheck:
+        """Check kappa >= c_s*(1 + ||u||_{H^s_kappa})^(1/(2*sigma)), sigma =
+        (1/2 + s)/2, plus positivity of the shifted truncation."""
+        _require_weight_exponent(s)
+        if kappa < 1.0:
+            raise ContractError("kappa must be >= 1")
+        if c_s <= 0:
+            raise ContractError("c_s must be positive")
+        sigma = 0.5 * (0.5 + s)
+        norm = sobolev_norm(self.u, SobolevIndex(s, kappa))
+        threshold = c_s * (1.0 + norm) ** (1.0 / (2.0 * sigma))
+        return KappaCheck(kappa=kappa, threshold=threshold,
+                          lambda_min=self.lambda_min, norm=norm)
+
+    def weighted_form(self, kappa: float, s: float,
+                      rule: Optional[WeightedFormRule] = None,
+                      rtol: float = 1e-8) -> WeightedFormProfile:
+        """integral_kappa^inf tau^(2s) form(tau) dtau on a frozen rule.
+
+        Pass the same ``rule`` for every state of a trajectory when the
+        values will be differenced; the default builds a fresh rule adapted
+        to this spectrum.
+        """
+        _require_weight_exponent(s)
+        if kappa < 1.0:
+            raise ContractError("kappa must be >= 1")
+        self.require_shift(kappa)
+        if rule is None:
+            rule = build_weighted_rule(self.form_at, kappa, s, rtol)
+        if abs(rule.kappa - kappa) > 1e-12 or abs(rule.s - s) > 1e-15:
+            raise ContractError("rule was frozen for different (kappa, s)")
+        values = self.form_at(rule.tau_nodes)
+        tail_value = float(self.form_at(np.array([rule.tau_star]))[0])
+        value = float(np.real(rule.combine(values, tail_value)))
+        if value < 0.0:
+            raise NumericalError("weighted form came out negative")
+        return WeightedFormProfile(kappa=kappa, s=s, tau_nodes=rule.tau_nodes,
+                                   form_values=values, value=value, rule=rule)
+
 
 @dataclass(frozen=True)
 class KappaCheck:
@@ -170,21 +210,10 @@ class KappaCheck:
 
 def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
                 xi_max: Optional[float] = None) -> KappaCheck:
-    """Check kappa >= c_s*(1 + ||u||_{H^s_kappa})^(1/(2*sigma)), sigma =
-    (1/2 + s)/2, plus positivity of the shifted truncation."""
-    _require_weight_exponent(s)
-    if kappa < 1.0:
-        raise ContractError("kappa must be >= 1")
-    if c_s <= 0:
-        raise ContractError("c_s must be positive")
+    """Admissible-shift test of ``u``; see ``LaxSpectrum.check_kappa``."""
     if xi_max is None:
         xi_max = 0.5 * u.grid.max_frequency
-    sigma = 0.5 * (0.5 + s)
-    norm = sobolev_norm(u, SobolevIndex(s, kappa))
-    threshold = c_s * (1.0 + norm) ** (1.0 / (2.0 * sigma))
-    spectrum = LaxSpectrum(build_lax(u, xi_max), u)
-    return KappaCheck(kappa=kappa, threshold=threshold,
-                      lambda_min=spectrum.lambda_min, norm=norm)
+    return LaxSpectrum(build_lax(u, xi_max), u).check_kappa(s, kappa, c_s)
 
 
 def resolvent_solve(lax: LaxTruncation, kappa: float, g: np.ndarray) -> np.ndarray:
@@ -348,18 +377,19 @@ def build_weighted_rule(form_at: Callable, kappa: float, s: float,
                                 tau_star=kappa * np.exp(2.0),
                                 tail_coeff=0.0, build_error=0.0)
 
-    t_star = 2.0
-    rough = None
+    # grow the horizon a panel at a time; those panels seed the refinement
+    t_star, rough, results = 0.0, 0.0, {}
     while True:
-        rough = _composite_gk(h, np.arange(0.0, t_star + 1e-9, 2.0))
-        if tail_at(t_star) <= 1e-9 * (abs(rough) + tail_at(t_star)):
+        panel = (t_star, t_star + 2.0)
+        results[panel] = _gk_panel(h, *panel)
+        rough += results[panel][0]
+        t_star = panel[1]
+        tail = tail_at(t_star)
+        if tail <= 1e-9 * (abs(rough) + tail):
             break
-        t_star += 2.0
-        if t_star > 400.0:
+        if t_star >= 400.0:
             raise NumericalError("weighted-form horizon runaway")
 
-    panels = [(a, a + 2.0) for a in np.arange(0.0, t_star - 1e-9, 2.0)]
-    results = {p: _gk_panel(h, *p) for p in panels}
     for _ in range(400):
         total = sum(r[0] for r in results.values())
         err = sum(r[1] for r in results.values())
@@ -404,13 +434,6 @@ def _gk_panel(h: Callable, a: float, b: float):
     return kronrod, abs(kronrod - gauss)
 
 
-def _composite_gk(h: Callable, edges: np.ndarray) -> float:
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += _gk_panel(h, a, b)[0]
-    return total
-
-
 @dataclass(frozen=True)
 class WeightedFormProfile:
     """The weighted integral with the profile it was assembled from."""
@@ -440,29 +463,11 @@ def weighted_resolvent_form(u: RealField, kappa: float, s: float,
                             xi_max: Optional[float] = None,
                             rule: Optional[WeightedFormRule] = None,
                             rtol: float = 1e-8) -> WeightedFormProfile:
-    """integral_kappa^inf tau^(2s) form(tau; u) dtau on a frozen rule.
-
-    Pass the same ``rule`` for every state of a trajectory when the values
-    will be differenced; the default builds a fresh rule adapted to ``u``.
-    """
-    _require_weight_exponent(s)
-    if kappa < 1.0:
-        raise ContractError("kappa must be >= 1")
+    """integral_kappa^inf tau^(2s) form(tau; u) dtau on a frozen rule; see
+    ``LaxSpectrum.weighted_form``."""
     if xi_max is None:
         xi_max = 0.5 * u.grid.max_frequency
-    spectrum = LaxSpectrum(build_lax(u, xi_max), u)
-    spectrum.require_shift(kappa)
-    if rule is None:
-        rule = build_weighted_rule(spectrum.form_at, kappa, s, rtol)
-    if abs(rule.kappa - kappa) > 1e-12 or abs(rule.s - s) > 1e-15:
-        raise ContractError("rule was frozen for different (kappa, s)")
-    values = spectrum.form_at(rule.tau_nodes)
-    tail_value = float(spectrum.form_at(np.array([rule.tau_star]))[0])
-    value = float(np.real(rule.combine(values, tail_value)))
-    if value < 0.0:
-        raise NumericalError("weighted form came out negative")
-    return WeightedFormProfile(kappa=kappa, s=s, tau_nodes=rule.tau_nodes,
-                               form_values=values, value=value, rule=rule)
+    return LaxSpectrum(build_lax(u, xi_max), u).weighted_form(kappa, s, rule, rtol)
 
 
 @dataclass(frozen=True)
@@ -580,29 +585,35 @@ def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
     if xi_max is None:
         xi_max = 0.5 * grid.max_frequency
 
+    if n_samples < 1:
+        raise ContractError("n_samples must be positive")
     if dt is None:
         dt = default_dt(problem, u0)
     n_steps = max(1, int(round(t_final / dt)))
     stride = max(1, n_steps // n_samples)
     trajectory = evolve(problem, u0, t_final, dt, store_stride=stride,
-                        monitors={"sup": lambda f: f.sup_norm()})
+                        monitors={})
 
-    spectrum0 = LaxSpectrum(build_lax(u0, xi_max), u0)
-    rule = build_weighted_rule(spectrum0.form_at, kappa, s)
-
+    rule = None
     values = []
     margin = np.inf
     for state in trajectory.states:
-        check = check_kappa(state, s, kappa, c_s=c_s, xi_max=xi_max)
+        spectrum = LaxSpectrum(build_lax(state, xi_max), state)
+        if rule is None:
+            # states[0] is u0: the rule is frozen on the initial profile
+            rule = build_weighted_rule(spectrum.form_at, kappa, s)
+            if not rule.weights.any():
+                # all weights vanish exactly when form(kappa; u0) = 0
+                raise ContractError("initial data has zero weighted form; "
+                                    "no growth rate can be fitted")
+        check = spectrum.check_kappa(s, kappa, c_s)
         if not check.ok:
             raise NumericalError(
                 "admissible-shift condition failed along the run: "
                 "kappa=%.4g threshold=%.4g lambda_min=%.4g"
                 % (check.kappa, check.threshold, check.lambda_min))
         margin = min(margin, kappa - check.threshold)
-        profile = weighted_resolvent_form(state, kappa, s, xi_max=xi_max,
-                                          rule=rule)
-        values.append(profile.value)
+        values.append(spectrum.weighted_form(kappa, s, rule).value)
     values = np.asarray(values)
     times = trajectory.times
 
@@ -642,8 +653,7 @@ def apriori_bound(u0: RealField, s: float, depth: float, t: float,
     _require_weight_exponent(s)
     index = SobolevIndex(s, 1.0)
     problem = make_ilw(depth, u0.grid)
-    trajectory = evolve(problem, u0, t, dt,
-                        monitors={"sup": lambda f: f.sup_norm()})
+    trajectory = evolve(problem, u0, t, dt, monitors={})
     lhs = sobolev_norm(trajectory.final(), index)
     n0 = sobolev_norm(u0, index)
     growth = np.exp(a_rate * t)

@@ -215,17 +215,30 @@ GRONWALL_ARGS = ["gronwall", "--depth-list", "1.0", "--seeds", "2",
                  "--samples", "10"]
 
 
-def test_gronwall_worker_count_does_not_change_results(tmp_path, monkeypatch, capsys):
+def test_gronwall_reruns_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("ILW_LAB_THREADS", "1")
     assert main(GRONWALL_ARGS + ["--outdir", str(a)]) == 0
-    monkeypatch.setenv("ILW_LAB_THREADS", "4")
     assert main(GRONWALL_ARGS + ["--outdir", str(b)]) == 0
     capsys.readouterr()
     assert (a / "runs.csv").read_bytes() == (b / "runs.csv").read_bytes()
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     report = json.loads((a / "report.json").read_text())
     assert report["passed"] is True
     assert report["report"]["all_bound_ok"] is True
+
+
+@pytest.mark.parametrize("extra", [["--samples", "0"], ["--seeds", "0"],
+                                   ["--depth-list", ""]])
+def test_gronwall_rejects_empty_ensemble(tmp_path, capsys, extra):
+    assert main(GRONWALL_ARGS + extra + ["--outdir", str(tmp_path / "g")]) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_gronwall_rejects_zero_initial_data(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(GRONWALL_ARGS + ["--amplitude", "0", "--outdir", str(out)]) == 1
+    assert "zero weighted form" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 TWODEPTH_ARGS = ["twodepth", "--c2", "0", "--min-depth-list", "10,20",
@@ -262,6 +275,16 @@ def test_simulate_resumes_from_snapshot(tmp_path, capsys):
                  "--dt", "1e-3", "--initial", str(first / "final.bin"),
                  "--outdir", str(mismatched)]) == 1
     assert "snapshot grid" in capsys.readouterr().err
+
+
+def test_simulate_rejects_truncated_snapshot(tmp_path, capsys):
+    grid = SpectralGrid(2 * np.pi, 128)
+    bad = tmp_path / "bad.bin"
+    write_snapshot(bad, random_field(grid, -0.25, 0.25, 1))
+    bad.write_bytes(bad.read_bytes()[:-8])
+    assert main(["simulate", "--n", "128", "--t-final", "0.05", "--dt", "1e-3",
+                 "--initial", str(bad), "--outdir", str(tmp_path / "x")]) == 1
+    assert "whole number" in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_equation(tmp_path):

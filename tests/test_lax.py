@@ -4,6 +4,7 @@ and the growth experiments built on them."""
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from ilw_lab import (
     ContractError,
@@ -29,6 +30,7 @@ from ilw_lab import (
     resolvent_state,
     weighted_resolvent_form,
 )
+from ilw_lab.experiments import load_config, run
 from ilw_lab.lax import LaxSpectrum
 from ilw_lab.spectral import hardy_project
 
@@ -411,6 +413,47 @@ def test_gronwall_experiment_reports():
     # the deep-water flow conserves the form: only integrator noise remains
     assert control.a_hat < 1e-6
     assert control.a_hat < report.a_hat
+
+
+def test_gronwall_experiment_matches_public_functions():
+    # the same trajectory through check_kappa and weighted_resolvent_form,
+    # on a rule frozen at u0, gives exactly the experiment's numbers
+    grid = SpectralGrid(TWO_PI, 128)
+    u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
+    s, kappa = -0.25, 32.0
+    report = gronwall_experiment(u0, 1.0, s, kappa, t_final=0.2, dt=1e-3,
+                                 n_samples=10)
+    states = evolve(make_ilw(1.0, grid), u0, 0.2, dt=1e-3,
+                    store_stride=20).states
+    rule = weighted_resolvent_form(u0, kappa, s).rule
+    values = [weighted_resolvent_form(state, kappa, s, rule=rule).value
+              for state in states]
+    margin = min(kappa - check_kappa(state, s, kappa).threshold
+                 for state in states)
+    assert len(states) == len(report.times) == 11
+    assert report.form_values.tolist() == values
+    assert report.kappa_margin == margin
+
+
+def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    grid = SpectralGrid(TWO_PI, 128)
+    u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
+    report = gronwall_experiment(u0, 1.0, -0.25, 32.0, t_final=0.05, dt=1e-3,
+                                 n_samples=5)
+    assert len(report.times) == 6
+    assert len(calls) == 6
+    calls.clear()
+    run(load_config("beta", overrides={"n": 128},
+                    output_dir=str(tmp_path / "beta")))
+    assert calls == [(32, 32)]
 
 
 def test_gronwall_experiment_validation():
