@@ -32,7 +32,7 @@ from .evolution import (
 )
 from .lax import LaxSpectrum, build_lax, gronwall_experiment, \
     modes_to_xi_max, resolvent_form
-from .spectral import RealField, SpectralGrid
+from .spectral import HERMITIAN_RTOL, RealField, SpectralGrid
 from .symbols import smoothing_operator_scan
 from .waves import (
     distance_to_dirac,
@@ -71,11 +71,9 @@ def random_field(grid: SpectralGrid, s_target: float, amplitude: float,
     mag = amplitude * (1.0 + xi) ** (-r)
     if decay > 0.0:
         mag = mag * np.exp(-decay * xi)
-    coeffs = np.zeros(grid.n_points, dtype=np.complex128)
+    coeffs = np.zeros(half + 1, dtype=np.complex128)
     coeffs[0] = amplitude * np.cos(theta[0])
-    idx = np.arange(1, half)
-    coeffs[idx] = mag * np.exp(1j * theta[1:])
-    coeffs[-idx] = np.conj(coeffs[idx])
+    coeffs[1:half] = mag * np.exp(1j * theta[1:])
     return RealField(grid, coeffs)
 
 
@@ -83,13 +81,16 @@ def random_field(grid: SpectralGrid, s_target: float, amplitude: float,
 
 def write_snapshot(path, state: RealField):
     """16-byte header (magic, n_points uint32, period float64, little
-    endian) followed by the coefficients as little-endian complex128."""
+    endian) followed by all N coefficients (FFT order) as little-endian
+    complex128."""
+    half = state.coeffs
+    full = np.concatenate((half, np.conj(half[-2:0:-1])))
     header = (_SNAPSHOT_MAGIC
               + struct.pack("<I", state.grid.n_points)
               + struct.pack("<d", state.grid.length))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(state.coeffs).astype("<c16").tobytes())
+        fh.write(full.astype("<c16").tobytes())
 
 
 def read_snapshot(path) -> RealField:
@@ -101,10 +102,17 @@ def read_snapshot(path) -> RealField:
     if (len(data) - 16) % 16:
         raise ContractError("snapshot payload is not a whole number of "
                             "complex128 coefficients: %s" % path)
-    coeffs = np.frombuffer(data[16:], dtype="<c16")
+    coeffs = np.frombuffer(data[16:], dtype="<c16").astype(np.complex128)
     if coeffs.shape[0] != n_points:
         raise ContractError("snapshot payload does not match its header")
-    return RealField(SpectralGrid(length, n_points), coeffs.astype(np.complex128))
+    grid = SpectralGrid(length, n_points)
+    # outside data: the full spectrum must be Hermitian before its negative
+    # half is dropped
+    gap = np.max(np.abs(coeffs - np.conj(coeffs[(-np.arange(n_points)) % n_points])))
+    if gap > HERMITIAN_RTOL * max(1.0, np.max(np.abs(coeffs))):
+        raise ContractError("snapshot breaks Hermitian symmetry (gap %.3e): %s"
+                            % (gap, path))
+    return RealField(grid, coeffs[: n_points // 2 + 1])
 
 
 # -- configuration ---------------------------------------------------------------
@@ -210,18 +218,23 @@ class ExperimentConfig:
 
 def _coerce(command: str, key: str, raw) -> object:
     kind = _SCHEMAS[command][key][0]
-    if not isinstance(raw, str):
-        return raw
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "float_list":
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        return raw
-    except ValueError as exc:
-        raise ContractError("bad value for %s.%s: %r" % (command, key, raw)) from exc
+    value = raw
+    if isinstance(raw, str):
+        try:
+            if kind == "int":
+                value = int(raw)
+            elif kind == "float":
+                value = float(raw)
+            elif kind == "float_list":
+                value = [float(tok) for tok in raw.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ContractError("bad value for %s.%s: %r"
+                                % (command, key, raw)) from exc
+    if kind == "float_list" and not value:
+        raise ContractError("%s.%s needs at least one value" % (command, key))
+    if kind in ("float", "float_list") and not np.all(np.isfinite(value)):
+        raise ContractError("%s.%s must be finite: %r" % (command, key, raw))
+    return value
 
 
 def load_config(command: str, config_path: Optional[str] = None,

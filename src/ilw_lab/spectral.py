@@ -6,12 +6,15 @@ Conventions.  On a period-``L`` domain the transform pair is
     u_hat(xi) = integral_0^L u(x) exp(-i xi x) dx,
     u(x)      = (1/L) * sum_xi u_hat(xi) exp(i xi x),
 
-with xi running over the lattice (2*pi/L)*k, k = -N/2 .. N/2-1.  For L = 1
-this is the standard circle convention with xi in 2*pi*Z, and Parseval reads
-||u||_L2^2 = (1/L) * sum |u_hat|^2.  The lattice is symmetric about 0 except
-for the single unpaired Nyquist mode at k = -N/2; real fields carry a real
-coefficient there, and multipliers with no real part at that frequency zero
-it out.
+with xi running over the lattice (2*pi/L)*k, |k| <= N/2.  For L = 1 this is
+the standard circle convention with xi in 2*pi*Z, and Parseval reads
+||u||_L2^2 = (1/L) * sum |u_hat|^2.  A real field has u_hat(-xi) =
+conj(u_hat(xi)) and is stored by its half spectrum, k = 0 .. N/2 in
+``np.fft.rfft`` order.  Slots 0 and N/2 are self-conjugate, hence real, and
+stand for one mode each (on the grid the pair +-N/2 is the single mode
+cos(xi_N x)); every other slot stands for the pair +-xi.  Full-lattice sums
+weight the slots by ``SpectralGrid.multiplicity``, and multipliers act on the
+Nyquist slot through the real part of their symbol, zeroing it for odd ones.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import numpy as np
 
 from .errors import ContractError
 
-_HERMITIAN_RTOL = 1e-10
+# bound on |u_hat - conj(mirrored u_hat)| relative to max(1, max |u_hat|)
+HERMITIAN_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -41,10 +45,19 @@ class SpectralGrid:
 
     @cached_property
     def frequencies(self) -> np.ndarray:
-        """Angular frequencies in FFT order: (2*pi/L)*[0, 1, .., -N/2, .., -1]."""
-        xi = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.length / self.n_points)
+        """Angular frequencies of the half spectrum: (2*pi/L)*[0, 1, .., N/2]."""
+        xi = 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.length / self.n_points)
         xi.setflags(write=False)
         return xi
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """Full-lattice modes per half-spectrum slot: 1 at slots 0 and N/2,
+        2 elsewhere.  Weight every full-lattice sum by it."""
+        weights = np.full(self.n_points // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+        weights.setflags(write=False)
+        return weights
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -70,58 +83,46 @@ class SpectralGrid:
     def nyquist_index(self) -> int:
         return self.n_points // 2
 
-    @cached_property
-    def _conjugate_index(self) -> np.ndarray:
-        idx = (-np.arange(self.n_points)) % self.n_points
-        idx.setflags(write=False)
-        return idx
-
-
-def _check_hermitian(coeffs: np.ndarray, grid: SpectralGrid, what: str) -> np.ndarray:
-    mirrored = np.conj(coeffs[grid._conjugate_index])
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    gap = float(np.max(np.abs(coeffs - mirrored)))
-    if gap > _HERMITIAN_RTOL * scale:
-        raise ContractError(
-            "%s breaks Hermitian symmetry (gap %.3e, scale %.3e)" % (what, gap, scale)
-        )
-    # exact symmetrization keeps downstream synthesis real to the last bit
-    return 0.5 * (coeffs + mirrored)
-
 
 @dataclass(frozen=True)
 class RealField:
-    """Real-valued field stored by its Fourier coefficients (FFT order).
+    """Real-valued field stored by its half spectrum (``np.fft.rfft`` order).
 
-    The constructor validates Hermitian symmetry and then symmetrizes
-    exactly, so ``samples()`` is real up to rounding in the FFT itself.
-    Instances are immutable; operations return new fields.
+    The constructor requires the self-conjugate slots 0 and N/2 to be real
+    to ``HERMITIAN_RTOL`` and stores them real; the negative frequencies are
+    the conjugates of the stored ones by construction.  Instances are
+    immutable; operations return new fields.
     """
 
     grid: SpectralGrid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if coeffs.shape != (self.grid.n_points,):
-            raise ContractError("coefficient array must have shape (n_points,)")
+        coeffs = np.array(self.coeffs, dtype=np.complex128)
+        if coeffs.shape != (self.grid.n_points // 2 + 1,):
+            raise ContractError("coefficient array must have shape (n_points//2 + 1,)")
         if not np.all(np.isfinite(coeffs)):
             raise ContractError("coefficients must be finite")
-        coeffs = _check_hermitian(coeffs, self.grid, "coefficient array")
+        ends = coeffs[[0, -1]]
+        scale = max(1.0, np.max(np.abs(coeffs)))
+        if np.max(np.abs(ends - ends.conj())) > HERMITIAN_RTOL * scale:
+            raise ContractError("zero and Nyquist coefficients must be real")
+        coeffs[[0, -1]] = ends.real
         coeffs.setflags(write=False)
         object.__setattr__(self, "coeffs", coeffs)
 
     # -- synthesis ---------------------------------------------------------
 
     def samples(self) -> np.ndarray:
-        u = np.fft.ifft(self.coeffs) * (self.grid.n_points / self.grid.length)
-        return u.real
+        n = self.grid.n_points
+        return np.fft.irfft(self.coeffs, n) * (n / self.grid.length)
 
     def mean(self) -> float:
         return float(self.coeffs[0].real) / self.grid.length
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2) / self.grid.length))
+        total = np.sum(self.grid.multiplicity * np.abs(self.coeffs) ** 2)
+        return float(np.sqrt(total / self.grid.length))
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.samples())))
@@ -150,9 +151,9 @@ class RealField:
     def shifted(self, h: float) -> "RealField":
         """Translate by h: x -> u(x - h), exact in coefficient space.
 
-        The unpaired Nyquist mode represents cos(xi_N x); its translate keeps
-        only the cosine part (the sine component vanishes on the lattice), so
-        that slot is scaled by cos(xi_N h) and stays real.
+        The Nyquist slot represents cos(xi_N x); its translate keeps only the
+        cosine part (the sine component vanishes on the grid), so that slot
+        is scaled by cos(xi_N h) and stays real.
         """
         phase = np.exp(-1j * self.grid.frequencies * h)
         coeffs = self.coeffs * phase
@@ -163,22 +164,18 @@ class RealField:
     def embedded(self, n_points: int) -> "RealField":
         """Zero-pad onto a finer grid of the same length.
 
-        The unpaired Nyquist coefficient is split half-and-half between the
-        +N/2 and -N/2 slots of the finer lattice, which preserves both the
-        function values and Hermitian symmetry.
+        The Nyquist coefficient is split half-and-half between +-N/2, which
+        are paired modes of the finer lattice; the function values are kept.
         """
         n_old = self.grid.n_points
         if n_points < n_old or n_points % 2 != 0:
             raise ContractError("embedding target must be an even n_points >= source")
         if n_points == n_old:
             return self
-        out = np.zeros(n_points, dtype=np.complex128)
+        out = np.zeros(n_points // 2 + 1, dtype=np.complex128)
         half = n_old // 2
         out[:half] = self.coeffs[:half]
-        out[n_points - half + 1:] = self.coeffs[half + 1:]
-        nyq = self.coeffs[half]
-        out[half] = 0.5 * nyq
-        out[n_points - half] = 0.5 * nyq
+        out[half] = 0.5 * self.coeffs[half]
         return RealField(SpectralGrid(self.grid.length, n_points), out)
 
 
@@ -191,7 +188,7 @@ def forward_transform(samples: np.ndarray, grid: SpectralGrid) -> RealField:
         raise ContractError("samples must be real")
     if not np.all(np.isfinite(samples)):
         raise ContractError("samples must be finite")
-    coeffs = (grid.length / grid.n_points) * np.fft.fft(samples.astype(float))
+    coeffs = (grid.length / grid.n_points) * np.fft.rfft(samples.astype(float))
     return RealField(grid, coeffs)
 
 
@@ -226,17 +223,17 @@ class SobolevIndex:
 
 def sobolev_norm(field: RealField, index: SobolevIndex) -> float:
     """Weighted norm (1/L * sum <xi>_kappa^(2s) |u_hat|^2)^(1/2)."""
-    w = index.bracket(field.grid.frequencies) ** (2.0 * index.s)
-    total = np.sum(w * np.abs(field.coeffs) ** 2) / field.grid.length
+    grid = field.grid
+    w = grid.multiplicity * index.bracket(grid.frequencies) ** (2.0 * index.s)
+    total = np.sum(w * np.abs(field.coeffs) ** 2) / grid.length
     return float(np.sqrt(total))
 
 
 def hardy_project(field: RealField) -> np.ndarray:
     """Coefficients on the nonnegative half-lattice xi = 0, xi_1, ...
 
-    The zero mode is kept; the unpaired Nyquist mode (negative by
-    convention) is dropped.  Frequencies ascend with the index, matching
-    ``hardy_frequencies``.
+    The zero mode is kept; the Nyquist slot (shared by +-xi_N) is dropped.
+    Frequencies ascend with the index, matching ``hardy_frequencies``.
     """
     return field.coeffs[: field.grid.n_points // 2].copy()
 
@@ -263,30 +260,20 @@ def hardy_embed(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def multiplier_apply(field: RealField, symbol, real_output: bool = True):
-    """Apply a Fourier multiplier given as a callable xi -> value or an array.
+def multiplier_apply(field: RealField, symbol) -> RealField:
+    """Apply a Fourier multiplier given as a callable xi -> value or an array
+    on ``grid.frequencies`` (xi >= 0; at -xi it acts by the conjugate value).
 
-    With ``real_output`` the symbol must be Hermitian (sym(-xi) =
-    conj(sym(xi))) on the paired lattice; the unpaired Nyquist mode gets the
-    real part of the symbol, which zeroes it for odd (sign-discontinuous)
-    symbols.  With ``real_output=False`` the raw coefficient array of the
-    complex-valued image is returned instead of a RealField.
+    The Nyquist slot gets the real part of the symbol, which zeroes it for
+    odd (sign-discontinuous) symbols.
     """
     grid = field.grid
     values = symbol(grid.frequencies) if callable(symbol) else np.asarray(symbol)
     values = np.asarray(values, dtype=np.complex128)
-    if values.shape != (grid.n_points,):
-        raise ContractError("symbol array must have shape (n_points,)")
+    if values.shape != grid.frequencies.shape:
+        raise ContractError("symbol array must have shape (n_points//2 + 1,)")
     if not np.all(np.isfinite(values)):
         raise ContractError("symbol values must be finite")
-    if not real_output:
-        return field.coeffs * values
-    mirrored = np.conj(values[grid._conjugate_index])
-    gap = np.abs(values - mirrored)
-    gap[grid.nyquist_index] = 0.0  # unpaired; handled below
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if float(np.max(gap)) > _HERMITIAN_RTOL * scale:
-        raise ContractError("non-Hermitian symbol with real-output flag set")
     out = field.coeffs * values
     nyq = grid.nyquist_index
     out[nyq] = field.coeffs[nyq] * values[nyq].real

@@ -439,20 +439,17 @@ def distance_to_dirac(profile: RealField, s: float) -> float:
 
     The Dirac's coefficients are identically 1, so the squared distance is
     the lattice sum of <xi>^(2s) |u_hat(xi) + 2*pi|^2.  Modes beyond the grid
-    contribute the pure Dirac tail; the unpaired Nyquist coefficient is
-    treated as part of that tail for symmetry.
+    contribute the pure Dirac tail; the Nyquist pair +-N/2 is treated as part
+    of that tail for symmetry.
     """
-    if s >= -0.5:
-        raise ContractError("the Dirac distance needs s < -1/2")
+    if not (np.isfinite(s) and s < -0.5):
+        raise ContractError("the Dirac distance needs a finite s < -1/2")
     _require_unit_circle(profile.grid)
     grid = profile.grid
     half = grid.n_points // 2
-    keep = np.ones(grid.n_points, dtype=bool)
-    keep[half] = False
-    xi = grid.frequencies[keep]
-    coeffs = profile.coeffs[keep]
-    w = (1.0 + xi ** 2) ** s
-    on_grid = float(np.sum(w * np.abs(coeffs + _TWO_PI) ** 2))
+    xi = grid.frequencies[:half]
+    w = grid.multiplicity[:half] * (1.0 + xi ** 2) ** s
+    on_grid = float(np.sum(w * np.abs(profile.coeffs[:half] + _TWO_PI) ** 2))
     tail = (_TWO_PI ** 2) * 2.0 * dirac_tail(half, s)
     return float(np.sqrt(on_grid + tail))
 

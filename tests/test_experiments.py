@@ -1,8 +1,10 @@
 """Seeded data, snapshots, configuration resolution, experiment runners,
 and the command-line surface."""
 
+import csv
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +88,14 @@ def test_snapshot_rejects_corruption(tmp_path):
     stub.write_bytes(b"ILW")
     with pytest.raises(ContractError):
         read_snapshot(stub)
+    # the payload is a full spectrum: a broken mirror pair is rejected
+    coeffs = np.frombuffer(raw[16:], dtype="<c16").copy()
+    coeffs[1] = 1.0 + 1.0j
+    coeffs[31] = 1.0 + 1.0j  # should be the conjugate
+    mirror = tmp_path / "mirror.bin"
+    mirror.write_bytes(raw[:16] + coeffs.tobytes())
+    with pytest.raises(ContractError):
+        read_snapshot(mirror)
 
 
 # ----------------------------------------------------------- configuration
@@ -114,6 +124,24 @@ def test_load_config_layering(tmp_path):
 def test_load_config_parses_lists():
     cfg = load_config("gronwall", overrides={"depth_list": "0.5, 1.0,2.0"})
     assert cfg.params["depth_list"] == [0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["smoothing", "--depth-list", ""],
+    ["smoothing", "--s1-list", " , "],
+    ["illposed", "--adelta-list", ""],
+    ["twodepth", "--min-depth-list", ""],
+    ["simulate", "--t-final", "inf"],
+    ["simulate", "--t-final", "nan"],
+    ["simulate", "--dt=-inf"],
+    ["wave", "--s-dirac", "nan"],
+    ["gronwall", "--depth-list", "1.0,nan"],
+])
+def test_cli_rejects_empty_lists_and_non_finite_numbers(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--outdir", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_config_rejects_bad_input(tmp_path):
@@ -292,3 +320,49 @@ def test_run_rejects_unknown_equation(tmp_path):
                       output_dir=str(tmp_path / "x"))
     with pytest.raises(ContractError):
         run(cfg)
+
+
+# ----------------------------------------------- recorded reference outputs
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+# Refactors must reproduce the recorded tables to these tolerances.  a_hat is
+# a log-slope between samples 1/100 apart, so a relative error e in the form
+# values moves it by up to 2*e/0.01 in absolute terms.
+VALUE_RTOL = 1e-12
+A_HAT_ATOL = 2e-10
+
+
+def _read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("argv, table, reference", [
+    (["gronwall", "--seed", "1", "--seeds", "2", "--depth-list", "0.5,2.0"],
+     "runs.csv", "gronwall-ensemble/seed-1/runs.csv"),
+    (["beta", "--n", "4096", "--seed", "1"],
+     "beta_profile.csv", "beta-large/seed-1/beta_profile.csv"),
+])
+def test_outputs_match_recorded_reference(tmp_path, capsys, argv, table,
+                                          reference):
+    out = tmp_path / "out"
+    assert main(argv + ["--outdir", str(out)]) == 0
+    capsys.readouterr()
+    got = _read_rows(out / table)
+    want = _read_rows(REFERENCE / reference)
+    if "seed" in want[0]:
+        # the short ensemble runs four of the recorded members
+        members = {(row["depth"], row["seed"]) for row in got}
+        want = [row for row in want if (row["depth"], row["seed"]) in members]
+        assert len(want) == 4
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        assert list(row) == list(ref)
+        for column, cell in row.items():
+            if column in ("depth", "seed", "bound_ok"):
+                assert cell == ref[column], column
+            elif column == "a_hat":
+                assert abs(float(cell) - float(ref[column])) <= A_HAT_ATOL
+            else:
+                x, r = float(cell), float(ref[column])
+                assert abs(x - r) <= VALUE_RTOL * abs(r), (column, x, r)

@@ -38,18 +38,23 @@ TWO_PI = 2.0 * np.pi
 
 
 def constant_field(grid, value):
-    coeffs = np.zeros(grid.n_points, dtype=np.complex128)
+    coeffs = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     coeffs[0] = value * grid.length
     return RealField(grid, coeffs)
 
 
-def dense_oracle(u, n_modes):
-    # entry (i, j) is u_hat(xi_i - xi_j)/L plus the diagonal frequency
-    grid = u.grid
+def full_spectrum(u):
+    # independent full-lattice route: the complex FFT of the samples
+    return np.fft.fft(u.samples()) * u.grid.spacing
+
+
+def dense_oracle(full, grid, n_modes):
+    # entry (i, j) is u_hat(xi_i - xi_j)/L plus the diagonal frequency, read
+    # from all N coefficients in FFT order
     m = np.empty((n_modes, n_modes), dtype=np.complex128)
     for i in range(n_modes):
         for j in range(n_modes):
-            m[i, j] = u.coeffs[(i - j) % grid.n_points] / grid.length
+            m[i, j] = full[(i - j) % grid.n_points] / grid.length
             if i == j:
                 m[i, j] += grid.fundamental * i
     return m
@@ -59,7 +64,7 @@ def dense_oracle(u, n_modes):
 
 def test_lax_matrix_zero_and_constant_fields():
     grid = SpectralGrid(TWO_PI, 128)
-    zero = RealField(grid, np.zeros(128, dtype=np.complex128))
+    zero = RealField(grid, np.zeros(65, dtype=np.complex128))
     lax = build_lax(zero, 31.0)
     assert lax.frequencies.shape == (32,)
     assert np.array_equal(lax.matrix, np.diag(np.arange(32.0)))
@@ -73,9 +78,13 @@ def test_lax_matrix_zero_and_constant_fields():
 
 def test_lax_matrix_against_dense_oracle():
     grid = SpectralGrid(TWO_PI, 128)
-    u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
+    full = full_spectrum(random_field(grid, -0.25, 0.3, 7, decay=0.25))
+    # symmetrized, the full spectrum is exactly Hermitian, so the field
+    # built from its half has exactly these negative-frequency entries
+    full = 0.5 * (full + np.conj(full[(-np.arange(128)) % 128]))
+    u = RealField(grid, full[:65])
     lax = build_lax(u, 31.0)
-    oracle = dense_oracle(u, 32)
+    oracle = dense_oracle(full, grid, 32)
     assert np.max(np.abs(lax.matrix - oracle)) == 0.0
     assert np.max(np.abs(lax.matrix - lax.matrix.conj().T)) == 0.0
 
@@ -110,7 +119,7 @@ def test_build_lax_validation():
 
 def test_check_kappa_zero_field():
     grid = SpectralGrid(TWO_PI, 128)
-    zero = RealField(grid, np.zeros(128, dtype=np.complex128))
+    zero = RealField(grid, np.zeros(65, dtype=np.complex128))
     check = check_kappa(zero, -0.25, 1.0)
     assert check.norm == 0.0
     assert check.threshold == 1.0
@@ -143,7 +152,7 @@ def test_check_kappa_threshold_monotone():
 
 def test_resolvent_solve_diagonal_case():
     grid = SpectralGrid(TWO_PI, 128)
-    zero = RealField(grid, np.zeros(128, dtype=np.complex128))
+    zero = RealField(grid, np.zeros(65, dtype=np.complex128))
     lax = build_lax(zero, 31.0)
     g = np.arange(32.0) + 1j
     x = resolvent_solve(lax, 5.0, g)
@@ -201,7 +210,7 @@ def test_resolvent_form_against_dense_solve():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
     value = resolvent_form(u, 32.0, xi_max=31.0)
-    oracle_matrix = dense_oracle(u, 32) + 32.0 * np.eye(32)
+    oracle_matrix = dense_oracle(full_spectrum(u), grid, 32) + 32.0 * np.eye(32)
     g = hardy_project(u)[:32]
     x = np.linalg.solve(oracle_matrix, g)
     oracle = float(np.real(np.vdot(g, x))) / grid.length
@@ -249,7 +258,7 @@ def test_form_times_tau_converges_to_hardy_mass():
 
 def test_weighted_form_zero_field():
     grid = SpectralGrid(TWO_PI, 128)
-    zero = RealField(grid, np.zeros(128, dtype=np.complex128))
+    zero = RealField(grid, np.zeros(65, dtype=np.complex128))
     profile = weighted_resolvent_form(zero, 8.0, -0.25)
     assert profile.value == 0.0
     assert profile.rule.tail_coeff == 0.0
@@ -343,7 +352,7 @@ def test_gradient_matches_finite_differences():
 
 def test_flow_derivative_structure():
     grid = SpectralGrid(TWO_PI, 128)
-    zero = RealField(grid, np.zeros(128, dtype=np.complex128))
+    zero = RealField(grid, np.zeros(65, dtype=np.complex128))
     flow = form_flow_derivative(zero, 8.0, 1.0, -0.25)
     assert flow.total == 0.0 and flow.I1 == 0.0 and flow.I3 == 0.0
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)

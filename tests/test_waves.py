@@ -182,7 +182,7 @@ def test_traveling_residual_detects_wrong_speed():
     k = periodic_wave_constants(2.0, 1.0)
     c = periodic_speed(2.0, 1.0)
     assert traveling_residual(profile, c + 0.1, k.B, 1.0) >= 0.099 * profile.sup_norm()
-    zero = RealField(grid, np.zeros(grid.n_points, dtype=np.complex128))
+    zero = RealField(grid, np.zeros(grid.n_points // 2 + 1, dtype=np.complex128))
     assert traveling_residual(zero, c, 0.0, 1.0) == 0.0
 
 
@@ -261,13 +261,14 @@ def test_distance_to_dirac():
     assert distances == sorted(distances, reverse=True)
     # a field whose grid coefficients all equal -2*pi differs from the comb
     # only beyond the grid, which is the pure tail
-    truncated = RealField(grid, np.full(grid.n_points, -TWO_PI,
+    truncated = RealField(grid, np.full(grid.n_points // 2 + 1, -TWO_PI,
                                         dtype=np.complex128))
     expected = np.sqrt(TWO_PI ** 2 * 2.0 * dirac_tail(512, s))
     assert distance_to_dirac(truncated, s) == pytest.approx(expected,
                                                             rel=1e-12)
-    with pytest.raises(ContractError):
-        distance_to_dirac(truncated, -0.4)
+    for bad_s in (-0.4, np.nan, -np.inf):
+        with pytest.raises(ContractError):
+            distance_to_dirac(truncated, bad_s)
 
 
 def test_traveling_mode_matches_profile():
