@@ -12,9 +12,11 @@ functionals (`lax`), and deterministic batch experiments behind the
 
 from .errors import BlowUpError, ContractError, KappaTooSmallError, NumericalError
 from .evolution import (
+    MAX_STEPS,
     EvolutionProblem,
     Trajectory,
     default_dt,
+    etdrk4_samples,
     evolve,
     galilean,
     hamiltonian_bo,
@@ -26,6 +28,7 @@ from .evolution import (
     mass,
     relative_drift,
     rhs,
+    step_count,
 )
 from .experiments import (
     ExperimentConfig,
@@ -50,6 +53,7 @@ from .lax import (
     build_weighted_rule,
     check_kappa,
     form_flow_derivative,
+    gronwall_ensemble,
     gronwall_experiment,
     modes_to_xi_max,
     resolvent_form,

@@ -31,6 +31,8 @@ from .symbols import (
 
 _BLOWUP_FACTOR = 1e6
 _CONTOUR_POINTS = 32
+# the longest run accepted; 1e7 steps at N = 256 take tens of minutes
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -244,45 +246,60 @@ def _etdrk4_tables(symbol: np.ndarray, dt: float):
     return exp_full, exp_half, f0, f1, f2, f3
 
 
-def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
-           dt: Optional[float] = None, monitors: Optional[dict] = None,
-           store_stride: Optional[int] = None) -> Trajectory:
-    """Advance the problem to t_final and sample along the way.
+def step_count(t_final: float, dt: float) -> tuple:
+    """Steps that land exactly on ``t_final``, and the step rounded to fit.
 
-    The step is rounded so an integer number of steps lands exactly on
-    ``t_final``.  States and diagnostics are recorded every ``store_stride``
-    steps (defaults to roughly 100 samples along the run).  Raises
-    BlowUpError when the state stops being finite or its sup-norm exceeds
-    1e6 times the initial one.  The run is deterministic given its inputs.
+    Raises ContractError for a nonpositive ``t_final`` or ``dt`` and for a
+    run of more than ``MAX_STEPS`` steps.
     """
-    if initial.grid != problem.grid:
-        raise ContractError("initial state grid does not match the problem grid")
-    if t_final <= 0:
+    if not t_final > 0:
         raise ContractError("t_final must be positive")
-    if dt is None:
-        dt = default_dt(problem, initial)
-    if dt <= 0:
+    if not dt > 0:
         raise ContractError("dt must be positive")
-    n_steps = max(1, int(round(t_final / dt)))
-    dt = t_final / n_steps
-    if store_stride is None:
-        store_stride = max(1, n_steps // 100)
+    ratio = t_final / dt
+    if not ratio < MAX_STEPS + 0.5:
+        raise ContractError("t_final/dt = %.3g exceeds the limit of %d steps"
+                            % (ratio, MAX_STEPS))
+    n_steps = max(1, int(round(ratio)))
+    return n_steps, t_final / n_steps
 
-    sup0 = initial.sup_norm()
-    xi_max = problem.grid.fundamental * (problem.grid.n_points // 2)
-    if dt * xi_max * max(sup0, 1e-30) > 0.5:
-        warnings.warn("advisory CFL dt*xi_max*sup|u0| exceeds 0.5", RuntimeWarning)
+
+def etdrk4_samples(problem: EvolutionProblem, coeffs: np.ndarray,
+                   t_final: float, dt: float, store_stride: int):
+    """Advance a stack of half spectra, one state per row, to ``t_final``.
+
+    ``coeffs`` has shape (B, N//2 + 1).  Every row takes the same steps,
+    rounded as in ``step_count``; the scheme acts row by row, so a row
+    evolves exactly as it would alone.  Yields ``(t, coeffs)`` at t = 0,
+    every ``store_stride`` steps and at ``t_final``; a yielded array is
+    never modified afterwards.  Each row keeps its own checks: an advisory
+    CFL warning, and BlowUpError when it stops being finite or its sup-norm
+    exceeds 1e6 times its initial one.
+    """
+    grid = problem.grid
+    c = np.array(coeffs, dtype=np.complex128)
+    if c.ndim != 2 or c.shape[1] != grid.frequencies.shape[0]:
+        raise ContractError("states must be a (B, n_points//2 + 1) stack")
+    n_steps, dt = step_count(t_final, dt)
+    if store_stride < 1:
+        raise ContractError("store_stride must be positive")
+
+    n = grid.n_points
+    sup0 = np.max(np.abs(np.fft.irfft(c, n) * (n / grid.length)), axis=1)
+    xi_max = grid.fundamental * (n // 2)
+    for sup in sup0:
+        if dt * xi_max * max(sup, 1e-30) > 0.5:
+            warnings.warn("advisory CFL dt*xi_max*sup|u0| exceeds 0.5",
+                          RuntimeWarning)
+    blowup_level = _BLOWUP_FACTOR * np.maximum(sup0, 1e-30)
 
     exp_full, exp_half, f0, f1, f2, f3 = _etdrk4_tables(problem.linear_symbol, dt)
-    if monitors is None:
-        monitors = default_monitors(problem)
-
-    times = [0.0]
-    states = [initial]
-    diagnostics = {name: [fn(initial)] for name, fn in monitors.items()}
-
-    c = initial.coeffs.copy()
-    blowup_level = _BLOWUP_FACTOR * max(sup0, 1e-30)
+    yield 0.0, c
+    shape = c.shape
+    if shape[0] == 1:
+        # a lone row steps as a 1-D array: broadcasting and the batched FFTs
+        # would cost it about an eighth more per step
+        c = c[0]
     for step in range(1, n_steps + 1):
         n_a = _nonlinear_coeffs(problem, c)
         a = exp_half * c + f0 * n_a
@@ -296,20 +313,48 @@ def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
         if not np.all(np.isfinite(c)):
             raise BlowUpError(step * dt, float("inf"))
         # cheap sup bound: (1/L) * sum over the full lattice of |u_hat| >= sup |u|
-        bound = np.sum(problem.grid.multiplicity * np.abs(c)) / problem.grid.length
-        if bound > blowup_level:
-            state = RealField(problem.grid, c)
-            sup = state.sup_norm()
-            if sup > blowup_level:
+        bound = np.sum(grid.multiplicity * np.abs(c), axis=-1) / grid.length
+        for row in np.flatnonzero(bound > blowup_level):
+            sup = RealField(grid, c.reshape(shape)[row]).sup_norm()
+            if sup > blowup_level[row]:
                 raise BlowUpError(step * dt, sup)
 
         if step % store_stride == 0 or step == n_steps:
-            state = RealField(problem.grid, c)
-            times.append(step * dt)
-            states.append(state)
-            for name, fn in monitors.items():
-                diagnostics[name].append(fn(state))
+            yield step * dt, c.reshape(shape)
 
+
+def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
+           dt: Optional[float] = None, monitors: Optional[dict] = None,
+           store_stride: Optional[int] = None) -> Trajectory:
+    """Advance the problem to t_final and sample along the way.
+
+    The step is rounded so an integer number of steps lands exactly on
+    ``t_final``; more than ``MAX_STEPS`` steps is a ContractError.  States
+    and diagnostics are recorded every ``store_stride`` steps (defaults to
+    roughly 100 samples along the run).  Raises BlowUpError when the state
+    stops being finite or its sup-norm exceeds 1e6 times the initial one.
+    The run is the one-row case of ``etdrk4_samples`` and is deterministic
+    given its inputs.
+    """
+    if initial.grid != problem.grid:
+        raise ContractError("initial state grid does not match the problem grid")
+    if dt is None:
+        dt = default_dt(problem, initial)
+    n_steps, _ = step_count(t_final, dt)
+    if store_stride is None:
+        store_stride = max(1, n_steps // 100)
+    if monitors is None:
+        monitors = default_monitors(problem)
+
+    times, states = [], []
+    diagnostics = {name: [] for name in monitors}
+    for t, c in etdrk4_samples(problem, initial.coeffs[None, :], t_final, dt,
+                               store_stride):
+        state = RealField(problem.grid, c[0]) if states else initial
+        times.append(t)
+        states.append(state)
+        for name, fn in monitors.items():
+            diagnostics[name].append(fn(state))
     return Trajectory(problem=problem,
                       times=np.asarray(times),
                       states=states,

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 import scipy
 
-from .errors import ContractError
+from .errors import ContractError, NumericalError
 from .evolution import (
     default_dt,
     evolve,
@@ -29,8 +29,9 @@ from .evolution import (
     make_ilw,
     make_two_depth,
     relative_drift,
+    step_count,
 )
-from .lax import LaxSpectrum, build_lax, gronwall_experiment, \
+from .lax import LaxSpectrum, build_lax, gronwall_ensemble, \
     modes_to_xi_max, resolvent_form
 from .spectral import HERMITIAN_RTOL, RealField, SpectralGrid
 from .symbols import smoothing_operator_scan
@@ -294,10 +295,33 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt_cell(cell) for cell in row) + "\n")
 
 
+def _non_finite_key(payload, prefix=""):
+    """Dotted key of the first non-finite float in ``payload``, or None."""
+    if isinstance(payload, dict):
+        items = sorted(payload.items())
+    elif isinstance(payload, (list, tuple)):
+        items = enumerate(payload)
+    elif isinstance(payload, float) and not np.isfinite(payload):
+        return prefix
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite_key(value, "%s.%s" % (prefix, key) if prefix
+                                else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write strict JSON; a non-finite value is a NumericalError naming the
+    file and the key, and leaves no file behind."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError("non-finite value at %s in %s"
+                             % (_non_finite_key(payload), path)) from exc
+    Path(path).write_text(text + "\n")
 
 
 def _worker_count() -> int:
@@ -333,7 +357,7 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
     else:
         raise ContractError("simulate equation must be 'ilw' or 'bo'")
     dt = p["dt"] if p["dt"] > 0 else default_dt(problem, state)
-    n_steps = max(1, int(round(p["t_final"] / dt)))
+    n_steps, _ = step_count(p["t_final"], dt)
     stride = max(1, n_steps // max(1, p["samples"]))
     trajectory = evolve(problem, state, p["t_final"], dt, store_stride=stride)
 
@@ -440,16 +464,19 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
     grid = _make_grid(p)
     dt = p["dt"] if p["dt"] > 0 else None
     depths = sorted(p["depth_list"])
-    tasks = [(depth, p["seed"] + i) for depth in depths for i in range(p["seeds"])]
-    if not tasks:
+    seeds = [p["seed"] + i for i in range(p["seeds"])]
+    if not seeds or not depths:
         raise ContractError("empty ensemble: no seeds or no depths")
+    initials = [random_field(grid, p["s"], p["amplitude"], seed, p["decay"])
+                for seed in seeds]
+    tasks = [(depth, seed) for depth in depths for seed in seeds]
+    # one batched run per depth; members that share the step share a batch
     results = [
-        gronwall_experiment(
-            random_field(grid, p["s"], p["amplitude"], seed, p["decay"]),
-            depth, p["s"], p["kappa"], t_final=p["t_final"], dt=dt,
+        rep for depth in depths
+        for rep in gronwall_ensemble(
+            initials, depth, p["s"], p["kappa"], t_final=p["t_final"], dt=dt,
             n_samples=p["samples"], c_s=p["c_s"], epsilon=p["epsilon"],
-            equation=p["equation"])
-        for depth, seed in tasks]
+            equation=p["equation"])]
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.output_dir / "runs.csv"
@@ -568,7 +595,7 @@ def run_twodepth(cfg: ExperimentConfig) -> RunReport:
     u0 = random_field(grid, p["s_target"], p["amplitude"], p["seed"], p["decay"])
     limit_problem = make_bo_two_speed(p["c1"], p["c2"], grid)
     dt = p["dt"] if p["dt"] > 0 else default_dt(limit_problem, u0)
-    n_steps = max(1, int(round(p["t_final"] / dt)))
+    n_steps, _ = step_count(p["t_final"], dt)
     limit_final = evolve(limit_problem, u0, p["t_final"], dt,
                          store_stride=n_steps).final()
 

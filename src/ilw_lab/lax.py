@@ -25,7 +25,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ContractError, KappaTooSmallError, NumericalError
-from .evolution import default_dt, evolve, make_bo, make_ilw
+from .evolution import (
+    default_dt,
+    etdrk4_samples,
+    evolve,
+    make_bo,
+    make_ilw,
+    step_count,
+)
 from .spectral import (
     RealField,
     SobolevIndex,
@@ -567,10 +574,80 @@ def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
     admissible-shift condition holds at every sample (a NumericalError
     aborts the run otherwise).  ``equation="bo"`` drops the depth
     correction, under which the form is conserved and a_hat collapses to
-    integrator noise.
+    integrator noise.  This is the one-member case of ``gronwall_ensemble``.
+    """
+    return gronwall_ensemble([u0], depth, s, kappa, t_final=t_final, dt=dt,
+                             n_samples=n_samples, xi_max=xi_max, c_s=c_s,
+                             epsilon=epsilon, equation=equation)[0]
+
+
+class _FormTrack:
+    """The weighted form of one member, fed one sampled state at a time.
+
+    The rule is frozen on the first state (the member's initial data); every
+    state is decomposed once and only the scalars are kept.  ``report`` fits
+    the growth rate once the run is over.
+    """
+
+    def __init__(self, s: float, kappa: float, c_s: float, xi_max: float):
+        self.s, self.kappa, self.c_s, self.xi_max = s, kappa, c_s, xi_max
+        self.rule = None
+        self.values = []
+        self.margin = np.inf
+
+    def add(self, state: RealField):
+        spectrum = LaxSpectrum(build_lax(state, self.xi_max), state)
+        if self.rule is None:
+            self.rule = build_weighted_rule(spectrum.form_at, self.kappa, self.s)
+            if not self.rule.weights.any():
+                # all weights vanish exactly when form(kappa; u0) = 0
+                raise ContractError("initial data has zero weighted form; "
+                                    "no growth rate can be fitted")
+        check = spectrum.check_kappa(self.s, self.kappa, self.c_s)
+        if not check.ok:
+            raise NumericalError(
+                "admissible-shift condition failed along the run: "
+                "kappa=%.4g threshold=%.4g lambda_min=%.4g"
+                % (check.kappa, check.threshold, check.lambda_min))
+        self.margin = min(self.margin, self.kappa - check.threshold)
+        self.values.append(spectrum.weighted_form(self.kappa, self.s,
+                                                  self.rule).value)
+
+    def report(self, times: np.ndarray, depth: Optional[float], equation: str,
+               epsilon: float) -> GrowthReport:
+        s = self.s
+        values = np.asarray(self.values)
+        slopes = np.diff(np.log(values)) / np.diff(times)
+        a_hat = float(np.max(np.abs(slopes)))
+        bound = values[0] * np.exp(a_hat * times)
+        bound_ok = bool(np.all(values <= bound * (1.0 + 1e-6)))
+        a_reference = (depth ** -2.0 * (1.0 + depth ** (-abs(s) - 0.5 - epsilon))
+                       if depth is not None else 0.0)
+        return GrowthReport(depth=depth, s=s, kappa=self.kappa,
+                            equation=equation, times=times, form_values=values,
+                            a_hat=a_hat, bound_ok=bound_ok,
+                            a_reference=a_reference,
+                            kappa_margin=float(self.margin))
+
+
+def gronwall_ensemble(initials: list, depth: Optional[float], s: float,
+                      kappa: float, t_final: float = 1.0,
+                      dt: Optional[float] = None, n_samples: int = 100,
+                      xi_max: Optional[float] = None, c_s: float = 1.0,
+                      epsilon: float = 0.01, equation: str = "ilw") -> list:
+    """``gronwall_experiment`` for each of several initial states at one depth.
+
+    Members that resolve the same step are advanced together as one batch
+    by ``etdrk4_samples``, and each sample is consumed as it is produced, so
+    no trajectory is stored.  Reports come back in the order of
+    ``initials``, each equal to the member's own ``gronwall_experiment``.
     """
     _require_weight_exponent(s)
-    grid = u0.grid
+    if not initials:
+        raise ContractError("empty ensemble: no initial states")
+    grid = initials[0].grid
+    if any(u0.grid != grid for u0 in initials):
+        raise ContractError("ensemble members live on different grids")
     if equation == "ilw":
         if depth is None:
             raise ContractError("the finite-depth run needs a depth")
@@ -581,49 +658,28 @@ def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
         raise ContractError("equation must be 'ilw' or 'bo'")
     if xi_max is None:
         xi_max = 0.5 * grid.max_frequency
-
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
-    if dt is None:
-        dt = default_dt(problem, u0)
-    n_steps = max(1, int(round(t_final / dt)))
-    stride = max(1, n_steps // n_samples)
-    trajectory = evolve(problem, u0, t_final, dt, store_stride=stride,
-                        monitors={})
 
-    rule = None
-    values = []
-    margin = np.inf
-    for state in trajectory.states:
-        spectrum = LaxSpectrum(build_lax(state, xi_max), state)
-        if rule is None:
-            # states[0] is u0: the rule is frozen on the initial profile
-            rule = build_weighted_rule(spectrum.form_at, kappa, s)
-            if not rule.weights.any():
-                # all weights vanish exactly when form(kappa; u0) = 0
-                raise ContractError("initial data has zero weighted form; "
-                                    "no growth rate can be fitted")
-        check = spectrum.check_kappa(s, kappa, c_s)
-        if not check.ok:
-            raise NumericalError(
-                "admissible-shift condition failed along the run: "
-                "kappa=%.4g threshold=%.4g lambda_min=%.4g"
-                % (check.kappa, check.threshold, check.lambda_min))
-        margin = min(margin, kappa - check.threshold)
-        values.append(spectrum.weighted_form(kappa, s, rule).value)
-    values = np.asarray(values)
-    times = trajectory.times
-
-    slopes = np.diff(np.log(values)) / np.diff(times)
-    a_hat = float(np.max(np.abs(slopes)))
-    bound = values[0] * np.exp(a_hat * times)
-    bound_ok = bool(np.all(values <= bound * (1.0 + 1e-6)))
-    a_reference = (depth ** -2.0 * (1.0 + depth ** (-abs(s) - 0.5 - epsilon))
-                   if depth is not None else 0.0)
-    return GrowthReport(depth=depth, s=s, kappa=kappa, equation=equation,
-                        times=times, form_values=values, a_hat=a_hat,
-                        bound_ok=bound_ok, a_reference=a_reference,
-                        kappa_margin=float(margin))
+    batches = {}
+    for i, u0 in enumerate(initials):
+        step = dt if dt is not None else default_dt(problem, u0)
+        batches.setdefault(step, []).append(i)
+    reports = [None] * len(initials)
+    for step, members in batches.items():
+        n_steps, _ = step_count(t_final, step)
+        stride = max(1, n_steps // n_samples)
+        tracks = [_FormTrack(s, kappa, c_s, xi_max) for _ in members]
+        times = []
+        stack = np.stack([initials[i].coeffs for i in members])
+        for t, coeffs in etdrk4_samples(problem, stack, t_final, step, stride):
+            times.append(t)
+            for track, row in zip(tracks, coeffs):
+                track.add(RealField(grid, row))
+        for i, track in zip(members, tracks):
+            reports[i] = track.report(np.asarray(times), depth, equation,
+                                      epsilon)
+    return reports
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ from .errors import ContractError
 
 # bound on |u_hat - conj(mirrored u_hat)| relative to max(1, max |u_hat|)
 HERMITIAN_RTOL = 1e-10
+# largest kappa whose square a float holds (the bracket squares it)
+_KAPPA_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -216,6 +218,9 @@ class SobolevIndex:
             raise ContractError("s must be finite")
         if not np.isfinite(self.kappa) or self.kappa < 1.0:
             raise ContractError("kappa must satisfy kappa >= 1")
+        if self.kappa > _KAPPA_MAX:
+            raise ContractError("kappa = %.3g is too large: kappa^2 overflows"
+                                % self.kappa)
 
     def bracket(self, xi: np.ndarray) -> np.ndarray:
         return np.sqrt(self.kappa ** 2 + np.asarray(xi) ** 2)

@@ -413,8 +413,8 @@ def dirac_tail(k_start: int, s: float) -> float:
     Direct block summation followed by an Euler-Maclaurin remainder; the
     asymptotic integral is expanded in inverse powers of (2*pi*k)^2.
     """
-    if s >= -0.5:
-        raise ContractError("the Dirac tail converges only for s < -1/2")
+    if not (np.isfinite(s) and s < -0.5):
+        raise ContractError("the Dirac tail converges only for a finite s < -1/2")
     if k_start < 1:
         raise ContractError("tail starts at k >= 1")
     block = 50_000

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ilw_lab import (
+    MAX_STEPS,
     BlowUpError,
     ContractError,
     EvolutionProblem,
@@ -17,11 +18,13 @@ from ilw_lab import (
     make_bo,
     make_bo_two_speed,
     make_ilw,
+    etdrk4_samples,
     make_two_depth,
     mass,
     random_field,
     relative_drift,
     rhs,
+    step_count,
 )
 from ilw_lab.symbols import coth_dx2_symbol, smoothing_symbol
 from ilw_lab.waves import periodic_profile, periodic_speed
@@ -205,6 +208,74 @@ def test_evolve_validation():
         evolve(problem, u0, 1.0, dt=0.0)
     with pytest.raises(ContractError):
         evolve(problem, zero_field(SpectralGrid(1.0, 128)), 1.0)
+    with pytest.raises(ContractError, match="limit"):
+        evolve(problem, u0, 1e300)
+
+
+def test_step_count_lands_on_t_final_and_is_bounded():
+    assert step_count(1.0, 1e-3) == (1000, 1e-3)
+    assert step_count(1e-4, 1e-3) == (1, 1e-4)
+    n_steps, dt = step_count(0.3, 0.07)
+    assert n_steps == 4 and dt == 0.3 / 4
+    assert step_count(MAX_STEPS * 1e-3, 1e-3)[0] == MAX_STEPS
+    for t_final, dt in ((1e300, 1e-3), (1e300, 1e-10), ((MAX_STEPS + 1) * 1e-3, 1e-3)):
+        with pytest.raises(ContractError, match="limit"):
+            step_count(t_final, dt)
+    for t_final, dt in ((0.0, 1e-3), (np.nan, 1e-3), (1.0, 0.0), (1.0, np.nan)):
+        with pytest.raises(ContractError, match="positive"):
+            step_count(t_final, dt)
+
+
+def _samples(problem, stack, t_final, dt, stride):
+    # copy each yielded stack: the caller owns only what it copies
+    return [(t, c.copy()) for t, c in etdrk4_samples(problem, stack, t_final,
+                                                     dt, stride)]
+
+
+def test_batched_stepper_matches_single_rows():
+    # rows of different size, a zero row and the Nyquist slot set: each row
+    # of the batch evolves bit for bit as it does alone
+    grid = SpectralGrid(TWO_PI, 64)
+    problem = make_ilw(0.7, grid)
+    rows = [random_field(grid, -0.25, amp, seed, decay=0.2).coeffs
+            for amp, seed in ((0.3, 1), (1.5, 2), (0.05, 3))]
+    rows.append(np.zeros(33, dtype=np.complex128))
+    rows[0] = rows[0].copy()
+    rows[0][-1] = 0.01
+    stack = np.stack(rows)
+    batched = _samples(problem, stack, 0.05, 1e-3, 7)
+    assert [t for t, _ in batched] == [k * 1e-3 for k in (0, 7, 14, 21, 28, 35,
+                                                          42, 49, 50)]
+    assert all(c.shape == stack.shape for _, c in batched)
+    for i, row in enumerate(rows):
+        alone = _samples(problem, row[None, :], 0.05, 1e-3, 7)
+        assert [t for t, _ in alone] == [t for t, _ in batched]
+        for (_, c_alone), (_, c_batch) in zip(alone, batched):
+            assert np.array_equal(c_alone[0], c_batch[i])
+    # evolve is the one-row case
+    trajectory = evolve(problem, RealField(grid, rows[1]), 0.05, dt=1e-3,
+                        monitors={}, store_stride=7)
+    assert trajectory.times.tolist() == [t for t, _ in batched]
+    for state, (_, c_batch) in zip(trajectory.states, batched):
+        assert np.array_equal(state.coeffs, c_batch[1])
+
+
+def test_batched_stepper_checks_each_row():
+    grid = SpectralGrid(1.0, 64)
+    problem = make_ilw(1.0, grid)
+    calm = random_field(grid, -0.25, 0.1, 1, decay=0.3).coeffs
+    huge = forward_transform(400.0 * np.cos(TWO_PI * grid.nodes), grid).coeffs
+    # inside a batch with a calm row, the huge row still warns and blows up
+    with pytest.raises(BlowUpError) as info:
+        with pytest.warns(RuntimeWarning, match="advisory CFL"):
+            for _ in etdrk4_samples(problem, np.stack([calm, huge]), 1.0,
+                                    1e-3, 10):
+                pass
+    assert info.value.time > 0.0
+    with pytest.raises(ContractError):
+        next(etdrk4_samples(problem, calm, 1.0, 1e-3, 10))
+    with pytest.raises(ContractError):
+        next(etdrk4_samples(problem, np.stack([calm]), 1.0, 1e-3, 0))
 
 
 # ------------------------------------------------------------- conservation

@@ -9,10 +9,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ilw_lab import ContractError, SpectralGrid, random_field
+from ilw_lab import (
+    ContractError,
+    NumericalError,
+    SpectralGrid,
+    default_dt,
+    gronwall_experiment,
+    make_ilw,
+    random_field,
+)
 from ilw_lab.cli import main
 from ilw_lab.experiments import (
     _SCHEMAS,
+    _write_csv,
+    _write_json,
     load_config,
     read_snapshot,
     run,
@@ -136,11 +146,26 @@ def test_load_config_parses_lists():
     ["simulate", "--dt=-inf"],
     ["wave", "--s-dirac", "nan"],
     ["gronwall", "--depth-list", "1.0,nan"],
+    ["beta", "--kappa", "1e308"],
+    ["gronwall", "--kappa", "1e200"],
 ])
 def test_cli_rejects_empty_lists_and_non_finite_numbers(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert main(argv + ["--outdir", str(out)]) == 1
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-final", "1e300"],
+    ["simulate", "--t-final", "1e300", "--dt", "1e-10"],
+    ["gronwall", "--t-final", "1e300"],
+    ["twodepth", "--t-final", "1e300"],
+])
+def test_cli_rejects_runs_beyond_the_step_limit(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--outdir", str(out)]) == 1
+    assert "steps" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -267,6 +292,48 @@ def test_gronwall_rejects_zero_initial_data(tmp_path, capsys):
     assert main(GRONWALL_ARGS + ["--amplitude", "0", "--outdir", str(out)]) == 1
     assert "zero weighted form" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def test_gronwall_batches_match_member_runs(tmp_path, capsys):
+    # at this amplitude the three members resolve three different steps, so
+    # each depth runs three batches; the table is the one per-member runs give
+    overrides = {"n": "128", "t_final": "0.05", "samples": "5", "seeds": "3",
+                 "depth_list": "0.5,1.0", "amplitude": "30", "kappa": "1e4"}
+    argv = [arg for key, value in overrides.items()
+            for arg in ("--" + key.replace("_", "-"), value)]
+    out = tmp_path / "g"
+    assert main(["gronwall"] + argv + ["--outdir", str(out)]) == 0
+    capsys.readouterr()
+    p = load_config("gronwall", overrides=overrides).params
+    grid = SpectralGrid(p["length"], p["n"])
+    initials = {seed: random_field(grid, p["s"], p["amplitude"], seed, p["decay"])
+                for seed in (1, 2, 3)}
+    steps = {default_dt(make_ilw(1.0, grid), u0) for u0 in initials.values()}
+    assert len(steps) == 3
+    rows = []
+    for depth in (0.5, 1.0):
+        for seed, u0 in initials.items():
+            rep = gronwall_experiment(u0, depth, p["s"], p["kappa"],
+                                      t_final=p["t_final"], n_samples=p["samples"],
+                                      c_s=p["c_s"], epsilon=p["epsilon"])
+            rows.append((depth, seed, rep.a_hat, rep.a_reference, rep.bound_ok,
+                         rep.kappa_margin, float(rep.form_values[0]),
+                         float(rep.form_values[-1])))
+    expected = tmp_path / "expected.csv"
+    _write_csv(expected, ["depth", "seed", "a_hat", "a_reference", "bound_ok",
+                          "kappa_margin", "form_initial", "form_final"], rows)
+    assert (out / "runs.csv").read_bytes() == expected.read_bytes()
+
+
+def test_write_json_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(NumericalError, match=r"report\.runs\.1 in .*report\.json"):
+        _write_json(path, {"ok": 1.0, "report": {"runs": [0.5, float("nan")]}})
+    assert not path.exists()
+    with pytest.raises(NumericalError, match=r"at a\.b in"):
+        _write_json(path, {"a": {"b": float("-inf")}})
+    _write_json(path, {"b": [1.0, True, None], "a": "x"})
+    assert json.loads(path.read_text()) == {"a": "x", "b": [1.0, True, None]}
 
 
 TWODEPTH_ARGS = ["twodepth", "--c2", "0", "--min-depth-list", "10,20",

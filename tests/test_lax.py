@@ -16,9 +16,11 @@ from ilw_lab import (
     build_lax,
     build_weighted_rule,
     check_kappa,
+    default_dt,
     evolve,
     form_flow_derivative,
     forward_transform,
+    gronwall_ensemble,
     gronwall_experiment,
     make_bo,
     make_ilw,
@@ -463,6 +465,31 @@ def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
     run(load_config("beta", overrides={"n": 128},
                     output_dir=str(tmp_path / "beta")))
     assert calls == [(32, 32)]
+
+
+def test_gronwall_ensemble_matches_members():
+    # the first member resolves a shorter step than the others, so the
+    # ensemble runs two batches; every report equals the member's own run
+    grid = SpectralGrid(TWO_PI, 128)
+    initials = [random_field(grid, -0.25, amp, seed, decay=0.25)
+                for amp, seed in ((30.0, 1), (0.3, 2), (0.4, 3))]
+    steps = [default_dt(make_ilw(1.0, grid), u0) for u0 in initials]
+    assert steps[0] < steps[1] == steps[2]
+    reports = gronwall_ensemble(initials, 1.0, -0.25, 1e4, t_final=0.05,
+                                n_samples=5)
+    assert len(reports) == 3
+    for u0, rep in zip(initials, reports):
+        alone = gronwall_experiment(u0, 1.0, -0.25, 1e4, t_final=0.05,
+                                    n_samples=5)
+        assert rep.times.tolist() == alone.times.tolist()
+        assert rep.form_values.tolist() == alone.form_values.tolist()
+        assert rep.to_dict() == alone.to_dict()
+    with pytest.raises(ContractError):
+        gronwall_ensemble([], 1.0, -0.25, 32.0)
+    with pytest.raises(ContractError):
+        gronwall_ensemble([initials[0], random_field(SpectralGrid(TWO_PI, 64),
+                                                     -0.25, 0.3, 1)],
+                          1.0, -0.25, 32.0)
 
 
 def test_gronwall_experiment_validation():

@@ -151,6 +151,12 @@ def test_sobolev_index_validation():
         SobolevIndex(-0.25, 0.5)
     with pytest.raises(ContractError):
         SobolevIndex(np.nan, 1.0)
+    # the bracket squares kappa: a kappa whose square overflows is refused
+    for kappa in (1e155, 1e200, 1e308):
+        with pytest.raises(ContractError):
+            SobolevIndex(-0.25, kappa)
+    top = SobolevIndex(-0.25, 1e154)
+    assert np.isfinite(top.bracket(np.array([0.0, 1e6]))).all()
 
 
 def test_plancherel_both_period_scales():

@@ -251,6 +251,11 @@ def test_dirac_tail_absolute_value():
         dirac_tail(1, -0.5)
     with pytest.raises(ContractError):
         dirac_tail(0, -1.0)
+    for bad_s in (np.nan, -np.inf):
+        with pytest.raises(ContractError):
+            dirac_tail(1, bad_s)
+        with pytest.raises(ContractError):
+            dirac_norm_sq(bad_s)
 
 
 def test_distance_to_dirac():
