@@ -356,9 +356,11 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
         problem = make_bo(grid)
     else:
         raise ContractError("simulate equation must be 'ilw' or 'bo'")
+    if p["samples"] < 1:
+        raise ContractError("simulate.samples must be positive")
     dt = p["dt"] if p["dt"] > 0 else default_dt(problem, state)
     n_steps, _ = step_count(p["t_final"], dt)
-    stride = max(1, n_steps // max(1, p["samples"]))
+    stride = max(1, n_steps // p["samples"])
     trajectory = evolve(problem, state, p["t_final"], dt, store_stride=stride)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -386,9 +388,17 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
     return RunReport(cfg.command, report, failures, [csv_path, snap_path])
 
 
+def _wave_number(adelta: float, depth: float) -> float:
+    # the regime checks in waves.py see only the quotient a = adelta/depth,
+    # so the depth is checked before it is formed
+    if depth <= 0:
+        raise ContractError("depth must be positive")
+    return adelta / depth
+
+
 def run_wave(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    a = p["adelta"] / p["depth"]
+    a = _wave_number(p["adelta"], p["depth"])
     grid = SpectralGrid(1.0, p["n"])
     profiles = periodic_profile(a, p["depth"], grid)
     constants = periodic_wave_constants(a, p["depth"])
@@ -427,6 +437,8 @@ def run_wave(cfg: ExperimentConfig) -> RunReport:
 def run_beta(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
+    if p["modes"] < 0:
+        raise ContractError("beta.modes must be >= 0 (0 keeps every mode)")
     state = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
     xi_max = (modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0
               else 0.5 * grid.max_frequency)
@@ -520,7 +532,7 @@ def run_illposed(cfg: ExperimentConfig) -> RunReport:
     rows = []
     distances, moduli, rate_gaps, mean_gaps = [], [], [], []
     for adelta in p["adelta_list"]:
-        a = adelta / p["depth"]
+        a = _wave_number(adelta, p["depth"])
         obs = illposed_observables(a, p["depth"], t, p["alpha"])
         profiles = periodic_profile(a, p["depth"], grid)
         distance = distance_to_dirac(profiles.fourier, p["s"])

@@ -23,6 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
+import scipy.linalg.lapack
 
 from .errors import ContractError, KappaTooSmallError, NumericalError
 from .evolution import (
@@ -117,10 +119,17 @@ def modes_to_xi_max(grid: SpectralGrid, n_modes: int) -> float:
 
 
 class LaxSpectrum:
-    """Eigen-decomposition of one truncation, reused across resolvent shifts.
+    """Spectral measure of one truncation A at g = P_+ u, reused across
+    resolvent shifts.
 
-    All shifted solves reduce to scalar operations on the eigenvalues, so a
-    single O(m^3) factorization serves every quadrature node.
+    The form only needs the eigenvalues lambda_j of A and the weights
+    |<w_j, g>|^2, which the Jacobi matrix of a tridiagonalization started
+    at g carries (Golub & Welsch, Math. Comp. 23, 1969).  A Householder
+    reflector H maps g to alpha*e_1; the lower reduction Q^H (H A H) Q = T
+    fixes e_1, so with T = S diag(lambda) S^T the eigenvectors of A are
+    W = H Q S and <w_j, g> = alpha * S[0, j].  One O(m^3) reduction serves
+    every quadrature node, and no eigenvector of A is formed unless
+    ``eigenvectors`` assembles them.
     """
 
     def __init__(self, lax: LaxTruncation, u: RealField):
@@ -129,9 +138,54 @@ class LaxSpectrum:
         self.lax = lax
         self.grid = lax.grid
         self.u = u
-        self.g = hardy_project(u)[: lax.frequencies.shape[0]]
-        self.eigenvalues, self.eigenvectors = scipy.linalg.eigh(lax.matrix)
-        self._coords = self.eigenvectors.conj().T @ self.g
+        n_modes = lax.frequencies.shape[0]
+        self.g = hardy_project(u)[:n_modes]
+        # the one m x m working copy: reflected in place, then reduced
+        work = np.array(lax.matrix, order="F")
+        gnorm = float(np.linalg.norm(self.g))
+        if gnorm > 0.0:
+            g0 = self.g[0]
+            alpha = -(g0 / abs(g0) if g0 != 0 else 1.0) * gnorm
+            v = self.g.copy()
+            v[0] -= alpha
+            beta = 2.0 / np.vdot(v, v).real
+            av = lax.matrix @ v
+            # H A H = A - v w^H - w v^H, a rank-2 update of the lower triangle
+            w = beta * av - (0.5 * beta ** 2 * np.vdot(v, av).real) * v
+            work = scipy.linalg.blas.zher2(-1.0, v, w, lower=1, a=work,
+                                           overwrite_a=1)
+            self._reflector = (v, beta)
+        else:
+            # zero field: every weight is exactly 0
+            alpha, self._reflector = 0.0, None
+        lwork = int(scipy.linalg.lapack.zhetrd_lwork(n_modes, lower=1)[0].real)
+        work, diag, offdiag, tau, info = scipy.linalg.lapack.zhetrd(
+            work, lower=1, lwork=lwork, overwrite_a=1)
+        if info != 0:
+            raise NumericalError("tridiagonal reduction failed (info=%d)"
+                                 % info)
+        self.eigenvalues, self._rotation = scipy.linalg.eigh_tridiagonal(
+            diag, offdiag)
+        self._coords = alpha * self._rotation[0]
+        self._reflectors, self._tau = work, tau
+
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal eigenvectors of the truncation, one column per
+        eigenvalue, assembled on demand as H Q S."""
+        n_modes = self._rotation.shape[0]
+        q = np.eye(n_modes, dtype=np.complex128)
+        if n_modes > 1:
+            # Q = diag(1, Q'), Q' from the reflectors below the subdiagonal
+            q[1:, 1:], _, info = scipy.linalg.lapack.zungqr(
+                self._reflectors[1:, :-1], self._tau)
+            if info != 0:
+                raise NumericalError("reflector assembly failed (info=%d)"
+                                     % info)
+        vectors = q @ self._rotation
+        if self._reflector is not None:
+            v, beta = self._reflector
+            vectors -= beta * np.outer(v, v.conj() @ vectors)
+        return vectors
 
     @property
     def lambda_min(self) -> float:
@@ -156,7 +210,7 @@ class LaxSpectrum:
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         self.require_shift(float(np.min(taus)))
         scaled = -self._coords[:, None] / (self.eigenvalues[:, None] + taus[None, :])
-        return self.eigenvectors @ scaled
+        return self.eigenvectors() @ scaled
 
     def check_kappa(self, s: float, kappa: float, c_s: float = 1.0) -> KappaCheck:
         """Check kappa >= c_s*(1 + ||u||_{H^s_kappa})^(1/(2*sigma)), sigma =

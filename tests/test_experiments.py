@@ -148,6 +148,11 @@ def test_load_config_parses_lists():
     ["gronwall", "--depth-list", "1.0,nan"],
     ["beta", "--kappa", "1e308"],
     ["gronwall", "--kappa", "1e200"],
+    ["wave", "--depth", "0"],
+    ["illposed", "--depth", "0"],
+    ["simulate", "--samples", "0"],
+    ["simulate", "--samples", "-3"],
+    ["beta", "--modes", "-1"],
 ])
 def test_cli_rejects_empty_lists_and_non_finite_numbers(tmp_path, capsys, argv):
     out = tmp_path / "x"

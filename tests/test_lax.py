@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.linalg.lapack
 
 from ilw_lab import (
     ContractError,
@@ -99,6 +100,56 @@ def test_lax_eigenvalues_stay_within_sup_norm():
         spectrum = LaxSpectrum(build_lax(u, 31.0), u)
         gap = np.max(np.abs(np.sort(spectrum.eigenvalues) - np.arange(32.0)))
         assert gap <= u.sup_norm() * (1.0 + 1e-12)
+
+
+# ----------------------------------------------------------- decomposition
+
+def _with_zero_mean(u):
+    coeffs = u.coeffs.copy()
+    coeffs[0] = 0.0
+    return RealField(u.grid, coeffs)
+
+
+_GRID = SpectralGrid(TWO_PI, 128)
+# the reflector's phase comes from g_0, so one case starts with g_0 = 0
+_DECOMPOSITION_CASES = {
+    "small": (random_field(_GRID, -0.25, 0.3, 7, decay=0.25), 31.0),
+    "large": (random_field(_GRID, -0.25, 5.0, 3, decay=0.3), 31.0),
+    "g0_zero": (_with_zero_mean(random_field(_GRID, -0.25, 0.3, 7,
+                                             decay=0.25)), 31.0),
+    "zero": (RealField(_GRID, np.zeros(65, dtype=np.complex128)), 31.0),
+    "one_mode": (random_field(_GRID, -0.25, 0.3, 7, decay=0.25), 0.5),
+    "two_modes": (random_field(_GRID, -0.25, 0.3, 7, decay=0.25), 1.0),
+    "three_modes": (random_field(_GRID, -0.25, 0.3, 7, decay=0.25), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DECOMPOSITION_CASES))
+def test_lax_spectrum_against_dense_oracles(case):
+    u, xi_max = _DECOMPOSITION_CASES[case]
+    lax = build_lax(u, xi_max)
+    spectrum = LaxSpectrum(lax, u)
+    a, g, length = lax.matrix, spectrum.g, _GRID.length
+    dense = scipy.linalg.eigh(a, eigvals_only=True)
+    lam = spectrum.eigenvalues
+    assert np.all(np.abs(lam - dense) <= 1e-12 * (1.0 + np.abs(dense)))
+
+    taus = -spectrum.lambda_min + np.array([1.0, 4.0, 32.0, 1e3, 1e6])
+    forms = spectrum.form_at(taus)
+    m_cols = spectrum.m_at(taus)
+    for tau, form, m in zip(taus, forms, m_cols.T):
+        solved = resolvent_solve(lax, tau, g)
+        oracle = np.vdot(g, solved).real / length
+        assert abs(form - oracle) <= 1e-12 * abs(oracle)
+        assert np.linalg.norm(m + solved) <= 1e-12 * np.linalg.norm(solved)
+
+    vectors = spectrum.eigenvectors()
+    scale = 1.0 + np.linalg.norm(a)
+    assert np.linalg.norm(a @ vectors - vectors * lam) <= 1e-12 * scale
+    assert np.linalg.norm(vectors.conj().T @ vectors
+                          - np.eye(lam.shape[0])) <= 1e-12
+    if case == "zero":
+        assert not forms.any() and not m_cols.any()
 
 
 def test_build_lax_validation():
@@ -447,14 +498,16 @@ def test_gronwall_experiment_matches_public_functions():
 
 
 def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
-    calls = []
-    eigh = scipy.linalg.eigh
+    calls, eigh_calls = [], []
+    zhetrd = scipy.linalg.lapack.zhetrd
 
-    def counting_eigh(*args, **kwargs):
+    def counting_zhetrd(*args, **kwargs):
         calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
+        return zhetrd(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(scipy.linalg.lapack, "zhetrd", counting_zhetrd)
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda *args, **kwargs: eigh_calls.append(args))
     grid = SpectralGrid(TWO_PI, 128)
     u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
     report = gronwall_experiment(u0, 1.0, -0.25, 32.0, t_final=0.05, dt=1e-3,
@@ -465,6 +518,7 @@ def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
     run(load_config("beta", overrides={"n": 128},
                     output_dir=str(tmp_path / "beta")))
     assert calls == [(32, 32)]
+    assert eigh_calls == []
 
 
 def test_gronwall_ensemble_matches_members():
