@@ -64,6 +64,8 @@ def random_field(grid: SpectralGrid, s_target: float, amplitude: float,
         raise ContractError("amplitude must be nonnegative")
     if decay < 0:
         raise ContractError("decay must be nonnegative")
+    if seed < 0:
+        raise ContractError("seed must be nonnegative")
     rng = np.random.default_rng(seed)
     half = grid.n_points // 2
     theta = rng.uniform(0.0, 2.0 * np.pi, half)
@@ -95,7 +97,11 @@ def write_snapshot(path, state: RealField):
 
 
 def read_snapshot(path) -> RealField:
-    data = Path(path).read_bytes()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ContractError("cannot read snapshot %s: %s"
+                            % (path, exc.strerror or exc)) from exc
     if len(data) < 16 or data[:4] != _SNAPSHOT_MAGIC:
         raise ContractError("not a coefficient snapshot: %s" % path)
     n_points = struct.unpack("<I", data[4:8])[0]
@@ -336,6 +342,13 @@ def _make_grid(params) -> SpectralGrid:
     return SpectralGrid(params["length"], params["n"])
 
 
+def _requested_dt(params) -> Optional[float]:
+    """The --dt step, or None for 0, which selects the advisory default."""
+    if params["dt"] < 0:
+        raise ContractError("dt must be >= 0 (0 selects the default step)")
+    return params["dt"] or None
+
+
 def _initial_state(params, grid: SpectralGrid) -> RealField:
     if params.get("initial"):
         state = read_snapshot(params["initial"])
@@ -358,7 +371,7 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
         raise ContractError("simulate equation must be 'ilw' or 'bo'")
     if p["samples"] < 1:
         raise ContractError("simulate.samples must be positive")
-    dt = p["dt"] if p["dt"] > 0 else default_dt(problem, state)
+    dt = _requested_dt(p) or default_dt(problem, state)
     n_steps, _ = step_count(p["t_final"], dt)
     stride = max(1, n_steps // p["samples"])
     trajectory = evolve(problem, state, p["t_final"], dt, store_stride=stride)
@@ -440,13 +453,10 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     if p["modes"] < 0:
         raise ContractError("beta.modes must be >= 0 (0 keeps every mode)")
     state = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
-    xi_max = (modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0
-              else 0.5 * grid.max_frequency)
+    xi_max = modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0 else None
     spectrum = LaxSpectrum(build_lax(state, xi_max), state)
     kcheck = spectrum.check_kappa(p["s"], p["kappa"])
     profile = spectrum.weighted_form(p["kappa"], p["s"])
-    # free its m x m matrices before the independent Cholesky cross-check
-    del spectrum
     form_value = resolvent_form(state, p["kappa"], xi_max=xi_max)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -474,7 +484,7 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
 def run_gronwall(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
-    dt = p["dt"] if p["dt"] > 0 else None
+    dt = _requested_dt(p)
     depths = sorted(p["depth_list"])
     seeds = [p["seed"] + i for i in range(p["seeds"])]
     if not seeds or not depths:
@@ -606,7 +616,7 @@ def run_twodepth(cfg: ExperimentConfig) -> RunReport:
     grid = _make_grid(p)
     u0 = random_field(grid, p["s_target"], p["amplitude"], p["seed"], p["decay"])
     limit_problem = make_bo_two_speed(p["c1"], p["c2"], grid)
-    dt = p["dt"] if p["dt"] > 0 else default_dt(limit_problem, u0)
+    dt = _requested_dt(p) or default_dt(limit_problem, u0)
     n_steps, _ = step_count(p["t_final"], dt)
     limit_final = evolve(limit_problem, u0, p["t_final"], dt,
                          store_stride=n_steps).final()

@@ -83,19 +83,21 @@ class LaxTruncation:
     """Hermitian truncation of the Lax matrix on the Hardy lattice."""
 
     grid: SpectralGrid
-    xi_max: float
     frequencies: np.ndarray
     matrix: np.ndarray
 
 
-def build_lax(u: RealField, xi_max: float) -> LaxTruncation:
+def build_lax(u: RealField, xi_max: Optional[float] = None) -> LaxTruncation:
     """Assemble the truncated matrix for all Hardy frequencies <= xi_max.
 
     Requires xi_max <= (grid max frequency)/2 so every convolution entry
     u_hat(xi - eta) is carried exactly by a well-resolved grid; embed the
-    field on a finer grid first when a deeper truncation is needed.
+    field on a finer grid first when a deeper truncation is needed.  The
+    default is that largest cut.
     """
     grid = u.grid
+    if xi_max is None:
+        xi_max = 0.5 * grid.max_frequency
     if not np.isfinite(xi_max) or xi_max <= 0:
         raise ContractError("xi_max must be positive")
     if xi_max > 0.5 * grid.max_frequency + 1e-9:
@@ -107,8 +109,7 @@ def build_lax(u: RealField, xi_max: float) -> LaxTruncation:
     # u_hat(-xi) = conj(u_hat(xi)) and u_hat(0) is real: Hermitian exactly
     matrix = scipy.linalg.toeplitz(conv, np.conj(conv))
     matrix[np.diag_indices(n_modes)] += freqs
-    return LaxTruncation(grid=grid, xi_max=xi_max, frequencies=freqs,
-                         matrix=matrix)
+    return LaxTruncation(grid=grid, frequencies=freqs, matrix=matrix)
 
 
 def modes_to_xi_max(grid: SpectralGrid, n_modes: int) -> float:
@@ -126,16 +127,17 @@ class LaxSpectrum:
     |<w_j, g>|^2, which the Jacobi matrix of a tridiagonalization started
     at g carries (Golub & Welsch, Math. Comp. 23, 1969).  A Householder
     reflector H maps g to alpha*e_1; the lower reduction Q^H (H A H) Q = T
-    fixes e_1, so with T = S diag(lambda) S^T the eigenvectors of A are
-    W = H Q S and <w_j, g> = alpha * S[0, j].  One O(m^3) reduction serves
-    every quadrature node, and no eigenvector of A is formed unless
-    ``eigenvectors`` assembles them.
+    fixes e_1, so with T = S diag(lambda) S^T the orthonormal eigenbasis
+    of A is W = H Q S and <w_j, g> = alpha * S[0, j].  One O(m^3)
+    reduction serves every quadrature node.  Only ``eigenvalues`` and
+    ``weights`` (the |alpha * S[0, j]|^2 / L) are kept, so a spectrum
+    holds no m x m array; the resolvent state m(tau) itself comes from
+    ``resolvent_solve``.
     """
 
     def __init__(self, lax: LaxTruncation, u: RealField):
         if u.grid != lax.grid:
             raise ContractError("field and truncation grids differ")
-        self.lax = lax
         self.grid = lax.grid
         self.u = u
         n_modes = lax.frequencies.shape[0]
@@ -154,38 +156,18 @@ class LaxSpectrum:
             w = beta * av - (0.5 * beta ** 2 * np.vdot(v, av).real) * v
             work = scipy.linalg.blas.zher2(-1.0, v, w, lower=1, a=work,
                                            overwrite_a=1)
-            self._reflector = (v, beta)
         else:
             # zero field: every weight is exactly 0
-            alpha, self._reflector = 0.0, None
+            alpha = 0.0
         lwork = int(scipy.linalg.lapack.zhetrd_lwork(n_modes, lower=1)[0].real)
-        work, diag, offdiag, tau, info = scipy.linalg.lapack.zhetrd(
+        _, diag, offdiag, _, info = scipy.linalg.lapack.zhetrd(
             work, lower=1, lwork=lwork, overwrite_a=1)
         if info != 0:
             raise NumericalError("tridiagonal reduction failed (info=%d)"
                                  % info)
-        self.eigenvalues, self._rotation = scipy.linalg.eigh_tridiagonal(
+        self.eigenvalues, rotation = scipy.linalg.eigh_tridiagonal(
             diag, offdiag)
-        self._coords = alpha * self._rotation[0]
-        self._reflectors, self._tau = work, tau
-
-    def eigenvectors(self) -> np.ndarray:
-        """Orthonormal eigenvectors of the truncation, one column per
-        eigenvalue, assembled on demand as H Q S."""
-        n_modes = self._rotation.shape[0]
-        q = np.eye(n_modes, dtype=np.complex128)
-        if n_modes > 1:
-            # Q = diag(1, Q'), Q' from the reflectors below the subdiagonal
-            q[1:, 1:], _, info = scipy.linalg.lapack.zungqr(
-                self._reflectors[1:, :-1], self._tau)
-            if info != 0:
-                raise NumericalError("reflector assembly failed (info=%d)"
-                                     % info)
-        vectors = q @ self._rotation
-        if self._reflector is not None:
-            v, beta = self._reflector
-            vectors -= beta * np.outer(v, v.conj() @ vectors)
-        return vectors
+        self.weights = np.abs(alpha * rotation[0]) ** 2 / self.grid.length
 
     @property
     def lambda_min(self) -> float:
@@ -201,23 +183,13 @@ class LaxSpectrum:
         """form(tau) = (1/L) sum |<w_j, g>|^2 / (lambda_j + tau), vectorized."""
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         self.require_shift(float(np.min(taus)))
-        weights = np.abs(self._coords) ** 2 / self.grid.length
-        return (weights[:, None] / (self.eigenvalues[:, None] + taus[None, :])).sum(axis=0)
-
-    def m_at(self, taus: np.ndarray) -> np.ndarray:
-        """Hardy coefficients of m(tau) = -(L_u + tau)^(-1) P_+ u, one column
-        per shift."""
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        self.require_shift(float(np.min(taus)))
-        scaled = -self._coords[:, None] / (self.eigenvalues[:, None] + taus[None, :])
-        return self.eigenvectors() @ scaled
+        return (self.weights[:, None]
+                / (self.eigenvalues[:, None] + taus[None, :])).sum(axis=0)
 
     def check_kappa(self, s: float, kappa: float, c_s: float = 1.0) -> KappaCheck:
         """Check kappa >= c_s*(1 + ||u||_{H^s_kappa})^(1/(2*sigma)), sigma =
         (1/2 + s)/2, plus positivity of the shifted truncation."""
-        _require_weight_exponent(s)
-        if kappa < 1.0:
-            raise ContractError("kappa must be >= 1")
+        _require_weight_exponent(s, kappa)
         if c_s <= 0:
             raise ContractError("c_s must be positive")
         sigma = 0.5 * (0.5 + s)
@@ -235,9 +207,7 @@ class LaxSpectrum:
         values will be differenced; the default builds a fresh rule adapted
         to this spectrum.
         """
-        _require_weight_exponent(s)
-        if kappa < 1.0:
-            raise ContractError("kappa must be >= 1")
+        _require_weight_exponent(s, kappa)
         self.require_shift(kappa)
         if rule is None:
             rule = build_weighted_rule(self.form_at, kappa, s, rtol)
@@ -269,8 +239,6 @@ class KappaCheck:
 def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
                 xi_max: Optional[float] = None) -> KappaCheck:
     """Admissible-shift test of ``u``; see ``LaxSpectrum.check_kappa``."""
-    if xi_max is None:
-        xi_max = 0.5 * u.grid.max_frequency
     return LaxSpectrum(build_lax(u, xi_max), u).check_kappa(s, kappa, c_s)
 
 
@@ -307,8 +275,6 @@ class ResolventState:
 
 def resolvent_state(u: RealField, kappa: float, xi_max: Optional[float] = None,
                     s: Optional[float] = None) -> ResolventState:
-    if xi_max is None:
-        xi_max = 0.5 * u.grid.max_frequency
     lax = build_lax(u, xi_max)
     g = hardy_project(u)[: lax.frequencies.shape[0]]
     m = -resolvent_solve(lax, kappa, g)
@@ -331,11 +297,8 @@ def resolvent_form(u: RealField, kappa: float, xi_max: Optional[float] = None) -
     space; route two synthesizes m and integrates -u*m over the period.
     They agree to rounding because m has no negative frequencies.
     """
-    if xi_max is None:
-        xi_max = 0.5 * u.grid.max_frequency
-    lax = build_lax(u, xi_max)
-    g = hardy_project(u)[: lax.frequencies.shape[0]]
-    m = -resolvent_solve(lax, kappa, g)
+    m = resolvent_state(u, kappa, xi_max).coeffs
+    g = hardy_project(u)[: m.shape[0]]
     grid = u.grid
     route_coeff = -np.vdot(g, m) / grid.length
     m_phys = synthesize(grid, hardy_embed(grid, m))
@@ -363,9 +326,11 @@ def resolvent_form_gradient(u: RealField, kappa: float,
 
 # -- weighted integral -----------------------------------------------------------
 
-def _require_weight_exponent(s: float):
+def _require_weight_exponent(s: float, kappa: float):
     if not -0.5 < s < 0.0:
         raise ContractError("the weighted form needs s in (-1/2, 0)")
+    if kappa < 1.0:
+        raise ContractError("kappa must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -380,7 +345,6 @@ class WeightedFormRule:
 
     kappa: float
     s: float
-    panel_edges: np.ndarray
     tau_nodes: np.ndarray
     weights: np.ndarray
     tau_star: float
@@ -389,10 +353,6 @@ class WeightedFormRule:
 
     def combine(self, node_values: np.ndarray, tail_value) -> complex:
         return (self.weights * node_values).sum() + self.tail_coeff * tail_value
-
-    @property
-    def sigma(self) -> float:
-        return 0.5 * (0.5 + self.s)
 
 
 def _weighted_integrand_factory(form_at: Callable, kappa: float, s: float):
@@ -414,9 +374,7 @@ def build_weighted_rule(form_at: Callable, kappa: float, s: float,
     ``rtol`` of the integral.  Raises NumericalError with the panel map if
     the refinement stalls.
     """
-    _require_weight_exponent(s)
-    if kappa < 1.0:
-        raise ContractError("kappa must be >= 1")
+    _require_weight_exponent(s, kappa)
     h = _weighted_integrand_factory(form_at, kappa, s)
 
     def tail_at(t_star: float) -> float:
@@ -429,7 +387,6 @@ def build_weighted_rule(form_at: Callable, kappa: float, s: float,
         # zero state: any rule integrates it exactly
         nodes, wk, _ = _panel_nodes(0.0, 2.0)
         return WeightedFormRule(kappa=kappa, s=s,
-                                panel_edges=np.array([0.0, 2.0]),
                                 tau_nodes=kappa * np.exp(nodes),
                                 weights=np.zeros_like(wk),
                                 tau_star=kappa * np.exp(2.0),
@@ -464,7 +421,6 @@ def build_weighted_rule(form_at: Callable, kappa: float, s: float,
         raise NumericalError("weighted-form quadrature stalled; panels: %s"
                              % dump)
 
-    edges = sorted({edge for p in results for edge in p})
     t_nodes, t_weights = [], []
     for a, b in sorted(results):
         nodes, wk, _ = _panel_nodes(a, b)
@@ -476,7 +432,6 @@ def build_weighted_rule(form_at: Callable, kappa: float, s: float,
     weights = t_weights * scale * np.exp((2.0 * s + 1.0) * t_nodes)
     tau_star = kappa * np.exp(t_star)
     return WeightedFormRule(kappa=kappa, s=s,
-                            panel_edges=np.asarray(edges),
                             tau_nodes=kappa * np.exp(t_nodes),
                             weights=weights,
                             tau_star=tau_star,
@@ -523,8 +478,6 @@ def weighted_resolvent_form(u: RealField, kappa: float, s: float,
                             rtol: float = 1e-8) -> WeightedFormProfile:
     """integral_kappa^inf tau^(2s) form(tau; u) dtau on a frozen rule; see
     ``LaxSpectrum.weighted_form``."""
-    if xi_max is None:
-        xi_max = 0.5 * u.grid.max_frequency
     return LaxSpectrum(build_lax(u, xi_max), u).weighted_form(kappa, s, rule, rtol)
 
 
@@ -553,22 +506,23 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
 
     The outer integral reuses the weighted-form rule so the value is
     directly comparable with finite differences of the same functional.
+    At each rule node m(tau) comes from ``resolvent_solve``, a Cholesky
+    solve with a residual check.
     """
-    _require_weight_exponent(s)
-    if xi_max is None:
-        xi_max = 0.5 * u.grid.max_frequency
+    _require_weight_exponent(s, kappa)
     grid = u.grid
-    spectrum = LaxSpectrum(build_lax(u, xi_max), u)
+    lax = build_lax(u, xi_max)
+    spectrum = LaxSpectrum(lax, u)
     spectrum.require_shift(kappa)
     if rule is None:
         rule = build_weighted_rule(spectrum.form_at, kappa, s)
 
     q = apply_smoothing_dx(u, depth).samples()
     taus = np.concatenate((rule.tau_nodes, [rule.tau_star]))
-    m_cols = spectrum.m_at(taus)
-    n_modes = m_cols.shape[0]
+    n_modes = spectrum.g.shape[0]
     full = np.zeros((taus.shape[0], grid.n_points), dtype=np.complex128)
-    full[:, :n_modes] = m_cols.T
+    for row, tau in zip(full, taus):
+        row[:n_modes] = -resolvent_solve(lax, tau, spectrum.g)
     m_phys = np.fft.ifft(full, axis=1) * (grid.n_points / grid.length)
 
     i1_nodes = -(m_phys @ q) * grid.spacing
@@ -643,7 +597,8 @@ class _FormTrack:
     the growth rate once the run is over.
     """
 
-    def __init__(self, s: float, kappa: float, c_s: float, xi_max: float):
+    def __init__(self, s: float, kappa: float, c_s: float,
+                 xi_max: Optional[float]):
         self.s, self.kappa, self.c_s, self.xi_max = s, kappa, c_s, xi_max
         self.rule = None
         self.values = []
@@ -696,7 +651,7 @@ def gronwall_ensemble(initials: list, depth: Optional[float], s: float,
     no trajectory is stored.  Reports come back in the order of
     ``initials``, each equal to the member's own ``gronwall_experiment``.
     """
-    _require_weight_exponent(s)
+    _require_weight_exponent(s, kappa)
     if not initials:
         raise ContractError("empty ensemble: no initial states")
     grid = initials[0].grid
@@ -710,8 +665,6 @@ def gronwall_ensemble(initials: list, depth: Optional[float], s: float,
         problem = make_bo(grid)
     else:
         raise ContractError("equation must be 'ilw' or 'bo'")
-    if xi_max is None:
-        xi_max = 0.5 * grid.max_frequency
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
 
@@ -757,8 +710,8 @@ def apriori_bound(u0: RealField, s: float, depth: float, t: float,
         c_s^(|s|+1) * exp(a*t) * (1 + 2*c_s*exp(a*t)*||u0||)^(2|s|/(1-2|s|))
             * ||u0||_{H^s}.
     """
-    _require_weight_exponent(s)
     index = SobolevIndex(s, 1.0)
+    _require_weight_exponent(s, index.kappa)
     problem = make_ilw(depth, u0.grid)
     trajectory = evolve(problem, u0, t, dt, monitors={})
     lhs = sobolev_norm(trajectory.final(), index)

@@ -61,6 +61,8 @@ def test_random_field_validation():
         random_field(grid, -0.25, -1.0, 7)
     with pytest.raises(ContractError):
         random_field(grid, -0.25, 1.0, 7, decay=-0.1)
+    with pytest.raises(ContractError):
+        random_field(grid, -0.25, 1.0, -1)
 
 
 # ------------------------------------------------------------- snapshots
@@ -153,6 +155,13 @@ def test_load_config_parses_lists():
     ["simulate", "--samples", "0"],
     ["simulate", "--samples", "-3"],
     ["beta", "--modes", "-1"],
+    ["simulate", "--seed", "-1"],
+    ["beta", "--seed", "-1"],
+    ["twodepth", "--seed", "-1"],
+    ["gronwall", "--seed", "-3"],
+    ["simulate", "--dt", "-1"],
+    ["twodepth", "--dt", "-1"],
+    ["gronwall", "--dt", "-1"],
 ])
 def test_cli_rejects_empty_lists_and_non_finite_numbers(tmp_path, capsys, argv):
     out = tmp_path / "x"
@@ -385,6 +394,18 @@ def test_simulate_rejects_truncated_snapshot(tmp_path, capsys):
     assert main(["simulate", "--n", "128", "--t-final", "0.05", "--dt", "1e-3",
                  "--initial", str(bad), "--outdir", str(tmp_path / "x")]) == 1
     assert "whole number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("initial", ["missing.bin", "."])
+def test_simulate_rejects_unreadable_initial(tmp_path, capsys, initial):
+    # a missing file and a directory: both are usage errors naming the path
+    path = tmp_path / initial
+    out = tmp_path / "x"
+    assert main(["simulate", "--n", "128", "--initial", str(path),
+                 "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(path) in err
+    assert not out.exists()
 
 
 def test_run_rejects_unknown_equation(tmp_path):
