@@ -31,8 +31,8 @@ from .evolution import (
     relative_drift,
     step_count,
 )
-from .lax import LaxSpectrum, build_lax, gronwall_ensemble, \
-    modes_to_xi_max, resolvent_form
+from .lax import LaxSpectrum, gronwall_ensemble, modes_to_xi_max, \
+    resolvent_form
 from .spectral import HERMITIAN_RTOL, RealField, SpectralGrid
 from .symbols import smoothing_operator_scan
 from .waves import (
@@ -454,7 +454,7 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
         raise ContractError("beta.modes must be >= 0 (0 keeps every mode)")
     state = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
     xi_max = modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0 else None
-    spectrum = LaxSpectrum(build_lax(state, xi_max), state)
+    spectrum = LaxSpectrum.lanczos([state], p["kappa"], xi_max)[0]
     kcheck = spectrum.check_kappa(p["s"], p["kappa"])
     profile = spectrum.weighted_form(p["kappa"], p["s"])
     form_value = resolvent_form(state, p["kappa"], xi_max=xi_max)
@@ -472,6 +472,8 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
         "rule_build_error": profile.rule.build_error,
         "kappa_threshold": kcheck.threshold,
         "lambda_min": kcheck.lambda_min,
+        "lambda_min_bound": spectrum.lambda_bound,
+        "lanczos_steps": spectrum.lanczos_steps,
         "norm_h_s_kappa": kcheck.norm,
     }
     failures = []

@@ -10,9 +10,14 @@ resolvent form
 
 is nonnegative for admissible shifts, is conserved by the deep-water flow,
 and its s-weighted integral in kappa is equivalent to the squared H^s_kappa
-norm.  The weighted integral is evaluated on a frozen composite
-Gauss-Kronrod rule in the substitution tau = kappa*exp(t), whose nodes are
-then reused verbatim across the states of a trajectory so that differences
+norm.  Every shift reads the form off one spectral measure of P_+ u
+(``LaxSpectrum``).  The experiments take it as the Gauss rule of a Lanczos
+run from P_+ u, whose matrix-vector products go through an FFT, stopped
+once a Gauss-Radau upper bound certifies it at the smallest shift; the
+dense reduction of the whole matrix stays as its fallback and oracle.
+The weighted integral is evaluated on a frozen composite Gauss-Kronrod
+rule in the substitution tau = kappa*exp(t), whose nodes are then reused
+verbatim across the states of a trajectory so that differences
 of the functional reflect dynamics rather than quadrature jitter.
 """
 
@@ -96,6 +101,17 @@ def build_lax(u: RealField, xi_max: Optional[float] = None) -> LaxTruncation:
     default is that largest cut.
     """
     grid = u.grid
+    n_modes = _truncation_size(grid, xi_max)
+    freqs = grid.fundamental * np.arange(n_modes)
+    conv = u.coeffs[:n_modes] / grid.length
+    # u_hat(-xi) = conj(u_hat(xi)) and u_hat(0) is real: Hermitian exactly
+    matrix = scipy.linalg.toeplitz(conv, np.conj(conv))
+    matrix[np.diag_indices(n_modes)] += freqs
+    return LaxTruncation(grid=grid, frequencies=freqs, matrix=matrix)
+
+
+def _truncation_size(grid: SpectralGrid, xi_max: Optional[float]) -> int:
+    """Number of Hardy modes below the cut; see ``build_lax``."""
     if xi_max is None:
         xi_max = 0.5 * grid.max_frequency
     if not np.isfinite(xi_max) or xi_max <= 0:
@@ -103,13 +119,7 @@ def build_lax(u: RealField, xi_max: Optional[float] = None) -> LaxTruncation:
     if xi_max > 0.5 * grid.max_frequency + 1e-9:
         raise ContractError("xi_max exceeds half the grid bandwidth; "
                             "embed the field on a finer grid first")
-    n_modes = int(np.floor(xi_max / grid.fundamental + 1e-9)) + 1
-    freqs = grid.fundamental * np.arange(n_modes)
-    conv = u.coeffs[:n_modes] / grid.length
-    # u_hat(-xi) = conj(u_hat(xi)) and u_hat(0) is real: Hermitian exactly
-    matrix = scipy.linalg.toeplitz(conv, np.conj(conv))
-    matrix[np.diag_indices(n_modes)] += freqs
-    return LaxTruncation(grid=grid, frequencies=freqs, matrix=matrix)
+    return int(np.floor(xi_max / grid.fundamental + 1e-9)) + 1
 
 
 def modes_to_xi_max(grid: SpectralGrid, n_modes: int) -> float:
@@ -119,21 +129,134 @@ def modes_to_xi_max(grid: SpectralGrid, n_modes: int) -> float:
     return grid.fundamental * (n_modes - 1)
 
 
+# a Lanczos run stops once its Gauss and Gauss-Radau values of form(kappa)
+# agree to this fraction of the Gauss value
+_ENCLOSURE_RTOL = 1e-14
+
+
+def _symbol_bound(g: np.ndarray, length: float) -> np.ndarray:
+    """a = -(|u_0| + 2 sum_{0<k<m} |u_k|)/L <= lambda_min, along the last axis
+    of the Hardy data g = (u_0, ..., u_{m-1}).
+
+    The truncation is D plus a Hermitian Toeplitz matrix; D >= 0 and the
+    Toeplitz part's norm is at most the sup of its symbol
+    sum_{|k|<m} u_k e^{ik theta} / L.
+    """
+    mags = np.abs(g)
+    return -(2.0 * mags.sum(axis=-1) - mags[..., 0]) / length
+
+
+def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
+             bound: np.ndarray) -> list:
+    """Lanczos runs with full reorthogonalization from the rows of g.
+
+    The matvec is a circulant embedding of size 2m of the Toeplitz part,
+    applied by FFT, plus the diagonal D, so no m x m matrix is built.  Step
+    k updates the top-down pivots of T_k + kappa and T_k - a, from which the
+    Gauss value e_1^T (T_k + kappa)^{-1} e_1 and its Gauss-Radau completion
+    (T_k extended by beta_k and the diagonal entry that makes a an
+    eigenvalue) follow in O(1) per step.  A row stops when the two agree
+    to ``_ENCLOSURE_RTOL``, when beta_k is at the matvec's rounding level
+    (breakdown: the Krylov space is invariant and the rule exact), or at
+    k = m.  Every operation acts row by row, so the batch never changes a
+    row's numbers.  The basis grows with the steps taken.  Returns
+    (alpha_1..alpha_k, beta_1..beta_k) per row, in order; a row with g = 0
+    starts from e_1, and its weights come out exactly 0.
+    """
+    rows, m = g.shape
+    freqs = fundamental * np.arange(m)
+    # the embedding's column is Hermitian, so its symbol is real
+    column = np.zeros((rows, 2 * m), dtype=np.complex128)
+    column[:, :m] = g / length
+    column[:, m + 1:] = np.conj(g[:, :0:-1]) / length
+    symbol = np.fft.fft(column).real
+    norm = np.sqrt((g.real ** 2 + g.imag ** 2).sum(axis=1))
+    q = np.zeros((rows, m), dtype=np.complex128)
+    q[:, 0] = 1.0
+    live = norm > 0.0
+    q[live] = g[live] / norm[live, None]
+    tiny = np.finfo(float).eps * m * (freqs[-1] - bound)
+
+    alpha, beta = np.zeros((rows, m)), np.zeros((rows, m))
+    steps = np.zeros(rows, dtype=int)
+    index = np.arange(rows)  # the original row of each running row
+    basis = np.zeros((rows, min(m, 16), m), dtype=np.complex128)
+    q_prev, beta_prev = np.zeros_like(q), np.zeros(rows)
+    for k in range(m):
+        if k == basis.shape[1]:
+            more = np.zeros((index.size, min(k, m - k), m), basis.dtype)
+            basis = np.concatenate((basis, more), axis=1)
+        basis[:, k] = q
+        w = np.fft.ifft(np.fft.fft(q, 2 * m) * symbol)[:, :m] + freqs * q
+        a_k = np.vecdot(q, w).real
+        w -= a_k[:, None] * q + beta_prev[:, None] * q_prev
+        span = basis[:, :k + 1]
+        for _ in range(2):
+            w -= np.matmul(np.vecdot(span, w[:, None, :])[:, None, :],
+                           span)[:, 0]
+        b_k = np.sqrt((w.real ** 2 + w.imag ** 2).sum(axis=1))
+        alpha[index, k], beta[index, k] = a_k, b_k
+
+        if k == 0:
+            pivot, pivot_a = a_k + kappa, a_k - bound
+            gauss = 1.0 / pivot
+            corner = gauss * gauss
+        else:
+            r = beta_prev * beta_prev
+            pivot = a_k + kappa - r / pivot
+            pivot_a = a_k - bound - r / pivot_a
+            step = r * corner / pivot
+            gauss = gauss + step
+            corner = step / pivot
+        rb = b_k * b_k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            radau_pivot = bound + kappa + rb / pivot_a - rb / pivot
+            gap = np.where(pivot_a > 0.0, rb * corner / radau_pivot, np.inf)
+        done = (gap <= _ENCLOSURE_RTOL * gauss) | (b_k <= tiny) | (k + 1 == m)
+        steps[index[done]] = k + 1
+        if done.all():
+            break
+        if done.any():
+            keep = ~done
+            (index, symbol, tiny, bound, basis, q, w, b_k, pivot, pivot_a,
+             gauss, corner) = (
+                x[keep] for x in (index, symbol, tiny, bound, basis, q, w, b_k,
+                                  pivot, pivot_a, gauss, corner))
+        q_prev, q, beta_prev = q, w / b_k[:, None], b_k
+    return [(a[:k].copy(), b[:k].copy())
+            for a, b, k in zip(alpha, beta, steps)]
+
+
 class LaxSpectrum:
     """Spectral measure of one truncation A at g = P_+ u, reused across
     resolvent shifts.
 
-    The form only needs the eigenvalues lambda_j of A and the weights
-    |<w_j, g>|^2, which the Jacobi matrix of a tridiagonalization started
-    at g carries (Golub & Welsch, Math. Comp. 23, 1969).  A Householder
-    reflector H maps g to alpha*e_1; the lower reduction Q^H (H A H) Q = T
-    fixes e_1, so with T = S diag(lambda) S^T the orthonormal eigenbasis
-    of A is W = H Q S and <w_j, g> = alpha * S[0, j].  One O(m^3)
-    reduction serves every quadrature node.  Only ``eigenvalues`` and
-    ``weights`` (the |alpha * S[0, j]|^2 / L) are kept, so a spectrum
-    holds no m x m array; the resolvent state m(tau) itself comes from
-    ``resolvent_solve``.
+    The form only needs nodes lambda_j and the weights of g on them, which
+    the Jacobi matrix of a tridiagonalization started at g carries (Golub &
+    Welsch, Math. Comp. 23, 1969).  Two constructors build it:
+
+    - ``LaxSpectrum.lanczos(fields, kappa, xi_max)``, the one the
+      experiments use, runs the Lanczos recurrence from g for each field of
+      a batch and keeps the Gauss rule of its k x k Jacobi matrix: the Ritz
+      values and ||g||^2 S[0, j]^2 / L.  Each row stops on its own once the
+      Gauss rule (a lower bound on form(kappa)) and the Gauss-Radau rule
+      with its extra node at the symbol bound ``lambda_bound`` <= lambda_min
+      (an upper bound) agree to 1e-14 relative, at breakdown, or at k = m
+      (Golub & Meurant, Matrices, Moments and Quadrature, 2010, ch. 6-7).
+      A row whose bound does not clear -kappa is not certified and takes
+      the dense constructor.
+    - ``LaxSpectrum(lax, u)`` reduces the whole m x m matrix: a Householder
+      reflector H maps g to alpha*e_1, the lower reduction
+      Q^H (H A H) Q = T fixes e_1, so with T = S diag(lambda) S^T the
+      eigenbasis of A is W = H Q S and <w_j, g> = alpha * S[0, j].  It gives
+      every eigenvalue of A and is the oracle for the Lanczos rule.
+
+    Only ``eigenvalues`` and ``weights`` are kept, so a spectrum holds no
+    m x m array; the resolvent state m(tau) itself comes from
+    ``resolvent_solve``.  ``lanczos_steps`` is k, 0 on the dense path.
     """
+
+    lanczos_steps = 0
 
     def __init__(self, lax: LaxTruncation, u: RealField):
         if u.grid != lax.grid:
@@ -150,10 +273,11 @@ class LaxSpectrum:
             alpha = -(g0 / abs(g0) if g0 != 0 else 1.0) * gnorm
             v = self.g.copy()
             v[0] -= alpha
-            beta = 2.0 / np.vdot(v, v).real
+            # a unit v, so H = I - 2 v v^H even when |g|^2 underflows
+            v /= np.linalg.norm(v)
             av = lax.matrix @ v
             # H A H = A - v w^H - w v^H, a rank-2 update of the lower triangle
-            w = beta * av - (0.5 * beta ** 2 * np.vdot(v, av).real) * v
+            w = 2.0 * av - (2.0 * np.vdot(v, av).real) * v
             work = scipy.linalg.blas.zher2(-1.0, v, w, lower=1, a=work,
                                            overwrite_a=1)
         else:
@@ -168,6 +292,61 @@ class LaxSpectrum:
         self.eigenvalues, rotation = scipy.linalg.eigh_tridiagonal(
             diag, offdiag)
         self.weights = np.abs(alpha * rotation[0]) ** 2 / self.grid.length
+
+    @classmethod
+    def lanczos(cls, fields: list, kappa: float,
+                xi_max: Optional[float] = None) -> list:
+        """The Gauss rule of each field's Lanczos run, certified at kappa.
+
+        One batched recurrence serves every field (all on one grid); a
+        row's arithmetic does not depend on the rest of the batch, so each
+        spectrum equals the one its field gets alone.  The k x k Jacobi
+        matrices are diagonalized in one stacked ``np.linalg.eigh`` per
+        distinct k.  Rows whose ``lambda_bound + kappa <= 0`` come from the
+        dense ``LaxSpectrum(build_lax(u, xi_max), u)``.
+        """
+        if not fields:
+            return []
+        if not np.isfinite(kappa):
+            raise ContractError("kappa must be finite")
+        grid = fields[0].grid
+        if any(u.grid != grid for u in fields):
+            raise ContractError("fields live on different grids")
+        n_modes = _truncation_size(grid, xi_max)
+        g = np.stack([hardy_project(u)[:n_modes] for u in fields])
+        bound = _symbol_bound(g, grid.length)
+        certified = bound + kappa > 0.0
+        spectra = [None] * len(fields)
+        for i in np.flatnonzero(~certified):
+            spectra[i] = cls(build_lax(fields[i], xi_max), fields[i])
+        runs = _lanczos(g[certified], grid.fundamental, grid.length, kappa,
+                        bound[certified])
+        by_steps = {}
+        for row, run in zip(np.flatnonzero(certified), runs):
+            by_steps.setdefault(run[0].shape[0], []).append((row, run))
+        for steps, group in by_steps.items():
+            jac = np.zeros((len(group), steps, steps))
+            diag = np.arange(steps)
+            jac[:, diag, diag] = [alpha for _, (alpha, _) in group]
+            off = np.array([beta[:-1] for _, (_, beta) in group])
+            jac[:, diag[1:], diag[:-1]] = off
+            jac[:, diag[:-1], diag[1:]] = off
+            nodes, vectors = np.linalg.eigh(jac)
+            for (row, _), theta, s0 in zip(group, nodes, vectors[:, 0, :]):
+                spectrum = cls.__new__(cls)
+                spectrum.grid, spectrum.u = grid, fields[row]
+                spectrum.g = g[row]
+                spectrum.eigenvalues = theta
+                gnorm_sq = (g[row].real ** 2 + g[row].imag ** 2).sum()
+                spectrum.weights = gnorm_sq * s0 ** 2 / grid.length
+                spectrum.lanczos_steps = steps
+                spectra[row] = spectrum
+        return spectra
+
+    @property
+    def lambda_bound(self) -> float:
+        """The symbol bound a <= lambda_min; see ``_symbol_bound``."""
+        return float(_symbol_bound(self.g, self.grid.length))
 
     @property
     def lambda_min(self) -> float:
@@ -478,7 +657,8 @@ def weighted_resolvent_form(u: RealField, kappa: float, s: float,
                             rtol: float = 1e-8) -> WeightedFormProfile:
     """integral_kappa^inf tau^(2s) form(tau; u) dtau on a frozen rule; see
     ``LaxSpectrum.weighted_form``."""
-    return LaxSpectrum(build_lax(u, xi_max), u).weighted_form(kappa, s, rule, rtol)
+    spectrum = LaxSpectrum.lanczos([u], kappa, xi_max)[0]
+    return spectrum.weighted_form(kappa, s, rule, rtol)
 
 
 @dataclass(frozen=True)
@@ -590,22 +770,21 @@ def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
 
 
 class _FormTrack:
-    """The weighted form of one member, fed one sampled state at a time.
+    """The weighted form of one member, fed the spectrum of one sampled
+    state at a time.
 
-    The rule is frozen on the first state (the member's initial data); every
-    state is decomposed once and only the scalars are kept.  ``report`` fits
-    the growth rate once the run is over.
+    The rule is frozen on the first state (the member's initial data); only
+    the scalars of each state are kept.  ``report`` fits the growth rate
+    once the run is over.
     """
 
-    def __init__(self, s: float, kappa: float, c_s: float,
-                 xi_max: Optional[float]):
-        self.s, self.kappa, self.c_s, self.xi_max = s, kappa, c_s, xi_max
+    def __init__(self, s: float, kappa: float, c_s: float):
+        self.s, self.kappa, self.c_s = s, kappa, c_s
         self.rule = None
         self.values = []
         self.margin = np.inf
 
-    def add(self, state: RealField):
-        spectrum = LaxSpectrum(build_lax(state, self.xi_max), state)
+    def add(self, spectrum: LaxSpectrum):
         if self.rule is None:
             self.rule = build_weighted_rule(spectrum.form_at, self.kappa, self.s)
             if not self.rule.weights.any():
@@ -648,7 +827,8 @@ def gronwall_ensemble(initials: list, depth: Optional[float], s: float,
 
     Members that resolve the same step are advanced together as one batch
     by ``etdrk4_samples``, and each sample is consumed as it is produced, so
-    no trajectory is stored.  Reports come back in the order of
+    no trajectory is stored: one ``LaxSpectrum.lanczos`` call per sample
+    gives every member's spectral measure.  Reports come back in the order of
     ``initials``, each equal to the member's own ``gronwall_experiment``.
     """
     _require_weight_exponent(s, kappa)
@@ -676,13 +856,15 @@ def gronwall_ensemble(initials: list, depth: Optional[float], s: float,
     for step, members in batches.items():
         n_steps, _ = step_count(t_final, step)
         stride = max(1, n_steps // n_samples)
-        tracks = [_FormTrack(s, kappa, c_s, xi_max) for _ in members]
+        tracks = [_FormTrack(s, kappa, c_s) for _ in members]
         times = []
         stack = np.stack([initials[i].coeffs for i in members])
         for t, coeffs in etdrk4_samples(problem, stack, t_final, step, stride):
             times.append(t)
-            for track, row in zip(tracks, coeffs):
-                track.add(RealField(grid, row))
+            states = [RealField(grid, row) for row in coeffs]
+            spectra = LaxSpectrum.lanczos(states, kappa, xi_max)
+            for track, spectrum in zip(tracks, spectra):
+                track.add(spectrum)
         for i, track in zip(members, tracks):
             reports[i] = track.report(np.asarray(times), depth, equation,
                                       epsilon)

@@ -3,7 +3,10 @@ and the command-line surface."""
 
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +220,22 @@ def test_cli_wave_passes(tmp_path, capsys):
     assert set(manifest["versions"]) == {"numpy", "scipy"}
     assert manifest["config"]["depth"] == repr(1.0)
     assert manifest["wall_time_s"] >= 0.0
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    # ``python -m ilw_lab`` is the same front end as the ``ilw-lab`` script
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = tmp_path / "wv"
+    done = subprocess.run(
+        [sys.executable, "-m", "ilw_lab", "wave", "--n", "64",
+         "--outdir", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok: wave -> %s\n" % out
+    assert json.loads((out / "report.json").read_text())["passed"] is True
 
 
 def test_cli_usage_errors(tmp_path, capsys):

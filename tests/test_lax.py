@@ -3,6 +3,8 @@ and the growth experiments built on them."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.integrate
 import scipy.linalg
 import scipy.linalg.lapack
@@ -34,6 +36,7 @@ from ilw_lab import (
     weighted_resolvent_form,
 )
 from ilw_lab.experiments import load_config, run
+from ilw_lab import lax as lax_module
 from ilw_lab.lax import LaxSpectrum
 from ilw_lab.spectral import hardy_embed, hardy_project, synthesize
 from ilw_lab.symbols import apply_smoothing_dx
@@ -119,6 +122,8 @@ _DECOMPOSITION_CASES = {
     "g0_zero": (_with_zero_mean(random_field(_GRID, -0.25, 0.3, 7,
                                              decay=0.25)), 31.0),
     "zero": (RealField(_GRID, np.zeros(65, dtype=np.complex128)), 31.0),
+    # |g|^2 near the underflow threshold: the reflector must stay finite
+    "tiny": (random_field(_GRID, -0.25, 1e-131, 7, decay=0.25), 31.0),
     "one_mode": (random_field(_GRID, -0.25, 0.3, 7, decay=0.25), 0.5),
     "two_modes": (random_field(_GRID, -0.25, 0.3, 7, decay=0.25), 1.0),
     "three_modes": (random_field(_GRID, -0.25, 0.3, 7, decay=0.25), 2.0),
@@ -155,6 +160,161 @@ def test_lax_spectrum_keeps_no_matrix():
     assert {"g", "eigenvalues", "weights"} <= set(arrays)
     assert all(value.shape == (64,) for value in arrays.values()), \
         {name: value.shape for name, value in arrays.items()}
+
+
+# ---------------------------------------------------------------- Lanczos
+
+def _jacobi(spectrum, kappa):
+    """The Lanczos run behind ``spectrum``: (alpha_1..alpha_k,
+    beta_1..beta_k), beta_k being the last residual norm."""
+    grid = spectrum.grid
+    return lax_module._lanczos(spectrum.g[None], grid.fundamental,
+                               grid.length, kappa,
+                               np.array([spectrum.lambda_bound]))[0]
+
+
+def _gauss_and_gap(spectrum, jacobi, steps, tau):
+    """Gauss value of form(tau) after ``steps`` Lanczos steps and the amount
+    its Gauss-Radau completion adds, by dense solves on the Jacobi entries.
+
+    The completion extends T_k by beta_k and the diagonal entry that makes
+    the symbol bound a an eigenvalue; by the Schur complement it adds
+    beta_k^2 (e_1^T x)^2 / (corner + tau - beta_k^2 e_k^T x) to the Gauss
+    value, with x = (T_k + tau)^{-1} e_k.  With a at a node of T_k already
+    it is undefined and bounds nothing.
+    """
+    alpha, beta = jacobi
+    jac = (np.diag(alpha[:steps]) + np.diag(beta[:steps - 1], 1)
+           + np.diag(beta[:steps - 1], -1))
+    eye = np.eye(steps)
+    scale = np.vdot(spectrum.g, spectrum.g).real / spectrum.grid.length
+    gauss = scale * np.linalg.solve(jac + tau * eye, eye[0])[0]
+    a, b = spectrum.lambda_bound, beta[steps - 1]
+    if np.linalg.eigvalsh(jac)[0] <= a:
+        return gauss, np.inf
+    corner = a + b * b * np.linalg.solve(jac - a * eye, eye[-1])[-1]
+    x = np.linalg.solve(jac + tau * eye, eye[-1])
+    return gauss, scale * b * b * x[0] ** 2 / (corner + tau - b * b * x[-1])
+
+
+def _enclosure_cases():
+    grid = SpectralGrid(TWO_PI, 256)
+    cases = []
+    for m in range(1, 65):
+        for amplitude, seed in ((0.3, 7), (5.0, 3)):
+            rough = random_field(grid, -0.25, amplitude, seed, decay=0.0)
+            cases.append((rough, m))
+    zero = RealField(grid, np.zeros(129, dtype=np.complex128))
+    constant = constant_field(grid, -2.0)
+    return cases + [(zero, 32), (constant, 32),
+                    (constant_field(grid, 3.0), 64)]
+
+
+_ENCLOSURE_CASES = _enclosure_cases()
+# rounding allowance for the enclosure: a converged rule meets the exact
+# value to rounding and may land a few ulps past it (at most 9.4e-16 over
+# these cases)
+_ENCLOSURE_SLACK = 4e-15
+
+
+@pytest.mark.parametrize("case", range(len(_ENCLOSURE_CASES)))
+def test_lanczos_gauss_radau_enclosure(case):
+    u, m = _ENCLOSURE_CASES[case]
+    kappa, s = 32.0, -0.25
+    xi_max = (m - 0.5) * u.grid.fundamental  # m modes; m = 1 included
+    spectrum = LaxSpectrum.lanczos([u], kappa, xi_max)[0]
+    dense = LaxSpectrum(build_lax(u, xi_max), u)
+    steps = spectrum.lanczos_steps
+    assert 1 <= steps <= m
+    assert spectrum.lambda_bound + kappa > 0.0
+    exact = dense.form_at(np.array([kappa]))[0]
+    if not dense.weights.any():
+        # the zero field: its measure is all zero, found in one step
+        assert steps == 1 and not spectrum.weights.any()
+        return
+    gauss = spectrum.form_at(np.array([kappa]))[0]
+    assert gauss <= exact * (1 + _ENCLOSURE_SLACK)
+    jacobi = _jacobi(spectrum, kappa)
+    assert jacobi[0].shape == (steps,)
+    for j in range(1, steps + 1):
+        gauss, gap = _gauss_and_gap(spectrum, jacobi, j, kappa)
+        assert gauss <= exact * (1 + _ENCLOSURE_SLACK), (j, gauss, exact)
+        assert exact <= (gauss + gap) * (1 + _ENCLOSURE_SLACK), (j, gap, exact)
+    # the run stops at the first k whose gap is below 1e-14 of the Gauss
+    # value (the 1e-6 allows for the rounding of this route), at breakdown,
+    # or at k = m
+    if steps > 1:
+        gauss, gap = _gauss_and_gap(spectrum, jacobi, steps - 1, kappa)
+        assert gap > 1e-14 * (1 - 1e-6) * gauss
+    gauss, gap = _gauss_and_gap(spectrum, jacobi, steps, kappa)
+    beta_k = jacobi[1][-1]
+    assert (gap <= 1e-14 * (1 + 1e-6) * gauss or steps == m
+            or beta_k <= 1e-13 * (m - spectrum.lambda_bound))
+    if m > 1 and not u.coeffs[1:].any():
+        # a constant field: g is an eigenvector, so the run breaks down
+        assert steps == 1
+    rule = build_weighted_rule(dense.form_at, kappa, s)
+    nodes = np.concatenate((rule.tau_nodes, [rule.tau_star]))
+    want = dense.form_at(nodes)
+    assert np.all(np.abs(spectrum.form_at(nodes) - want) <= 1e-12 * want)
+
+
+def test_lanczos_rows_do_not_depend_on_the_batch():
+    grid = SpectralGrid(TWO_PI, 256)
+    fields = [random_field(grid, -0.25, amplitude, seed, decay=decay)
+              for seed, (amplitude, decay) in enumerate(
+                  [(0.4, 0.25), (5.0, 0.0), (0.3, 0.0), (0.0, 0.0),
+                   (2.0, 0.25), (0.4, 0.5), (1.0, 0.1), (0.1, 0.0),
+                   (3.0, 0.3), (0.4, 0.25)])]
+    fields[3] = constant_field(grid, -1.5)
+    for m in (3, 17, 64):
+        xi_max = modes_to_xi_max(grid, m)
+        batch = LaxSpectrum.lanczos(fields, 32.0, xi_max)
+        assert len({spectrum.lanczos_steps for spectrum in batch}) > 1
+        for u, spectrum in zip(fields, batch):
+            alone = LaxSpectrum.lanczos([u], 32.0, xi_max)[0]
+            assert spectrum.u is u
+            assert spectrum.lanczos_steps == alone.lanczos_steps
+            for name in ("g", "eigenvalues", "weights"):
+                assert np.array_equal(getattr(spectrum, name),
+                                      getattr(alone, name)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.floats(0.0, 50.0),
+       st.sampled_from([0.0, 0.05, 0.25]), st.integers(1, 64))
+def test_symbol_bound_is_below_lambda_min(seed, amplitude, decay, m):
+    grid = SpectralGrid(TWO_PI, 256)
+    u = random_field(grid, -0.25, amplitude, seed, decay=decay)
+    lax = build_lax(u, (m - 0.5) * grid.fundamental)
+    lam = scipy.linalg.eigh(lax.matrix, eigvals_only=True)[0]
+    bound = LaxSpectrum(lax, u).lambda_bound
+    assert bound <= lam + 1e-12 * (1.0 + abs(lam))
+
+
+def test_uncertified_rows_take_the_dense_path():
+    # a + kappa <= 0 cannot be certified: that row is the dense spectrum,
+    # and the rest of the batch is unchanged by it
+    grid = SpectralGrid(TWO_PI, 128)
+    big = random_field(grid, -0.25, 5.0, 3, decay=0.3)
+    small = random_field(grid, -0.25, 0.3, 7, decay=0.25)
+    kappa = 2.0
+    dense = LaxSpectrum(build_lax(big), big)
+    assert dense.lambda_bound + kappa <= 0.0
+    mixed = LaxSpectrum.lanczos([small, big], kappa)
+    assert mixed[1].lanczos_steps == 0
+    for name in ("g", "eigenvalues", "weights"):
+        assert np.array_equal(getattr(mixed[1], name), getattr(dense, name))
+    alone = LaxSpectrum.lanczos([small], kappa)[0]
+    assert alone.lanczos_steps > 0
+    assert np.array_equal(mixed[0].weights, alone.weights)
+    assert np.array_equal(mixed[0].eigenvalues, alone.eigenvalues)
+    with pytest.raises(ContractError):
+        LaxSpectrum.lanczos([small], np.inf)
+    with pytest.raises(ContractError):
+        LaxSpectrum.lanczos([small, random_field(SpectralGrid(TWO_PI, 64),
+                                                 -0.25, 0.3, 1)], kappa)
+    assert LaxSpectrum.lanczos([], kappa) == []
 
 
 def test_build_lax_validation():
@@ -531,26 +691,46 @@ def test_gronwall_experiment_matches_public_functions():
 
 
 def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
-    calls, eigh_calls = [], []
-    zhetrd = scipy.linalg.lapack.zhetrd
+    # certified states take one Lanczos run each and no dense reduction; a
+    # forced fallback takes one zhetrd per state
+    zhetrd_calls, eigh_calls, lanczos_rows = [], [], []
+    zhetrd, lanczos = scipy.linalg.lapack.zhetrd, lax_module._lanczos
 
     def counting_zhetrd(*args, **kwargs):
-        calls.append(args[0].shape)
+        zhetrd_calls.append(args[0].shape)
         return zhetrd(*args, **kwargs)
+
+    def counting_lanczos(g, *args):
+        lanczos_rows.extend(row.tobytes() for row in g)
+        return lanczos(g, *args)
 
     monkeypatch.setattr(scipy.linalg.lapack, "zhetrd", counting_zhetrd)
     monkeypatch.setattr(scipy.linalg, "eigh",
                         lambda *args, **kwargs: eigh_calls.append(args))
+    monkeypatch.setattr(lax_module, "_lanczos", counting_lanczos)
     grid = SpectralGrid(TWO_PI, 128)
     u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
-    report = gronwall_experiment(u0, 1.0, -0.25, 32.0, t_final=0.05, dt=1e-3,
-                                 n_samples=5)
-    assert len(report.times) == 6
-    assert len(calls) == 6
-    calls.clear()
-    run(load_config("beta", overrides={"n": 128},
-                    output_dir=str(tmp_path / "beta")))
-    assert calls == [(32, 32)]
+
+    def run_both():
+        report = gronwall_experiment(u0, 1.0, -0.25, 32.0, t_final=0.05,
+                                     dt=1e-3, n_samples=5)
+        assert len(report.times) == 6
+        states = len(lanczos_rows), list(zhetrd_calls)
+        run(load_config("beta", overrides={"n": 128},
+                        output_dir=str(tmp_path / "beta")))
+        return states
+
+    (runs, zhetrd_run) = run_both()
+    assert runs == len(set(lanczos_rows[:6])) == 6
+    assert zhetrd_run == [] and len(lanczos_rows) == 7
+    assert zhetrd_calls == [] and eigh_calls == []
+
+    lanczos_rows.clear()
+    monkeypatch.setattr(lax_module, "_symbol_bound",
+                        lambda g, length: np.full(np.shape(g)[:-1], -1e6))
+    (runs, zhetrd_run) = run_both()
+    assert runs == 0 and zhetrd_run == [(32, 32)] * 6
+    assert zhetrd_calls == [(32, 32)] * 7 and lanczos_rows == []
     assert eigh_calls == []
 
 
