@@ -32,7 +32,7 @@ from .evolution import (
     step_count,
 )
 from .lax import LaxSpectrum, gronwall_ensemble, modes_to_xi_max, \
-    resolvent_form
+    resolvent_state
 from .spectral import HERMITIAN_RTOL, RealField, SpectralGrid
 from .symbols import smoothing_operator_scan
 from .waves import (
@@ -457,7 +457,13 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     spectrum = LaxSpectrum.lanczos([state], p["kappa"], xi_max)[0]
     kcheck = spectrum.check_kappa(p["s"], p["kappa"])
     profile = spectrum.weighted_form(p["kappa"], p["s"])
-    form_value = resolvent_form(state, p["kappa"], xi_max=xi_max)
+    resolved = resolvent_state(state, p["kappa"], xi_max=xi_max)
+    form_value = resolved.form(state)
+    # the resolvent solve against the certified Lanczos measure
+    gauss_value = float(spectrum.form_at(p["kappa"])[0])
+    route_gap = abs(form_value - gauss_value)
+    if gauss_value != 0.0:
+        route_gap /= abs(gauss_value)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.output_dir / "beta_profile.csv"
@@ -467,6 +473,8 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
         "s": p["s"],
         "sigma": profile.sigma,
         "form_at_kappa": form_value,
+        "form_route_gap": route_gap,
+        "resolvent_iterations": resolved.iterations,
         "weighted_value": profile.value,
         "n_nodes": int(profile.tau_nodes.shape[0]),
         "rule_build_error": profile.rule.build_error,

@@ -15,6 +15,10 @@ norm.  Every shift reads the form off one spectral measure of P_+ u
 run from P_+ u, whose matrix-vector products go through an FFT, stopped
 once a Gauss-Radau upper bound certifies it at the smallest shift; the
 dense reduction of the whole matrix stays as its fallback and oracle.
+The resolvent state (L_u + kappa)^(-1) P_+ u comes from Jacobi-preconditioned
+conjugate gradients on the same FFT operator whenever the symbol bound
+certifies the shift, with a dense Cholesky solve as fallback and oracle, so
+the certified path never builds an m x m matrix.
 The weighted integral is evaluated on a frozen composite Gauss-Kronrod
 rule in the substitution tau = kappa*exp(t), whose nodes are then reused
 verbatim across the states of a trajectory so that differences
@@ -24,6 +28,7 @@ of the functional reflect dynamics rather than quadrature jitter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -85,11 +90,29 @@ def _panel_nodes(a: float, b: float):
 
 @dataclass(frozen=True)
 class LaxTruncation:
-    """Hermitian truncation of the Lax matrix on the Hardy lattice."""
+    """Hermitian truncation of the Lax matrix on the Hardy lattice.
+
+    It is stored as its diagonal ``frequencies`` and the first column
+    u_hat(k)/L, k < m, of its Toeplitz part.  Products with it go through
+    the circulant ``symbol``; the dense ``matrix`` is built only when read
+    (the dense ``LaxSpectrum``, the Cholesky fallback of ``resolvent_solve``
+    and the tests).
+    """
 
     grid: SpectralGrid
     frequencies: np.ndarray
-    matrix: np.ndarray
+    column: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        # u_hat(-xi) = conj(u_hat(xi)) and u_hat(0) is real: Hermitian exactly
+        matrix = scipy.linalg.toeplitz(self.column, np.conj(self.column))
+        matrix[np.diag_indices(self.column.shape[0])] += self.frequencies
+        return matrix
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        return _circulant_symbol(self.column)
 
 
 def build_lax(u: RealField, xi_max: Optional[float] = None) -> LaxTruncation:
@@ -102,12 +125,9 @@ def build_lax(u: RealField, xi_max: Optional[float] = None) -> LaxTruncation:
     """
     grid = u.grid
     n_modes = _truncation_size(grid, xi_max)
-    freqs = grid.fundamental * np.arange(n_modes)
-    conv = u.coeffs[:n_modes] / grid.length
-    # u_hat(-xi) = conj(u_hat(xi)) and u_hat(0) is real: Hermitian exactly
-    matrix = scipy.linalg.toeplitz(conv, np.conj(conv))
-    matrix[np.diag_indices(n_modes)] += freqs
-    return LaxTruncation(grid=grid, frequencies=freqs, matrix=matrix)
+    return LaxTruncation(grid=grid,
+                         frequencies=grid.fundamental * np.arange(n_modes),
+                         column=u.coeffs[:n_modes] / grid.length)
 
 
 def _truncation_size(grid: SpectralGrid, xi_max: Optional[float]) -> int:
@@ -146,6 +166,24 @@ def _symbol_bound(g: np.ndarray, length: float) -> np.ndarray:
     return -(2.0 * mags.sum(axis=-1) - mags[..., 0]) / length
 
 
+def _circulant_symbol(column: np.ndarray) -> np.ndarray:
+    """Symbol of the circulant of size 2m that embeds the Hermitian Toeplitz
+    matrix with first column ``column``, row by row along the last axis."""
+    m = column.shape[-1]
+    full = np.zeros(column.shape[:-1] + (2 * m,), dtype=np.complex128)
+    full[..., :m] = column
+    full[..., m + 1:] = np.conj(column[..., :0:-1])
+    # the embedding's column is Hermitian, so its symbol is real
+    return np.fft.fft(full).real
+
+
+def _apply_lax(symbol: np.ndarray, diagonal: np.ndarray,
+               x: np.ndarray) -> np.ndarray:
+    """(Toeplitz part + diag(diagonal)) x by FFT, row by row."""
+    m = x.shape[-1]
+    return np.fft.ifft(np.fft.fft(x, 2 * m) * symbol)[..., :m] + diagonal * x
+
+
 def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
              bound: np.ndarray) -> list:
     """Lanczos runs with full reorthogonalization from the rows of g.
@@ -165,11 +203,7 @@ def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
     """
     rows, m = g.shape
     freqs = fundamental * np.arange(m)
-    # the embedding's column is Hermitian, so its symbol is real
-    column = np.zeros((rows, 2 * m), dtype=np.complex128)
-    column[:, :m] = g / length
-    column[:, m + 1:] = np.conj(g[:, :0:-1]) / length
-    symbol = np.fft.fft(column).real
+    symbol = _circulant_symbol(g / length)
     norm = np.sqrt((g.real ** 2 + g.imag ** 2).sum(axis=1))
     q = np.zeros((rows, m), dtype=np.complex128)
     q[:, 0] = 1.0
@@ -187,7 +221,7 @@ def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
             more = np.zeros((index.size, min(k, m - k), m), basis.dtype)
             basis = np.concatenate((basis, more), axis=1)
         basis[:, k] = q
-        w = np.fft.ifft(np.fft.fft(q, 2 * m) * symbol)[:, :m] + freqs * q
+        w = _apply_lax(symbol, freqs, q)
         a_k = np.vecdot(q, w).real
         w -= a_k[:, None] * q + beta_prev[:, None] * q_prev
         span = basis[:, :k + 1]
@@ -267,7 +301,10 @@ class LaxSpectrum:
         self.g = hardy_project(u)[:n_modes]
         # the one m x m working copy: reflected in place, then reduced
         work = np.array(lax.matrix, order="F")
-        gnorm = float(np.linalg.norm(self.g))
+        with np.errstate(over="ignore"):
+            gnorm = float(np.linalg.norm(self.g))
+        if not np.isfinite(gnorm):
+            raise NumericalError("||P_+ u|| = %.3g is not finite" % gnorm)
         if gnorm > 0.0:
             g0 = self.g[0]
             alpha = -(g0 / abs(g0) if g0 != 0 else 1.0) * gnorm
@@ -289,6 +326,8 @@ class LaxSpectrum:
         if info != 0:
             raise NumericalError("tridiagonal reduction failed (info=%d)"
                                  % info)
+        if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
+            raise NumericalError("tridiagonal reduction is not finite")
         self.eigenvalues, rotation = scipy.linalg.eigh_tridiagonal(
             diag, offdiag)
         self.weights = np.abs(alpha * rotation[0]) ** 2 / self.grid.length
@@ -373,7 +412,11 @@ class LaxSpectrum:
             raise ContractError("c_s must be positive")
         sigma = 0.5 * (0.5 + s)
         norm = sobolev_norm(self.u, SobolevIndex(s, kappa))
-        threshold = c_s * (1.0 + norm) ** (1.0 / (2.0 * sigma))
+        try:
+            threshold = c_s * (1.0 + norm) ** (1.0 / (2.0 * sigma))
+        except OverflowError:
+            # no finite kappa clears it, so the check fails
+            threshold = np.inf
         return KappaCheck(kappa=kappa, threshold=threshold,
                           lambda_min=self.lambda_min, norm=norm)
 
@@ -421,42 +464,132 @@ def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
     return LaxSpectrum(build_lax(u, xi_max), u).check_kappa(s, kappa, c_s)
 
 
+# conjugate gradients stop once the residual is below this fraction of ||g||
+_PCG_RTOL = 1e-14
+
+
 def resolvent_solve(lax: LaxTruncation, kappa: float, g: np.ndarray) -> np.ndarray:
-    """Solve (L_u + kappa) x = g by Cholesky with a residual check."""
+    """Solve (L_u + kappa) x = g with a residual check.
+
+    A shift certified by the symbol bound (a + kappa > 0, as in
+    ``LaxSpectrum.lanczos``) runs Jacobi-preconditioned conjugate gradients
+    on the FFT operator; otherwise, or if they have not converged after m
+    iterations, a Cholesky factorization of the dense matrix solves it and
+    raises KappaTooSmallError when the shifted matrix is not positive
+    definite.  Either way a relative residual above 1e-12 is a
+    NumericalError.
+    """
+    return _resolvent_solve(lax, kappa, g)[0]
+
+
+def _resolvent_solve(lax: LaxTruncation, kappa: float, g: np.ndarray):
+    """``resolvent_solve`` and its count of conjugate-gradient iterations,
+    0 on the dense path."""
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != lax.frequencies.shape:
         raise ContractError("right-hand side does not match the truncation")
-    shifted = lax.matrix + kappa * np.eye(lax.frequencies.shape[0])
-    try:
-        factor = scipy.linalg.cho_factor(shifted, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise KappaTooSmallError(
-            "shifted Lax matrix is not positive definite at kappa=%.6g"
-            % kappa) from exc
-    x = scipy.linalg.cho_solve(factor, g)
     gnorm = float(np.linalg.norm(g))
-    if gnorm > 0.0:
-        residual = float(np.linalg.norm(shifted @ x - g)) / gnorm
-        if residual > 1e-12:
-            raise NumericalError("resolvent solve residual %.3e" % residual)
-    return x
+    if not np.isfinite(gnorm):
+        raise NumericalError("right-hand side norm %.3g is not finite" % gnorm)
+    # the column already carries the 1/L of the Hardy data
+    solved = (_preconditioned_cg(lax, kappa, g, gnorm)
+              if _symbol_bound(lax.column, 1.0) + kappa > 0.0 else None)
+    if solved is None:
+        shifted = lax.matrix + kappa * np.eye(lax.frequencies.shape[0])
+        try:
+            factor = scipy.linalg.cho_factor(shifted, lower=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise KappaTooSmallError(
+                "shifted Lax matrix is not positive definite at kappa=%.6g"
+                % kappa) from exc
+        x = scipy.linalg.cho_solve(factor, g)
+        residual = float(np.linalg.norm(shifted @ x - g))
+        solved = x, residual, 0
+    x, residual, iterations = solved
+    if gnorm > 0.0 and residual / gnorm > 1e-12:
+        raise NumericalError("resolvent solve residual %.3e"
+                             % (residual / gnorm))
+    return x, iterations
+
+
+def _preconditioned_cg(lax: LaxTruncation, kappa: float, g: np.ndarray,
+                       gnorm: float):
+    """Conjugate gradients on (L_u + kappa) x = g preconditioned by the
+    diagonal D of the shifted matrix, from x = D^(-1) g.
+
+    The Toeplitz part's norm is at most |a| < kappa + xi, so D^(-1) times the
+    shifted matrix is close to the identity and a few iterations suffice
+    (Saad, Iterative Methods for Sparse Linear Systems, 2003, sec. 9.2).
+    The residual is recomputed as g - (L_u + kappa) x at every iteration,
+    and the run stops once it is below ``_PCG_RTOL * ||g||``.  Returns
+    (x, ||residual||, iterations), or None after m iterations without
+    convergence or on a direction of nonpositive curvature.
+    """
+    freqs = lax.frequencies + kappa
+    diagonal = freqs + lax.column[0].real
+    x = g / diagonal
+    r = g - _apply_lax(lax.symbol, freqs, x)
+    z = r / diagonal
+    p, rz = z, np.vdot(r, z).real
+    for iterations in range(g.shape[0] + 1):
+        residual = float(np.linalg.norm(r))
+        if residual <= _PCG_RTOL * gnorm:
+            return x, residual, iterations
+        if iterations == g.shape[0]:
+            break
+        curvature = np.vdot(p, _apply_lax(lax.symbol, freqs, p)).real
+        if not curvature > 0.0:
+            break
+        x = x + (rz / curvature) * p
+        r = g - _apply_lax(lax.symbol, freqs, x)
+        z = r / diagonal
+        rz, rz_prev = np.vdot(r, z).real, rz
+        p = z + (rz / rz_prev) * p
+    return None
 
 
 @dataclass(frozen=True)
 class ResolventState:
-    """The auxiliary state m = -(L_u + kappa)^(-1) P_+ u with diagnostics."""
+    """The auxiliary state m = -(L_u + kappa)^(-1) P_+ u with diagnostics;
+    ``iterations`` counts the conjugate-gradient steps, 0 on the dense path."""
 
     kappa: float
     frequencies: np.ndarray
     coeffs: np.ndarray
     norms: dict
+    iterations: int
+
+    def form(self, u: RealField) -> float:
+        """form(kappa; u) through two routes, cross-checked.
+
+        Route one pairs the Hardy data with m in coefficient space; route
+        two synthesizes m and integrates -u*m over the period.  They agree
+        to rounding because m has no negative frequencies.
+        """
+        m = self.coeffs
+        g = hardy_project(u)[: m.shape[0]]
+        grid = u.grid
+        route_coeff = -np.vdot(g, m) / grid.length
+        m_phys = synthesize(grid, hardy_embed(grid, m))
+        route_phys = -np.sum(u.samples() * m_phys) * grid.spacing
+        if abs(route_coeff.imag) > 1e-11 * (1.0 + abs(route_coeff.real)):
+            raise NumericalError("resolvent form acquired an imaginary part")
+        if abs(route_coeff - route_phys) > 1e-11 * (1.0 + abs(route_coeff)):
+            raise NumericalError(
+                "resolvent form routes disagree: %.15e vs %.15e"
+                % (route_coeff.real, route_phys.real))
+        value = route_coeff.real
+        if value < -1e-12 * (1.0 + abs(value)):
+            raise KappaTooSmallError("resolvent form is negative; raise kappa")
+        return float(value)
 
 
 def resolvent_state(u: RealField, kappa: float, xi_max: Optional[float] = None,
                     s: Optional[float] = None) -> ResolventState:
     lax = build_lax(u, xi_max)
     g = hardy_project(u)[: lax.frequencies.shape[0]]
-    m = -resolvent_solve(lax, kappa, g)
+    x, iterations = _resolvent_solve(lax, kappa, g)
+    m = -x
     norms = {}
     if s is not None:
         norms["m_smoothed"] = hardy_norm(m, lax.frequencies, u.grid.length,
@@ -466,32 +599,13 @@ def resolvent_state(u: RealField, kappa: float, xi_max: Optional[float] = None,
         norms["u"] = sobolev_norm(u, SobolevIndex(s, kappa))
         norms["u_plain"] = sobolev_norm(u, SobolevIndex(s, 1.0))
     return ResolventState(kappa=kappa, frequencies=lax.frequencies,
-                          coeffs=m, norms=norms)
+                          coeffs=m, norms=norms, iterations=iterations)
 
 
 def resolvent_form(u: RealField, kappa: float, xi_max: Optional[float] = None) -> float:
-    """form(kappa; u) through two routes, cross-checked.
-
-    Route one pairs the Hardy data with the resolvent image in coefficient
-    space; route two synthesizes m and integrates -u*m over the period.
-    They agree to rounding because m has no negative frequencies.
-    """
-    m = resolvent_state(u, kappa, xi_max).coeffs
-    g = hardy_project(u)[: m.shape[0]]
-    grid = u.grid
-    route_coeff = -np.vdot(g, m) / grid.length
-    m_phys = synthesize(grid, hardy_embed(grid, m))
-    route_phys = -np.sum(u.samples() * m_phys) * grid.spacing
-    if abs(route_coeff.imag) > 1e-11 * (1.0 + abs(route_coeff.real)):
-        raise NumericalError("resolvent form acquired an imaginary part")
-    if abs(route_coeff - route_phys) > 1e-11 * (1.0 + abs(route_coeff)):
-        raise NumericalError(
-            "resolvent form routes disagree: %.15e vs %.15e"
-            % (route_coeff.real, route_phys.real))
-    value = route_coeff.real
-    if value < -1e-12 * (1.0 + abs(value)):
-        raise KappaTooSmallError("resolvent form is negative; raise kappa")
-    return float(value)
+    """form(kappa; u) through two routes, cross-checked; see
+    ``ResolventState.form``."""
+    return resolvent_state(u, kappa, xi_max).form(u)
 
 
 def resolvent_form_gradient(u: RealField, kappa: float,
@@ -686,8 +800,8 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
 
     The outer integral reuses the weighted-form rule so the value is
     directly comparable with finite differences of the same functional.
-    At each rule node m(tau) comes from ``resolvent_solve``, a Cholesky
-    solve with a residual check.
+    At each rule node m(tau) comes from ``resolvent_solve``, with its
+    residual check.
     """
     _require_weight_exponent(s, kappa)
     grid = u.grid

@@ -253,6 +253,47 @@ def test_cli_numerical_failure_exit(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_beta_solves_the_resolvent_without_a_dense_matrix(tmp_path, capsys,
+                                                         monkeypatch):
+    import scipy.linalg
+    from ilw_lab.lax import LaxTruncation
+
+    dense = []
+    monkeypatch.setattr(scipy.linalg, "cho_factor",
+                        lambda *args, **kwargs: dense.append("cho_factor"))
+    monkeypatch.setattr(LaxTruncation, "matrix",
+                        property(lambda self: dense.append("matrix")))
+    for seed in (1, 2, 3):
+        out = tmp_path / ("seed-%d" % seed)
+        assert main(["beta", "--n", "4096", "--seed", str(seed),
+                     "--outdir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())["report"]
+        # the resolvent solve against the certified Lanczos Gauss value
+        assert report["form_route_gap"] < 1e-12
+        assert 0 < report["resolvent_iterations"] <= 12
+    capsys.readouterr()
+    assert dense == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the kappa threshold overflows to inf; the shift also fails to clear
+    # lambda_min, a numerical failure as at amplitude 100
+    (["--amplitude", "1e100"], "does not clear lambda_min"),
+    # a certified shift, but the overflowed threshold cannot go to JSON
+    (["--amplitude", "1e120", "--kappa", "1e121"],
+     "non-finite value at report.kappa_threshold"),
+    # ||P_+ u|| overflows in the dense reduction
+    (["--amplitude", "1e160"], "is not finite"),
+    (["--amplitude", "1e200"], "is not finite"),
+])
+def test_cli_huge_amplitude_is_a_numerical_failure(tmp_path, capsys, argv,
+                                                   message):
+    assert main(["beta"] + argv + ["--outdir", str(tmp_path / "bt")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and message in err
+    assert "Traceback" not in err
+
+
 def test_cli_reported_check_failure_exit(tmp_path, capsys):
     # a unit box cannot resolve the symbol peak; the spread blows past 10
     out = tmp_path / "sm"

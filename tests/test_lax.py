@@ -366,6 +366,21 @@ def test_check_kappa_threshold_monotone():
         check_kappa(u, -0.75, 2.0)
 
 
+def test_check_kappa_threshold_overflow_fails_the_check():
+    grid = SpectralGrid(TWO_PI, 128)
+    u = random_field(grid, -0.25, 1e100, 7, decay=0.25)
+    check = LaxSpectrum(build_lax(u, 31.0), u).check_kappa(-0.25, 32.0)
+    assert check.threshold == np.inf and not check.ok
+
+
+@pytest.mark.parametrize("amplitude", [1e160, 1e200])
+def test_dense_spectrum_rejects_overflowing_data(amplitude):
+    grid = SpectralGrid(TWO_PI, 128)
+    u = random_field(grid, -0.25, amplitude, 7, decay=0.25)
+    with pytest.raises(NumericalError, match="not finite"):
+        LaxSpectrum(build_lax(u, 31.0), u)
+
+
 # ------------------------------------------------------------- resolvent
 
 def test_resolvent_solve_diagonal_case():
@@ -387,6 +402,70 @@ def test_resolvent_solve_rejects_bad_shift():
     lax = build_lax(u, 31.0)
     with pytest.raises(KappaTooSmallError):
         resolvent_solve(lax, 1.0, hardy_project(u)[:32])
+
+
+def _cholesky_oracle(lax, kappa, g):
+    shifted = lax.matrix + kappa * np.eye(g.shape[0])
+    return shifted, scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(shifted, lower=True), g)
+
+
+_SOLVER_FIELDS = {"smooth": (0.3, 0.25), "rough": (5.0, 0.0)}
+
+
+@pytest.mark.parametrize("field", sorted(_SOLVER_FIELDS))
+@pytest.mark.parametrize("m", [1, 2, 17, 64, 1024])
+def test_resolvent_solve_against_cholesky(m, field, monkeypatch):
+    amplitude, decay = _SOLVER_FIELDS[field]
+    grid = SpectralGrid(TWO_PI, max(256, 4 * m))
+    u = random_field(grid, -0.25, amplitude, 11, decay=decay)
+    lax = build_lax(u, (m - 0.5) * grid.fundamental)
+    g = hardy_project(u)[:m]
+    bound = float(lax_module._symbol_bound(g, grid.length))
+    kappas = [k for k in (-bound + 1e-4 * abs(bound), -bound + 1.0, 32.0)
+              if k <= 32.0]
+    oracles = [_cholesky_oracle(lax, kappa, g) for kappa in kappas]
+    # certified shifts never reach the dense factorization
+    monkeypatch.setattr(scipy.linalg, "cho_factor", None)
+    assert len(kappas) >= 2
+    for kappa, (shifted, oracle) in zip(kappas, oracles):
+        x, iterations = lax_module._resolvent_solve(lax, kappa, g)
+        assert (iterations == 0) if m == 1 else (0 < iterations <= 12)
+        assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+        residual = np.linalg.norm(shifted @ x - g)
+        assert residual <= 1e-12 * np.linalg.norm(g)
+        assert np.array_equal(resolvent_solve(lax, kappa, g), x)
+
+
+def test_resolvent_solve_zero_right_hand_side():
+    grid = SpectralGrid(TWO_PI, 128)
+    lax = build_lax(random_field(grid, -0.25, 0.3, 7, decay=0.25), 31.0)
+    x, iterations = lax_module._resolvent_solve(lax, 32.0, np.zeros(32))
+    assert iterations == 0 and not x.any()
+
+
+def test_resolvent_solve_uncertified_shift_is_cholesky():
+    # a + kappa <= 0 < lambda_min + kappa: positive definite, not certified
+    grid = SpectralGrid(TWO_PI, 256)
+    u = random_field(grid, -0.25, 5.0, 11, decay=0.0)
+    lax = build_lax(u, 63.0)
+    g = hardy_project(u)[:64]
+    bound = float(lax_module._symbol_bound(g, grid.length))
+    lam = scipy.linalg.eigh(lax.matrix, eigvals_only=True)[0]
+    assert bound < lam
+    kappa = -0.5 * (bound + lam)
+    x, iterations = lax_module._resolvent_solve(lax, kappa, g)
+    assert iterations == 0
+    assert np.array_equal(x, _cholesky_oracle(lax, kappa, g)[1])
+
+
+def test_lax_truncation_builds_its_matrix_only_when_read():
+    grid = SpectralGrid(TWO_PI, 128)
+    u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
+    lax = build_lax(u, 31.0)
+    resolvent_solve(lax, 32.0, hardy_project(u)[:32])
+    assert "matrix" not in vars(lax)
+    assert lax.matrix is lax.matrix and "matrix" in vars(lax)
 
 
 def test_resolvent_state_decays_with_kappa():
