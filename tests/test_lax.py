@@ -424,10 +424,10 @@ def test_resolvent_solve_against_cholesky(m, field, monkeypatch):
     bound = float(lax_module._symbol_bound(g, grid.length))
     kappas = [k for k in (-bound + 1e-4 * abs(bound), -bound + 1.0, 32.0)
               if k <= 32.0]
+    assert len(kappas) >= 2
     oracles = [_cholesky_oracle(lax, kappa, g) for kappa in kappas]
     # certified shifts never reach the dense factorization
     monkeypatch.setattr(scipy.linalg, "cho_factor", None)
-    assert len(kappas) >= 2
     for kappa, (shifted, oracle) in zip(kappas, oracles):
         x, iterations = lax_module._resolvent_solve(lax, kappa, g)
         assert (iterations == 0) if m == 1 else (0 < iterations <= 12)
