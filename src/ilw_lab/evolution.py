@@ -85,6 +85,18 @@ def make_bo(grid: SpectralGrid) -> EvolutionProblem:
     return EvolutionProblem(grid=grid, linear_symbol=sym, label="bo", depth=None)
 
 
+def make_problem(equation: str, depth: Optional[float],
+                 grid: SpectralGrid) -> EvolutionProblem:
+    """``make_ilw`` at ``depth`` for "ilw", ``make_bo`` for "bo"."""
+    if equation == "ilw":
+        if depth is None:
+            raise ContractError("the finite-depth run needs a depth")
+        return make_ilw(depth, grid)
+    if equation == "bo":
+        return make_bo(grid)
+    raise ContractError("equation must be 'ilw' or 'bo'")
+
+
 def make_two_depth(c1: float, c2: float, depth1: float, depth2: float,
                    grid: SpectralGrid, frame: str = "renormalized") -> EvolutionProblem:
     """Two-depth problem c1*T_{depth1} + c2*T_{depth2} acting through dx2.
@@ -219,15 +231,6 @@ class Trajectory:
 
     def final(self) -> RealField:
         return self.states[-1]
-
-    def write_csv(self, path):
-        names = sorted(self.diagnostics)
-        with open(path, "w") as fh:
-            fh.write(",".join(["time"] + names) + "\n")
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))]
-                row += [repr(float(self.diagnostics[n][i])) for n in names]
-                fh.write(",".join(row) + "\n")
 
 
 def _etdrk4_tables(symbol: np.ndarray, dt: float):

@@ -1,9 +1,12 @@
 """Deterministic experiment drivers behind the command line.
 
-Each runner consumes a resolved ExperimentConfig, writes CSV tables plus a
-JSON report into the output directory, and returns the in-run assertion
-outcomes.  Given the same parameters and seed the tabular outputs are
-byte-identical; only the manifest carries wall-clock information.
+Each runner consumes a resolved ExperimentConfig and returns its summary
+numbers, its in-run assertion outcomes and the bytes of its tables; it
+touches no file.  ``run`` renders report.json and manifest.json, and only
+then creates the output directory and writes every file, so a run that
+fails leaves nothing behind.  Given the same parameters and seed the
+tabular outputs are byte-identical; only the manifest carries wall-clock
+information.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from .evolution import (
     default_dt,
     evolve,
     galilean,
-    make_bo,
     make_bo_two_speed,
-    make_ilw,
+    make_problem,
     make_two_depth,
     relative_drift,
     step_count,
@@ -82,18 +84,20 @@ def random_field(grid: SpectralGrid, s_target: float, amplitude: float,
 
 # -- coefficient snapshots -------------------------------------------------------
 
-def write_snapshot(path, state: RealField):
+def snapshot_bytes(state: RealField) -> bytes:
     """16-byte header (magic, n_points uint32, period float64, little
     endian) followed by all N coefficients (FFT order) as little-endian
     complex128."""
     half = state.coeffs
     full = np.concatenate((half, np.conj(half[-2:0:-1])))
-    header = (_SNAPSHOT_MAGIC
-              + struct.pack("<I", state.grid.n_points)
-              + struct.pack("<d", state.grid.length))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(full.astype("<c16").tobytes())
+    return (_SNAPSHOT_MAGIC
+            + struct.pack("<I", state.grid.n_points)
+            + struct.pack("<d", state.grid.length)
+            + full.astype("<c16").tobytes())
+
+
+def write_snapshot(path, state: RealField):
+    Path(path).write_bytes(snapshot_bytes(state))
 
 
 def read_snapshot(path) -> RealField:
@@ -274,12 +278,13 @@ def load_config(command: str, config_path: Optional[str] = None,
 
 @dataclass
 class RunReport:
-    """Outcome of one runner: summary numbers plus failed assertions."""
+    """Outcome of one runner: summary numbers, failed assertions, and the
+    bytes of each output file by name."""
 
     command: str
     report: dict
     failures: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
+    files: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -287,18 +292,21 @@ class RunReport:
 
 
 def _fmt_cell(value) -> str:
+    # float first: np.float64 is a float subclass, and neither bool nor
+    # np.bool_ is one
+    if isinstance(value, float):
+        return float.__repr__(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(cell) for cell in row) + "\n")
+def _csv(header, rows) -> bytes:
+    lines = [",".join(header)]
+    lines += [",".join(map(_fmt_cell, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _non_finite_key(payload, prefix=""):
@@ -319,15 +327,15 @@ def _non_finite_key(payload, prefix=""):
     return None
 
 
-def _write_json(path, payload):
-    """Write strict JSON; a non-finite value is a NumericalError naming the
-    file and the key, and leaves no file behind."""
+def _json(name, payload) -> bytes:
+    """Render strict JSON; a non-finite value is a NumericalError naming the
+    file and the key."""
     try:
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericalError("non-finite value at %s in %s"
-                             % (_non_finite_key(payload), path)) from exc
-    Path(path).write_text(text + "\n")
+                             % (_non_finite_key(payload), name)) from exc
+    return (text + "\n").encode()
 
 
 def _worker_count() -> int:
@@ -363,24 +371,19 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
     state = _initial_state(p, grid)
-    if p["equation"] == "ilw":
-        problem = make_ilw(p["depth"], grid)
-    elif p["equation"] == "bo":
-        problem = make_bo(grid)
-    else:
-        raise ContractError("simulate equation must be 'ilw' or 'bo'")
+    problem = make_problem(p["equation"], p["depth"], grid)
     if p["samples"] < 1:
         raise ContractError("simulate.samples must be positive")
     dt = _requested_dt(p) or default_dt(problem, state)
     n_steps, _ = step_count(p["t_final"], dt)
     stride = max(1, n_steps // p["samples"])
     trajectory = evolve(problem, state, p["t_final"], dt, store_stride=stride)
-
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.output_dir / "trajectory.csv"
-    trajectory.write_csv(csv_path)
-    snap_path = cfg.output_dir / "final.bin"
-    write_snapshot(snap_path, trajectory.final())
+    names = sorted(trajectory.diagnostics)
+    files = {
+        "trajectory.csv": _csv(["time"] + names, zip(
+            trajectory.times, *(trajectory.diagnostics[n] for n in names))),
+        "final.bin": snapshot_bytes(trajectory.final()),
+    }
 
     mean_drift = float(np.max(np.abs(trajectory.diagnostics["mean"]
                                      - trajectory.diagnostics["mean"][0])))
@@ -398,7 +401,7 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
         failures.append("spatial mean drifted: %.3e" % mean_drift)
     if mass_drift > 1e-6:
         failures.append("mass drift %.3e exceeds 1e-6" % mass_drift)
-    return RunReport(cfg.command, report, failures, [csv_path, snap_path])
+    return RunReport(cfg.command, report, failures, files)
 
 
 def _wave_number(adelta: float, depth: float) -> float:
@@ -420,12 +423,9 @@ def run_wave(cfg: ExperimentConfig) -> RunReport:
     route_gap = float(np.max(np.abs(profiles.fourier.samples()
                                     - profiles.lattice.samples())))
     distance = distance_to_dirac(profiles.fourier, p["s_dirac"])
-
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.output_dir / "wave.csv"
-    _write_csv(csv_path, ["x", "u_fourier", "u_lattice"],
-               zip(grid.nodes, profiles.fourier.samples(),
-                   profiles.lattice.samples()))
+    table = _csv(["x", "u_fourier", "u_lattice"],
+                 zip(grid.nodes, profiles.fourier.samples(),
+                     profiles.lattice.samples()))
     report = {
         "a": a,
         "depth": p["depth"],
@@ -444,7 +444,7 @@ def run_wave(cfg: ExperimentConfig) -> RunReport:
         failures.append("traveling residual %.3e >= 1e-8" % residual)
     if route_gap >= 1e-10:
         failures.append("profile routes differ by %.3e >= 1e-10" % route_gap)
-    return RunReport(cfg.command, report, failures, [csv_path])
+    return RunReport(cfg.command, report, failures, {"wave.csv": table})
 
 
 def run_beta(cfg: ExperimentConfig) -> RunReport:
@@ -464,10 +464,7 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     route_gap = abs(form_value - gauss_value)
     if gauss_value != 0.0:
         route_gap /= abs(gauss_value)
-
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.output_dir / "beta_profile.csv"
-    profile.write_csv(csv_path)
+    table = _csv(["tau", "form"], zip(profile.tau_nodes, profile.form_values))
     report = {
         "kappa": p["kappa"],
         "s": p["s"],
@@ -478,7 +475,9 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
         "weighted_value": profile.value,
         "n_nodes": int(profile.tau_nodes.shape[0]),
         "rule_build_error": profile.rule.build_error,
-        "kappa_threshold": kcheck.threshold,
+        # an overflowed threshold fails the check below; JSON holds no inf
+        "kappa_threshold": (kcheck.threshold if np.isfinite(kcheck.threshold)
+                            else None),
         "lambda_min": kcheck.lambda_min,
         "lambda_min_bound": spectrum.lambda_bound,
         "lanczos_steps": spectrum.lanczos_steps,
@@ -488,7 +487,8 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     if not kcheck.ok:
         failures.append("kappa %.4g below admissible threshold %.4g"
                         % (kcheck.kappa, kcheck.threshold))
-    return RunReport(cfg.command, report, failures, [csv_path])
+    return RunReport(cfg.command, report, failures,
+                     {"beta_profile.csv": table})
 
 
 def run_gronwall(cfg: ExperimentConfig) -> RunReport:
@@ -509,16 +509,12 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
             initials, depth, p["s"], p["kappa"], t_final=p["t_final"], dt=dt,
             n_samples=p["samples"], c_s=p["c_s"], epsilon=p["epsilon"],
             equation=p["equation"])]
-
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.output_dir / "runs.csv"
-    rows = []
-    for (depth, seed), rep in zip(tasks, results):
-        rows.append((depth, seed, rep.a_hat, rep.a_reference, rep.bound_ok,
-                     rep.kappa_margin, float(rep.form_values[0]),
-                     float(rep.form_values[-1])))
-    _write_csv(csv_path, ["depth", "seed", "a_hat", "a_reference", "bound_ok",
-                          "kappa_margin", "form_initial", "form_final"], rows)
+    table = _csv(["depth", "seed", "a_hat", "a_reference", "bound_ok",
+                  "kappa_margin", "form_initial", "form_final"],
+                 [(depth, seed, rep.a_hat, rep.a_reference, rep.bound_ok,
+                   rep.kappa_margin, float(rep.form_values[0]),
+                   float(rep.form_values[-1]))
+                  for (depth, seed), rep in zip(tasks, results)])
 
     by_depth = {depth: [rep.a_hat for (d, _), rep in zip(tasks, results)
                         if d == depth] for depth in depths}
@@ -542,7 +538,7 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
         rates = [mean_rates[d] for d in depths]
         if not all(x > y for x, y in zip(rates, rates[1:])):
             failures.append("fitted rates not decreasing in depth: %s" % rates)
-    return RunReport(cfg.command, report, failures, [csv_path])
+    return RunReport(cfg.command, report, failures, {"runs.csv": table})
 
 
 def run_illposed(cfg: ExperimentConfig) -> RunReport:
@@ -566,11 +562,8 @@ def run_illposed(cfg: ExperimentConfig) -> RunReport:
         moduli.append(abs(obs.mode_2pi))
         rate_gaps.append(abs(rate + 2.0 * np.pi * t))
         mean_gaps.append(mean_gap)
-
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.output_dir / "illposed.csv"
-    _write_csv(csv_path, ["adelta", "a", "speed", "delta_distance", "mode_abs",
-                          "mode_arg", "arg_rate", "mean_gap"], rows)
+    table = _csv(["adelta", "a", "speed", "delta_distance", "mode_abs",
+                  "mode_arg", "arg_rate", "mean_gap"], rows)
     report = {
         "s": p["s"],
         "t": t,
@@ -590,7 +583,7 @@ def run_illposed(cfg: ExperimentConfig) -> RunReport:
         failures.append("phase rate differs from -2*pi*t by %.3e" % max(rate_gaps))
     if max(mean_gaps) > 1e-12:
         failures.append("family mean off alpha by %.3e" % max(mean_gaps))
-    return RunReport(cfg.command, report, failures, [csv_path])
+    return RunReport(cfg.command, report, failures, {"illposed.csv": table})
 
 
 def run_smoothing(cfg: ExperimentConfig) -> RunReport:
@@ -605,10 +598,7 @@ def run_smoothing(cfg: ExperimentConfig) -> RunReport:
             scan = smoothing_operator_scan(s1, s2, depth, grid)
             rows.append((depth, s1, s2, scan.measured, scan.bound, scan.ratio))
             ratios.append(scan.ratio)
-
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.output_dir / "smoothing.csv"
-    _write_csv(csv_path, ["depth", "s1", "s2", "measured", "bound", "ratio"], rows)
+    table = _csv(["depth", "s1", "s2", "measured", "bound", "ratio"], rows)
     spread = max(ratios) / min(ratios)
     report = {
         "ratio_min": min(ratios),
@@ -618,7 +608,7 @@ def run_smoothing(cfg: ExperimentConfig) -> RunReport:
     failures = []
     if spread >= 10.0:
         failures.append("measured/bound ratio spread %.3f >= 10" % spread)
-    return RunReport(cfg.command, report, failures, [csv_path])
+    return RunReport(cfg.command, report, failures, {"smoothing.csv": table})
 
 
 def run_twodepth(cfg: ExperimentConfig) -> RunReport:
@@ -643,11 +633,9 @@ def run_twodepth(cfg: ExperimentConfig) -> RunReport:
             gamma = p["c1"] / d1 + p["c2"] / d2
             state = galilean(state, gamma, p["t_final"], "pure_shift")
         gaps.append((state - limit_final).l2_norm())
-
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.output_dir / "twodepth.csv"
-    rows = [(d, d, p["depth_ratio"] * d, gap) for d, gap in zip(depths, gaps)]
-    _write_csv(csv_path, ["min_depth", "depth1", "depth2", "l2_gap"], rows)
+    table = _csv(["min_depth", "depth1", "depth2", "l2_gap"],
+                 [(d, d, p["depth_ratio"] * d, gap)
+                  for d, gap in zip(depths, gaps)])
     report = {
         "c1": p["c1"],
         "c2": p["c2"],
@@ -658,7 +646,7 @@ def run_twodepth(cfg: ExperimentConfig) -> RunReport:
     failures = []
     if len(depths) > 1 and not all(x > y for x, y in zip(gaps, gaps[1:])):
         failures.append("deep-water gap not decreasing: %s" % gaps)
-    return RunReport(cfg.command, report, failures, [csv_path])
+    return RunReport(cfg.command, report, failures, {"twodepth.csv": table})
 
 
 RUNNERS = {
@@ -673,28 +661,29 @@ RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> RunReport:
-    """Dispatch a resolved config, then write report.json and manifest.json."""
+    """Dispatch a resolved config, render report.json and manifest.json, and
+    only then write every file into the output directory: the one place
+    that writes outputs, so a failed run leaves no directory behind."""
     started = time.time()
     result = RUNNERS[cfg.command](cfg)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    report_path = cfg.output_dir / "report.json"
-    _write_json(report_path, {
+    result.files["report.json"] = _json(cfg.output_dir / "report.json", {
         "command": cfg.command,
         "passed": result.passed,
         "failures": result.failures,
         "report": result.report,
     })
-    result.outputs.append(report_path)
-    manifest_path = cfg.output_dir / "manifest.json"
-    _write_json(manifest_path, {
+    result.files["manifest.json"] = _json(cfg.output_dir / "manifest.json", {
         "command": cfg.command,
         "config": {k: (repr(v) if isinstance(v, float) else v)
                    for k, v in sorted(cfg.params.items())},
-        "outputs": sorted(p.name for p in result.outputs),
+        "outputs": sorted(result.files),
         "versions": {
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },
         "wall_time_s": time.time() - started,
     })
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in result.files.items():
+        (cfg.output_dir / name).write_bytes(data)
     return result

@@ -41,8 +41,8 @@ from .evolution import (
     default_dt,
     etdrk4_samples,
     evolve,
-    make_bo,
     make_ilw,
+    make_problem,
     step_count,
 )
 from .spectral import (
@@ -758,12 +758,6 @@ class WeightedFormProfile:
             raise ContractError("sigma left (0, 1/4); s out of range")
         return sigma
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("tau,form\n")
-            for tau, val in zip(self.tau_nodes, self.form_values):
-                fh.write("%s,%s\n" % (repr(float(tau)), repr(float(val))))
-
 
 def weighted_resolvent_form(u: RealField, kappa: float, s: float,
                             xi_max: Optional[float] = None,
@@ -951,14 +945,7 @@ def gronwall_ensemble(initials: list, depth: Optional[float], s: float,
     grid = initials[0].grid
     if any(u0.grid != grid for u0 in initials):
         raise ContractError("ensemble members live on different grids")
-    if equation == "ilw":
-        if depth is None:
-            raise ContractError("the finite-depth run needs a depth")
-        problem = make_ilw(depth, grid)
-    elif equation == "bo":
-        problem = make_bo(grid)
-    else:
-        raise ContractError("equation must be 'ilw' or 'bo'")
+    problem = make_problem(equation, depth, grid)
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
 

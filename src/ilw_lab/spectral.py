@@ -238,13 +238,10 @@ def hardy_project(field: RealField) -> np.ndarray:
     """Coefficients on the nonnegative half-lattice xi = 0, xi_1, ...
 
     The zero mode is kept; the Nyquist slot (shared by +-xi_N) is dropped.
-    Frequencies ascend with the index, matching ``hardy_frequencies``.
+    Frequencies ascend with the index, matching
+    ``field.grid.frequencies[: n_points // 2]``.
     """
     return field.coeffs[: field.grid.n_points // 2].copy()
-
-
-def hardy_frequencies(grid: SpectralGrid) -> np.ndarray:
-    return grid.frequencies[: grid.n_points // 2].copy()
 
 
 def hardy_norm(coeffs: np.ndarray, frequencies: np.ndarray, length: float,

@@ -21,11 +21,13 @@ from ilw_lab import (
     make_ilw,
     random_field,
 )
-from ilw_lab.cli import main
+from ilw_lab import experiments
+from ilw_lab.cli import build_parser, main
 from ilw_lab.experiments import (
     _SCHEMAS,
-    _write_csv,
-    _write_json,
+    RunReport,
+    _csv,
+    _json,
     load_config,
     read_snapshot,
     run,
@@ -279,19 +281,32 @@ def test_beta_solves_the_resolvent_without_a_dense_matrix(tmp_path, capsys,
     # the kappa threshold overflows to inf; the shift also fails to clear
     # lambda_min, a numerical failure as at amplitude 100
     (["--amplitude", "1e100"], "does not clear lambda_min"),
-    # a certified shift, but the overflowed threshold cannot go to JSON
-    (["--amplitude", "1e120", "--kappa", "1e121"],
-     "non-finite value at report.kappa_threshold"),
     # ||P_+ u|| overflows in the dense reduction
     (["--amplitude", "1e160"], "is not finite"),
     (["--amplitude", "1e200"], "is not finite"),
 ])
 def test_cli_huge_amplitude_is_a_numerical_failure(tmp_path, capsys, argv,
                                                    message):
-    assert main(["beta"] + argv + ["--outdir", str(tmp_path / "bt")]) == 2
+    out = tmp_path / "bt"
+    assert main(["beta"] + argv + ["--outdir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_overflowed_kappa_threshold_is_a_failed_check(tmp_path, capsys):
+    # a certified shift whose admissible-shift threshold overflows: the run
+    # completes and reports the failed check, with a null threshold
+    out = tmp_path / "bt"
+    assert main(["beta", "--amplitude", "1e120", "--kappa", "1e121",
+                 "--outdir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "FAILED: kappa 1e+121 below admissible threshold inf" in err
+    assert "Traceback" not in err
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["report"]["kappa_threshold"] is None
 
 
 def test_cli_reported_check_failure_exit(tmp_path, capsys):
@@ -314,44 +329,63 @@ def test_cli_illposed_passes(tmp_path, capsys):
 
 SIM_ARGS = ["simulate", "--n", "128", "--t-final", "0.1", "--dt", "1e-3",
             "--samples", "10"]
-
-
-def test_simulate_reruns_byte_identical(tmp_path, capsys):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(SIM_ARGS + ["--outdir", str(a)]) == 0
-    assert main(SIM_ARGS + ["--outdir", str(b)]) == 0
-    capsys.readouterr()
-    for name in ("trajectory.csv", "final.bin"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-    header = (a / "trajectory.csv").read_text().splitlines()[0]
-    assert header.startswith("time,")
-    assert "mass" in header and "hamiltonian" in header
-
-
-def test_wave_reruns_byte_identical(tmp_path, capsys):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["wave", "--outdir", str(a)]) == 0
-    assert main(["wave", "--outdir", str(b)]) == 0
-    capsys.readouterr()
-    assert (a / "wave.csv").read_bytes() == (b / "wave.csv").read_bytes()
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-
-
 GRONWALL_ARGS = ["gronwall", "--depth-list", "1.0", "--seeds", "2",
                  "--t-final", "0.2", "--dt", "1e-3", "--n", "128",
                  "--samples", "10"]
+TWODEPTH_ARGS = ["twodepth", "--c2", "0", "--min-depth-list", "10,20",
+                 "--t-final", "0.1", "--n", "128", "--dt", "1e-3"]
 
 
-def test_gronwall_reruns_byte_identical(tmp_path, capsys):
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(GRONWALL_ARGS + ["--outdir", str(a)]) == 0
-    assert main(GRONWALL_ARGS + ["--outdir", str(b)]) == 0
-    capsys.readouterr()
-    assert (a / "runs.csv").read_bytes() == (b / "runs.csv").read_bytes()
-    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-    report = json.loads((a / "report.json").read_text())
-    assert report["passed"] is True
-    assert report["report"]["all_bound_ok"] is True
+def _config(argv, outdir):
+    """The config ``cli.main`` resolves for ``argv``."""
+    args = vars(build_parser().parse_args(argv))
+    overrides = {key: value for key, value in args.items()
+                 if key not in ("command", "config", "outdir")
+                 and value is not None}
+    return load_config(args["command"], None, overrides, str(outdir))
+
+
+@pytest.mark.parametrize("argv", [
+    SIM_ARGS,
+    ["wave", "--n", "256"],
+    ["beta"],
+    GRONWALL_ARGS,
+    ["illposed", "--n", "256"],
+    ["smoothing", "--n", "512"],
+    TWODEPTH_ARGS,
+], ids=lambda argv: argv[0])
+def test_reruns_byte_identical(tmp_path, argv):
+    a = run(_config(argv, tmp_path / "a"))
+    b = run(_config(argv, tmp_path / "b"))
+    assert a.passed, a.failures
+    # only the manifest carries wall-clock time
+    assert sorted(a.files) == sorted(b.files)
+    for name, data in a.files.items():
+        assert data == (tmp_path / "a" / name).read_bytes()
+        if name != "manifest.json":
+            assert data == b.files[name], name
+    if argv[0] == "simulate":
+        header = a.files["trajectory.csv"].decode().splitlines()[0]
+        assert header.startswith("time,")
+        assert "mass" in header and "hamiltonian" in header
+    if argv[0] == "gronwall":
+        report = json.loads(a.files["report.json"])
+        assert report["passed"] is True
+        assert report["report"]["all_bound_ok"] is True
+
+
+def test_failed_report_leaves_no_output_directory(tmp_path, monkeypatch):
+    # the runner finished and produced a table, but its report cannot go
+    # into strict JSON: nothing may reach the disk
+    def runner(cfg):
+        return RunReport(cfg.command, {"gap": float("nan")}, [],
+                         {"wave.csv": b"x\n1.0\n"})
+
+    monkeypatch.setitem(experiments.RUNNERS, "wave", runner)
+    out = tmp_path / "wv"
+    with pytest.raises(NumericalError, match="report.gap"):
+        run(load_config("wave", output_dir=str(out)))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [["--samples", "0"], ["--seeds", "0"],
@@ -393,25 +427,20 @@ def test_gronwall_batches_match_member_runs(tmp_path, capsys):
             rows.append((depth, seed, rep.a_hat, rep.a_reference, rep.bound_ok,
                          rep.kappa_margin, float(rep.form_values[0]),
                          float(rep.form_values[-1])))
-    expected = tmp_path / "expected.csv"
-    _write_csv(expected, ["depth", "seed", "a_hat", "a_reference", "bound_ok",
-                          "kappa_margin", "form_initial", "form_final"], rows)
-    assert (out / "runs.csv").read_bytes() == expected.read_bytes()
+    expected = _csv(["depth", "seed", "a_hat", "a_reference", "bound_ok",
+                     "kappa_margin", "form_initial", "form_final"], rows)
+    assert (out / "runs.csv").read_bytes() == expected
 
 
 def test_write_json_rejects_non_finite_values(tmp_path):
     path = tmp_path / "report.json"
     with pytest.raises(NumericalError, match=r"report\.runs\.1 in .*report\.json"):
-        _write_json(path, {"ok": 1.0, "report": {"runs": [0.5, float("nan")]}})
+        _json(path, {"ok": 1.0, "report": {"runs": [0.5, float("nan")]}})
     assert not path.exists()
     with pytest.raises(NumericalError, match=r"at a\.b in"):
-        _write_json(path, {"a": {"b": float("-inf")}})
-    _write_json(path, {"b": [1.0, True, None], "a": "x"})
-    assert json.loads(path.read_text()) == {"a": "x", "b": [1.0, True, None]}
-
-
-TWODEPTH_ARGS = ["twodepth", "--c2", "0", "--min-depth-list", "10,20",
-                 "--t-final", "0.1", "--n", "128", "--dt", "1e-3"]
+        _json(path, {"a": {"b": float("-inf")}})
+    data = _json(path, {"b": [1.0, True, None], "a": "x"})
+    assert json.loads(data) == {"a": "x", "b": [1.0, True, None]}
 
 
 def test_twodepth_ignores_dormant_second_depth(tmp_path, capsys):
