@@ -281,6 +281,9 @@ def test_beta_solves_the_resolvent_without_a_dense_matrix(tmp_path, capsys,
     # the kappa threshold overflows to inf; the shift also fails to clear
     # lambda_min, a numerical failure as at amplitude 100
     (["--amplitude", "1e100"], "does not clear lambda_min"),
+    # without a certifying kappa the default shift fails here too (with one,
+    # see test_cli_overflowed_kappa_threshold_is_a_failed_check)
+    (["--amplitude", "1e120"], "does not clear lambda_min"),
     # ||P_+ u|| overflows in the dense reduction
     (["--amplitude", "1e160"], "is not finite"),
     (["--amplitude", "1e200"], "is not finite"),
