@@ -267,21 +267,34 @@ def step_count(t_final: float, dt: float) -> tuple:
     return n_steps, t_final / n_steps
 
 
-def etdrk4_samples(problem: EvolutionProblem, coeffs: np.ndarray,
+def etdrk4_samples(problems: list, coeffs: np.ndarray,
                    t_final: float, dt: float, store_stride: int):
     """Advance a stack of half spectra, one state per row, to ``t_final``.
 
-    ``coeffs`` has shape (B, N//2 + 1).  Every row takes the same steps,
-    rounded as in ``step_count``; the scheme acts row by row, so a row
-    evolves exactly as it would alone.  Yields ``(t, coeffs)`` at t = 0,
-    every ``store_stride`` steps and at ``t_final``; a yielded array is
-    never modified afterwards.  Each row keeps its own checks: an advisory
-    CFL warning, and BlowUpError when it stops being finite or its sup-norm
-    exceeds 1e6 times its initial one.
+    ``coeffs`` has shape (B, N//2 + 1) and ``problems`` holds the problem of
+    each row; they must share one grid and one ``dealias_fraction``, so only
+    the linear symbol differs from row to row.  The phi-tables are computed
+    once per distinct problem and gathered per row.  Every row takes the
+    same steps, rounded as in ``step_count``; the scheme acts row by row, so
+    a row evolves exactly as it would alone.  Yields ``(t, coeffs)`` at
+    t = 0, every ``store_stride`` steps and at ``t_final``; a yielded array
+    is never modified afterwards.  Each row keeps its own checks: an
+    advisory CFL warning, and BlowUpError when it stops being finite or its
+    sup-norm exceeds 1e6 times its initial one.
     """
-    grid = problem.grid
     c = np.array(coeffs, dtype=np.complex128)
-    if c.ndim != 2 or c.shape[1] != grid.frequencies.shape[0]:
+    if c.ndim != 2 or c.shape[0] != len(problems) or not problems:
+        raise ContractError("states must be a non-empty (B, n_points//2 + 1) "
+                            "stack with one problem per row")
+    # the rows share the grid and the dealiasing mask, so the nonlinear
+    # term reads them from the first problem
+    problem = problems[0]
+    grid = problem.grid
+    if any(p.grid != grid for p in problems):
+        raise ContractError("problems live on different grids")
+    if any(p.dealias_fraction != problem.dealias_fraction for p in problems):
+        raise ContractError("problems differ in dealias_fraction")
+    if c.shape[1] != grid.frequencies.shape[0]:
         raise ContractError("states must be a (B, n_points//2 + 1) stack")
     n_steps, dt = step_count(t_final, dt)
     if store_stride < 1:
@@ -296,13 +309,20 @@ def etdrk4_samples(problem: EvolutionProblem, coeffs: np.ndarray,
                           RuntimeWarning)
     blowup_level = _BLOWUP_FACTOR * np.maximum(sup0, 1e-30)
 
-    exp_full, exp_half, f0, f1, f2, f3 = _etdrk4_tables(problem.linear_symbol, dt)
+    distinct = {id(p): p for p in problems}
+    order = list(distinct)
+    rows = [order.index(id(p)) for p in problems]
     yield 0.0, c
     shape = c.shape
     if shape[0] == 1:
         # a lone row steps as a 1-D array: broadcasting and the batched FFTs
         # would cost it about an eighth more per step
         c = c[0]
+        rows = rows[0]
+    # one set of phi-tables per distinct problem, gathered per row
+    tables = zip(*(_etdrk4_tables(p.linear_symbol, dt)
+                   for p in distinct.values()))
+    exp_full, exp_half, f0, f1, f2, f3 = (np.stack(t)[rows] for t in tables)
     for step in range(1, n_steps + 1):
         n_a = _nonlinear_coeffs(problem, c)
         a = exp_half * c + f0 * n_a
@@ -351,8 +371,8 @@ def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
 
     times, states = [], []
     diagnostics = {name: [] for name in monitors}
-    for t, c in etdrk4_samples(problem, initial.coeffs[None, :], t_final, dt,
-                               store_stride):
+    for t, c in etdrk4_samples([problem], initial.coeffs[None, :], t_final,
+                               dt, store_stride):
         state = RealField(problem.grid, c[0]) if states else initial
         times.append(t)
         states.append(state)

@@ -12,6 +12,7 @@ information.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import struct
 import time
@@ -499,16 +500,17 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
     seeds = [p["seed"] + i for i in range(p["seeds"])]
     if not seeds or not depths:
         raise ContractError("empty ensemble: no seeds or no depths")
-    initials = [random_field(grid, p["s"], p["amplitude"], seed, p["decay"])
-                for seed in seeds]
+    initials = {seed: random_field(grid, p["s"], p["amplitude"], seed,
+                                   p["decay"])
+                for seed in seeds}
     tasks = [(depth, seed) for depth in depths for seed in seeds]
-    # one batched run per depth; members that share the step share a batch
-    results = [
-        rep for depth in depths
-        for rep in gronwall_ensemble(
-            initials, depth, p["s"], p["kappa"], t_final=p["t_final"], dt=dt,
-            n_samples=p["samples"], c_s=p["c_s"], epsilon=p["epsilon"],
-            equation=p["equation"])]
+    # one call over every member: the depths of a seed share its step, so
+    # they are stepped as one batch
+    results = gronwall_ensemble(
+        [initials[seed] for _, seed in tasks], [depth for depth, _ in tasks],
+        p["s"], p["kappa"], t_final=p["t_final"], dt=dt,
+        n_samples=p["samples"], c_s=p["c_s"], epsilon=p["epsilon"],
+        equation=p["equation"])
     table = _csv(["depth", "seed", "a_hat", "a_reference", "bound_ok",
                   "kappa_margin", "form_initial", "form_final"],
                  [(depth, seed, rep.a_hat, rep.a_reference, rep.bound_ok,
@@ -683,7 +685,31 @@ def run(cfg: ExperimentConfig) -> RunReport:
         },
         "wall_time_s": time.time() - started,
     })
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    for name, data in result.files.items():
-        (cfg.output_dir / name).write_bytes(data)
+    _write_outputs(cfg.output_dir, result.files)
     return result
+
+
+def _write_outputs(directory: Path, files: dict):
+    """Write each file into ``directory``, creating it as needed.
+
+    An OSError becomes a ContractError, after the files opened here and the
+    directories created here are removed again, so a failed write leaves
+    nothing behind either.
+    """
+    created = [d for d in (directory, *directory.parents) if not d.exists()]
+    written = []
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            with open(directory / name, "wb") as fh:
+                written.append(directory / name)
+                fh.write(data)
+    except OSError as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        # rmdir removes only empty directories, never a file
+        for d in created:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise ContractError("cannot write output directory %s: %s"
+                            % (directory, exc)) from exc

@@ -872,14 +872,14 @@ def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
     correction, under which the form is conserved and a_hat collapses to
     integrator noise.  This is the one-member case of ``gronwall_ensemble``.
     """
-    return gronwall_ensemble([u0], depth, s, kappa, t_final=t_final, dt=dt,
+    return gronwall_ensemble([u0], [depth], s, kappa, t_final=t_final, dt=dt,
                              n_samples=n_samples, xi_max=xi_max, c_s=c_s,
                              epsilon=epsilon, equation=equation)[0]
 
 
 class _FormTrack:
-    """The weighted form of one member, fed the spectrum of one sampled
-    state at a time.
+    """The weighted form of one ensemble member (one initial state at one
+    depth), fed the spectrum of one sampled state at a time.
 
     The rule is frozen on the first state (the member's initial data); only
     the scalars of each state are kept.  ``report`` fits the growth rate
@@ -926,31 +926,40 @@ class _FormTrack:
                             kappa_margin=float(self.margin))
 
 
-def gronwall_ensemble(initials: list, depth: Optional[float], s: float,
+def gronwall_ensemble(initials: list, depths: list, s: float,
                       kappa: float, t_final: float = 1.0,
                       dt: Optional[float] = None, n_samples: int = 100,
                       xi_max: Optional[float] = None, c_s: float = 1.0,
                       epsilon: float = 0.01, equation: str = "ilw") -> list:
-    """``gronwall_experiment`` for each of several initial states at one depth.
+    """``gronwall_experiment`` for each initial state at its own depth.
 
-    Members that resolve the same step are advanced together as one batch
-    by ``etdrk4_samples``, and each sample is consumed as it is produced, so
-    no trajectory is stored: one ``LaxSpectrum.lanczos`` call per sample
-    gives every member's spectral measure.  Reports come back in the order of
-    ``initials``, each equal to the member's own ``gronwall_experiment``.
+    ``depths`` holds one depth per member (``None`` serves ``bo``); one
+    problem is built per distinct depth.  Members that resolve the same
+    step are advanced together as one batch by ``etdrk4_samples``, whatever
+    their depths: the default step depends only on the grid and the state,
+    so every depth of one initial state lands in the same batch.  Each
+    sample is consumed as it is produced, so no trajectory is stored: one
+    ``LaxSpectrum.lanczos`` call per sample gives every row's spectral
+    measure.  Reports come back in the order of ``initials``, each equal to
+    the member's own ``gronwall_experiment``.
     """
     _require_weight_exponent(s, kappa)
     if not initials:
         raise ContractError("empty ensemble: no initial states")
+    if len(depths) != len(initials):
+        raise ContractError("%d depths for %d initial states"
+                            % (len(depths), len(initials)))
     grid = initials[0].grid
     if any(u0.grid != grid for u0 in initials):
         raise ContractError("ensemble members live on different grids")
-    problem = make_problem(equation, depth, grid)
+    by_depth = {depth: make_problem(equation, depth, grid)
+                for depth in dict.fromkeys(depths)}
+    problems = [by_depth[depth] for depth in depths]
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
 
     batches = {}
-    for i, u0 in enumerate(initials):
+    for i, (u0, problem) in enumerate(zip(initials, problems)):
         step = dt if dt is not None else default_dt(problem, u0)
         batches.setdefault(step, []).append(i)
     reports = [None] * len(initials)
@@ -960,14 +969,15 @@ def gronwall_ensemble(initials: list, depth: Optional[float], s: float,
         tracks = [_FormTrack(s, kappa, c_s) for _ in members]
         times = []
         stack = np.stack([initials[i].coeffs for i in members])
-        for t, coeffs in etdrk4_samples(problem, stack, t_final, step, stride):
+        for t, coeffs in etdrk4_samples([problems[i] for i in members], stack,
+                                        t_final, step, stride):
             times.append(t)
             states = [RealField(grid, row) for row in coeffs]
             spectra = LaxSpectrum.lanczos(states, kappa, xi_max)
             for track, spectrum in zip(tracks, spectra):
                 track.add(spectrum)
         for i, track in zip(members, tracks):
-            reports[i] = track.report(np.asarray(times), depth, equation,
+            reports[i] = track.report(np.asarray(times), depths[i], equation,
                                       epsilon)
     return reports
 

@@ -226,9 +226,9 @@ def test_step_count_lands_on_t_final_and_is_bounded():
             step_count(t_final, dt)
 
 
-def _samples(problem, stack, t_final, dt, stride):
+def _samples(problems, stack, t_final, dt, stride):
     # copy each yielded stack: the caller owns only what it copies
-    return [(t, c.copy()) for t, c in etdrk4_samples(problem, stack, t_final,
+    return [(t, c.copy()) for t, c in etdrk4_samples(problems, stack, t_final,
                                                      dt, stride)]
 
 
@@ -243,12 +243,12 @@ def test_batched_stepper_matches_single_rows():
     rows[0] = rows[0].copy()
     rows[0][-1] = 0.01
     stack = np.stack(rows)
-    batched = _samples(problem, stack, 0.05, 1e-3, 7)
+    batched = _samples([problem] * len(rows), stack, 0.05, 1e-3, 7)
     assert [t for t, _ in batched] == [k * 1e-3 for k in (0, 7, 14, 21, 28, 35,
                                                           42, 49, 50)]
     assert all(c.shape == stack.shape for _, c in batched)
     for i, row in enumerate(rows):
-        alone = _samples(problem, row[None, :], 0.05, 1e-3, 7)
+        alone = _samples([problem], row[None, :], 0.05, 1e-3, 7)
         assert [t for t, _ in alone] == [t for t, _ in batched]
         for (_, c_alone), (_, c_batch) in zip(alone, batched):
             assert np.array_equal(c_alone[0], c_batch[i])
@@ -259,6 +259,20 @@ def test_batched_stepper_matches_single_rows():
     for state, (_, c_batch) in zip(trajectory.states, batched):
         assert np.array_equal(state.coeffs, c_batch[1])
 
+    # rows under different problems, one of them on two rows, each evolve
+    # as they do alone under their own problem
+    shallow = make_ilw(0.5, grid)
+    problems = [shallow, make_ilw(1.0, grid), make_ilw(2.0, grid),
+                make_bo(grid), shallow]
+    mixed_rows = rows + [rows[1]]
+    mixed = _samples(problems, np.stack(mixed_rows), 0.05, 1e-3, 7)
+    assert [t for t, _ in mixed] == [t for t, _ in batched]
+    for i, (row_problem, row) in enumerate(zip(problems, mixed_rows)):
+        alone = _samples([row_problem], row[None, :], 0.05, 1e-3, 7)
+        for (_, c_alone), (_, c_batch) in zip(alone, mixed):
+            assert np.array_equal(c_alone[0], c_batch[i])
+    assert not np.array_equal(mixed[-1][1][1], mixed[-1][1][4])
+
 
 def test_batched_stepper_checks_each_row():
     grid = SpectralGrid(1.0, 64)
@@ -268,14 +282,26 @@ def test_batched_stepper_checks_each_row():
     # inside a batch with a calm row, the huge row still warns and blows up
     with pytest.raises(BlowUpError) as info:
         with pytest.warns(RuntimeWarning, match="advisory CFL"):
-            for _ in etdrk4_samples(problem, np.stack([calm, huge]), 1.0,
-                                    1e-3, 10):
+            for _ in etdrk4_samples([problem, problem], np.stack([calm, huge]),
+                                    1.0, 1e-3, 10):
                 pass
     assert info.value.time > 0.0
     with pytest.raises(ContractError):
-        next(etdrk4_samples(problem, calm, 1.0, 1e-3, 10))
+        next(etdrk4_samples([problem], calm, 1.0, 1e-3, 10))
     with pytest.raises(ContractError):
-        next(etdrk4_samples(problem, np.stack([calm]), 1.0, 1e-3, 0))
+        next(etdrk4_samples([problem], np.stack([calm]), 1.0, 1e-3, 0))
+    # one problem per row, all on one grid with one dealiasing rule
+    pair = np.stack([calm, calm])
+    for problems in ([problem], [problem] * 3, []):
+        with pytest.raises(ContractError, match="one problem per row"):
+            next(etdrk4_samples(problems, pair, 1.0, 1e-3, 10))
+    other_grid = make_ilw(1.0, SpectralGrid(2.0, 64))
+    with pytest.raises(ContractError, match="different grids"):
+        next(etdrk4_samples([problem, other_grid], pair, 1.0, 1e-3, 10))
+    coarse = EvolutionProblem(grid=grid, linear_symbol=problem.linear_symbol,
+                              label="ilw", depth=1.0, dealias_fraction=0.5)
+    with pytest.raises(ContractError, match="dealias_fraction"):
+        next(etdrk4_samples([problem, coarse], pair, 1.0, 1e-3, 10))
 
 
 # ------------------------------------------------------------- conservation

@@ -407,7 +407,8 @@ def test_gronwall_rejects_zero_initial_data(tmp_path, capsys):
 
 def test_gronwall_batches_match_member_runs(tmp_path, capsys):
     # at this amplitude the three members resolve three different steps, so
-    # each depth runs three batches; the table is the one per-member runs give
+    # the ensemble runs three batches in all, each holding both depths of one
+    # seed; the table is the one per-member runs give
     overrides = {"n": "128", "t_final": "0.05", "samples": "5", "seeds": "3",
                  "depth_list": "0.5,1.0", "amplitude": "30", "kappa": "1e4"}
     argv = [arg for key, value in overrides.items()
@@ -433,6 +434,71 @@ def test_gronwall_batches_match_member_runs(tmp_path, capsys):
     expected = _csv(["depth", "seed", "a_hat", "a_reference", "bound_ok",
                      "kappa_margin", "form_initial", "form_final"], rows)
     assert (out / "runs.csv").read_bytes() == expected
+
+
+def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
+                                                  monkeypatch):
+    # 2 depths x 3 seeds at one resolved step: one stepper run over all six
+    # rows, and one Lanczos call over all six states per sample
+    from ilw_lab import lax as lax_module
+    from ilw_lab.lax import LaxSpectrum
+
+    stepped, measured = [], []
+    stepper = lax_module.etdrk4_samples
+    lanczos = LaxSpectrum.lanczos
+
+    def counting_stepper(problems, coeffs, *args):
+        stepped.append(len(coeffs))
+        return stepper(problems, coeffs, *args)
+
+    def counting_lanczos(cls, fields, *args):
+        measured.append(len(fields))
+        return lanczos(fields, *args)
+
+    monkeypatch.setattr(lax_module, "etdrk4_samples", counting_stepper)
+    monkeypatch.setattr(LaxSpectrum, "lanczos", classmethod(counting_lanczos))
+    argv = ["gronwall", "--depth-list", "0.5,1.0", "--seeds", "3",
+            "--t-final", "0.05", "--dt", "1e-3", "--n", "128",
+            "--samples", "5", "--outdir", str(tmp_path / "g")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert stepped == [6]
+    assert measured == [6] * 6
+
+
+@pytest.mark.parametrize("below", ["", "x"])
+def test_unwritable_outdir_is_a_usage_error(tmp_path, capsys, below):
+    # --outdir names an existing file, or a path under one
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"kept")
+    outdir = blocker / below if below else blocker
+    assert main(["wave", "--n", "64", "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: cannot write output directory" in err
+    assert "Traceback" not in err
+    assert blocker.read_bytes() == b"kept"
+
+
+def test_failed_write_removes_what_it_wrote(tmp_path, monkeypatch):
+    def runner(cfg):
+        return RunReport(cfg.command, {}, [], {"wave.csv": b"x\n1.0\n"})
+
+    monkeypatch.setitem(experiments.RUNNERS, "wave", runner)
+    # report.json cannot be written over a directory: wave.csv goes again,
+    # and the directory, which was there before, stays
+    out = tmp_path / "existing"
+    (out / "report.json").mkdir(parents=True)
+    with pytest.raises(ContractError, match="cannot write output directory"):
+        run(load_config("wave", output_dir=str(out)))
+    assert [p.name for p in out.iterdir()] == ["report.json"]
+    # a file under a missing subdirectory fails after the run created both
+    # levels of its output directory: both go again
+    monkeypatch.setitem(experiments.RUNNERS, "wave", lambda cfg: RunReport(
+        cfg.command, {}, [], {"wave.csv": b"1\n", "missing/x.csv": b"1\n"}))
+    out = tmp_path / "new" / "wv"
+    with pytest.raises(ContractError, match="cannot write output directory"):
+        run(load_config("wave", output_dir=str(out)))
+    assert not (tmp_path / "new").exists()
 
 
 def test_write_json_rejects_non_finite_values(tmp_path):

@@ -821,7 +821,7 @@ def test_gronwall_ensemble_matches_members():
                 for amp, seed in ((30.0, 1), (0.3, 2), (0.4, 3))]
     steps = [default_dt(make_ilw(1.0, grid), u0) for u0 in initials]
     assert steps[0] < steps[1] == steps[2]
-    reports = gronwall_ensemble(initials, 1.0, -0.25, 1e4, t_final=0.05,
+    reports = gronwall_ensemble(initials, [1.0] * 3, -0.25, 1e4, t_final=0.05,
                                 n_samples=5)
     assert len(reports) == 3
     for u0, rep in zip(initials, reports):
@@ -830,12 +830,27 @@ def test_gronwall_ensemble_matches_members():
         assert rep.times.tolist() == alone.times.tolist()
         assert rep.form_values.tolist() == alone.form_values.tolist()
         assert rep.to_dict() == alone.to_dict()
+    # every initial state at several depths, in one call: each batch mixes
+    # depths, and each report still equals the member's own run
+    members = [(u0, depth) for depth in (0.5, 1.0, 2.0) for u0 in initials]
+    reports = gronwall_ensemble([u0 for u0, _ in members],
+                                [depth for _, depth in members], -0.25, 1e4,
+                                t_final=0.05, n_samples=5)
+    for (u0, depth), rep in zip(members, reports):
+        alone = gronwall_experiment(u0, depth, -0.25, 1e4, t_final=0.05,
+                                    n_samples=5)
+        assert rep.depth == depth
+        assert rep.times.tolist() == alone.times.tolist()
+        assert rep.form_values.tolist() == alone.form_values.tolist()
+        assert rep.to_dict() == alone.to_dict()
     with pytest.raises(ContractError):
-        gronwall_ensemble([], 1.0, -0.25, 32.0)
+        gronwall_ensemble([], [], -0.25, 32.0)
+    with pytest.raises(ContractError, match="depths for"):
+        gronwall_ensemble(initials, [1.0], -0.25, 32.0)
     with pytest.raises(ContractError):
         gronwall_ensemble([initials[0], random_field(SpectralGrid(TWO_PI, 64),
                                                      -0.25, 0.3, 1)],
-                          1.0, -0.25, 32.0)
+                          [1.0, 1.0], -0.25, 32.0)
 
 
 def test_gronwall_experiment_validation():
