@@ -13,8 +13,8 @@ and its s-weighted integral in kappa is equivalent to the squared H^s_kappa
 norm.  Every shift reads the form off one spectral measure of P_+ u
 (``LaxSpectrum``).  The experiments take it as the Gauss rule of a Lanczos
 run from P_+ u, whose matrix-vector products go through an FFT, stopped
-once a Gauss-Radau upper bound certifies it at the smallest shift; the
-dense reduction of the whole matrix stays as its fallback and oracle.
+once a Gauss-Radau upper bound certifies it at the smallest shift; one
+dense eigendecomposition of the whole matrix stays as its fallback and oracle.
 The resolvent state (L_u + kappa)^(-1) P_+ u comes from Jacobi-preconditioned
 conjugate gradients on the same FFT operator whenever the symbol bound
 certifies the shift, with a dense Cholesky solve as fallback and oracle, so
@@ -32,9 +32,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
-import scipy.linalg.lapack
 
 from .errors import ContractError, KappaTooSmallError, NumericalError
 from .evolution import (
@@ -94,9 +91,9 @@ class LaxTruncation:
 
     It is stored as its diagonal ``frequencies`` and the first column
     u_hat(k)/L, k < m, of its Toeplitz part.  Products with it go through
-    the circulant ``symbol``; the dense ``matrix`` is built only when read
-    (the dense ``LaxSpectrum``, the Cholesky fallback of ``resolvent_solve``
-    and the tests).
+    the circulant ``symbol``; the dense ``matrix`` is gathered from it only
+    when read (the dense ``LaxSpectrum``, the Cholesky fallback of
+    ``resolvent_solve`` and the tests).
     """
 
     grid: SpectralGrid
@@ -105,9 +102,11 @@ class LaxTruncation:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        # u_hat(-xi) = conj(u_hat(xi)) and u_hat(0) is real: Hermitian exactly
-        matrix = scipy.linalg.toeplitz(self.column, np.conj(self.column))
-        matrix[np.diag_indices(self.column.shape[0])] += self.frequencies
+        # entry (xi, eta) is u_hat(xi - eta)/L: Hermitian, as u_hat(-k) = conj(u_hat(k))
+        m = self.column.shape[0]
+        by_lag = np.concatenate((np.conj(self.column[:0:-1]), self.column))
+        matrix = by_lag[np.arange(m)[:, None] - np.arange(m) + (m - 1)]
+        matrix[np.diag_indices(m)] += self.frequencies
         return matrix
 
     @cached_property
@@ -279,11 +278,10 @@ class LaxSpectrum:
       (Golub & Meurant, Matrices, Moments and Quadrature, 2010, ch. 6-7).
       A row whose bound does not clear -kappa is not certified and takes
       the dense constructor.
-    - ``LaxSpectrum(lax, u)`` reduces the whole m x m matrix: a Householder
-      reflector H maps g to alpha*e_1, the lower reduction
-      Q^H (H A H) Q = T fixes e_1, so with T = S diag(lambda) S^T the
-      eigenbasis of A is W = H Q S and <w_j, g> = alpha * S[0, j].  It gives
-      every eigenvalue of A and is the oracle for the Lanczos rule.
+    - ``LaxSpectrum(lax, u)`` diagonalizes the whole m x m matrix with one
+      ``np.linalg.eigh``, A = W diag(lambda) W^H, and weighs each
+      eigenvector by |<w_j, g>|^2 / L.  It gives every eigenvalue of A and
+      is the oracle for the Lanczos rule.
 
     Only ``eigenvalues`` and ``weights`` are kept, so a spectrum holds no
     m x m array; the resolvent state m(tau) itself comes from
@@ -297,40 +295,20 @@ class LaxSpectrum:
             raise ContractError("field and truncation grids differ")
         self.grid = lax.grid
         self.u = u
-        n_modes = lax.frequencies.shape[0]
-        self.g = hardy_project(u)[:n_modes]
-        # the one m x m working copy: reflected in place, then reduced
-        work = np.array(lax.matrix, order="F")
+        self.g = hardy_project(u)[:lax.frequencies.shape[0]]
         with np.errstate(over="ignore"):
             gnorm = float(np.linalg.norm(self.g))
         if not np.isfinite(gnorm):
             raise NumericalError("||P_+ u|| = %.3g is not finite" % gnorm)
-        if gnorm > 0.0:
-            g0 = self.g[0]
-            alpha = -(g0 / abs(g0) if g0 != 0 else 1.0) * gnorm
-            v = self.g.copy()
-            v[0] -= alpha
-            # a unit v, so H = I - 2 v v^H even when |g|^2 underflows
-            v /= np.linalg.norm(v)
-            av = lax.matrix @ v
-            # H A H = A - v w^H - w v^H, a rank-2 update of the lower triangle
-            w = 2.0 * av - (2.0 * np.vdot(v, av).real) * v
-            work = scipy.linalg.blas.zher2(-1.0, v, w, lower=1, a=work,
-                                           overwrite_a=1)
-        else:
-            # zero field: every weight is exactly 0
-            alpha = 0.0
-        lwork = int(scipy.linalg.lapack.zhetrd_lwork(n_modes, lower=1)[0].real)
-        _, diag, offdiag, _, info = scipy.linalg.lapack.zhetrd(
-            work, lower=1, lwork=lwork, overwrite_a=1)
-        if info != 0:
-            raise NumericalError("tridiagonal reduction failed (info=%d)"
-                                 % info)
-        if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
-            raise NumericalError("tridiagonal reduction is not finite")
-        self.eigenvalues, rotation = scipy.linalg.eigh_tridiagonal(
-            diag, offdiag)
-        self.weights = np.abs(alpha * rotation[0]) ** 2 / self.grid.length
+        try:
+            values, vectors = np.linalg.eigh(lax.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("dense eigh failed: %s" % exc) from exc
+        if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
+            raise NumericalError("dense eigendecomposition is not finite")
+        self.eigenvalues = values
+        # a zero field gives every weight exactly 0
+        self.weights = np.abs(self.g @ vectors.conj()) ** 2 / self.grid.length
 
     @classmethod
     def lanczos(cls, fields: list, kappa: float,
@@ -496,6 +474,7 @@ def _resolvent_solve(lax: LaxTruncation, kappa: float, g: np.ndarray):
               if _symbol_bound(lax.column, 1.0) + kappa > 0.0 else None)
     if solved is None:
         shifted = lax.matrix + kappa * np.eye(lax.frequencies.shape[0])
+        import scipy.linalg  # 0.3 s to import; numpy has no Cholesky solve
         try:
             factor = scipy.linalg.cho_factor(shifted, lower=True)
         except scipy.linalg.LinAlgError as exc:

@@ -147,9 +147,18 @@ def smoothing_operator_scan(s1: float, s2: float, depth: float,
     if s1 > s2:
         raise ContractError("scan requires s1 <= s2")
     _require_depth(depth)
+    try:
+        bound = depth ** -2.0 * (1.0 + depth ** (s1 - s2))
+    except OverflowError:
+        bound = np.inf
+    if not (np.isfinite(bound) and bound > 0.0):
+        raise ContractError("depth %.6g puts the smoothing bound %.3g outside "
+                            "(0, inf)" % (depth, bound))
     xi = grid.frequencies
     gain = np.abs(xi) * smoothing_symbol(xi, depth)
     weight = (1.0 + xi ** 2) ** (0.5 * (s2 - s1))
     measured = float(np.max(gain * weight))
-    bound = depth ** -2.0 * (1.0 + depth ** (s1 - s2))
+    if measured == 0.0:
+        raise ContractError("depth %.6g: the smoothing symbol vanishes on every "
+                            "nonzero lattice frequency; lengthen the box" % depth)
     return SmoothingScan(s1=s1, s2=s2, depth=depth, measured=measured, bound=bound)

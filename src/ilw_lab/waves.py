@@ -66,6 +66,21 @@ def _sinh_ratio(p, q):
     return np.exp(p - q) * np.expm1(-2.0 * p) / np.expm1(-2.0 * q)
 
 
+def _profile_ratio(xi, a: float, depth: float) -> np.ndarray:
+    """sinh(depth*|xi|)/sinh(pi*|xi|/a), with its limit a*depth/pi at xi = 0:
+    the transform of the wave profile up to its normalization."""
+    xi = np.abs(np.asarray(xi, dtype=float))
+    safe = np.where(xi > 0.0, xi, 1.0)
+    return np.where(xi > 0.0, _sinh_ratio(depth * safe, (np.pi / a) * safe),
+                    a * depth / np.pi)
+
+
+def _mode_2pi_modulus(a: float, depth: float) -> float:
+    """-2*pi*sinh(2*pi*depth)/sinh(2*pi^2/a), the signed amplitude of the
+    exp(2*pi*i*x) coefficient of the periodized wave."""
+    return -_TWO_PI * float(_sinh_ratio(_TWO_PI * depth, 2.0 * np.pi ** 2 / a))
+
+
 @dataclass(frozen=True)
 class WaveParams:
     """One member of the traveling family.
@@ -140,13 +155,7 @@ def line_profile_fourier(xi, params: WaveParams) -> np.ndarray:
     at xi = 0.  The collocation convention of this package carries an extra
     factor sqrt(2*pi).
     """
-    a, depth = params.a, params.depth
-    xi = np.abs(np.asarray(xi, dtype=float))
-    safe = np.where(xi > 0.0, xi, 1.0)
-    ratio = np.where(xi > 0.0,
-                     _sinh_ratio(depth * safe, (np.pi / a) * safe),
-                     a * depth / np.pi)
-    return -np.sqrt(_TWO_PI) * ratio
+    return -np.sqrt(_TWO_PI) * _profile_ratio(xi, params.a, params.depth)
 
 
 def _require_unit_circle(grid: SpectralGrid):
@@ -266,11 +275,7 @@ def periodic_profile(a: float, depth: float, grid: SpectralGrid) -> PeriodicWave
     """
     _require_regime(a, depth)
     _require_unit_circle(grid)
-    axi = np.abs(grid.frequencies)
-    safe = np.where(axi > 0.0, axi, 1.0)
-    ratio = np.where(axi > 0.0,
-                     _sinh_ratio(depth * safe, (np.pi / a) * safe),
-                     a * depth / np.pi)
+    ratio = _profile_ratio(grid.frequencies, a, depth)
     fourier = RealField(grid, -_TWO_PI * ratio + 0j)
 
     x = grid.nodes
@@ -465,7 +470,7 @@ def traveling_mode_2pi(a: float, depth: float, t: float) -> complex:
     """
     _require_regime(a, depth)
     c = periodic_speed(a, depth)
-    modulus = -_TWO_PI * float(_sinh_ratio(_TWO_PI * depth, 2.0 * np.pi ** 2 / a))
+    modulus = _mode_2pi_modulus(a, depth)
     return complex(modulus * np.exp(-2j * np.pi * c * t))
 
 
@@ -488,6 +493,9 @@ def mode_phase_rate(a: float, depth: float, t: float,
     c2 = periodic_speed(a + step, depth)
     z1 = traveling_mode_2pi(a, depth, t)
     z2 = traveling_mode_2pi(a + step, depth, t)
+    if z1 == 0 or c2 == c1:
+        raise NumericalError("no phase rate at a=%.6g, depth=%.6g: the 2*pi mode "
+                             "or the speed step underflows" % (a, depth))
     rate = float(np.angle(z2 / z1) / (c2 - c1))
     return rate, c1, c2
 
@@ -522,7 +530,7 @@ def illposed_observables(a: float, depth: float, t: float,
     _require_regime(a, depth)
     c = periodic_speed(a, depth)
     mu = -2.0 * a * depth
-    modulus = -_TWO_PI * float(_sinh_ratio(_TWO_PI * depth, 2.0 * np.pi ** 2 / a))
+    modulus = _mode_2pi_modulus(a, depth)
     phase = np.exp(-2j * np.pi * (c + 2.0 * (mu - alpha)) * t)
     return IllposedObservables(a=a, depth=depth, t=t, alpha=alpha, speed=c,
                                wave_mean=mu, mode_2pi=complex(modulus * phase))

@@ -240,6 +240,28 @@ def test_python_m_runs_the_cli(tmp_path):
     assert json.loads((out / "report.json").read_text())["passed"] is True
 
 
+def test_certified_runs_never_import_scipy_linalg(tmp_path):
+    # scipy.linalg serves only the dense fallbacks; a certified gronwall or
+    # beta run must not pay for importing it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "\n".join([
+        "import sys",
+        "import ilw_lab.cli",
+        "assert ilw_lab.cli.main(['gronwall', '--n', '128', '--seeds', '2',"
+        " '--samples', '5', '--t-final', '0.05', '--outdir', 'gw']) == 0",
+        "assert ilw_lab.cli.main(['beta', '--n', '4096', '--outdir', 'bt'])"
+        " == 0",
+        "print('scipy.linalg' in sys.modules)",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert main([]) == 1
     assert main(["wave", "--n", "abc", "--outdir", str(tmp_path / "x")]) == 1
@@ -284,7 +306,7 @@ def test_beta_solves_the_resolvent_without_a_dense_matrix(tmp_path, capsys,
     # without a certifying kappa the default shift fails here too (with one,
     # see test_cli_overflowed_kappa_threshold_is_a_failed_check)
     (["--amplitude", "1e120"], "does not clear lambda_min"),
-    # ||P_+ u|| overflows in the dense reduction
+    # ||P_+ u|| overflows in the dense constructor
     (["--amplitude", "1e160"], "is not finite"),
     (["--amplitude", "1e200"], "is not finite"),
 ])
@@ -321,6 +343,26 @@ def test_cli_reported_check_failure_exit(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert not report["passed"]
     assert any("spread" in item for item in report["failures"])
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    # depth^-2 overflows the smoothing bound
+    (["smoothing", "--depth-list", "1e-300", "--length", "0.25"], 1,
+     "usage error"),
+    # the bound underflows to 0 and its ratio would divide by it
+    (["smoothing", "--depth-list", "1e308"], 1, "usage error"),
+    # the symbol vanishes on the whole lattice, so the measured norm is 0
+    (["smoothing", "--depth-list", "1e10"], 1, "usage error"),
+    # the 2*pi mode underflows to 0 and the phase rate would divide by it
+    (["illposed", "--depth", "1e300"], 2, "numerical failure"),
+])
+def test_cli_extreme_depths_exit_without_traceback(tmp_path, capsys, argv,
+                                                   code, line):
+    out = tmp_path / "run"
+    assert main(argv + ["--outdir", str(out)]) == code
+    err = capsys.readouterr().err
+    assert line in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_illposed_passes(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.integrate
 import scipy.linalg
-import scipy.linalg.lapack
 
 from ilw_lab import (
     ContractError,
@@ -35,6 +34,7 @@ from ilw_lab import (
     resolvent_state,
     weighted_resolvent_form,
 )
+from ilw_lab.cli import main
 from ilw_lab.experiments import load_config, run
 from ilw_lab import lax as lax_module
 from ilw_lab.lax import LaxSpectrum
@@ -379,6 +379,36 @@ def test_dense_spectrum_rejects_overflowing_data(amplitude):
     u = random_field(grid, -0.25, amplitude, 7, decay=0.25)
     with pytest.raises(NumericalError, match="not finite"):
         LaxSpectrum(build_lax(u, 31.0), u)
+
+
+def _eigh_fails(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _eigh_nan(a):
+    m = np.shape(a)[-1]
+    return np.full(m, np.nan), np.full((m, m), np.nan, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("fake, message", [
+    (_eigh_fails, "did not converge"), (_eigh_nan, "not finite")])
+def test_dense_eigh_failure_is_a_numerical_error(tmp_path, capsys,
+                                                 monkeypatch, fake, message):
+    # LinAlgError is a ValueError that the CLI does not catch; a failed or
+    # non-finite dense decomposition must end as a NumericalError (exit 2)
+    grid = SpectralGrid(TWO_PI, 128)
+    u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
+    lax = build_lax(u, 31.0)
+    monkeypatch.setattr(np.linalg, "eigh", fake)
+    with pytest.raises(NumericalError, match=message):
+        LaxSpectrum(lax, u)
+    # an uncertified row takes the dense path inside the CLI
+    out = tmp_path / "bt"
+    assert main(["beta", "--n", "128", "--amplitude", "1e100",
+                 "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and message in err
+    assert "Traceback" not in err and not out.exists()
 
 
 # ------------------------------------------------------------- resolvent
@@ -770,20 +800,22 @@ def test_gronwall_experiment_matches_public_functions():
 
 
 def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
-    # certified states take one Lanczos run each and no dense reduction; a
-    # forced fallback takes one zhetrd per state
-    zhetrd_calls, eigh_calls, lanczos_rows = [], [], []
-    zhetrd, lanczos = scipy.linalg.lapack.zhetrd, lax_module._lanczos
+    # certified states take one Lanczos run each and no dense eigh; a forced
+    # fallback takes one m x m eigh per state (the stacked k x k Jacobi
+    # eighs of the Lanczos path are 3-D and not counted)
+    dense_calls, eigh_calls, lanczos_rows = [], [], []
+    np_eigh, lanczos = np.linalg.eigh, lax_module._lanczos
 
-    def counting_zhetrd(*args, **kwargs):
-        zhetrd_calls.append(args[0].shape)
-        return zhetrd(*args, **kwargs)
+    def counting_eigh(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            dense_calls.append(np.shape(a))
+        return np_eigh(a, *args, **kwargs)
 
     def counting_lanczos(g, *args):
         lanczos_rows.extend(row.tobytes() for row in g)
         return lanczos(g, *args)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "zhetrd", counting_zhetrd)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(scipy.linalg, "eigh",
                         lambda *args, **kwargs: eigh_calls.append(args))
     monkeypatch.setattr(lax_module, "_lanczos", counting_lanczos)
@@ -794,22 +826,22 @@ def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
         report = gronwall_experiment(u0, 1.0, -0.25, 32.0, t_final=0.05,
                                      dt=1e-3, n_samples=5)
         assert len(report.times) == 6
-        states = len(lanczos_rows), list(zhetrd_calls)
+        states = len(lanczos_rows), list(dense_calls)
         run(load_config("beta", overrides={"n": 128},
                         output_dir=str(tmp_path / "beta")))
         return states
 
-    (runs, zhetrd_run) = run_both()
+    (runs, dense_run) = run_both()
     assert runs == len(set(lanczos_rows[:6])) == 6
-    assert zhetrd_run == [] and len(lanczos_rows) == 7
-    assert zhetrd_calls == [] and eigh_calls == []
+    assert dense_run == [] and len(lanczos_rows) == 7
+    assert dense_calls == [] and eigh_calls == []
 
     lanczos_rows.clear()
     monkeypatch.setattr(lax_module, "_symbol_bound",
                         lambda g, length: np.full(np.shape(g)[:-1], -1e6))
-    (runs, zhetrd_run) = run_both()
-    assert runs == 0 and zhetrd_run == [(32, 32)] * 6
-    assert zhetrd_calls == [(32, 32)] * 7 and lanczos_rows == []
+    (runs, dense_run) = run_both()
+    assert runs == 0 and dense_run == [(32, 32)] * 6
+    assert dense_calls == [(32, 32)] * 7 and lanczos_rows == []
     assert eigh_calls == []
 
 
