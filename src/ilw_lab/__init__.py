@@ -16,6 +16,7 @@ from .evolution import (
     EvolutionProblem,
     Trajectory,
     default_dt,
+    default_step,
     etdrk4_samples,
     evolve,
     galilean,
@@ -44,8 +45,10 @@ from .lax import (
     FlowDerivative,
     GrowthReport,
     KappaCheck,
+    KappaRule,
     LaxSpectrum,
     LaxTruncation,
+    SpectralMeasures,
     WeightedFormProfile,
     WeightedFormRule,
     apriori_bound,
@@ -55,6 +58,7 @@ from .lax import (
     form_flow_derivative,
     gronwall_ensemble,
     gronwall_experiment,
+    lanczos_measures,
     modes_to_xi_max,
     resolvent_form,
     resolvent_form_gradient,
@@ -72,6 +76,7 @@ from .spectral import (
     hardy_project,
     multiplier_apply,
     sobolev_norm,
+    sobolev_norms,
     synthesize,
 )
 from .symbols import (

@@ -156,6 +156,24 @@ def default_dt(problem: EvolutionProblem, state: RealField) -> float:
     return min(1e-3, 0.5 / (xi_max * (1.0 + state.sup_norm())))
 
 
+def default_step(problem: EvolutionProblem, state: RealField,
+                 t_final: float) -> float:
+    """``default_dt``, checked by ``step_count`` against ``t_final``.
+
+    The default step shrinks with sup|u0|, so a run that needs more than
+    ``MAX_STEPS`` of them is a ContractError naming the step and sup|u0|.
+    """
+    dt = default_dt(problem, state)
+    try:
+        step_count(t_final, dt)
+    except ContractError as exc:
+        if not t_final > 0:
+            raise
+        raise ContractError("%s: the default step is %.3g at sup|u0| = %.3g"
+                            % (exc, dt, state.sup_norm())) from exc
+    return dt
+
+
 # -- diagnostics --------------------------------------------------------------
 
 def mass(state: RealField) -> float:
@@ -362,7 +380,7 @@ def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
     if initial.grid != problem.grid:
         raise ContractError("initial state grid does not match the problem grid")
     if dt is None:
-        dt = default_dt(problem, initial)
+        dt = default_step(problem, initial, t_final)
     n_steps, _ = step_count(t_final, dt)
     if store_stride is None:
         store_stride = max(1, n_steps // 100)

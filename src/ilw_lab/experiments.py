@@ -25,7 +25,7 @@ import scipy
 
 from .errors import ContractError, NumericalError
 from .evolution import (
-    default_dt,
+    default_step,
     evolve,
     galilean,
     make_bo_two_speed,
@@ -375,7 +375,7 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
     problem = make_problem(p["equation"], p["depth"], grid)
     if p["samples"] < 1:
         raise ContractError("simulate.samples must be positive")
-    dt = _requested_dt(p) or default_dt(problem, state)
+    dt = _requested_dt(p) or default_step(problem, state, p["t_final"])
     n_steps, _ = step_count(p["t_final"], dt)
     stride = max(1, n_steps // p["samples"])
     trajectory = evolve(problem, state, p["t_final"], dt, store_stride=stride)
@@ -458,6 +458,12 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     spectrum = LaxSpectrum.lanczos([state], p["kappa"], xi_max)[0]
     kcheck = spectrum.check_kappa(p["s"], p["kappa"])
     profile = spectrum.weighted_form(p["kappa"], p["s"])
+    # the shared closed-form rule that gronwall uses, against the adaptive
+    # Gauss-Kronrod value
+    shared_value = spectrum.shared_weighted_form(p["kappa"], p["s"])
+    rule_gap = abs(shared_value - profile.value)
+    if profile.value != 0.0:
+        rule_gap /= abs(profile.value)
     resolved = resolvent_state(state, p["kappa"], xi_max=xi_max)
     form_value = resolved.form(state)
     # the resolvent solve against the certified Lanczos measure
@@ -474,6 +480,8 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
         "form_route_gap": route_gap,
         "resolvent_iterations": resolved.iterations,
         "weighted_value": profile.value,
+        "weighted_value_shared": shared_value,
+        "weighted_rule_gap": rule_gap,
         "n_nodes": int(profile.tau_nodes.shape[0]),
         "rule_build_error": profile.rule.build_error,
         # an overflowed threshold fails the check below; JSON holds no inf
@@ -618,7 +626,7 @@ def run_twodepth(cfg: ExperimentConfig) -> RunReport:
     grid = _make_grid(p)
     u0 = random_field(grid, p["s_target"], p["amplitude"], p["seed"], p["decay"])
     limit_problem = make_bo_two_speed(p["c1"], p["c2"], grid)
-    dt = _requested_dt(p) or default_dt(limit_problem, u0)
+    dt = _requested_dt(p) or default_step(limit_problem, u0, p["t_final"])
     n_steps, _ = step_count(p["t_final"], dt)
     limit_final = evolve(limit_problem, u0, p["t_final"], dt,
                          store_stride=n_steps).final()

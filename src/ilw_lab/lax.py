@@ -19,23 +19,28 @@ The resolvent state (L_u + kappa)^(-1) P_+ u comes from Jacobi-preconditioned
 conjugate gradients on the same FFT operator whenever the symbol bound
 certifies the shift, with a dense Cholesky solve as fallback and oracle, so
 the certified path never builds an m x m matrix.
-The weighted integral is evaluated on a frozen composite Gauss-Kronrod
-rule in the substitution tau = kappa*exp(t), whose nodes are then reused
-verbatim across the states of a trajectory so that differences
-of the functional reflect dynamics rather than quadrature jitter.
+The weighted integral integrates each node of the measure in closed form:
+integral_kappa^inf tau^(2s)/(lambda + tau) dtau is a hypergeometric
+function of lambda/kappa, which two 32-node Gauss-Jacobi rules
+(``KappaRule``) evaluate to rounding.  The rule does not depend on the
+state, so one rule serves a whole stack of states and every state of a
+trajectory.  An adaptive composite Gauss-Kronrod rule in the substitution
+tau = kappa*exp(t) (``build_weighted_rule``) stays for the states whose
+measure reaches below -kappa/2, for the tau profile that ``beta`` reports,
+and for the flow derivative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ContractError, KappaTooSmallError, NumericalError
 from .evolution import (
-    default_dt,
+    default_step,
     etdrk4_samples,
     evolve,
     make_ilw,
@@ -51,6 +56,7 @@ from .spectral import (
     hardy_norm,
     hardy_project,
     sobolev_norm,
+    sobolev_norms,
     synthesize,
 )
 from .symbols import apply_smoothing_dx
@@ -184,7 +190,7 @@ def _apply_lax(symbol: np.ndarray, diagonal: np.ndarray,
 
 
 def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
-             bound: np.ndarray) -> list:
+             bound: np.ndarray) -> tuple:
     """Lanczos runs with full reorthogonalization from the rows of g.
 
     The matvec is a circulant embedding of size 2m of the Toeplitz part,
@@ -196,9 +202,11 @@ def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
     to ``_ENCLOSURE_RTOL``, when beta_k is at the matvec's rounding level
     (breakdown: the Krylov space is invariant and the rule exact), or at
     k = m.  Every operation acts row by row, so the batch never changes a
-    row's numbers.  The basis grows with the steps taken.  Returns
-    (alpha_1..alpha_k, beta_1..beta_k) per row, in order; a row with g = 0
-    starts from e_1, and its weights come out exactly 0.
+    row's numbers.  The basis grows with the steps taken.  Returns the
+    (rows, m) arrays alpha and beta and the steps k of each row: row i
+    holds alpha_1..alpha_k and beta_1..beta_k in its first k entries and
+    zeros after them.  A row with g = 0 starts from e_1, and its weights
+    come out exactly 0.
     """
     rows, m = g.shape
     freqs = fundamental * np.arange(m)
@@ -256,8 +264,102 @@ def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
                 x[keep] for x in (index, symbol, tiny, bound, basis, q, w, b_k,
                                   pivot, pivot_a, gauss, corner))
         q_prev, q, beta_prev = q, w / b_k[:, None], b_k
-    return [(a[:k].copy(), b[:k].copy())
-            for a, b, k in zip(alpha, beta, steps)]
+    return alpha, beta, steps
+
+
+def _dense_measure(lax: LaxTruncation, g: np.ndarray):
+    """Every eigenvalue of the truncation and the weight |<w_j, g>|^2 / L of
+    each eigenvector, from one ``np.linalg.eigh`` of the dense matrix."""
+    with np.errstate(over="ignore"):
+        gnorm = float(np.linalg.norm(g))
+    if not np.isfinite(gnorm):
+        raise NumericalError("||P_+ u|| = %.3g is not finite" % gnorm)
+    try:
+        values, vectors = np.linalg.eigh(lax.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("dense eigh failed: %s" % exc) from exc
+    if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
+        raise NumericalError("dense eigendecomposition is not finite")
+    # a zero field gives every weight exactly 0
+    return values, np.abs(g @ vectors.conj()) ** 2 / lax.grid.length
+
+
+@dataclass(frozen=True)
+class SpectralMeasures:
+    """The spectral measures of P_+ u for a stack of states, one per row.
+
+    Row i holds its nodes (ascending) and weights in its first entries and
+    zeros after them, so a padded weight is exactly 0 and a padded node is
+    0.  ``steps`` is the Lanczos steps k of each row, which carries k nodes,
+    or 0 for a dense row, which carries every eigenvalue of its truncation.
+    ``lambda_min`` is each row's smallest node and ``lambda_bound`` its
+    symbol bound (see ``_symbol_bound``).
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    lambda_min: np.ndarray
+    lambda_bound: np.ndarray
+    steps: np.ndarray
+
+
+def lanczos_measures(grid: SpectralGrid, coeffs: np.ndarray, kappa: float,
+                     xi_max: Optional[float] = None) -> SpectralMeasures:
+    """The Gauss rule of a Lanczos run from P_+ u for each half spectrum in
+    the (B, n_points//2 + 1) stack ``coeffs``, certified at kappa.
+
+    One batched recurrence serves every row, and a row's arithmetic does not
+    depend on the rest of the batch.  The k x k Jacobi matrices are
+    diagonalized in one stacked ``np.linalg.eigh`` per distinct k; row i
+    keeps the Ritz values and ||g||^2 S[0, j]^2 / L.  A row whose
+    ``lambda_bound + kappa <= 0`` is not certified and takes the dense
+    measure of its truncation (``_dense_measure``).  See ``LaxSpectrum``.
+    """
+    if not np.isfinite(kappa):
+        raise ContractError("kappa must be finite")
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim != 2 or coeffs.shape[1] != grid.frequencies.shape[0]:
+        raise ContractError("states must be a (B, n_points//2 + 1) stack")
+    n_modes = _truncation_size(grid, xi_max)
+    g = coeffs[:, :n_modes]
+    bound = _symbol_bound(g, grid.length)
+    certified = bound + kappa > 0.0
+    rows = np.flatnonzero(certified)
+    live = g[rows]
+    alpha, beta, steps = _lanczos(live, grid.fundamental, grid.length, kappa,
+                                  bound[rows])
+    width = max(steps.max(initial=0), 0 if certified.all() else n_modes)
+    nodes = np.zeros((g.shape[0], width))
+    weights = np.zeros((g.shape[0], width))
+    gnorm_sq = (live.real ** 2 + live.imag ** 2).sum(axis=1)
+    for k in sorted(set(steps.tolist())):
+        group = steps == k
+        jac = np.zeros((group.sum(), k, k))
+        diag = np.arange(k)
+        jac[:, diag, diag] = alpha[group, :k]
+        jac[:, diag[1:], diag[:-1]] = beta[group, :k - 1]
+        jac[:, diag[:-1], diag[1:]] = beta[group, :k - 1]
+        theta, vectors = np.linalg.eigh(jac)
+        nodes[rows[group], :k] = theta
+        weights[rows[group], :k] = (gnorm_sq[group, None]
+                                    * vectors[:, 0, :] ** 2 / grid.length)
+    frequencies = grid.fundamental * np.arange(n_modes)
+    for i in np.flatnonzero(~certified):
+        lax = LaxTruncation(grid=grid, frequencies=frequencies,
+                            column=g[i] / grid.length)
+        nodes[i], weights[i] = _dense_measure(lax, g[i])
+    all_steps = np.zeros(g.shape[0], dtype=int)
+    all_steps[rows] = steps
+    return SpectralMeasures(nodes=nodes, weights=weights,
+                            lambda_min=nodes[:, 0].copy(), lambda_bound=bound,
+                            steps=all_steps)
+
+
+def _form_at(nodes: np.ndarray, weights: np.ndarray,
+             taus: np.ndarray) -> np.ndarray:
+    """sum_j weights_j / (nodes_j + tau) at each tau; zero padding adds 0."""
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    return (weights[:, None] / (nodes[:, None] + taus[None, :])).sum(axis=0)
 
 
 class LaxSpectrum:
@@ -268,16 +370,17 @@ class LaxSpectrum:
     the Jacobi matrix of a tridiagonalization started at g carries (Golub &
     Welsch, Math. Comp. 23, 1969).  Two constructors build it:
 
-    - ``LaxSpectrum.lanczos(fields, kappa, xi_max)``, the one the
-      experiments use, runs the Lanczos recurrence from g for each field of
-      a batch and keeps the Gauss rule of its k x k Jacobi matrix: the Ritz
-      values and ||g||^2 S[0, j]^2 / L.  Each row stops on its own once the
-      Gauss rule (a lower bound on form(kappa)) and the Gauss-Radau rule
-      with its extra node at the symbol bound ``lambda_bound`` <= lambda_min
-      (an upper bound) agree to 1e-14 relative, at breakdown, or at k = m
-      (Golub & Meurant, Matrices, Moments and Quadrature, 2010, ch. 6-7).
-      A row whose bound does not clear -kappa is not certified and takes
-      the dense constructor.
+    - ``LaxSpectrum.lanczos(fields, kappa, xi_max)`` runs the Lanczos
+      recurrence from g for each field of a batch and keeps the Gauss rule
+      of its k x k Jacobi matrix: the Ritz values and ||g||^2 S[0, j]^2 / L.
+      Each row stops on its own once the Gauss rule (a lower bound on
+      form(kappa)) and the Gauss-Radau rule with its extra node at the
+      symbol bound ``lambda_bound`` <= lambda_min (an upper bound) agree to
+      1e-14 relative, at breakdown, or at k = m (Golub & Meurant, Matrices,
+      Moments and Quadrature, 2010, ch. 6-7).  A row whose bound does not
+      clear -kappa is not certified and takes the dense measure.  It is a
+      view of ``lanczos_measures``, which the experiments call on whole
+      stacks of states.
     - ``LaxSpectrum(lax, u)`` diagonalizes the whole m x m matrix with one
       ``np.linalg.eigh``, A = W diag(lambda) W^H, and weighs each
       eigenvector by |<w_j, g>|^2 / L.  It gives every eigenvalue of A and
@@ -296,68 +399,32 @@ class LaxSpectrum:
         self.grid = lax.grid
         self.u = u
         self.g = hardy_project(u)[:lax.frequencies.shape[0]]
-        with np.errstate(over="ignore"):
-            gnorm = float(np.linalg.norm(self.g))
-        if not np.isfinite(gnorm):
-            raise NumericalError("||P_+ u|| = %.3g is not finite" % gnorm)
-        try:
-            values, vectors = np.linalg.eigh(lax.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("dense eigh failed: %s" % exc) from exc
-        if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
-            raise NumericalError("dense eigendecomposition is not finite")
-        self.eigenvalues = values
-        # a zero field gives every weight exactly 0
-        self.weights = np.abs(self.g @ vectors.conj()) ** 2 / self.grid.length
+        self.eigenvalues, self.weights = _dense_measure(lax, self.g)
 
     @classmethod
     def lanczos(cls, fields: list, kappa: float,
                 xi_max: Optional[float] = None) -> list:
-        """The Gauss rule of each field's Lanczos run, certified at kappa.
-
-        One batched recurrence serves every field (all on one grid); a
-        row's arithmetic does not depend on the rest of the batch, so each
-        spectrum equals the one its field gets alone.  The k x k Jacobi
-        matrices are diagonalized in one stacked ``np.linalg.eigh`` per
-        distinct k.  Rows whose ``lambda_bound + kappa <= 0`` come from the
-        dense ``LaxSpectrum(build_lax(u, xi_max), u)``.
+        """The spectrum of each field from one ``lanczos_measures`` call
+        (all fields on one grid); each equals the one its field gets alone.
         """
         if not fields:
             return []
-        if not np.isfinite(kappa):
-            raise ContractError("kappa must be finite")
         grid = fields[0].grid
         if any(u.grid != grid for u in fields):
             raise ContractError("fields live on different grids")
+        measures = lanczos_measures(grid, np.stack([u.coeffs for u in fields]),
+                                    kappa, xi_max)
         n_modes = _truncation_size(grid, xi_max)
-        g = np.stack([hardy_project(u)[:n_modes] for u in fields])
-        bound = _symbol_bound(g, grid.length)
-        certified = bound + kappa > 0.0
-        spectra = [None] * len(fields)
-        for i in np.flatnonzero(~certified):
-            spectra[i] = cls(build_lax(fields[i], xi_max), fields[i])
-        runs = _lanczos(g[certified], grid.fundamental, grid.length, kappa,
-                        bound[certified])
-        by_steps = {}
-        for row, run in zip(np.flatnonzero(certified), runs):
-            by_steps.setdefault(run[0].shape[0], []).append((row, run))
-        for steps, group in by_steps.items():
-            jac = np.zeros((len(group), steps, steps))
-            diag = np.arange(steps)
-            jac[:, diag, diag] = [alpha for _, (alpha, _) in group]
-            off = np.array([beta[:-1] for _, (_, beta) in group])
-            jac[:, diag[1:], diag[:-1]] = off
-            jac[:, diag[:-1], diag[1:]] = off
-            nodes, vectors = np.linalg.eigh(jac)
-            for (row, _), theta, s0 in zip(group, nodes, vectors[:, 0, :]):
-                spectrum = cls.__new__(cls)
-                spectrum.grid, spectrum.u = grid, fields[row]
-                spectrum.g = g[row]
-                spectrum.eigenvalues = theta
-                gnorm_sq = (g[row].real ** 2 + g[row].imag ** 2).sum()
-                spectrum.weights = gnorm_sq * s0 ** 2 / grid.length
-                spectrum.lanczos_steps = steps
-                spectra[row] = spectrum
+        spectra = []
+        for u, nodes, weights, steps in zip(fields, measures.nodes,
+                                            measures.weights, measures.steps):
+            spectrum = cls.__new__(cls)
+            spectrum.grid, spectrum.u = grid, u
+            spectrum.g = hardy_project(u)[:n_modes]
+            size = steps or n_modes
+            spectrum.eigenvalues, spectrum.weights = nodes[:size], weights[:size]
+            spectrum.lanczos_steps = int(steps)
+            spectra.append(spectrum)
         return spectra
 
     @property
@@ -379,8 +446,7 @@ class LaxSpectrum:
         """form(tau) = (1/L) sum |<w_j, g>|^2 / (lambda_j + tau), vectorized."""
         taus = np.atleast_1d(np.asarray(taus, dtype=float))
         self.require_shift(float(np.min(taus)))
-        return (self.weights[:, None]
-                / (self.eigenvalues[:, None] + taus[None, :])).sum(axis=0)
+        return _form_at(self.eigenvalues, self.weights, taus)
 
     def check_kappa(self, s: float, kappa: float, c_s: float = 1.0) -> KappaCheck:
         """Check kappa >= c_s*(1 + ||u||_{H^s_kappa})^(1/(2*sigma)), sigma =
@@ -388,14 +454,8 @@ class LaxSpectrum:
         _require_weight_exponent(s, kappa)
         if c_s <= 0:
             raise ContractError("c_s must be positive")
-        sigma = 0.5 * (0.5 + s)
         norm = sobolev_norm(self.u, SobolevIndex(s, kappa))
-        try:
-            threshold = c_s * (1.0 + norm) ** (1.0 / (2.0 * sigma))
-        except OverflowError:
-            # no finite kappa clears it, so the check fails
-            threshold = np.inf
-        return KappaCheck(kappa=kappa, threshold=threshold,
+        return KappaCheck(kappa=kappa, threshold=_kappa_threshold(norm, s, c_s),
                           lambda_min=self.lambda_min, norm=norm)
 
     def weighted_form(self, kappa: float, s: float,
@@ -421,6 +481,23 @@ class LaxSpectrum:
         return WeightedFormProfile(kappa=kappa, s=s, tau_nodes=rule.tau_nodes,
                                    form_values=values, value=value, rule=rule)
 
+    def shared_weighted_form(self, kappa: float, s: float) -> float:
+        """integral_kappa^inf tau^(2s) form(tau) dtau on the shared
+        ``KappaRule``: the value ``gronwall_ensemble`` takes at this state."""
+        self.require_shift(kappa)
+        rule = KappaRule.build(kappa, s)
+        return float(rule.values(self.eigenvalues[None], self.weights[None])[0])
+
+
+def _kappa_threshold(norm: float, s: float, c_s: float) -> float:
+    """c_s*(1 + norm)^(1/(2*sigma)), sigma = (1/2 + s)/2, or inf when it
+    overflows (no finite kappa clears it, so the check fails).  Python's
+    pow, which numpy's vectorized power can differ from in the last bit."""
+    sigma = 0.5 * (0.5 + s)
+    try:
+        return c_s * (1.0 + norm) ** (1.0 / (2.0 * sigma))
+    except OverflowError:
+        return np.inf
 
 @dataclass(frozen=True)
 class KappaCheck:
@@ -603,6 +680,104 @@ def _require_weight_exponent(s: float, kappa: float):
         raise ContractError("the weighted form needs s in (-1/2, 0)")
     if kappa < 1.0:
         raise ContractError("kappa must be >= 1")
+
+
+# nodes of each Gauss-Jacobi rule of ``KappaRule``, and the z = lambda/kappa
+# above which it takes the inversion: checked against mpmath's 2F1, a switch
+# at z = 1 loses about two digits at s = -0.49
+_KAPPA_RULE_NODES = 32
+_KAPPA_RULE_SWITCH = 8.0
+
+
+def _gauss_jacobi(exponents, n: int):
+    """n-node Gauss rules on [0, 1] for the weights x^c, one row per
+    exponent c > -1, by Golub-Welsch: the Jacobi recurrence of
+    (1 - y)^0 (1 + y)^c on [-1, 1], mapped by x = (1 + y)/2, and one
+    stacked eigh.  The weight x^c has mass 1/(c + 1)."""
+    c = np.asarray(exponents, dtype=float)[:, None]
+    k = np.arange(1, n)
+    two_k = 2.0 * k + c
+    diag = np.concatenate((c / (c + 2.0), c * c / (two_k * (two_k + 2.0))),
+                          axis=1)
+    off = np.sqrt(4.0 * k * k * (k + c) ** 2
+                  / (two_k ** 2 * (two_k + 1.0) * (two_k - 1.0)))
+    jac = np.zeros((c.shape[0], n, n))
+    index = np.arange(n)
+    jac[:, index, index] = 0.5 * (1.0 + diag)
+    jac[:, index[1:], index[:-1]] = 0.5 * off
+    jac[:, index[:-1], index[1:]] = 0.5 * off
+    nodes, vectors = np.linalg.eigh(jac)
+    return nodes, vectors[:, 0, :] ** 2 / (c + 1.0)
+
+
+@dataclass(frozen=True)
+class KappaRule:
+    """The s-weighted integral of the form, node by node in closed form.
+
+    For a spectral measure with nodes lambda_j and weights w_j,
+    beta_s = integral_kappa^inf tau^(2s) form(tau) dtau = sum_j w_j
+    W(lambda_j) with W(lambda) = integral_kappa^inf tau^(2s)/(lambda + tau)
+    dtau.  With b = -2s, z = lambda/kappa and tau = kappa/x,
+
+        W = kappa^(2s) integral_0^1 x^(b-1)/(1 + z x) dx
+          = kappa^(2s) 2F1(1, b; b + 1; -z)/b               (DLMF 15.6.1).
+
+    For z <= 8 a 32-node Gauss-Jacobi rule of weight x^(b-1) evaluates it;
+    above, the inversion z^(-b) [pi/sin(pi b) - z^(b-1) integral_0^1
+    t^(-b)/(1 + t/z) dt] with a second rule of weight t^(-b).  The pair
+    holds to a few 1e-15 relative for z >= -1/2 and s up to -0.45 (the
+    inversion cancels like 1/(1 + 2s) as s -> -1/2), but degrades as
+    z -> -1 (2e-6 at z = -0.99): a row with a node below -kappa/2 takes
+    the adaptive ``build_weighted_rule`` of its own measure instead.  The
+    rule does not depend on the state, so one serves every state.
+    """
+
+    kappa: float
+    s: float
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def build(cls, kappa: float, s: float) -> "KappaRule":
+        _require_weight_exponent(s, kappa)
+        b = -2.0 * s
+        nodes, weights = _gauss_jacobi([b - 1.0, -b], _KAPPA_RULE_NODES)
+        return cls(kappa=kappa, s=s, nodes=nodes, weights=weights)
+
+    def kernel(self, lam: np.ndarray) -> np.ndarray:
+        """W(lambda) for lambda > -kappa, elementwise."""
+        b = -2.0 * self.s
+        z = np.asarray(lam, dtype=float) / self.kappa
+        out = np.empty(z.shape)
+        near = z <= _KAPPA_RULE_SWITCH
+        out[near] = (self.weights[0]
+                     / (1.0 + z[near, None] * self.nodes[0])).sum(axis=-1)
+        far = z[~near]
+        out[~near] = (far ** -b * (np.pi / np.sin(np.pi * b))
+                      - (self.weights[1]
+                         / (far[:, None] + self.nodes[1])).sum(axis=-1))
+        return self.kappa ** (2.0 * self.s) * out
+
+    def values(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """beta_s of each row of a zero-padded (B, k) measure stack (see
+        ``SpectralMeasures``).  Raises KappaTooSmallError when a node does
+        not clear -kappa, and NumericalError on a negative value."""
+        low = nodes.min(axis=1)
+        if np.any(low + self.kappa <= 0.0):
+            raise KappaTooSmallError(
+                "shift %.6g does not clear lambda_min = %.6g"
+                % (self.kappa, low.min()))
+        # running sums: a row's zero padding then adds exact zeros, so its
+        # value does not depend on the width of the stack
+        values = (weights * self.kernel(nodes)).cumsum(axis=1)[:, -1]
+        for i in np.flatnonzero(low < -0.5 * self.kappa):
+            form_at = partial(_form_at, nodes[i], weights[i])
+            rule = build_weighted_rule(form_at, self.kappa, self.s)
+            values[i] = np.real(rule.combine(form_at(rule.tau_nodes),
+                                             form_at(rule.tau_star)[0]))
+        if np.any(values < 0.0):
+            raise NumericalError("weighted form came out negative")
+        return values
 
 
 @dataclass(frozen=True)
@@ -847,62 +1022,15 @@ def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
     depth-correction strength.  The report also checks
     form(t) <= exp(a_hat * t) * form(0) pointwise and that the
     admissible-shift condition holds at every sample (a NumericalError
-    aborts the run otherwise).  ``equation="bo"`` drops the depth
-    correction, under which the form is conserved and a_hat collapses to
-    integrator noise.  This is the one-member case of ``gronwall_ensemble``.
+    aborts the run otherwise).  The form at each sample is
+    ``LaxSpectrum.shared_weighted_form`` of the sampled state.
+    ``equation="bo"`` drops the depth correction, under which the form is
+    conserved and a_hat collapses to integrator noise.  This is the
+    one-member case of ``gronwall_ensemble``.
     """
     return gronwall_ensemble([u0], [depth], s, kappa, t_final=t_final, dt=dt,
                              n_samples=n_samples, xi_max=xi_max, c_s=c_s,
                              epsilon=epsilon, equation=equation)[0]
-
-
-class _FormTrack:
-    """The weighted form of one ensemble member (one initial state at one
-    depth), fed the spectrum of one sampled state at a time.
-
-    The rule is frozen on the first state (the member's initial data); only
-    the scalars of each state are kept.  ``report`` fits the growth rate
-    once the run is over.
-    """
-
-    def __init__(self, s: float, kappa: float, c_s: float):
-        self.s, self.kappa, self.c_s = s, kappa, c_s
-        self.rule = None
-        self.values = []
-        self.margin = np.inf
-
-    def add(self, spectrum: LaxSpectrum):
-        if self.rule is None:
-            self.rule = build_weighted_rule(spectrum.form_at, self.kappa, self.s)
-            if not self.rule.weights.any():
-                # all weights vanish exactly when form(kappa; u0) = 0
-                raise ContractError("initial data has zero weighted form; "
-                                    "no growth rate can be fitted")
-        check = spectrum.check_kappa(self.s, self.kappa, self.c_s)
-        if not check.ok:
-            raise NumericalError(
-                "admissible-shift condition failed along the run: "
-                "kappa=%.4g threshold=%.4g lambda_min=%.4g"
-                % (check.kappa, check.threshold, check.lambda_min))
-        self.margin = min(self.margin, self.kappa - check.threshold)
-        self.values.append(spectrum.weighted_form(self.kappa, self.s,
-                                                  self.rule).value)
-
-    def report(self, times: np.ndarray, depth: Optional[float], equation: str,
-               epsilon: float) -> GrowthReport:
-        s = self.s
-        values = np.asarray(self.values)
-        slopes = np.diff(np.log(values)) / np.diff(times)
-        a_hat = float(np.max(np.abs(slopes)))
-        bound = values[0] * np.exp(a_hat * times)
-        bound_ok = bool(np.all(values <= bound * (1.0 + 1e-6)))
-        a_reference = (depth ** -2.0 * (1.0 + depth ** (-abs(s) - 0.5 - epsilon))
-                       if depth is not None else 0.0)
-        return GrowthReport(depth=depth, s=s, kappa=self.kappa,
-                            equation=equation, times=times, form_values=values,
-                            a_hat=a_hat, bound_ok=bound_ok,
-                            a_reference=a_reference,
-                            kappa_margin=float(self.margin))
 
 
 def gronwall_ensemble(initials: list, depths: list, s: float,
@@ -917,12 +1045,19 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     step are advanced together as one batch by ``etdrk4_samples``, whatever
     their depths: the default step depends only on the grid and the state,
     so every depth of one initial state lands in the same batch.  Each
-    sample is consumed as it is produced, so no trajectory is stored: one
-    ``LaxSpectrum.lanczos`` call per sample gives every row's spectral
-    measure.  Reports come back in the order of ``initials``, each equal to
-    the member's own ``gronwall_experiment``.
+    sample is consumed as it is produced, so no trajectory is stored.  Per
+    sample, the batch's whole (B, n_points//2 + 1) stack takes one
+    ``lanczos_measures`` call, one H^s_kappa norm reduction, one
+    admissible-shift test and one evaluation of the ``KappaRule`` built
+    once per call; no field or spectrum is built per row.  Reports come
+    back in the order of ``initials``, each equal to the member's own
+    ``gronwall_experiment``.
     """
     _require_weight_exponent(s, kappa)
+    # a kappa whose square overflows fails here, before any step is taken
+    index = SobolevIndex(s, kappa)
+    if c_s <= 0:
+        raise ContractError("c_s must be positive")
     if not initials:
         raise ContractError("empty ensemble: no initial states")
     if len(depths) != len(initials):
@@ -939,25 +1074,53 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
 
     batches = {}
     for i, (u0, problem) in enumerate(zip(initials, problems)):
-        step = dt if dt is not None else default_dt(problem, u0)
+        step = dt if dt is not None else default_step(problem, u0, t_final)
         batches.setdefault(step, []).append(i)
+    rule = KappaRule.build(kappa, s)
     reports = [None] * len(initials)
     for step, members in batches.items():
         n_steps, _ = step_count(t_final, step)
         stride = max(1, n_steps // n_samples)
-        tracks = [_FormTrack(s, kappa, c_s) for _ in members]
-        times = []
+        times, values = [], []
+        margin = np.full(len(members), np.inf)
         stack = np.stack([initials[i].coeffs for i in members])
         for t, coeffs in etdrk4_samples([problems[i] for i in members], stack,
                                         t_final, step, stride):
+            measures = lanczos_measures(grid, coeffs, kappa, xi_max)
+            if not times and not measures.weights.any(axis=1).all():
+                # all weights vanish exactly when form(kappa; u0) = 0
+                raise ContractError("initial data has zero weighted form; "
+                                    "no growth rate can be fitted")
+            thresholds = np.array([
+                _kappa_threshold(norm, s, c_s)
+                for norm in sobolev_norms(grid, coeffs, index).tolist()])
+            ok = (kappa >= thresholds) & (measures.lambda_min + kappa > 0.0)
+            if not ok.all():
+                row = np.flatnonzero(~ok)[0]
+                raise NumericalError(
+                    "admissible-shift condition failed along the run: "
+                    "kappa=%.4g threshold=%.4g lambda_min=%.4g"
+                    % (kappa, thresholds[row], measures.lambda_min[row]))
+            margin = np.minimum(margin, kappa - thresholds)
             times.append(t)
-            states = [RealField(grid, row) for row in coeffs]
-            spectra = LaxSpectrum.lanczos(states, kappa, xi_max)
-            for track, spectrum in zip(tracks, spectra):
-                track.add(spectrum)
-        for i, track in zip(members, tracks):
-            reports[i] = track.report(np.asarray(times), depths[i], equation,
-                                      epsilon)
+            values.append(rule.values(measures.nodes, measures.weights))
+        times, values = np.asarray(times), np.array(values)
+        # the worst absolute log-slope of each member, and the pointwise
+        # check form(t) <= exp(a_hat t) form(0)
+        slopes = np.diff(np.log(values), axis=0) / np.diff(times)[:, None]
+        a_hat = np.max(np.abs(slopes), axis=0)
+        bound = values[0] * np.exp(a_hat * times[:, None])
+        bound_ok = np.all(values <= bound * (1.0 + 1e-6), axis=0)
+        for j, i in enumerate(members):
+            depth = depths[i]
+            a_reference = (depth ** -2.0
+                           * (1.0 + depth ** (-abs(s) - 0.5 - epsilon))
+                           if depth is not None else 0.0)
+            reports[i] = GrowthReport(
+                depth=depth, s=s, kappa=kappa, equation=equation, times=times,
+                form_values=values[:, j], a_hat=float(a_hat[j]),
+                bound_ok=bool(bound_ok[j]), a_reference=a_reference,
+                kappa_margin=float(margin[j]))
     return reports
 
 

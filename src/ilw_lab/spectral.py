@@ -228,10 +228,15 @@ class SobolevIndex:
 
 def sobolev_norm(field: RealField, index: SobolevIndex) -> float:
     """Weighted norm (1/L * sum <xi>_kappa^(2s) |u_hat|^2)^(1/2)."""
-    grid = field.grid
+    return float(sobolev_norms(field.grid, field.coeffs, index))
+
+
+def sobolev_norms(grid: SpectralGrid, coeffs: np.ndarray,
+                  index: SobolevIndex) -> np.ndarray:
+    """``sobolev_norm`` of each half spectrum along the last axis of
+    ``coeffs``; a row's value does not depend on the rest of the stack."""
     w = grid.multiplicity * index.bracket(grid.frequencies) ** (2.0 * index.s)
-    total = np.sum(w * np.abs(field.coeffs) ** 2) / grid.length
-    return float(np.sqrt(total))
+    return np.sqrt((w * np.abs(coeffs) ** 2).sum(axis=-1) / grid.length)
 
 
 def hardy_project(field: RealField) -> np.ndarray:

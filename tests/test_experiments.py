@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,12 +181,41 @@ def test_cli_rejects_empty_lists_and_non_finite_numbers(tmp_path, capsys, argv):
     ["simulate", "--t-final", "1e300", "--dt", "1e-10"],
     ["gronwall", "--t-final", "1e300"],
     ["twodepth", "--t-final", "1e300"],
+    # the default step shrinks with sup|u0|
+    ["simulate", "--amplitude", "1e300"],
+    ["gronwall", "--amplitude", "1e100"],
+    ["twodepth", "--amplitude", "1e300"],
 ])
 def test_cli_rejects_runs_beyond_the_step_limit(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert main(argv + ["--outdir", str(out)]) == 1
-    assert "steps" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "steps" in err
+    # a default step is named with the sup|u0| it came from
+    assert ("the default step is" in err) == ("--dt" not in argv)
+    assert ("sup|u0| = " in err) == ("--dt" not in argv)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["1e150", "1e200", "1e300", "1.7e308"])
+def test_gronwall_large_kappa_exits_cleanly(tmp_path, capsys, kappa):
+    # a kappa whose square overflows is rejected before any step; one just
+    # below that limit runs
+    out = tmp_path / "g"
+    argv = ["gronwall", "--kappa", kappa, "--depth-list", "1.0", "--n", "128",
+            "--seeds", "2", "--samples", "5", "--t-final", "0.05",
+            "--outdir", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    too_large = "kappa = %.3g is too large: kappa^2 overflows" % float(kappa)
+    if float(kappa) < 1e154:
+        assert code == 0 and too_large not in err
+    else:
+        assert code == 1 and too_large in err and not out.exists()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
 def test_load_config_rejects_bad_input(tmp_path):
@@ -241,8 +271,9 @@ def test_python_m_runs_the_cli(tmp_path):
 
 
 def test_certified_runs_never_import_scipy_linalg(tmp_path):
-    # scipy.linalg serves only the dense fallbacks; a certified gronwall or
-    # beta run must not pay for importing it
+    # scipy.linalg serves only the dense fallbacks, and scipy.special
+    # nothing; a certified gronwall or beta run must not pay for importing
+    # either
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -255,11 +286,12 @@ def test_certified_runs_never_import_scipy_linalg(tmp_path):
         "assert ilw_lab.cli.main(['beta', '--n', '4096', '--outdir', 'bt'])"
         " == 0",
         "print('scipy.linalg' in sys.modules)",
+        "print('scipy.special' in sys.modules)",
     ])
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-2:] == ["False", "False"]
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -294,6 +326,8 @@ def test_beta_solves_the_resolvent_without_a_dense_matrix(tmp_path, capsys,
         report = json.loads((out / "report.json").read_text())["report"]
         # the resolvent solve against the certified Lanczos Gauss value
         assert report["form_route_gap"] < 1e-12
+        # the shared closed-form rule against the adaptive Gauss-Kronrod one
+        assert report["weighted_rule_gap"] < 1e-12
         assert 0 < report["resolvent_iterations"] <= 12
     capsys.readouterr()
     assert dense == []
@@ -483,22 +517,21 @@ def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
     # 2 depths x 3 seeds at one resolved step: one stepper run over all six
     # rows, and one Lanczos call over all six states per sample
     from ilw_lab import lax as lax_module
-    from ilw_lab.lax import LaxSpectrum
 
     stepped, measured = [], []
     stepper = lax_module.etdrk4_samples
-    lanczos = LaxSpectrum.lanczos
+    lanczos = lax_module.lanczos_measures
 
     def counting_stepper(problems, coeffs, *args):
         stepped.append(len(coeffs))
         return stepper(problems, coeffs, *args)
 
-    def counting_lanczos(cls, fields, *args):
-        measured.append(len(fields))
-        return lanczos(fields, *args)
+    def counting_lanczos(grid, coeffs, *args):
+        measured.append(len(coeffs))
+        return lanczos(grid, coeffs, *args)
 
     monkeypatch.setattr(lax_module, "etdrk4_samples", counting_stepper)
-    monkeypatch.setattr(LaxSpectrum, "lanczos", classmethod(counting_lanczos))
+    monkeypatch.setattr(lax_module, "lanczos_measures", counting_lanczos)
     argv = ["gronwall", "--depth-list", "0.5,1.0", "--seeds", "3",
             "--t-final", "0.05", "--dt", "1e-3", "--n", "128",
             "--samples", "5", "--outdir", str(tmp_path / "g")]
@@ -506,6 +539,45 @@ def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
     capsys.readouterr()
     assert stepped == [6]
     assert measured == [6] * 6
+
+
+def test_gronwall_builds_no_rule_and_no_field_per_row(tmp_path, capsys,
+                                                      monkeypatch):
+    # the default three depths at two seeds: past the initial states, the
+    # ensemble builds no adaptive rule and wraps no sampled row in a field
+    from ilw_lab import lax as lax_module
+    from ilw_lab.spectral import RealField
+
+    inside, fields, rules = [], [], []
+    ensemble = experiments.gronwall_ensemble
+    post_init = RealField.__post_init__
+    build_rule = lax_module.build_weighted_rule
+
+    def tracked_ensemble(*args, **kwargs):
+        inside.append(True)
+        try:
+            return ensemble(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_post_init(self):
+        if inside:
+            fields.append(self)
+        post_init(self)
+
+    def counting_rule(*args, **kwargs):
+        rules.append(args)
+        return build_rule(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "gronwall_ensemble", tracked_ensemble)
+    monkeypatch.setattr(RealField, "__post_init__", counting_post_init)
+    monkeypatch.setattr(lax_module, "build_weighted_rule", counting_rule)
+    out = tmp_path / "g"
+    assert main(["gronwall", "--n", "128", "--seeds", "2", "--samples", "5",
+                 "--t-final", "0.05", "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "runs.csv").read_text().count("\n") == 1 + 3 * 2
+    assert fields == [] and rules == []
 
 
 @pytest.mark.parametrize("below", ["", "x"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
 import scipy.integrate
 import scipy.linalg
 
@@ -24,6 +25,7 @@ from ilw_lab import (
     forward_transform,
     gronwall_ensemble,
     gronwall_experiment,
+    lanczos_measures,
     make_bo,
     make_ilw,
     modes_to_xi_max,
@@ -37,7 +39,7 @@ from ilw_lab import (
 from ilw_lab.cli import main
 from ilw_lab.experiments import load_config, run
 from ilw_lab import lax as lax_module
-from ilw_lab.lax import LaxSpectrum
+from ilw_lab.lax import KappaRule, LaxSpectrum
 from ilw_lab.spectral import hardy_embed, hardy_project, synthesize
 from ilw_lab.symbols import apply_smoothing_dx
 
@@ -168,9 +170,10 @@ def _jacobi(spectrum, kappa):
     """The Lanczos run behind ``spectrum``: (alpha_1..alpha_k,
     beta_1..beta_k), beta_k being the last residual norm."""
     grid = spectrum.grid
-    return lax_module._lanczos(spectrum.g[None], grid.fundamental,
-                               grid.length, kappa,
-                               np.array([spectrum.lambda_bound]))[0]
+    alpha, beta, steps = lax_module._lanczos(
+        spectrum.g[None], grid.fundamental, grid.length, kappa,
+        np.array([spectrum.lambda_bound]))
+    return alpha[0, :steps[0]], beta[0, :steps[0]]
 
 
 def _gauss_and_gap(spectrum, jacobi, steps, tau):
@@ -278,6 +281,31 @@ def test_lanczos_rows_do_not_depend_on_the_batch():
             for name in ("g", "eigenvalues", "weights"):
                 assert np.array_equal(getattr(spectrum, name),
                                       getattr(alone, name)), name
+
+
+def test_shared_rule_rows_do_not_depend_on_the_batch():
+    # rows of 6 to 24 Lanczos steps in one zero-padded stack: each row's
+    # padding is exactly 0, and its shared-rule value is the one it gets
+    # alone, although the widths cross the blocks of numpy's pairwise sums
+    grid = SpectralGrid(TWO_PI, 1024)
+    fields = [random_field(grid, -0.25, amplitude, seed, decay=decay)
+              for seed, (amplitude, decay) in enumerate(
+                  [(0.4, 0.25), (3.0, 0.0), (0.3, 0.0), (1.0, 0.0),
+                   (2.0, 0.05), (0.4, 0.5)])]
+    kappa, s = 32.0, -0.25
+    measures = lanczos_measures(grid, np.stack([u.coeffs for u in fields]),
+                                kappa)
+    steps = measures.steps
+    assert steps.min() < 8 and steps.max() > 16
+    assert measures.nodes.shape == measures.weights.shape == (6, steps.max())
+    assert np.array_equal(measures.lambda_min, measures.nodes[:, 0])
+    values = KappaRule.build(kappa, s).values(measures.nodes, measures.weights)
+    for i, u in enumerate(fields):
+        assert not measures.nodes[i, steps[i]:].any()
+        assert not measures.weights[i, steps[i]:].any()
+        alone = LaxSpectrum.lanczos([u], kappa)[0]
+        assert alone.lanczos_steps == steps[i]
+        assert values[i] == alone.shared_weighted_form(kappa, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -658,6 +686,59 @@ def test_weighted_form_validation():
         weighted_resolvent_form(constant_field(grid, -2.0), 1.0, -0.25)
 
 
+# z = lambda/kappa from the edge of the shared rule's range to far above
+_RULE_Z = np.concatenate(([-0.5, -0.3, 0.0], np.geomspace(1e-6, 1e8, 43)))
+
+
+@pytest.mark.parametrize("s, rtol", [(-0.01, 1e-13), (-0.05, 1e-13),
+                                     (-0.25, 1e-13), (-0.45, 1e-13),
+                                     # the inversion cancels like 1/(1 + 2s)
+                                     (-0.49, 1e-10), (-0.499, 1e-10)])
+def test_kappa_rule_against_hypergeometric(s, rtol):
+    # at kappa = 1, W(lambda) = 2F1(1, b; b + 1; -lambda)/b with b = -2s
+    rule = KappaRule.build(1.0, s)
+    got = rule.kernel(_RULE_Z)
+    b = -2.0 * s
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.hyp2f1(1, b, b + 1, -mpmath.mpf(z)) / b)
+                         for z in _RULE_Z])
+    assert np.all(np.abs(got - want) <= rtol * want), \
+        np.max(np.abs(got - want) / want)
+
+
+def test_shared_rule_takes_the_adaptive_rule_below_half_kappa(monkeypatch):
+    # a constant field c has one node, lambda = c, of weight c^2 L; at
+    # c = -0.75 kappa it is certified but lies below -kappa/2, where the
+    # shared rule hands the row to build_weighted_rule
+    grid = SpectralGrid(TWO_PI, 128)
+    kappa, s = 32.0, -0.25
+    c = -0.75 * kappa
+    spectrum = LaxSpectrum.lanczos([constant_field(grid, c)], kappa)[0]
+    assert spectrum.lanczos_steps == 1
+    assert spectrum.lambda_bound + kappa > 0.0
+    assert spectrum.lambda_min == pytest.approx(c, rel=1e-15)
+    builds = []
+    build = lax_module.build_weighted_rule
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(lax_module, "build_weighted_rule", counting_build)
+    value = spectrum.shared_weighted_form(kappa, s)
+    assert len(builds) == 1
+    with mpmath.workdps(30):
+        exact = float(c * c * grid.length * mpmath.quad(
+            lambda tau: tau ** (2 * s) / (c + tau),
+            [kappa, 2 * kappa, 16 * kappa, mpmath.inf]))
+    assert abs(value - exact) <= 1e-8 * exact
+    # a row above -kappa/2 stays on the shared rule
+    spectrum = LaxSpectrum.lanczos([constant_field(grid, -0.25 * kappa)],
+                                   kappa)[0]
+    spectrum.shared_weighted_form(kappa, s)
+    assert len(builds) == 1
+
+
 # ------------------------------------------------------------- derivatives
 
 def test_gradient_matches_finite_differences():
@@ -780,8 +861,9 @@ def test_gronwall_experiment_reports():
 
 
 def test_gronwall_experiment_matches_public_functions():
-    # the same trajectory through check_kappa and weighted_resolvent_form,
-    # on a rule frozen at u0, gives exactly the experiment's numbers
+    # the same trajectory through check_kappa and the one-row shared-rule
+    # value gives exactly the experiment's numbers, and weighted_resolvent_form
+    # on a rule frozen at u0 agrees with them to rounding
     grid = SpectralGrid(TWO_PI, 128)
     u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
     s, kappa = -0.25, 32.0
@@ -789,13 +871,16 @@ def test_gronwall_experiment_matches_public_functions():
                                  n_samples=10)
     states = evolve(make_ilw(1.0, grid), u0, 0.2, dt=1e-3,
                     store_stride=20).states
+    values = [LaxSpectrum.lanczos([state], kappa)[0].shared_weighted_form(
+        kappa, s) for state in states]
     rule = weighted_resolvent_form(u0, kappa, s).rule
-    values = [weighted_resolvent_form(state, kappa, s, rule=rule).value
-              for state in states]
+    frozen = np.array([weighted_resolvent_form(state, kappa, s, rule=rule).value
+                       for state in states])
     margin = min(kappa - check_kappa(state, s, kappa).threshold
                  for state in states)
     assert len(states) == len(report.times) == 11
     assert report.form_values.tolist() == values
+    assert np.all(np.abs(report.form_values - frozen) <= 1e-12 * frozen)
     assert report.kappa_margin == margin
 
 
