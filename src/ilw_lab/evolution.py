@@ -331,12 +331,6 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
     order = list(distinct)
     rows = [order.index(id(p)) for p in problems]
     yield 0.0, c
-    shape = c.shape
-    if shape[0] == 1:
-        # a lone row steps as a 1-D array: broadcasting and the batched FFTs
-        # would cost it about an eighth more per step
-        c = c[0]
-        rows = rows[0]
     # one set of phi-tables per distinct problem, gathered per row
     tables = zip(*(_etdrk4_tables(p.linear_symbol, dt)
                    for p in distinct.values()))
@@ -356,12 +350,12 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
         # cheap sup bound: (1/L) * sum over the full lattice of |u_hat| >= sup |u|
         bound = np.sum(grid.multiplicity * np.abs(c), axis=-1) / grid.length
         for row in np.flatnonzero(bound > blowup_level):
-            sup = RealField(grid, c.reshape(shape)[row]).sup_norm()
+            sup = RealField(grid, c[row]).sup_norm()
             if sup > blowup_level[row]:
                 raise BlowUpError(step * dt, sup)
 
         if step % store_stride == 0 or step == n_steps:
-            yield step * dt, c.reshape(shape)
+            yield step * dt, c
 
 
 def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,

@@ -515,8 +515,10 @@ class KappaCheck:
 
 def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
                 xi_max: Optional[float] = None) -> KappaCheck:
-    """Admissible-shift test of ``u``; see ``LaxSpectrum.check_kappa``."""
-    return LaxSpectrum(build_lax(u, xi_max), u).check_kappa(s, kappa, c_s)
+    """Admissible-shift test of ``u`` on its Lanczos spectrum at kappa (see
+    ``LaxSpectrum.check_kappa``): ``lambda_min`` is the smallest Ritz value
+    of a certified state, which clears -kappa as the eigenvalues do."""
+    return LaxSpectrum.lanczos([u], kappa, xi_max)[0].check_kappa(s, kappa, c_s)
 
 
 # conjugate gradients stop once the residual is below this fraction of ||g||
@@ -551,14 +553,13 @@ def _resolvent_solve(lax: LaxTruncation, kappa: float, g: np.ndarray):
               if _symbol_bound(lax.column, 1.0) + kappa > 0.0 else None)
     if solved is None:
         shifted = lax.matrix + kappa * np.eye(lax.frequencies.shape[0])
-        import scipy.linalg  # 0.3 s to import; numpy has no Cholesky solve
         try:
-            factor = scipy.linalg.cho_factor(shifted, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            factor = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError as exc:
             raise KappaTooSmallError(
                 "shifted Lax matrix is not positive definite at kappa=%.6g"
                 % kappa) from exc
-        x = scipy.linalg.cho_solve(factor, g)
+        x = np.linalg.solve(factor.conj().T, np.linalg.solve(factor, g))
         residual = float(np.linalg.norm(shifted @ x - g))
         solved = x, residual, 0
     x, residual, iterations = solved
@@ -954,7 +955,7 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
     _require_weight_exponent(s, kappa)
     grid = u.grid
     lax = build_lax(u, xi_max)
-    spectrum = LaxSpectrum(lax, u)
+    spectrum = LaxSpectrum.lanczos([u], kappa, xi_max)[0]
     spectrum.require_shift(kappa)
     if rule is None:
         rule = build_weighted_rule(spectrum.form_at, kappa, s)

@@ -249,7 +249,7 @@ def test_cli_wave_passes(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "wave"
     assert manifest["outputs"] == ["report.json", "wave.csv"]
-    assert set(manifest["versions"]) == {"numpy", "scipy"}
+    assert set(manifest["versions"]) == {"numpy"}
     assert manifest["config"]["depth"] == repr(1.0)
     assert manifest["wall_time_s"] >= 0.0
 
@@ -271,27 +271,33 @@ def test_python_m_runs_the_cli(tmp_path):
 
 
 def test_certified_runs_never_import_scipy_linalg(tmp_path):
-    # scipy.linalg serves only the dense fallbacks, and scipy.special
-    # nothing; a certified gronwall or beta run must not pay for importing
-    # either
+    # numpy is the only runtime dependency: no command loads scipy, not even
+    # the uncertified beta run whose resolvent takes the Cholesky fallback
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    code = "\n".join([
-        "import sys",
-        "import ilw_lab.cli",
-        "assert ilw_lab.cli.main(['gronwall', '--n', '128', '--seeds', '2',"
-        " '--samples', '5', '--t-final', '0.05', '--outdir', 'gw']) == 0",
-        "assert ilw_lab.cli.main(['beta', '--n', '4096', '--outdir', 'bt'])"
-        " == 0",
-        "print('scipy.linalg' in sys.modules)",
-        "print('scipy.special' in sys.modules)",
-    ])
+    runs = [
+        (["simulate", "--n", "64", "--t-final", "0.05"], 0),
+        (["wave", "--n", "64"], 0),
+        (["beta", "--n", "4096"], 0),
+        (["beta", "--amplitude", "2", "--kappa", "3"], 3),
+        (["gronwall", "--n", "128", "--seeds", "2", "--samples", "5",
+          "--t-final", "0.05"], 0),
+        (["illposed", "--n", "64"], 0),
+        (["smoothing", "--n", "256"], 0),
+        (["twodepth", "--n", "64", "--t-final", "0.05"], 0),
+    ]
+    code = "\n".join(
+        ["import sys", "import ilw_lab.cli"]
+        + ["assert ilw_lab.cli.main(%r) == %d"
+           % (argv + ["--outdir", "o%d" % i], exit_code)
+           for i, (argv, exit_code) in enumerate(runs)]
+        + ["print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-2:] == ["False", "False"]
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -311,12 +317,11 @@ def test_cli_numerical_failure_exit(tmp_path, capsys):
 
 def test_beta_solves_the_resolvent_without_a_dense_matrix(tmp_path, capsys,
                                                          monkeypatch):
-    import scipy.linalg
     from ilw_lab.lax import LaxTruncation
 
     dense = []
-    monkeypatch.setattr(scipy.linalg, "cho_factor",
-                        lambda *args, **kwargs: dense.append("cho_factor"))
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda *args, **kwargs: dense.append("cholesky"))
     monkeypatch.setattr(LaxTruncation, "matrix",
                         property(lambda self: dense.append("matrix")))
     for seed in (1, 2, 3):

@@ -458,7 +458,8 @@ def test_resolvent_solve_rejects_bad_shift():
     grid = SpectralGrid(TWO_PI, 128)
     u = constant_field(grid, -2.0)
     lax = build_lax(u, 31.0)
-    with pytest.raises(KappaTooSmallError):
+    with pytest.raises(KappaTooSmallError,
+                       match="not positive definite at kappa=1$"):
         resolvent_solve(lax, 1.0, hardy_project(u)[:32])
 
 
@@ -485,7 +486,7 @@ def test_resolvent_solve_against_cholesky(m, field, monkeypatch):
     assert len(kappas) >= 2
     oracles = [_cholesky_oracle(lax, kappa, g) for kappa in kappas]
     # certified shifts never reach the dense factorization
-    monkeypatch.setattr(scipy.linalg, "cho_factor", None)
+    monkeypatch.setattr(np.linalg, "cholesky", None)
     for kappa, (shifted, oracle) in zip(kappas, oracles):
         x, iterations = lax_module._resolvent_solve(lax, kappa, g)
         assert (iterations == 0) if m == 1 else (0 < iterations <= 12)
@@ -502,7 +503,7 @@ def test_resolvent_solve_zero_right_hand_side():
     assert iterations == 0 and not x.any()
 
 
-def test_resolvent_solve_uncertified_shift_is_cholesky():
+def test_resolvent_solve_uncertified_shift_is_cholesky(monkeypatch):
     # a + kappa <= 0 < lambda_min + kappa: positive definite, not certified
     grid = SpectralGrid(TWO_PI, 256)
     u = random_field(grid, -0.25, 5.0, 11, decay=0.0)
@@ -512,9 +513,18 @@ def test_resolvent_solve_uncertified_shift_is_cholesky():
     lam = scipy.linalg.eigh(lax.matrix, eigvals_only=True)[0]
     assert bound < lam
     kappa = -0.5 * (bound + lam)
+    oracle = _cholesky_oracle(lax, kappa, g)[1]
+    factored = []
+    np_cholesky = np.linalg.cholesky
+
+    def counting_cholesky(a, *args, **kwargs):
+        factored.append(np.shape(a))
+        return np_cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     x, iterations = lax_module._resolvent_solve(lax, kappa, g)
-    assert iterations == 0
-    assert np.array_equal(x, _cholesky_oracle(lax, kappa, g)[1])
+    assert iterations == 0 and factored == [(64, 64)]
+    assert np.linalg.norm(x - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
 
 def test_lax_truncation_builds_its_matrix_only_when_read():
@@ -887,22 +897,27 @@ def test_gronwall_experiment_matches_public_functions():
 def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
     # certified states take one Lanczos run each and no dense eigh; a forced
     # fallback takes one m x m eigh per state (the stacked k x k Jacobi
-    # eighs of the Lanczos path are 3-D and not counted)
-    dense_calls, eigh_calls, lanczos_rows = [], [], []
-    np_eigh, lanczos = np.linalg.eigh, lax_module._lanczos
+    # eighs of the Lanczos path are 3-D and not counted), and its resolvent
+    # solves take the dense Cholesky factorization
+    dense_calls, cholesky_calls, lanczos_rows = [], [], []
+    np_eigh, np_cholesky = np.linalg.eigh, np.linalg.cholesky
+    lanczos = lax_module._lanczos
 
     def counting_eigh(a, *args, **kwargs):
         if np.ndim(a) == 2:
             dense_calls.append(np.shape(a))
         return np_eigh(a, *args, **kwargs)
 
+    def counting_cholesky(a, *args, **kwargs):
+        cholesky_calls.append(np.shape(a))
+        return np_cholesky(a, *args, **kwargs)
+
     def counting_lanczos(g, *args):
         lanczos_rows.extend(row.tobytes() for row in g)
         return lanczos(g, *args)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(scipy.linalg, "eigh",
-                        lambda *args, **kwargs: eigh_calls.append(args))
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     monkeypatch.setattr(lax_module, "_lanczos", counting_lanczos)
     grid = SpectralGrid(TWO_PI, 128)
     u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
@@ -916,10 +931,26 @@ def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
                         output_dir=str(tmp_path / "beta")))
         return states
 
+    def per_call(fn, *args, **kwargs):
+        # the dense eigh calls of one call
+        before = len(dense_calls)
+        fn(*args, **kwargs)
+        return dense_calls[before:]
+
+    def single_calls():
+        rule = build_weighted_rule(
+            LaxSpectrum.lanczos([u0], 32.0)[0].form_at, 32.0, -0.25)
+        return [per_call(check_kappa, u0, -0.25, 32.0),
+                per_call(form_flow_derivative, u0, 32.0, 1.0, -0.25),
+                per_call(form_flow_derivative, u0, 32.0, 1.0, -0.25,
+                         rule=rule)]
+
     (runs, dense_run) = run_both()
     assert runs == len(set(lanczos_rows[:6])) == 6
     assert dense_run == [] and len(lanczos_rows) == 7
-    assert dense_calls == [] and eigh_calls == []
+    assert dense_calls == [] and cholesky_calls == []
+    assert single_calls() == [[]] * 3
+    assert dense_calls == [] and cholesky_calls == []
 
     lanczos_rows.clear()
     monkeypatch.setattr(lax_module, "_symbol_bound",
@@ -927,7 +958,58 @@ def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
     (runs, dense_run) = run_both()
     assert runs == 0 and dense_run == [(32, 32)] * 6
     assert dense_calls == [(32, 32)] * 7 and lanczos_rows == []
-    assert eigh_calls == []
+    # beta's one resolvent solve
+    assert cholesky_calls == [(32, 32)]
+    dense_calls.clear()
+    assert single_calls() == [[(32, 32)]] * 3
+    assert lanczos_rows == []
+
+
+def test_dense_route_serves_only_uncertified_fields(monkeypatch):
+    # a certified field never reads the m x m matrix, factors it or
+    # diagonalizes it; an uncertified one still takes the dense route
+    calls = []
+    np_eigh, np_cholesky = np.linalg.eigh, np.linalg.cholesky
+    gather = lax_module.LaxTruncation.matrix.func
+
+    def counting(name, fn):
+        def counted(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append(name)
+            return fn(a, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np_eigh))
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        counting("cholesky", np_cholesky))
+    monkeypatch.setattr(lax_module.LaxTruncation, "matrix", property(
+        lambda self: calls.append("matrix") or gather(self)))
+
+    def dense_route(u, kappa, xi_max):
+        routes = []
+        for fn, args in ((check_kappa, (u, -0.25, kappa)),
+                         (weighted_resolvent_form, (u, kappa, -0.25)),
+                         (resolvent_form, (u, kappa)),
+                         (form_flow_derivative, (u, kappa, 1.0, -0.25))):
+            calls.clear()
+            fn(*args, xi_max=xi_max)
+            routes.append(sorted(set(calls)))
+        return routes
+
+    grid = SpectralGrid(TWO_PI, 128)
+    u = random_field(grid, -0.25, 0.3, 5, decay=0.3)
+    assert dense_route(u, 32.0, None) == [[]] * 4
+
+    # a + kappa <= 0 < lambda_min + kappa: positive definite, not certified
+    grid = SpectralGrid(TWO_PI, 256)
+    u = random_field(grid, -0.25, 5.0, 11, decay=0.0)
+    bound = float(lax_module._symbol_bound(hardy_project(u)[:64],
+                                           grid.length))
+    kappa = -0.5 * (bound + LaxSpectrum(build_lax(u, 63.0), u).lambda_min)
+    assert kappa >= 1.0
+    assert dense_route(u, kappa, 63.0) == [
+        ["eigh", "matrix"], ["eigh", "matrix"], ["cholesky", "matrix"],
+        ["cholesky", "eigh", "matrix"]]
 
 
 def test_gronwall_ensemble_matches_members():
