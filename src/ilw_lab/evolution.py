@@ -33,6 +33,9 @@ _BLOWUP_FACTOR = 1e6
 _CONTOUR_POINTS = 32
 # the longest run accepted; 1e7 steps at N = 256 take tens of minutes
 MAX_STEPS = 10_000_000
+# the most members a gronwall ensemble accepts; each is one row of every
+# ETDRK4 stage
+MAX_MEMBERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -240,12 +243,18 @@ def default_monitors(problem: EvolutionProblem) -> dict:
 
 @dataclass
 class Trajectory:
-    """Sampled states and diagnostics of one evolution run."""
+    """Sampled states of one evolution run."""
 
     problem: EvolutionProblem
     times: np.ndarray
     states: list
-    diagnostics: dict
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        """Each of ``default_monitors`` at every stored state, evaluated
+        when first read."""
+        return {name: np.asarray([fn(state) for state in self.states])
+                for name, fn in default_monitors(self.problem).items()}
 
     def final(self) -> RealField:
         return self.states[-1]
@@ -359,15 +368,16 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
 
 
 def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
-           dt: Optional[float] = None, monitors: Optional[dict] = None,
+           dt: Optional[float] = None,
            store_stride: Optional[int] = None) -> Trajectory:
     """Advance the problem to t_final and sample along the way.
 
     The step is rounded so an integer number of steps lands exactly on
     ``t_final``; more than ``MAX_STEPS`` steps is a ContractError.  States
-    and diagnostics are recorded every ``store_stride`` steps (defaults to
-    roughly 100 samples along the run).  Raises BlowUpError when the state
-    stops being finite or its sup-norm exceeds 1e6 times the initial one.
+    are recorded every ``store_stride`` steps (defaults to roughly 100
+    samples along the run); their diagnostics are evaluated when first
+    read.  Raises BlowUpError when the state stops being finite or its
+    sup-norm exceeds 1e6 times the initial one.
     The run is the one-row case of ``etdrk4_samples`` and is deterministic
     given its inputs.
     """
@@ -378,22 +388,13 @@ def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
     n_steps, _ = step_count(t_final, dt)
     if store_stride is None:
         store_stride = max(1, n_steps // 100)
-    if monitors is None:
-        monitors = default_monitors(problem)
 
     times, states = [], []
-    diagnostics = {name: [] for name in monitors}
     for t, c in etdrk4_samples([problem], initial.coeffs[None, :], t_final,
                                dt, store_stride):
-        state = RealField(problem.grid, c[0]) if states else initial
         times.append(t)
-        states.append(state)
-        for name, fn in monitors.items():
-            diagnostics[name].append(fn(state))
-    return Trajectory(problem=problem,
-                      times=np.asarray(times),
-                      states=states,
-                      diagnostics={k: np.asarray(v) for k, v in diagnostics.items()})
+        states.append(RealField(problem.grid, c[0]) if states else initial)
+    return Trajectory(problem=problem, times=np.asarray(times), states=states)
 
 
 def galilean(state: RealField, gamma: float, t: float, flavor: str) -> RealField:

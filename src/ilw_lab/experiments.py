@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 from .evolution import (
+    MAX_MEMBERS,
     default_step,
     etdrk4_samples,
     evolve,
@@ -505,7 +506,11 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
     grid = _make_grid(p)
     dt = _requested_dt(p)
     depths = sorted(p["depth_list"])
-    seeds = [p["seed"] + i for i in range(p["seeds"])]
+    if p["seeds"] * len(depths) > MAX_MEMBERS:
+        raise ContractError("gronwall.seeds = %d at %d depths exceeds the "
+                            "limit of %d ensemble members"
+                            % (p["seeds"], len(depths), MAX_MEMBERS))
+    seeds = range(p["seed"], p["seed"] + p["seeds"])
     if not seeds or not depths:
         raise ContractError("empty ensemble: no seeds or no depths")
     initials = {seed: random_field(grid, p["s"], p["amplitude"], seed,

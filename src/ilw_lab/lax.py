@@ -400,6 +400,7 @@ class LaxSpectrum:
         self.u = u
         self.g = hardy_project(u)[:lax.frequencies.shape[0]]
         self.eigenvalues, self.weights = _dense_measure(lax, self.g)
+        self.lambda_bound = float(_symbol_bound(self.g, self.grid.length))
 
     @classmethod
     def lanczos(cls, fields: list, kappa: float,
@@ -416,11 +417,13 @@ class LaxSpectrum:
                                     kappa, xi_max)
         n_modes = _truncation_size(grid, xi_max)
         spectra = []
-        for u, nodes, weights, steps in zip(fields, measures.nodes,
-                                            measures.weights, measures.steps):
+        for u, nodes, weights, steps, bound in zip(
+                fields, measures.nodes, measures.weights, measures.steps,
+                measures.lambda_bound.tolist()):
             spectrum = cls.__new__(cls)
             spectrum.grid, spectrum.u = grid, u
             spectrum.g = hardy_project(u)[:n_modes]
+            spectrum.lambda_bound = bound
             size = steps or n_modes
             spectrum.eigenvalues, spectrum.weights = nodes[:size], weights[:size]
             spectrum.lanczos_steps = int(steps)
@@ -428,35 +431,20 @@ class LaxSpectrum:
         return spectra
 
     @property
-    def lambda_bound(self) -> float:
-        """The symbol bound a <= lambda_min; see ``_symbol_bound``."""
-        return float(_symbol_bound(self.g, self.grid.length))
-
-    @property
     def lambda_min(self) -> float:
         return float(self.eigenvalues[0])
 
-    def require_shift(self, tau: float):
-        if self.lambda_min + tau <= 0.0:
-            raise KappaTooSmallError(
-                "shift %.6g does not clear lambda_min = %.6g"
-                % (tau, self.lambda_min))
-
     def form_at(self, taus: np.ndarray) -> np.ndarray:
         """form(tau) = (1/L) sum |<w_j, g>|^2 / (lambda_j + tau), vectorized."""
-        taus = np.atleast_1d(np.asarray(taus, dtype=float))
-        self.require_shift(float(np.min(taus)))
+        _require_shift(self.lambda_min, float(np.min(taus)))
         return _form_at(self.eigenvalues, self.weights, taus)
 
     def check_kappa(self, s: float, kappa: float, c_s: float = 1.0) -> KappaCheck:
         """Check kappa >= c_s*(1 + ||u||_{H^s_kappa})^(1/(2*sigma)), sigma =
-        (1/2 + s)/2, plus positivity of the shifted truncation."""
-        _require_weight_exponent(s, kappa)
-        if c_s <= 0:
-            raise ContractError("c_s must be positive")
-        norm = sobolev_norm(self.u, SobolevIndex(s, kappa))
-        return KappaCheck(kappa=kappa, threshold=_kappa_threshold(norm, s, c_s),
-                          lambda_min=self.lambda_min, norm=norm)
+        (1/2 + s)/2, plus positivity of the shifted truncation: the one-row
+        case of ``_check_kappas``."""
+        return _check_kappas(self.grid, self.u.coeffs[None], self.eigenvalues[:1],
+                             _shift_index(s, kappa, c_s), c_s)[0]
 
     def weighted_form(self, kappa: float, s: float,
                       rule: Optional[WeightedFormRule] = None,
@@ -468,7 +456,7 @@ class LaxSpectrum:
         to this spectrum.
         """
         _require_weight_exponent(s, kappa)
-        self.require_shift(kappa)
+        _require_shift(self.lambda_min, kappa)
         if rule is None:
             rule = build_weighted_rule(self.form_at, kappa, s, rtol)
         if abs(rule.kappa - kappa) > 1e-12 or abs(rule.s - s) > 1e-15:
@@ -484,9 +472,15 @@ class LaxSpectrum:
     def shared_weighted_form(self, kappa: float, s: float) -> float:
         """integral_kappa^inf tau^(2s) form(tau) dtau on the shared
         ``KappaRule``: the value ``gronwall_ensemble`` takes at this state."""
-        self.require_shift(kappa)
         rule = KappaRule.build(kappa, s)
         return float(rule.values(self.eigenvalues[None], self.weights[None])[0])
+
+
+def _require_shift(lambda_min: float, tau: float):
+    """KappaTooSmallError unless the shift tau clears -lambda_min."""
+    if lambda_min + tau <= 0.0:
+        raise KappaTooSmallError(
+            "shift %.6g does not clear lambda_min = %.6g" % (tau, lambda_min))
 
 
 def _kappa_threshold(norm: float, s: float, c_s: float) -> float:
@@ -498,6 +492,29 @@ def _kappa_threshold(norm: float, s: float, c_s: float) -> float:
         return c_s * (1.0 + norm) ** (1.0 / (2.0 * sigma))
     except OverflowError:
         return np.inf
+
+
+def _shift_index(s: float, kappa: float, c_s: float) -> SobolevIndex:
+    """The H^s_kappa index of the admissible-shift test, once s, kappa and
+    c_s meet its contract; a kappa whose square overflows fails here."""
+    _require_weight_exponent(s, kappa)
+    if c_s <= 0:
+        raise ContractError("c_s must be positive")
+    return SobolevIndex(s, kappa)
+
+
+def _check_kappas(grid: SpectralGrid, coeffs: np.ndarray,
+                  lambda_min: np.ndarray, index: SobolevIndex,
+                  c_s: float) -> list:
+    """The admissible-shift test of each row of the (B, n_points//2 + 1)
+    stack ``coeffs`` whose truncation has smallest node ``lambda_min``: one
+    ``KappaCheck`` per row at kappa = ``index.kappa``."""
+    norms = sobolev_norms(grid, coeffs, index).tolist()
+    return [KappaCheck(kappa=index.kappa,
+                       threshold=_kappa_threshold(norm, index.s, c_s),
+                       lambda_min=low, norm=norm)
+            for norm, low in zip(norms, lambda_min.tolist())]
+
 
 @dataclass(frozen=True)
 class KappaCheck:
@@ -764,10 +781,7 @@ class KappaRule:
         ``SpectralMeasures``).  Raises KappaTooSmallError when a node does
         not clear -kappa, and NumericalError on a negative value."""
         low = nodes.min(axis=1)
-        if np.any(low + self.kappa <= 0.0):
-            raise KappaTooSmallError(
-                "shift %.6g does not clear lambda_min = %.6g"
-                % (self.kappa, low.min()))
+        _require_shift(float(low.min()), self.kappa)
         # running sums: a row's zero padding then adds exact zeros, so its
         # value does not depend on the width of the stack
         values = (weights * self.kernel(nodes)).cumsum(axis=1)[:, -1]
@@ -803,16 +817,6 @@ class WeightedFormRule:
         return (self.weights * node_values).sum() + self.tail_coeff * tail_value
 
 
-def _weighted_integrand_factory(form_at: Callable, kappa: float, s: float):
-    scale = kappa ** (2.0 * s + 1.0)
-
-    def h(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return scale * np.exp((2.0 * s + 1.0) * t) * form_at(kappa * np.exp(t))
-
-    return h
-
-
 def build_weighted_rule(form_at: Callable, kappa: float, s: float,
                         rtol: float = 1e-8) -> WeightedFormRule:
     """Adapt panels on the reference profile, then freeze them.
@@ -823,7 +827,10 @@ def build_weighted_rule(form_at: Callable, kappa: float, s: float,
     the refinement stalls.
     """
     _require_weight_exponent(s, kappa)
-    h = _weighted_integrand_factory(form_at, kappa, s)
+    scale = kappa ** (2.0 * s + 1.0)
+
+    def h(t: np.ndarray) -> np.ndarray:
+        return scale * np.exp((2.0 * s + 1.0) * t) * form_at(kappa * np.exp(t))
 
     def tail_at(t_star: float) -> float:
         tau_star = kappa * np.exp(t_star)
@@ -876,7 +883,6 @@ def build_weighted_rule(form_at: Callable, kappa: float, s: float,
         t_weights.append(wk)
     t_nodes = np.concatenate(t_nodes)
     t_weights = np.concatenate(t_weights)
-    scale = kappa ** (2.0 * s + 1.0)
     weights = t_weights * scale * np.exp((2.0 * s + 1.0) * t_nodes)
     tau_star = kappa * np.exp(t_star)
     return WeightedFormRule(kappa=kappa, s=s,
@@ -908,10 +914,7 @@ class WeightedFormProfile:
 
     @property
     def sigma(self) -> float:
-        sigma = 0.5 * (0.5 + self.s)
-        if not 0.0 < sigma < 0.25:
-            raise ContractError("sigma left (0, 1/4); s out of range")
-        return sigma
+        return 0.5 * (0.5 + self.s)
 
 
 def weighted_resolvent_form(u: RealField, kappa: float, s: float,
@@ -956,7 +959,7 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
     grid = u.grid
     lax = build_lax(u, xi_max)
     spectrum = LaxSpectrum.lanczos([u], kappa, xi_max)[0]
-    spectrum.require_shift(kappa)
+    _require_shift(spectrum.lambda_min, kappa)
     if rule is None:
         rule = build_weighted_rule(spectrum.form_at, kappa, s)
 
@@ -1012,8 +1015,7 @@ class GrowthReport:
 def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
                         kappa: float, t_final: float = 1.0,
                         dt: Optional[float] = None, n_samples: int = 100,
-                        xi_max: Optional[float] = None, c_s: float = 1.0,
-                        epsilon: float = 0.01,
+                        c_s: float = 1.0, epsilon: float = 0.01,
                         equation: str = "ilw") -> GrowthReport:
     """Track the weighted form along a run and fit its exponential rate.
 
@@ -1030,15 +1032,15 @@ def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
     one-member case of ``gronwall_ensemble``.
     """
     return gronwall_ensemble([u0], [depth], s, kappa, t_final=t_final, dt=dt,
-                             n_samples=n_samples, xi_max=xi_max, c_s=c_s,
-                             epsilon=epsilon, equation=equation)[0]
+                             n_samples=n_samples, c_s=c_s, epsilon=epsilon,
+                             equation=equation)[0]
 
 
 def gronwall_ensemble(initials: list, depths: list, s: float,
                       kappa: float, t_final: float = 1.0,
                       dt: Optional[float] = None, n_samples: int = 100,
-                      xi_max: Optional[float] = None, c_s: float = 1.0,
-                      epsilon: float = 0.01, equation: str = "ilw") -> list:
+                      c_s: float = 1.0, epsilon: float = 0.01,
+                      equation: str = "ilw") -> list:
     """``gronwall_experiment`` for each initial state at its own depth.
 
     ``depths`` holds one depth per member (``None`` serves ``bo``); one
@@ -1049,16 +1051,15 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     sample is consumed as it is produced, so no trajectory is stored.  Per
     sample, the batch's whole (B, n_points//2 + 1) stack takes one
     ``lanczos_measures`` call, one H^s_kappa norm reduction, one
-    admissible-shift test and one evaluation of the ``KappaRule`` built
-    once per call; no field or spectrum is built per row.  Reports come
+    admissible-shift test (``_check_kappas``, which ``check_kappa`` runs on
+    one row) and one evaluation of the ``KappaRule`` built once per call;
+    no field or spectrum is built per row.  Every depth's reference rate is
+    computed before the first step.  Reports come
     back in the order of ``initials``, each equal to the member's own
     ``gronwall_experiment``.
     """
-    _require_weight_exponent(s, kappa)
-    # a kappa whose square overflows fails here, before any step is taken
-    index = SobolevIndex(s, kappa)
-    if c_s <= 0:
-        raise ContractError("c_s must be positive")
+    # a bad s, kappa or c_s fails here, before any step is taken
+    index = _shift_index(s, kappa, c_s)
     if not initials:
         raise ContractError("empty ensemble: no initial states")
     if len(depths) != len(initials):
@@ -1070,6 +1071,7 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     by_depth = {depth: make_problem(equation, depth, grid)
                 for depth in dict.fromkeys(depths)}
     problems = [by_depth[depth] for depth in depths]
+    references = {depth: _reference_rate(depth, s, epsilon) for depth in by_depth}
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
 
@@ -1087,22 +1089,20 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
         stack = np.stack([initials[i].coeffs for i in members])
         for t, coeffs in etdrk4_samples([problems[i] for i in members], stack,
                                         t_final, step, stride):
-            measures = lanczos_measures(grid, coeffs, kappa, xi_max)
+            measures = lanczos_measures(grid, coeffs, kappa)
             if not times and not measures.weights.any(axis=1).all():
                 # all weights vanish exactly when form(kappa; u0) = 0
                 raise ContractError("initial data has zero weighted form; "
                                     "no growth rate can be fitted")
-            thresholds = np.array([
-                _kappa_threshold(norm, s, c_s)
-                for norm in sobolev_norms(grid, coeffs, index).tolist()])
-            ok = (kappa >= thresholds) & (measures.lambda_min + kappa > 0.0)
-            if not ok.all():
-                row = np.flatnonzero(~ok)[0]
+            checks = _check_kappas(grid, coeffs, measures.lambda_min, index, c_s)
+            failed = [check for check in checks if not check.ok]
+            if failed:
                 raise NumericalError(
                     "admissible-shift condition failed along the run: "
                     "kappa=%.4g threshold=%.4g lambda_min=%.4g"
-                    % (kappa, thresholds[row], measures.lambda_min[row]))
-            margin = np.minimum(margin, kappa - thresholds)
+                    % (kappa, failed[0].threshold, failed[0].lambda_min))
+            margin = np.minimum(margin,
+                                [kappa - check.threshold for check in checks])
             times.append(t)
             values.append(rule.values(measures.nodes, measures.weights))
         times, values = np.asarray(times), np.array(values)
@@ -1113,16 +1113,28 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
         bound = values[0] * np.exp(a_hat * times[:, None])
         bound_ok = np.all(values <= bound * (1.0 + 1e-6), axis=0)
         for j, i in enumerate(members):
-            depth = depths[i]
-            a_reference = (depth ** -2.0
-                           * (1.0 + depth ** (-abs(s) - 0.5 - epsilon))
-                           if depth is not None else 0.0)
             reports[i] = GrowthReport(
-                depth=depth, s=s, kappa=kappa, equation=equation, times=times,
-                form_values=values[:, j], a_hat=float(a_hat[j]),
-                bound_ok=bool(bound_ok[j]), a_reference=a_reference,
+                depth=depths[i], s=s, kappa=kappa, equation=equation,
+                times=times, form_values=values[:, j], a_hat=float(a_hat[j]),
+                bound_ok=bool(bound_ok[j]), a_reference=references[depths[i]],
                 kappa_margin=float(margin[j]))
     return reports
+
+
+def _reference_rate(depth: Optional[float], s: float, epsilon: float) -> float:
+    """The growth rate depth^-2 (1 + depth^(-|s| - 1/2 - epsilon)) that the
+    fitted rate is reported against, 0 without a depth; a ContractError
+    names epsilon and the depth where it overflows (at depth 0 too, which
+    only ``bo`` admits)."""
+    try:
+        rate = (depth ** -2.0 * (1.0 + depth ** (-abs(s) - 0.5 - epsilon))
+                if depth is not None else 0.0)
+    except (OverflowError, ZeroDivisionError):
+        rate = np.inf
+    if not np.isfinite(rate):
+        raise ContractError("the reference rate overflows at epsilon = %.3g "
+                            "and depth %.6g" % (epsilon, depth))
+    return rate
 
 
 @dataclass(frozen=True)
@@ -1149,7 +1161,7 @@ def apriori_bound(u0: RealField, s: float, depth: float, t: float,
     index = SobolevIndex(s, 1.0)
     _require_weight_exponent(s, index.kappa)
     problem = make_ilw(depth, u0.grid)
-    trajectory = evolve(problem, u0, t, dt, monitors={})
+    trajectory = evolve(problem, u0, t, dt)
     lhs = sobolev_norm(trajectory.final(), index)
     n0 = sobolev_norm(u0, index)
     growth = np.exp(a_rate * t)

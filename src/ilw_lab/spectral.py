@@ -30,6 +30,10 @@ from .errors import ContractError
 HERMITIAN_RTOL = 1e-10
 # largest kappa whose square a float holds (the bracket squares it)
 _KAPPA_MAX = float(np.sqrt(np.finfo(float).max))
+# the largest grid accepted, far above any run's (4096 at most); the
+# Hamiltonian monitors embed a state in twice its grid, so ``simulate``
+# takes at most half of it
+MAX_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,9 @@ class SpectralGrid:
             raise ContractError("grid length must be positive and finite")
         if self.n_points < 8 or self.n_points % 2 != 0:
             raise ContractError("n_points must be an even integer >= 8")
+        if self.n_points > MAX_POINTS:
+            raise ContractError("n_points = %d exceeds the limit of %d"
+                                % (self.n_points, MAX_POINTS))
 
     @cached_property
     def frequencies(self) -> np.ndarray:

@@ -29,6 +29,10 @@ SERIES_CAP = 100_000
 ADELTA_MAX = np.pi - 1e-3
 
 _TWO_PI = 2.0 * np.pi
+# ``mode_phase_rate`` sizes its probe step in a so that the speed moves by
+# about this much over |t|: the phase difference 2*pi*t*(c2 - c1) then
+# stays near 0.6, on one branch of arg
+_PHASE_PROBE_DC = 0.1
 
 
 def _require_regime(a: float, depth: float):
@@ -474,8 +478,7 @@ def traveling_mode_2pi(a: float, depth: float, t: float) -> complex:
     return complex(modulus * np.exp(-2j * np.pi * c * t))
 
 
-def mode_phase_rate(a: float, depth: float, t: float,
-                    target_dc: float = 0.1):
+def mode_phase_rate(a: float, depth: float, t: float):
     """Measured d(arg mode)/dc between two nearby wave numbers.
 
     The amplitude factor is real of one sign, so the phase difference is
@@ -488,7 +491,7 @@ def mode_phase_rate(a: float, depth: float, t: float,
     c1 = periodic_speed(a, depth)
     da = 1e-8 * a
     slope = abs(periodic_speed(a + da, depth) - c1) / da
-    step = target_dc / (abs(t) * max(slope, 1e-300))
+    step = _PHASE_PROBE_DC / (abs(t) * max(slope, 1e-300))
     step = min(step, 0.5 * (ADELTA_MAX / depth - a), 0.1 * a)
     c2 = periodic_speed(a + step, depth)
     z1 = traveling_mode_2pi(a, depth, t)

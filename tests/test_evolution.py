@@ -212,6 +212,31 @@ def test_evolve_validation():
         evolve(problem, u0, 1e300)
 
 
+def test_diagnostics_are_evaluated_when_first_read(monkeypatch):
+    # a run whose diagnostics are never read evaluates no monitor; the
+    # first read evaluates each default monitor once per stored state
+    from ilw_lab import evolution
+
+    calls = []
+    monkeypatch.setattr(evolution, "hamiltonian_ilw",
+                        lambda state, depth: calls.append(state)
+                        or hamiltonian_ilw(state, depth))
+    grid = SpectralGrid(TWO_PI, 64)
+    problem = make_ilw(1.0, grid)
+    trajectory = evolve(problem, random_field(grid, -0.25, 0.25, 2,
+                                              decay=0.25), 0.02, dt=1e-3,
+                        store_stride=5)
+    assert calls == []
+    diagnostics = trajectory.diagnostics
+    assert len(calls) == 5
+    assert all(a is b for a, b in zip(calls, trajectory.states))
+    assert sorted(diagnostics) == ["hamiltonian", "l2", "mass", "mean", "sup"]
+    assert trajectory.diagnostics is diagnostics and len(calls) == 5
+    assert diagnostics["mass"].tolist() == [mass(u) for u in trajectory.states]
+    assert diagnostics["hamiltonian"].tolist() == [
+        hamiltonian_ilw(u, 1.0) for u in trajectory.states]
+
+
 def test_step_count_lands_on_t_final_and_is_bounded():
     assert step_count(1.0, 1e-3) == (1000, 1e-3)
     assert step_count(1e-4, 1e-3) == (1, 1e-4)
@@ -254,7 +279,7 @@ def test_batched_stepper_matches_single_rows():
             assert np.array_equal(c_alone[0], c_batch[i])
     # evolve is the one-row case
     trajectory = evolve(problem, RealField(grid, rows[1]), 0.05, dt=1e-3,
-                        monitors={}, store_stride=7)
+                        store_stride=7)
     assert trajectory.times.tolist() == [t for t, _ in batched]
     for state, (_, c_batch) in zip(trajectory.states, batched):
         assert np.array_equal(state.coeffs, c_batch[1])

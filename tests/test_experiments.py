@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from ilw_lab import (
 )
 from ilw_lab import experiments
 from ilw_lab.cli import build_parser, main
+from ilw_lab.evolution import MAX_MEMBERS
+from ilw_lab.spectral import MAX_POINTS
 from ilw_lab.experiments import (
     _SCHEMAS,
     RunReport,
@@ -216,6 +219,68 @@ def test_gronwall_large_kappa_exits_cleanly(tmp_path, capsys, kappa):
         assert code == 1 and too_large in err and not out.exists()
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, epsilon, depth", [
+    (["--epsilon", "1e308"], "1e+308", "0.5"),
+    # the = form: argparse reads a bare -1e308 as an option
+    (["--epsilon=-1e308"], "-1e+308", "2"),
+    # the deep-water run keeps its depths for the reference rate alone
+    (["--equation", "bo", "--depth-list", "0"], "0.01", "0"),
+])
+def test_gronwall_overflowing_reference_rate_exits_before_any_step(
+        tmp_path, capsys, monkeypatch, flags, epsilon, depth):
+    # the reference rate depth^-2 (1 + depth^(-|s| - 1/2 - epsilon)) is
+    # computed for every depth before the ensemble takes a step
+    from ilw_lab import lax as lax_module
+
+    stepped = []
+    monkeypatch.setattr(lax_module, "etdrk4_samples",
+                        lambda *args, **kwargs: stepped.append(args) or iter(()))
+    out = tmp_path / "g"
+    assert main(["gronwall", "--n", "32", "--t-final", "0.01", "--samples",
+                 "2", "--seeds", "1", *flags, "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("usage error: the reference rate overflows at epsilon = %s "
+            "and depth %s" % (epsilon, depth)) in err
+    assert "Traceback" not in err
+    assert stepped == [] and not out.exists()
+
+
+def test_gronwall_rejects_a_huge_ensemble_at_once(tmp_path, capsys,
+                                                  monkeypatch):
+    # no initial state is built past the member limit
+    def no_field(*args):
+        raise AssertionError("an initial state was built")
+
+    monkeypatch.setattr(experiments, "random_field", no_field)
+    out = tmp_path / "g"
+    started = time.perf_counter()
+    code = main(["gronwall", "--seeds", "100000000000000000000",
+                 "--outdir", str(out)])
+    elapsed = time.perf_counter() - started
+    err = capsys.readouterr().err
+    assert code == 1 and elapsed < 1.0
+    assert "usage error: gronwall.seeds = 100000000000000000000 at 3 depths " \
+        "exceeds the limit of %d ensemble members" % MAX_MEMBERS in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["wave", "--n", "2000000000000"],
+    ["wave", "--n", "4611686018427387904"],
+    ["smoothing", "--n", "2000000000000"],
+    ["beta", "--n", "2000000000000"],
+    ["gronwall", "--n", "2000000000000"],
+])
+def test_cli_rejects_grids_beyond_the_point_limit(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("usage error: n_points = %s exceeds the limit of %d"
+            % (argv[2], MAX_POINTS)) in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_load_config_rejects_bad_input(tmp_path):

@@ -320,6 +320,23 @@ def test_symbol_bound_is_below_lambda_min(seed, amplitude, decay, m):
     assert bound <= lam + 1e-12 * (1.0 + abs(lam))
 
 
+def test_spectra_carry_the_symbol_bound_of_their_measure():
+    # a Lanczos view reads its row's bound off the measure, the dense
+    # constructor computes it once; both equal the bound of the Hardy data
+    grid = SpectralGrid(TWO_PI, 128)
+    fields = [random_field(grid, -0.25, amp, seed, decay=0.25)
+              for amp, seed in ((0.3, 7), (5.0, 3), (0.0, 1))]
+    kappa = 2.0
+    measures = lax_module.lanczos_measures(
+        grid, np.stack([u.coeffs for u in fields]), kappa)
+    for u, spectrum, bound in zip(fields, LaxSpectrum.lanczos(fields, kappa),
+                                  measures.lambda_bound):
+        expected = lax_module._symbol_bound(spectrum.g, grid.length)
+        assert spectrum.lambda_bound == bound == expected
+        assert LaxSpectrum(build_lax(u), u).lambda_bound == expected
+    assert measures.lambda_bound[1] + kappa <= 0.0
+
+
 def test_uncertified_rows_take_the_dense_path():
     # a + kappa <= 0 cannot be certified: that row is the dense spectrum,
     # and the rest of the batch is unchanged by it
@@ -892,6 +909,27 @@ def test_gronwall_experiment_matches_public_functions():
     assert report.form_values.tolist() == values
     assert np.all(np.abs(report.form_values - frozen) <= 1e-12 * frozen)
     assert report.kappa_margin == margin
+
+
+def test_check_kappa_and_the_ensemble_share_the_shift_test():
+    # a field near the constant -2 has lambda_min near -2: kappa = 1 clears
+    # the norm threshold at a small c_s but not the spectrum, and the
+    # ensemble fails on the same check that check_kappa returns
+    grid = SpectralGrid(TWO_PI, 64)
+    coeffs = np.zeros(33, dtype=np.complex128)
+    coeffs[0], coeffs[1] = -2.0 * grid.length, 0.01 * grid.length
+    u0 = RealField(grid, coeffs)
+    s, kappa, c_s = -0.25, 1.0, 1e-6
+    check = check_kappa(u0, s, kappa, c_s)
+    assert kappa >= check.threshold and check.lambda_min + kappa <= 0.0
+    assert not check.ok
+    message = ("admissible-shift condition failed along the run: "
+               "kappa=%.4g threshold=%.4g lambda_min=%.4g"
+               % (kappa, check.threshold, check.lambda_min))
+    with pytest.raises(NumericalError) as failure:
+        gronwall_experiment(u0, 1.0, s, kappa, t_final=0.01, dt=1e-3,
+                            n_samples=2, c_s=c_s)
+    assert str(failure.value) == message
 
 
 def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from ilw_lab import (
     sobolev_norm,
     synthesize,
 )
-from ilw_lab.spectral import hardy_norm
+from ilw_lab.spectral import MAX_POINTS, hardy_norm
 
 
 def random_real_field(grid, rng, amplitude=1.0, rolloff=1.5, nyquist=False):
@@ -50,6 +50,14 @@ def test_grid_validation():
         SpectralGrid(0.0, 16)
     with pytest.raises(ContractError):
         SpectralGrid(-2.0, 16)
+    # the size limit admits every size the commands run at, and a grid is
+    # checked before anything of its size is allocated
+    assert MAX_POINTS >= 4096
+    assert SpectralGrid(1.0, MAX_POINTS).n_points == MAX_POINTS
+    for n_points in (MAX_POINTS + 2, 2_000_000_000_000, 2 ** 62):
+        with pytest.raises(ContractError, match="exceeds the limit of %d"
+                           % MAX_POINTS):
+            SpectralGrid(1.0, n_points)
 
 
 def test_unit_grid_lattice_is_2pi_integers():
