@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from .errors import ContractError, NumericalError
-from .experiments import _SCHEMAS, load_config, run
+from .experiments import _PARSERS, _SCHEMAS, load_config, run
 
 _HELP = {
     "simulate": "evolve one initial state and record diagnostics",
@@ -43,10 +43,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list) -> list:
+    """Each ``--key value`` of a numeric schema flag as ``--key=value`` when
+    the value parses as the key's kind: argparse would take a negative
+    number in exponent form (``--s -1e-1``) or a list (``-1,1``) for an
+    option."""
+    schema = _SCHEMAS.get(argv[0], {}) if argv else {}
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        spec = schema.get(flag[2:].replace("-", "_")) \
+            if flag.startswith("--") else None
+        if spec and spec[0] != "str":
+            try:
+                _PARSERS[spec[0]](arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = flag + "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(sys.argv[1:] if argv is None
+                                         else list(argv)))
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     if not args.command:

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BlowUpError, ContractError
-from .spectral import RealField, SpectralGrid
+from .spectral import RealField, SpectralGrid, _zero_padded
 from .symbols import (
     coth_dx2_symbol,
     depth_dispersion_dx_symbol,
@@ -36,6 +36,8 @@ MAX_STEPS = 10_000_000
 # the most members a gronwall ensemble accepts; each is one row of every
 # ETDRK4 stage
 MAX_MEMBERS = 10_000
+# the 2/3 rule: the largest band whose quadratic products do not alias
+_DEALIAS_FRACTION = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,6 @@ class EvolutionProblem:
     linear_symbol: np.ndarray
     label: str
     depth: Optional[float] = None
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         sym = np.asarray(self.linear_symbol, dtype=np.complex128)
@@ -64,13 +65,10 @@ class EvolutionProblem:
         sym[self.grid.nyquist_index] = 0.0
         sym.setflags(write=False)
         object.__setattr__(self, "linear_symbol", sym)
-        if not 0.0 < self.dealias_fraction <= 2.0 / 3.0:
-            raise ContractError("dealias fraction must lie in (0, 2/3] for a "
-                                "quadratic nonlinearity")
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        cutoff = self.dealias_fraction * self.grid.fundamental * (self.grid.n_points // 2)
+        cutoff = _DEALIAS_FRACTION * self.grid.fundamental * (self.grid.n_points // 2)
         mask = np.abs(self.grid.frequencies) < cutoff - 1e-12
         mask.setflags(write=False)
         return mask
@@ -185,10 +183,12 @@ def mass(state: RealField) -> float:
 
 
 def _cubic_integral(state: RealField) -> float:
-    # zero-pad to 2N so the trapezoid sum of u^3 is alias-free
-    fine = state.embedded(2 * state.grid.n_points)
-    u = fine.samples()
-    return float(np.sum(u ** 3) * fine.grid.spacing)
+    # zero-pad to 2N so the trapezoid sum of u^3 is alias-free; no 2N grid
+    # is built, so a state on a MAX_POINTS grid has one too
+    n_fine = 2 * state.grid.n_points
+    u = np.fft.irfft(_zero_padded(state.coeffs, n_fine), n_fine) \
+        * (n_fine / state.grid.length)
+    return float(np.sum(u ** 3) * (state.grid.length / n_fine))
 
 
 def _quadratic_form(state: RealField, symbol_values: np.ndarray) -> float:
@@ -299,15 +299,15 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
     """Advance a stack of half spectra, one state per row, to ``t_final``.
 
     ``coeffs`` has shape (B, N//2 + 1) and ``problems`` holds the problem of
-    each row; they must share one grid and one ``dealias_fraction``, so only
-    the linear symbol differs from row to row.  The phi-tables are computed
-    once per distinct problem and gathered per row.  Every row takes the
-    same steps, rounded as in ``step_count``; the scheme acts row by row, so
-    a row evolves exactly as it would alone.  Yields ``(t, coeffs)`` at
-    t = 0, every ``store_stride`` steps and at ``t_final``; a yielded array
-    is never modified afterwards.  Each row keeps its own checks: an
-    advisory CFL warning, and BlowUpError when it stops being finite or its
-    sup-norm exceeds 1e6 times its initial one.
+    each row; they must share one grid, so only the linear symbol differs
+    from row to row.  The phi-tables are computed once per distinct problem
+    and gathered per row.  Every row takes the same steps, rounded as in
+    ``step_count``; the scheme acts row by row, so a row evolves exactly as
+    it would alone.  Yields ``(t, coeffs)`` at t = 0, every
+    ``store_stride`` steps and at ``t_final``; a yielded array is never
+    modified afterwards.  Each row keeps its own checks: an advisory CFL
+    warning, and BlowUpError when it stops being finite or its sup-norm
+    exceeds 1e6 times its initial one.
     """
     c = np.array(coeffs, dtype=np.complex128)
     if c.ndim != 2 or c.shape[0] != len(problems) or not problems:
@@ -319,8 +319,6 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
     grid = problem.grid
     if any(p.grid != grid for p in problems):
         raise ContractError("problems live on different grids")
-    if any(p.dealias_fraction != problem.dealias_fraction for p in problems):
-        raise ContractError("problems differ in dealias_fraction")
     if c.shape[1] != grid.frequencies.shape[0]:
         raise ContractError("states must be a (B, n_points//2 + 1) stack")
     n_steps, dt = step_count(t_final, dt)

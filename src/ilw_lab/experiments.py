@@ -130,7 +130,22 @@ def read_snapshot(path) -> RealField:
 
 # -- configuration ---------------------------------------------------------------
 
-# per-command parameter schema: name -> (kind, default)
+# declared ranges: the words of the error and the predicate each value
+# (each element of a list) must meet
+_AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
+_POSITIVE = ("must be positive", lambda v: v > 0)
+_STEP = ("must be >= 0 (0 selects the default step)", lambda v: v >= 0)
+
+# how a flag or an ini value is read, by kind; a ValueError rejects it
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "float_list": lambda raw: [float(tok) for tok in raw.split(",")
+                               if tok.strip()],
+    "str": str,
+}
+
+# per-command parameter schema: name -> (kind, default[, range])
 _SCHEMAS = {
     "simulate": {
         "equation": ("str", "ilw"),
@@ -144,12 +159,12 @@ _SCHEMAS = {
         # the whole field; the in-run mass assertion depends on it
         "decay": ("float", 0.25),
         "t_final": ("float", 1.0),
-        "dt": ("float", 0.0),
-        "samples": ("int", 100),
+        "dt": ("float", 0.0, _STEP),
+        "samples": ("int", 100, _AT_LEAST_ONE),
         "initial": ("str", ""),
     },
     "wave": {
-        "depth": ("float", 1.0),
+        "depth": ("float", 1.0, _POSITIVE),
         "adelta": ("float", 2.0),
         "n": ("int", 1024),
         "s_dirac": ("float", -0.6),
@@ -162,17 +177,18 @@ _SCHEMAS = {
         "decay": ("float", 0.02),
         "s": ("float", -0.25),
         "kappa": ("float", 32.0),
-        "modes": ("int", 0),
+        "modes": ("int", 0, ("must be >= 0 (0 keeps every mode)",
+                             lambda v: v >= 0)),
     },
     "gronwall": {
         "equation": ("str", "ilw"),
-        "depth_list": ("float_list", [0.5, 1.0, 2.0]),
-        "seeds": ("int", 10),
+        "depth_list": ("float_list", [0.5, 1.0, 2.0], _POSITIVE),
+        "seeds": ("int", 10, _AT_LEAST_ONE),
         "seed": ("int", 1),
         "s": ("float", -0.25),
         "kappa": ("float", 32.0),
         "t_final": ("float", 1.0),
-        "dt": ("float", 0.0),
+        "dt": ("float", 0.0, _STEP),
         "n": ("int", 256),
         "length": ("float", 6.283185307179586),
         "amplitude": ("float", 0.4),
@@ -184,7 +200,7 @@ _SCHEMAS = {
         "epsilon": ("float", 0.01),
     },
     "illposed": {
-        "depth": ("float", 1.0),
+        "depth": ("float", 1.0, _POSITIVE),
         "adelta_list": ("float_list", [2.8, 3.0, 3.1, 3.14]),
         "s": ("float", -0.6),
         "t": ("float", 1.0),
@@ -215,7 +231,7 @@ _SCHEMAS = {
         "s_target": ("float", -0.25),
         "decay": ("float", 0.5),
         "t_final": ("float", 0.5),
-        "dt": ("float", 0.0),
+        "dt": ("float", 0.0, _STEP),
     },
 }
 
@@ -230,23 +246,22 @@ class ExperimentConfig:
 
 
 def _coerce(command: str, key: str, raw) -> object:
-    kind = _SCHEMAS[command][key][0]
+    kind, _, *declared = _SCHEMAS[command][key]
     value = raw
     if isinstance(raw, str):
         try:
-            if kind == "int":
-                value = int(raw)
-            elif kind == "float":
-                value = float(raw)
-            elif kind == "float_list":
-                value = [float(tok) for tok in raw.split(",") if tok.strip()]
+            value = _PARSERS[kind](raw)
         except ValueError as exc:
             raise ContractError("bad value for %s.%s: %r"
                                 % (command, key, raw)) from exc
-    if kind == "float_list" and not value:
+    values = value if kind == "float_list" else [value]
+    if kind == "float_list" and not values:
         raise ContractError("%s.%s needs at least one value" % (command, key))
-    if kind in ("float", "float_list") and not np.all(np.isfinite(value)):
+    if kind in ("float", "float_list") and not np.all(np.isfinite(values)):
         raise ContractError("%s.%s must be finite: %r" % (command, key, raw))
+    for words, admits in declared:
+        if not all(map(admits, values)):
+            raise ContractError("%s.%s %s: %r" % (command, key, words, raw))
     return value
 
 
@@ -258,7 +273,7 @@ def load_config(command: str, config_path: Optional[str] = None,
     if command not in _SCHEMAS:
         raise ContractError("unknown command %r" % command)
     schema = _SCHEMAS[command]
-    params = {key: default for key, (_, default) in schema.items()}
+    params = {key: spec[1] for key, spec in schema.items()}
     if config_path:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         if not parser.read(config_path):
@@ -352,13 +367,6 @@ def _make_grid(params) -> SpectralGrid:
     return SpectralGrid(params["length"], params["n"])
 
 
-def _requested_dt(params) -> Optional[float]:
-    """The --dt step, or None for 0, which selects the advisory default."""
-    if params["dt"] < 0:
-        raise ContractError("dt must be >= 0 (0 selects the default step)")
-    return params["dt"] or None
-
-
 def _initial_state(params, grid: SpectralGrid) -> RealField:
     if params.get("initial"):
         state = read_snapshot(params["initial"])
@@ -374,9 +382,7 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
     grid = _make_grid(p)
     state = _initial_state(p, grid)
     problem = make_problem(p["equation"], p["depth"], grid)
-    if p["samples"] < 1:
-        raise ContractError("simulate.samples must be positive")
-    dt = _requested_dt(p) or default_step(problem, state, p["t_final"])
+    dt = p["dt"] or default_step(problem, state, p["t_final"])
     n_steps, _ = step_count(p["t_final"], dt)
     stride = max(1, n_steps // p["samples"])
     trajectory = evolve(problem, state, p["t_final"], dt, store_stride=stride)
@@ -406,17 +412,9 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
     return RunReport(cfg.command, report, failures, files)
 
 
-def _wave_number(adelta: float, depth: float) -> float:
-    # the regime checks in waves.py see only the quotient a = adelta/depth,
-    # so the depth is checked before it is formed
-    if depth <= 0:
-        raise ContractError("depth must be positive")
-    return adelta / depth
-
-
 def run_wave(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    a = _wave_number(p["adelta"], p["depth"])
+    a = p["adelta"] / p["depth"]
     grid = SpectralGrid(1.0, p["n"])
     profiles = periodic_profile(a, p["depth"], grid)
     constants = periodic_wave_constants(a, p["depth"])
@@ -452,8 +450,6 @@ def run_wave(cfg: ExperimentConfig) -> RunReport:
 def run_beta(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
-    if p["modes"] < 0:
-        raise ContractError("beta.modes must be >= 0 (0 keeps every mode)")
     state = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
     xi_max = modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0 else None
     spectrum = LaxSpectrum.lanczos([state], p["kappa"], xi_max)[0]
@@ -504,15 +500,12 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
 def run_gronwall(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
-    dt = _requested_dt(p)
     depths = sorted(p["depth_list"])
     if p["seeds"] * len(depths) > MAX_MEMBERS:
         raise ContractError("gronwall.seeds = %d at %d depths exceeds the "
                             "limit of %d ensemble members"
                             % (p["seeds"], len(depths), MAX_MEMBERS))
     seeds = range(p["seed"], p["seed"] + p["seeds"])
-    if not seeds or not depths:
-        raise ContractError("empty ensemble: no seeds or no depths")
     initials = {seed: random_field(grid, p["s"], p["amplitude"], seed,
                                    p["decay"])
                 for seed in seeds}
@@ -521,7 +514,7 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
     # they are stepped as one batch
     results = gronwall_ensemble(
         [initials[seed] for _, seed in tasks], [depth for depth, _ in tasks],
-        p["s"], p["kappa"], t_final=p["t_final"], dt=dt,
+        p["s"], p["kappa"], t_final=p["t_final"], dt=p["dt"] or None,
         n_samples=p["samples"], c_s=p["c_s"], epsilon=p["epsilon"],
         equation=p["equation"])
     table = _csv(["depth", "seed", "a_hat", "a_reference", "bound_ok",
@@ -563,7 +556,7 @@ def run_illposed(cfg: ExperimentConfig) -> RunReport:
     rows = []
     distances, moduli, rate_gaps, mean_gaps = [], [], [], []
     for adelta in p["adelta_list"]:
-        a = _wave_number(adelta, p["depth"])
+        a = adelta / p["depth"]
         obs = illposed_observables(a, p["depth"], t, p["alpha"])
         profiles = periodic_profile(a, p["depth"], grid)
         distance = distance_to_dirac(profiles.fourier, p["s"])
@@ -631,7 +624,7 @@ def run_twodepth(cfg: ExperimentConfig) -> RunReport:
     grid = _make_grid(p)
     u0 = random_field(grid, p["s_target"], p["amplitude"], p["seed"], p["decay"])
     limit_problem = make_bo_two_speed(p["c1"], p["c2"], grid)
-    dt = _requested_dt(p) or default_step(limit_problem, u0, p["t_final"])
+    dt = p["dt"] or default_step(limit_problem, u0, p["t_final"])
     n_steps, _ = step_count(p["t_final"], dt)
     depths = sorted(p["min_depth_list"])
     problems = [limit_problem] + [

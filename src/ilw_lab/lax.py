@@ -53,7 +53,6 @@ from .spectral import (
     SpectralGrid,
     forward_transform,
     hardy_embed,
-    hardy_norm,
     hardy_project,
     sobolev_norm,
     sobolev_norms,
@@ -624,13 +623,10 @@ def _preconditioned_cg(lax: LaxTruncation, kappa: float, g: np.ndarray,
 
 @dataclass(frozen=True)
 class ResolventState:
-    """The auxiliary state m = -(L_u + kappa)^(-1) P_+ u with diagnostics;
-    ``iterations`` counts the conjugate-gradient steps, 0 on the dense path."""
+    """The auxiliary state m = -(L_u + kappa)^(-1) P_+ u; ``iterations``
+    counts the conjugate-gradient steps, 0 on the dense path."""
 
-    kappa: float
-    frequencies: np.ndarray
     coeffs: np.ndarray
-    norms: dict
     iterations: int
 
     def form(self, u: RealField) -> float:
@@ -658,22 +654,12 @@ class ResolventState:
         return float(value)
 
 
-def resolvent_state(u: RealField, kappa: float, xi_max: Optional[float] = None,
-                    s: Optional[float] = None) -> ResolventState:
+def resolvent_state(u: RealField, kappa: float,
+                    xi_max: Optional[float] = None) -> ResolventState:
     lax = build_lax(u, xi_max)
     g = hardy_project(u)[: lax.frequencies.shape[0]]
     x, iterations = _resolvent_solve(lax, kappa, g)
-    m = -x
-    norms = {}
-    if s is not None:
-        norms["m_smoothed"] = hardy_norm(m, lax.frequencies, u.grid.length,
-                                         SobolevIndex(s + 1.0, kappa))
-        norms["m_plain"] = hardy_norm(m, lax.frequencies, u.grid.length,
-                                      SobolevIndex(s, 1.0))
-        norms["u"] = sobolev_norm(u, SobolevIndex(s, kappa))
-        norms["u_plain"] = sobolev_norm(u, SobolevIndex(s, 1.0))
-    return ResolventState(kappa=kappa, frequencies=lax.frequencies,
-                          coeffs=m, norms=norms, iterations=iterations)
+    return ResolventState(coeffs=-x, iterations=iterations)
 
 
 def resolvent_form(u: RealField, kappa: float, xi_max: Optional[float] = None) -> float:

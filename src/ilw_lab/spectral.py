@@ -30,9 +30,7 @@ from .errors import ContractError
 HERMITIAN_RTOL = 1e-10
 # largest kappa whose square a float holds (the bracket squares it)
 _KAPPA_MAX = float(np.sqrt(np.finfo(float).max))
-# the largest grid accepted, far above any run's (4096 at most); the
-# Hamiltonian monitors embed a state in twice its grid, so ``simulate``
-# takes at most half of it
+# the largest grid accepted, far above any run's (4096 at most)
 MAX_POINTS = 2 ** 20
 
 
@@ -181,11 +179,18 @@ class RealField:
             raise ContractError("embedding target must be an even n_points >= source")
         if n_points == n_old:
             return self
-        out = np.zeros(n_points // 2 + 1, dtype=np.complex128)
-        half = n_old // 2
-        out[:half] = self.coeffs[:half]
-        out[half] = 0.5 * self.coeffs[half]
-        return RealField(SpectralGrid(self.grid.length, n_points), out)
+        return RealField(SpectralGrid(self.grid.length, n_points),
+                         _zero_padded(self.coeffs, n_points))
+
+
+def _zero_padded(coeffs: np.ndarray, n_points: int) -> np.ndarray:
+    """The half spectrum of ``RealField.embedded`` on ``n_points``, built
+    without its grid."""
+    half = coeffs.shape[0] - 1
+    out = np.zeros(n_points // 2 + 1, dtype=np.complex128)
+    out[:half] = coeffs[:half]
+    out[half] = 0.5 * coeffs[half]
+    return out
 
 
 def forward_transform(samples: np.ndarray, grid: SpectralGrid) -> RealField:

@@ -87,31 +87,19 @@ def _mode_2pi_modulus(a: float, depth: float) -> float:
 
 @dataclass(frozen=True)
 class WaveParams:
-    """One member of the traveling family.
-
-    ``flavor`` records which constraint links a and c: line waves satisfy
-    a*depth*cot(a*depth) = 1 - c*depth, circle waves use the periodized
-    speed with its tail correction.
-    """
+    """One line wave of the traveling family: a and c are linked by
+    a*depth*cot(a*depth) = 1 - c*depth."""
 
     depth: float
     a: float
     c: float
-    flavor: str
 
     def __post_init__(self):
         _require_regime(self.a, self.depth)
-        if self.flavor not in ("line", "circle"):
-            raise ContractError("flavor must be 'line' or 'circle'")
 
     @classmethod
     def line(cls, c: float, depth: float) -> "WaveParams":
-        a = wave_number_from_speed(c, depth)
-        return cls(depth=depth, a=a, c=c, flavor="line")
-
-    @classmethod
-    def circle(cls, a: float, depth: float) -> "WaveParams":
-        return cls(depth=depth, a=a, c=periodic_speed(a, depth), flavor="circle")
+        return cls(depth=depth, a=wave_number_from_speed(c, depth), c=c)
 
 
 def wave_number_from_speed(c: float, depth: float) -> float:

@@ -26,6 +26,8 @@ from ilw_lab import (
     rhs,
     step_count,
 )
+from ilw_lab import evolution
+from ilw_lab.spectral import MAX_POINTS
 from ilw_lab.symbols import coth_dx2_symbol, smoothing_symbol
 from ilw_lab.waves import periodic_profile, periodic_speed
 
@@ -110,9 +112,6 @@ def test_problem_validation():
         make_bo_two_speed(-1.0, 1.0, grid)
     with pytest.raises(ContractError):
         EvolutionProblem(grid=grid, linear_symbol=np.ones(33), label="x")
-    with pytest.raises(ContractError):
-        EvolutionProblem(grid=grid, linear_symbol=1j * grid.frequencies,
-                         label="x", dealias_fraction=0.8)
 
 
 # ------------------------------------------------------------------ rhs
@@ -215,8 +214,6 @@ def test_evolve_validation():
 def test_diagnostics_are_evaluated_when_first_read(monkeypatch):
     # a run whose diagnostics are never read evaluates no monitor; the
     # first read evaluates each default monitor once per stored state
-    from ilw_lab import evolution
-
     calls = []
     monkeypatch.setattr(evolution, "hamiltonian_ilw",
                         lambda state, depth: calls.append(state)
@@ -315,7 +312,7 @@ def test_batched_stepper_checks_each_row():
         next(etdrk4_samples([problem], calm, 1.0, 1e-3, 10))
     with pytest.raises(ContractError):
         next(etdrk4_samples([problem], np.stack([calm]), 1.0, 1e-3, 0))
-    # one problem per row, all on one grid with one dealiasing rule
+    # one problem per row, all on one grid
     pair = np.stack([calm, calm])
     for problems in ([problem], [problem] * 3, []):
         with pytest.raises(ContractError, match="one problem per row"):
@@ -323,10 +320,6 @@ def test_batched_stepper_checks_each_row():
     other_grid = make_ilw(1.0, SpectralGrid(2.0, 64))
     with pytest.raises(ContractError, match="different grids"):
         next(etdrk4_samples([problem, other_grid], pair, 1.0, 1e-3, 10))
-    coarse = EvolutionProblem(grid=grid, linear_symbol=problem.linear_symbol,
-                              label="ilw", depth=1.0, dealias_fraction=0.5)
-    with pytest.raises(ContractError, match="dealias_fraction"):
-        next(etdrk4_samples([problem, coarse], pair, 1.0, 1e-3, 10))
 
 
 # ------------------------------------------------------------- conservation
@@ -372,16 +365,25 @@ def test_cubic_term_matches_quadrature():
     assert hamiltonian_bo(u) == pytest.approx(expected, rel=1e-12)
 
 
-def test_linear_flow_is_l2_isometry():
-    # shrink the dealias band to nothing: the quadratic term disappears and
-    # the run is the bare unitary propagator
+def test_hamiltonians_on_the_largest_grid():
+    # the cubic term pads the half spectrum to twice the grid, bit for bit
+    # as RealField.embedded does, without building a grid of that size
+    u = random_field(SpectralGrid(1.0, 128), -0.25, 0.5, 21, decay=0.2)
+    fine = u.embedded(256)
+    assert evolution._cubic_integral(u) \
+        == float(np.sum(fine.samples() ** 3) * fine.grid.spacing)
+    u = random_field(SpectralGrid(1.0, MAX_POINTS), -0.25, 0.5, 21, decay=0.2)
+    assert np.isfinite(hamiltonian_bo(u))
+    assert np.isfinite(hamiltonian_ilw(u, 1.0))
+
+
+def test_linear_flow_is_l2_isometry(monkeypatch):
+    # switch the quadratic term off: the run is the bare unitary propagator
+    monkeypatch.setattr(evolution, "_nonlinear_coeffs",
+                        lambda problem, coeffs: np.zeros_like(coeffs))
     grid = SpectralGrid(1.0, 128)
-    base = make_ilw(1.0, grid)
-    linear_only = EvolutionProblem(grid=grid, linear_symbol=base.linear_symbol,
-                                   label="ilw", depth=1.0,
-                                   dealias_fraction=1e-9)
     u0 = random_field(grid, -0.25, 0.5, 4, decay=0.1)
-    trajectory = evolve(linear_only, u0, 1.0, dt=1e-3)
+    trajectory = evolve(make_ilw(1.0, grid), u0, 1.0, dt=1e-3)
     assert relative_drift(trajectory.diagnostics["l2"]) < 1e-13
 
 

@@ -4,6 +4,7 @@ and the command-line surface."""
 import csv
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from ilw_lab import (
     NumericalError,
     SpectralGrid,
     default_dt,
+    gronwall_ensemble,
     gronwall_experiment,
     make_ilw,
     random_field,
@@ -124,8 +126,8 @@ def test_snapshot_rejects_corruption(tmp_path):
 def test_load_config_defaults():
     cfg = load_config("simulate")
     assert cfg.command == "simulate"
-    assert cfg.params == {key: default
-                          for key, (_, default) in _SCHEMAS["simulate"].items()}
+    assert cfg.params == {key: spec[1]
+                          for key, spec in _SCHEMAS["simulate"].items()}
     assert cfg.output_dir.name == "ilw_lab_simulate"
 
 
@@ -145,6 +147,68 @@ def test_load_config_layering(tmp_path):
 def test_load_config_parses_lists():
     cfg = load_config("gronwall", overrides={"depth_list": "0.5, 1.0,2.0"})
     assert cfg.params["depth_list"] == [0.5, 1.0, 2.0]
+
+
+# every (command, key) whose schema entry declares a range
+RANGED = [(command, key) for command, schema in sorted(_SCHEMAS.items())
+          for key, spec in schema.items() if len(spec) > 2]
+
+
+def test_schema_declares_the_ranges():
+    assert set(RANGED) == {
+        ("simulate", "samples"), ("simulate", "dt"), ("gronwall", "dt"),
+        ("twodepth", "dt"), ("wave", "depth"), ("illposed", "depth"),
+        ("beta", "modes"), ("gronwall", "seeds"), ("gronwall", "depth_list")}
+
+
+@pytest.mark.parametrize("command, key", RANGED)
+def test_declared_ranges_reject_violations(tmp_path, capsys, monkeypatch,
+                                           command, key):
+    # a value outside the range is rejected while the config resolves, as a
+    # flag and as an ini value alike
+    monkeypatch.setitem(experiments.RUNNERS, command, None)
+    words, admits = _SCHEMAS[command][key][2]
+    raw = next(raw for raw in ("0", "-1") if not admits(float(raw)))
+    ini = tmp_path / "run.ini"
+    ini.write_text("[%s]\n%s = %s\n" % (command, key, raw))
+    out = tmp_path / "x"
+    for source in (["--" + key.replace("_", "-"), raw], ["--config", str(ini)]):
+        assert main([command, *source, "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: %s.%s %s: '%s'" % (command, key, words, raw) in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, raw", [
+    ("simulate", "dt", "0"), ("gronwall", "dt", "0"), ("twodepth", "dt", "0"),
+    ("beta", "modes", "0"), ("simulate", "samples", "1"),
+    ("gronwall", "seeds", "1"),
+])
+def test_declared_ranges_admit_their_boundaries(tmp_path, command, key, raw):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[%s]\n%s = %s\n" % (command, key, raw))
+    assert load_config(command, overrides={key: raw}).params[key] == int(raw)
+    assert load_config(command, str(ini)).params[key] == int(raw)
+
+
+def test_cli_reads_negative_numbers_in_exponent_form(tmp_path, capsys):
+    # argparse alone takes -1e-1 and -1,1 for options
+    assert main(["beta", "--s", "-1e-1", "--outdir", str(tmp_path / "a")]) == 0
+    assert main(["beta", "--s=-0.1", "--outdir", str(tmp_path / "b")]) == 0
+    for name in ("beta_profile.csv", "report.json"):
+        assert (tmp_path / "a" / name).read_bytes() \
+            == (tmp_path / "b" / name).read_bytes()
+    manifests = [json.loads((tmp_path / d / "manifest.json").read_text())
+                 for d in "ab"]
+    for manifest in manifests:
+        del manifest["wall_time_s"]
+    assert manifests[0] == manifests[1]
+    capsys.readouterr()
+    out = tmp_path / "g"
+    assert main(["gronwall", "--depth-list", "-1,1", "--outdir", str(out)]) == 1
+    assert "usage error: gronwall.depth_list must be positive: '-1,1'" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -171,6 +235,9 @@ def test_load_config_parses_lists():
     ["simulate", "--dt", "-1"],
     ["twodepth", "--dt", "-1"],
     ["gronwall", "--dt", "-1"],
+    # a deep-water run reads its depths only for the reference rate
+    ["gronwall", "--equation", "bo", "--depth-list=-1,1", "--n", "64",
+     "--seeds", "1", "--samples", "2", "--t-final", "0.01"],
 ])
 def test_cli_rejects_empty_lists_and_non_finite_numbers(tmp_path, capsys, argv):
     out = tmp_path / "x"
@@ -223,10 +290,10 @@ def test_gronwall_large_kappa_exits_cleanly(tmp_path, capsys, kappa):
 
 @pytest.mark.parametrize("flags, epsilon, depth", [
     (["--epsilon", "1e308"], "1e+308", "0.5"),
-    # the = form: argparse reads a bare -1e308 as an option
     (["--epsilon=-1e308"], "-1e+308", "2"),
     # the deep-water run keeps its depths for the reference rate alone
     (["--equation", "bo", "--depth-list", "0"], "0.01", "0"),
+    (["--epsilon", "-1e308"], "-1e+308", "2"),
 ])
 def test_gronwall_overflowing_reference_rate_exits_before_any_step(
         tmp_path, capsys, monkeypatch, flags, epsilon, depth):
@@ -241,8 +308,19 @@ def test_gronwall_overflowing_reference_rate_exits_before_any_step(
     assert main(["gronwall", "--n", "32", "--t-final", "0.01", "--samples",
                  "2", "--seeds", "1", *flags, "--outdir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert ("usage error: the reference rate overflows at epsilon = %s "
-            "and depth %s" % (epsilon, depth)) in err
+    message = ("the reference rate overflows at epsilon = %s and depth %s"
+               % (epsilon, depth))
+    if "bo" in flags:
+        # the command line rejects a depth of 0 by its declared range; the
+        # library still names the reference rate
+        assert "usage error: gronwall.depth_list must be positive: '0'" in err
+        grid = SpectralGrid(2 * np.pi, 32)
+        with pytest.raises(ContractError, match=re.escape(message)):
+            gronwall_ensemble([random_field(grid, -0.25, 0.4, 1, 0.25)],
+                              [0.0], -0.25, 32.0, t_final=0.01, n_samples=2,
+                              equation="bo")
+    else:
+        assert "usage error: " + message in err
     assert "Traceback" not in err
     assert stepped == [] and not out.exists()
 

@@ -40,7 +40,13 @@ from ilw_lab.cli import main
 from ilw_lab.experiments import load_config, run
 from ilw_lab import lax as lax_module
 from ilw_lab.lax import KappaRule, LaxSpectrum
-from ilw_lab.spectral import hardy_embed, hardy_project, synthesize
+from ilw_lab.spectral import (
+    SobolevIndex,
+    hardy_embed,
+    hardy_norm,
+    hardy_project,
+    synthesize,
+)
 from ilw_lab.symbols import apply_smoothing_dx
 
 TWO_PI = 2.0 * np.pi
@@ -556,12 +562,12 @@ def test_lax_truncation_builds_its_matrix_only_when_read():
 def test_resolvent_state_decays_with_kappa():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
-    assert resolvent_state(u, 8.0).norms == {}
+    frequencies = build_lax(u).frequencies
     logs = []
     for kappa in (8.0, 16.0, 32.0, 64.0):
-        state = resolvent_state(u, kappa, s=-0.25)
-        assert set(state.norms) == {"m_smoothed", "m_plain", "u", "u_plain"}
-        logs.append(np.log(state.norms["m_plain"]))
+        state = resolvent_state(u, kappa)
+        logs.append(np.log(hardy_norm(state.coeffs, frequencies, grid.length,
+                                      SobolevIndex(-0.25, 1.0))))
     slope = np.polyfit(np.log([8.0, 16.0, 32.0, 64.0]), logs, 1)[0]
     assert slope < -0.9
 
