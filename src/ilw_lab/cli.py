@@ -27,12 +27,13 @@ _HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a flag prefix is a usage error: ``_joined`` joins exact names only
     parser = argparse.ArgumentParser(
-        prog="ilw-lab",
+        prog="ilw-lab", allow_abbrev=False,
         description="spectral experiments for finite-depth dispersive flows")
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name in sorted(_SCHEMAS):
-        cmd = sub.add_parser(name, help=_HELP[name])
+        cmd = sub.add_parser(name, help=_HELP[name], allow_abbrev=False)
         cmd.add_argument("--config", metavar="FILE", default=None,
                          help="ini file with a [%s] section" % name)
         cmd.add_argument("--outdir", metavar="DIR", default=None,

@@ -195,7 +195,7 @@ _SCHEMAS = {
         # fast spectral decay keeps the truncated-matrix conservation error
         # far below the smoothing-term signal that the fit measures
         "decay": ("float", 0.25),
-        "samples": ("int", 100),
+        "samples": ("int", 100, _AT_LEAST_ONE),
         "c_s": ("float", 1.0),
         "epsilon": ("float", 0.01),
     },

@@ -21,19 +21,19 @@ certifies the shift, with a dense Cholesky solve as fallback and oracle, so
 the certified path never builds an m x m matrix.
 The weighted integral integrates each node of the measure in closed form:
 integral_kappa^inf tau^(2s)/(lambda + tau) dtau is a hypergeometric
-function of lambda/kappa, which two 32-node Gauss-Jacobi rules
-(``KappaRule``) evaluate to rounding.  The rule does not depend on the
-state, so one rule serves a whole stack of states and every state of a
-trajectory.  An adaptive composite Gauss-Kronrod rule in the substitution
-tau = kappa*exp(t) (``build_weighted_rule``) stays for the states whose
-measure reaches below -kappa/2, for the tau profile that ``beta`` reports,
-and for the flow derivative.
+function of lambda/kappa, which three 32-node Gauss-Jacobi rules
+(``KappaRule``) evaluate to rounding at every admissible node.  The rule
+does not depend on the state, so one rule serves a whole stack of states
+and every state of a trajectory.  An adaptive composite Gauss-Kronrod rule
+in the substitution tau = kappa*exp(t) (``build_weighted_rule``) gives the
+tau profile that ``beta`` reports, its cross-check of the closed form, and
+the flow derivative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -446,20 +446,14 @@ class LaxSpectrum:
                              _shift_index(s, kappa, c_s), c_s)[0]
 
     def weighted_form(self, kappa: float, s: float,
-                      rule: Optional[WeightedFormRule] = None,
                       rtol: float = 1e-8) -> WeightedFormProfile:
-        """integral_kappa^inf tau^(2s) form(tau) dtau on a frozen rule.
-
-        Pass the same ``rule`` for every state of a trajectory when the
-        values will be differenced; the default builds a fresh rule adapted
-        to this spectrum.
+        """integral_kappa^inf tau^(2s) form(tau) dtau on the adaptive rule
+        of this spectrum (``build_weighted_rule``), with its tau profile.
+        Values to be differenced along a trajectory come from
+        ``shared_weighted_form``, whose rule does not depend on the state.
+        The rule's build checks s, kappa and the shift.
         """
-        _require_weight_exponent(s, kappa)
-        _require_shift(self.lambda_min, kappa)
-        if rule is None:
-            rule = build_weighted_rule(self.form_at, kappa, s, rtol)
-        if abs(rule.kappa - kappa) > 1e-12 or abs(rule.s - s) > 1e-15:
-            raise ContractError("rule was frozen for different (kappa, s)")
+        rule = build_weighted_rule(self.form_at, kappa, s, rtol)
         values = self.form_at(rule.tau_nodes)
         tail_value = float(self.form_at(np.array([rule.tau_star]))[0])
         value = float(np.real(rule.combine(values, tail_value)))
@@ -687,8 +681,9 @@ def _require_weight_exponent(s: float, kappa: float):
 
 
 # nodes of each Gauss-Jacobi rule of ``KappaRule``, and the z = lambda/kappa
-# above which it takes the inversion: checked against mpmath's 2F1, a switch
-# at z = 1 loses about two digits at s = -0.49
+# above which it inverts the integral: checked against mpmath's 2F1, the
+# x^(b-1) rule holds to rounding up to z = 8 (a switch at 30 loses two
+# digits), and the nodes of the default gronwall all lie below it
 _KAPPA_RULE_NODES = 32
 _KAPPA_RULE_SWITCH = 8.0
 
@@ -726,14 +721,24 @@ class KappaRule:
         W = kappa^(2s) integral_0^1 x^(b-1)/(1 + z x) dx
           = kappa^(2s) 2F1(1, b; b + 1; -z)/b               (DLMF 15.6.1).
 
-    For z <= 8 a 32-node Gauss-Jacobi rule of weight x^(b-1) evaluates it;
-    above, the inversion z^(-b) [pi/sin(pi b) - z^(b-1) integral_0^1
-    t^(-b)/(1 + t/z) dt] with a second rule of weight t^(-b).  The pair
-    holds to a few 1e-15 relative for z >= -1/2 and s up to -0.45 (the
-    inversion cancels like 1/(1 + 2s) as s -> -1/2), but degrades as
-    z -> -1 (2e-6 at z = -0.99): a row with a node below -kappa/2 takes
-    the adaptive ``build_weighted_rule`` of its own measure instead.  The
-    rule does not depend on the state, so one serves every state.
+    Three 32-node Gauss-Jacobi rules on [0, 1], of weights x^(b-1),
+    x^(1-b) and 1, evaluate it for every admissible z > -1:
+
+    - -1/2 < z <= 8: the x^(b-1) rule applied to 1/(1 + z x);
+    - z > 8: with t = z x, split integral_0^z t^(b-1)/(1 + t) dt at 1 and
+      write 1/(1 + t) = 1/t - 1/(t (1 + t)) above it, so that
+      W = z^(-b) [C - D - expm1((b-1) log z)/(1-b)
+      + z^(b-2) integral_0^1 x^(1-b)/(1 + x/z) dx], where C and D are
+      the x^(b-1) and x^(1-b) rules applied to 1/(1 + x): every term is
+      positive, so nothing cancels as s -> -1/2;
+    - -1 < z <= -1/2: [0, 1/2] takes the x^(b-1) rule at z/2, scaled by
+      2^(-b); on [1/2, 1] the pole x_p = -1/z is subtracted, which leaves
+      x_p^(b-1) (log1p(z) - log1p(z/2))/z plus the Gauss-Legendre rule of
+      the smooth -x_p^(b-1) expm1((b-1) log1p(d))/d, d = (x - x_p)/x_p.
+
+    Against mpmath's 2F1 the kernel holds to about 1e-15 relative for z in
+    [-1 + 1e-3, 1e8] and s in [-0.49999, -0.01].  The rule does not depend
+    on the state, so one serves every state.
     """
 
     kappa: float
@@ -745,37 +750,43 @@ class KappaRule:
     def build(cls, kappa: float, s: float) -> "KappaRule":
         _require_weight_exponent(s, kappa)
         b = -2.0 * s
-        nodes, weights = _gauss_jacobi([b - 1.0, -b], _KAPPA_RULE_NODES)
+        nodes, weights = _gauss_jacobi([b - 1.0, 1.0 - b, 0.0],
+                                       _KAPPA_RULE_NODES)
         return cls(kappa=kappa, s=s, nodes=nodes, weights=weights)
 
     def kernel(self, lam: np.ndarray) -> np.ndarray:
         """W(lambda) for lambda > -kappa, elementwise."""
         b = -2.0 * self.s
+        (x, x_far, x_mid), (w, w_far, w_mid) = self.nodes, self.weights
         z = np.asarray(lam, dtype=float) / self.kappa
         out = np.empty(z.shape)
-        near = z <= _KAPPA_RULE_SWITCH
-        out[near] = (self.weights[0]
-                     / (1.0 + z[near, None] * self.nodes[0])).sum(axis=-1)
-        far = z[~near]
-        out[~near] = (far ** -b * (np.pi / np.sin(np.pi * b))
-                      - (self.weights[1]
-                         / (far[:, None] + self.nodes[1])).sum(axis=-1))
+        low, high = z <= -0.5, z > _KAPPA_RULE_SWITCH
+        near = ~(low | high)
+        out[near] = (w / (1.0 + z[near, None] * x)).sum(axis=-1)
+        far = z[high]
+        inner = (w / (1.0 + x)).sum() - (w_far / (1.0 + x_far)).sum()
+        out[high] = far ** -b * (
+            inner - np.expm1((b - 1.0) * np.log(far)) / (1.0 - b)
+            + far ** (b - 2.0)
+            * (w_far / (1.0 + x_far / far[:, None])).sum(axis=-1))
+        mid = z[low]
+        pole = -1.0 / mid
+        d = (0.5 + 0.5 * x_mid - pole[:, None]) / pole[:, None]
+        lower = (w / (1.0 + 0.5 * mid[:, None] * x)).sum(axis=-1)
+        upper = ((np.log1p(mid) - np.log1p(0.5 * mid)) / mid
+                 - 0.5 * (w_mid * np.expm1((b - 1.0) * np.log1p(d))
+                          / d).sum(axis=-1))
+        out[low] = 2.0 ** -b * lower + pole ** (b - 1.0) * upper
         return self.kappa ** (2.0 * self.s) * out
 
     def values(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """beta_s of each row of a zero-padded (B, k) measure stack (see
         ``SpectralMeasures``).  Raises KappaTooSmallError when a node does
         not clear -kappa, and NumericalError on a negative value."""
-        low = nodes.min(axis=1)
-        _require_shift(float(low.min()), self.kappa)
+        _require_shift(float(nodes.min()), self.kappa)
         # running sums: a row's zero padding then adds exact zeros, so its
         # value does not depend on the width of the stack
         values = (weights * self.kernel(nodes)).cumsum(axis=1)[:, -1]
-        for i in np.flatnonzero(low < -0.5 * self.kappa):
-            form_at = partial(_form_at, nodes[i], weights[i])
-            rule = build_weighted_rule(form_at, self.kappa, self.s)
-            values[i] = np.real(rule.combine(form_at(rule.tau_nodes),
-                                             form_at(rule.tau_star)[0]))
         if np.any(values < 0.0):
             raise NumericalError("weighted form came out negative")
         return values
@@ -905,12 +916,11 @@ class WeightedFormProfile:
 
 def weighted_resolvent_form(u: RealField, kappa: float, s: float,
                             xi_max: Optional[float] = None,
-                            rule: Optional[WeightedFormRule] = None,
                             rtol: float = 1e-8) -> WeightedFormProfile:
-    """integral_kappa^inf tau^(2s) form(tau; u) dtau on a frozen rule; see
-    ``LaxSpectrum.weighted_form``."""
+    """integral_kappa^inf tau^(2s) form(tau; u) dtau on the adaptive rule of
+    its spectrum; see ``LaxSpectrum.weighted_form``."""
     spectrum = LaxSpectrum.lanczos([u], kappa, xi_max)[0]
-    return spectrum.weighted_form(kappa, s, rule, rtol)
+    return spectrum.weighted_form(kappa, s, rtol)
 
 
 @dataclass(frozen=True)
@@ -925,8 +935,7 @@ class FlowDerivative:
 
 
 def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
-                         xi_max: Optional[float] = None,
-                         rule: Optional[WeightedFormRule] = None) -> FlowDerivative:
+                         xi_max: Optional[float] = None) -> FlowDerivative:
     """Evaluate d/dt of the weighted form via the commutator identity.
 
     Under the deep-water part of the flow the form is exactly conserved, so
@@ -936,18 +945,16 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
         d/dt = -integral tau^(2s) integral (m + conj(m) + |m|^2)
                (smoothing d/dx u) dx dtau.
 
-    The outer integral reuses the weighted-form rule so the value is
-    directly comparable with finite differences of the same functional.
-    At each rule node m(tau) comes from ``resolvent_solve``, with its
-    residual check.
+    The outer integral takes the adaptive weighted-form rule of the state's
+    spectrum (``build_weighted_rule``); at each rule node m(tau) comes from
+    ``resolvent_solve``, with its residual check.
     """
     _require_weight_exponent(s, kappa)
     grid = u.grid
     lax = build_lax(u, xi_max)
     spectrum = LaxSpectrum.lanczos([u], kappa, xi_max)[0]
-    _require_shift(spectrum.lambda_min, kappa)
-    if rule is None:
-        rule = build_weighted_rule(spectrum.form_at, kappa, s)
+    # its first form_at checks the shift
+    rule = build_weighted_rule(spectrum.form_at, kappa, s)
 
     q = apply_smoothing_dx(u, depth).samples()
     taus = np.concatenate((rule.tau_nodes, [rule.tau_star]))

@@ -49,6 +49,11 @@ class SpectralGrid:
         if self.n_points > MAX_POINTS:
             raise ContractError("n_points = %d exceeds the limit of %d"
                                 % (self.n_points, MAX_POINTS))
+        # a subnormal spacing loses digits, and one that underflows to 0
+        # leaves no frequency lattice
+        if not self.length / self.n_points >= np.finfo(float).tiny:
+            raise ContractError("grid spacing %.3g is not a positive normal "
+                                "float" % (self.length / self.n_points))
 
     @cached_property
     def frequencies(self) -> np.ndarray:

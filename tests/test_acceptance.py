@@ -15,8 +15,6 @@ from ilw_lab import (
     make_bo,
     make_ilw,
     modes_to_xi_max,
-    build_lax,
-    build_weighted_rule,
     random_field,
     relative_drift,
     resolvent_form,
@@ -100,13 +98,11 @@ def test_criterion_4_deep_water_conservation():
     grid = SpectralGrid(TWO_PI, 256)
     u0 = random_field(grid, -0.25, 0.25, 1, decay=0.25)
     trajectory = evolve(make_bo(grid), u0, 1.0, dt=1e-4, store_stride=1000)
-    fine0 = trajectory.states[0].embedded(2048)
-    xi_max = modes_to_xi_max(fine0.grid, 512)
-    spectrum0 = LaxSpectrum(build_lax(fine0, xi_max), fine0)
-    rule = build_weighted_rule(spectrum0.form_at, 32.0, -0.25)
+    xi_max = modes_to_xi_max(SpectralGrid(TWO_PI, 2048), 512)
+    # the shared rule does not depend on the state
     betas = np.array([
-        weighted_resolvent_form(state.embedded(2048), 32.0, -0.25,
-                                xi_max=xi_max, rule=rule).value
+        LaxSpectrum.lanczos([state.embedded(2048)], 32.0, xi_max)[0]
+        .shared_weighted_form(32.0, -0.25)
         for state in trajectory.states])
     drift = float(np.max(np.abs(betas - betas[0])) / betas[0])
     elapsed = time.time() - started
@@ -149,13 +145,11 @@ def test_criterion_6_flow_derivative_identity():
     trajectory = evolve(make_ilw(0.5, grid), u0, 0.7501, dt=1e-4,
                         store_stride=1)
     xi_max = modes_to_xi_max(grid, 64)
-    anchor = trajectory.states[2500]
-    spectrum = LaxSpectrum(build_lax(anchor, xi_max), anchor)
-    rule = build_weighted_rule(spectrum.form_at, 32.0, -0.25, rtol=1e-10)
 
     def beta(state):
-        return weighted_resolvent_form(state, 32.0, -0.25, xi_max=xi_max,
-                                       rule=rule).value
+        # the shared rule does not depend on the state
+        return LaxSpectrum.lanczos([state], 32.0, xi_max)[0] \
+            .shared_weighted_form(32.0, -0.25)
 
     worst = 0.0
     for idx in (2500, 5000, 7500):
@@ -163,7 +157,7 @@ def test_criterion_6_flow_derivative_identity():
         fd = (beta(trajectory.states[idx + 1])
               - beta(trajectory.states[idx - 1])) / (2.0 * h)
         flow = form_flow_derivative(trajectory.states[idx], 32.0, 0.5, -0.25,
-                                    xi_max=xi_max, rule=rule)
+                                    xi_max=xi_max)
         worst = max(worst, abs(fd - flow.total) / abs(flow.total))
     elapsed = time.time() - started
     ok = worst < 1e-4 and elapsed < 300.0

@@ -158,7 +158,8 @@ def test_schema_declares_the_ranges():
     assert set(RANGED) == {
         ("simulate", "samples"), ("simulate", "dt"), ("gronwall", "dt"),
         ("twodepth", "dt"), ("wave", "depth"), ("illposed", "depth"),
-        ("beta", "modes"), ("gronwall", "seeds"), ("gronwall", "depth_list")}
+        ("beta", "modes"), ("gronwall", "seeds"), ("gronwall", "depth_list"),
+        ("gronwall", "samples")}
 
 
 @pytest.mark.parametrize("command, key", RANGED)
@@ -182,7 +183,7 @@ def test_declared_ranges_reject_violations(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("command, key, raw", [
     ("simulate", "dt", "0"), ("gronwall", "dt", "0"), ("twodepth", "dt", "0"),
     ("beta", "modes", "0"), ("simulate", "samples", "1"),
-    ("gronwall", "seeds", "1"),
+    ("gronwall", "seeds", "1"), ("gronwall", "samples", "1"),
 ])
 def test_declared_ranges_admit_their_boundaries(tmp_path, command, key, raw):
     ini = tmp_path / "run.ini"
@@ -209,6 +210,11 @@ def test_cli_reads_negative_numbers_in_exponent_form(tmp_path, capsys):
     assert "usage error: gronwall.depth_list must be positive: '-1,1'" \
         in capsys.readouterr().err
     assert not out.exists()
+    # a flag prefix is a usage error whatever its value looks like
+    for value in ("1e308", "-1e308"):
+        assert main(["gronwall", "--eps", value, "--outdir", str(out)]) == 1
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -481,6 +487,17 @@ def test_beta_solves_the_resolvent_without_a_dense_matrix(tmp_path, capsys,
     assert dense == []
 
 
+def test_beta_keeps_its_rules_together_at_the_critical_edge(tmp_path):
+    # near s = -1/2 the default kappa fails its admissible threshold (exit
+    # 3), and the closed-form kernel still agrees with the adaptive rule
+    result = run(load_config("beta", overrides={"n": 256, "s": -0.49999},
+                             output_dir=str(tmp_path / "beta")))
+    assert not result.passed
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith("kappa 32 below admissible threshold")
+    assert result.report["weighted_rule_gap"] < 1e-12
+
+
 @pytest.mark.parametrize("argv, message", [
     # the kappa threshold overflows to inf; the shift also fails to clear
     # lambda_min, a numerical failure as at amplitude 100
@@ -537,6 +554,11 @@ def test_cli_reported_check_failure_exit(tmp_path, capsys):
     (["smoothing", "--depth-list", "1e10"], 1, "usage error"),
     # the 2*pi mode underflows to 0 and the phase rate would divide by it
     (["illposed", "--depth", "1e300"], 2, "numerical failure"),
+    # the grid spacing underflows to 0, which leaves no frequency lattice
+    *[([command, "--length", "5e-324"], 1,
+       "usage error: grid spacing 0 is not a positive normal float")
+      for command in ("simulate", "beta", "gronwall", "twodepth",
+                      "smoothing")],
 ])
 def test_cli_extreme_depths_exit_without_traceback(tmp_path, capsys, argv,
                                                    code, line):

@@ -712,21 +712,21 @@ def test_weighted_form_validation():
         weighted_resolvent_form(u, 8.0, -0.6)
     with pytest.raises(ContractError):
         weighted_resolvent_form(u, 8.0, 0.1)
-    rule = weighted_resolvent_form(u, 8.0, -0.25).rule
-    with pytest.raises(ContractError):
-        weighted_resolvent_form(u, 16.0, -0.25, rule=rule)
     with pytest.raises(KappaTooSmallError):
         weighted_resolvent_form(constant_field(grid, -2.0), 1.0, -0.25)
 
 
-# z = lambda/kappa from the edge of the shared rule's range to far above
-_RULE_Z = np.concatenate(([-0.5, -0.3, 0.0], np.geomspace(1e-6, 1e8, 43)))
+# z = lambda/kappa from next to the pole at -1, across the switches at -1/2
+# and 8, to far above
+_RULE_Z = np.concatenate((-1.0 + np.geomspace(1e-3, 0.5, 15),
+                          [-0.5 + 1e-12, -0.3, 0.0, 8.0, 8.0 + 1e-12],
+                          np.geomspace(1e-6, 1e8, 43)))
 
 
 @pytest.mark.parametrize("s, rtol", [(-0.01, 1e-13), (-0.05, 1e-13),
                                      (-0.25, 1e-13), (-0.45, 1e-13),
-                                     # the inversion cancels like 1/(1 + 2s)
-                                     (-0.49, 1e-10), (-0.499, 1e-10)])
+                                     (-0.49, 1e-13), (-0.499, 1e-13),
+                                     (-0.4999, 1e-13), (-0.49999, 1e-13)])
 def test_kappa_rule_against_hypergeometric(s, rtol):
     # at kappa = 1, W(lambda) = 2F1(1, b; b + 1; -lambda)/b with b = -2s
     rule = KappaRule.build(1.0, s)
@@ -739,37 +739,27 @@ def test_kappa_rule_against_hypergeometric(s, rtol):
         np.max(np.abs(got - want) / want)
 
 
-def test_shared_rule_takes_the_adaptive_rule_below_half_kappa(monkeypatch):
-    # a constant field c has one node, lambda = c, of weight c^2 L; at
-    # c = -0.75 kappa it is certified but lies below -kappa/2, where the
-    # shared rule hands the row to build_weighted_rule
+def test_shared_rule_takes_the_closed_form_below_half_kappa(monkeypatch):
+    # a constant field c has one node, lambda = c, of weight c^2 L; below
+    # -kappa/2 it is certified, and its row takes the closed form like
+    # every other, with no adaptive rule
     grid = SpectralGrid(TWO_PI, 128)
     kappa, s = 32.0, -0.25
-    c = -0.75 * kappa
-    spectrum = LaxSpectrum.lanczos([constant_field(grid, c)], kappa)[0]
-    assert spectrum.lanczos_steps == 1
-    assert spectrum.lambda_bound + kappa > 0.0
-    assert spectrum.lambda_min == pytest.approx(c, rel=1e-15)
     builds = []
-    build = lax_module.build_weighted_rule
-
-    def counting_build(*args, **kwargs):
-        builds.append(args)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(lax_module, "build_weighted_rule", counting_build)
-    value = spectrum.shared_weighted_form(kappa, s)
-    assert len(builds) == 1
-    with mpmath.workdps(30):
-        exact = float(c * c * grid.length * mpmath.quad(
-            lambda tau: tau ** (2 * s) / (c + tau),
-            [kappa, 2 * kappa, 16 * kappa, mpmath.inf]))
-    assert abs(value - exact) <= 1e-8 * exact
-    # a row above -kappa/2 stays on the shared rule
-    spectrum = LaxSpectrum.lanczos([constant_field(grid, -0.25 * kappa)],
-                                   kappa)[0]
-    spectrum.shared_weighted_form(kappa, s)
-    assert len(builds) == 1
+    monkeypatch.setattr(lax_module, "build_weighted_rule",
+                        lambda *args, **kwargs: builds.append(args))
+    for c in (-0.75 * kappa, -0.99 * kappa):
+        spectrum = LaxSpectrum.lanczos([constant_field(grid, c)], kappa)[0]
+        assert spectrum.lanczos_steps == 1
+        assert spectrum.lambda_bound + kappa > 0.0
+        assert spectrum.lambda_min == pytest.approx(c, rel=1e-15)
+        value = spectrum.shared_weighted_form(kappa, s)
+        with mpmath.workdps(30):
+            exact = float(c * c * grid.length * mpmath.quad(
+                lambda tau: tau ** (2 * s) / (c + tau),
+                [kappa, 2 * kappa, 16 * kappa, mpmath.inf]))
+        assert abs(value - exact) <= 1e-13 * exact, c
+    assert builds == []
 
 
 # ------------------------------------------------------------- derivatives
@@ -810,8 +800,10 @@ def test_flow_derivative_against_dense_eigenvectors(amplitude, seed, kappa):
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, amplitude, seed, decay=0.25)
     lax = build_lax(u)
-    rule = build_weighted_rule(LaxSpectrum(lax, u).form_at, kappa, -0.25)
-    flow = form_flow_derivative(u, kappa, 1.0, -0.25, rule=rule)
+    # the rule that form_flow_derivative builds
+    rule = build_weighted_rule(LaxSpectrum.lanczos([u], kappa)[0].form_at,
+                               kappa, -0.25)
+    flow = form_flow_derivative(u, kappa, 1.0, -0.25)
 
     g = hardy_project(u)[: lax.frequencies.shape[0]]
     lam, w = scipy.linalg.eigh(lax.matrix)
@@ -840,15 +832,14 @@ def test_flow_derivative_matches_finite_differences():
     states = {t: evolve(problem, u0, t, dt=1e-4, store_stride=10 ** 9).final()
               for t in (0.25 - h, 0.25, 0.25 + h)}
     mid = states[0.25]
-    spectrum = LaxSpectrum(build_lax(mid, xi_max), mid)
-    rule = build_weighted_rule(spectrum.form_at, kappa, s, rtol=1e-10)
 
     def beta(state):
-        return weighted_resolvent_form(state, kappa, s, xi_max=xi_max,
-                                       rule=rule).value
+        # the shared rule does not depend on the state
+        return LaxSpectrum.lanczos([state], kappa, xi_max)[0] \
+            .shared_weighted_form(kappa, s)
 
     fd = (beta(states[0.25 + h]) - beta(states[0.25 - h])) / (2.0 * h)
-    flow = form_flow_derivative(mid, kappa, depth, s, xi_max=xi_max, rule=rule)
+    flow = form_flow_derivative(mid, kappa, depth, s, xi_max=xi_max)
     assert abs(fd - flow.total) < 2e-4 * abs(flow.total)
 
 
@@ -861,12 +852,10 @@ def test_weighted_form_conserved_by_deep_water_flow():
     states = {t: evolve(problem, u0, t, dt=1e-4, store_stride=10 ** 9).final()
               for t in (0.25 - h, 0.25, 0.25 + h)}
     mid = states[0.25]
-    spectrum = LaxSpectrum(build_lax(mid, xi_max), mid)
-    rule = build_weighted_rule(spectrum.form_at, kappa, s, rtol=1e-10)
 
     def beta(state):
-        return weighted_resolvent_form(state, kappa, s, xi_max=xi_max,
-                                       rule=rule).value
+        return LaxSpectrum.lanczos([state], kappa, xi_max)[0] \
+            .shared_weighted_form(kappa, s)
 
     fd = (beta(states[0.25 + h]) - beta(states[0.25 - h])) / (2.0 * h)
     assert abs(fd) < 1e-7 * beta(mid)
@@ -895,8 +884,8 @@ def test_gronwall_experiment_reports():
 
 def test_gronwall_experiment_matches_public_functions():
     # the same trajectory through check_kappa and the one-row shared-rule
-    # value gives exactly the experiment's numbers, and weighted_resolvent_form
-    # on a rule frozen at u0 agrees with them to rounding
+    # value gives exactly the experiment's numbers, and the adaptive rule of
+    # u0, applied to each state's form, agrees with them to rounding
     grid = SpectralGrid(TWO_PI, 128)
     u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
     s, kappa = -0.25, 32.0
@@ -906,9 +895,12 @@ def test_gronwall_experiment_matches_public_functions():
                     store_stride=20).states
     values = [LaxSpectrum.lanczos([state], kappa)[0].shared_weighted_form(
         kappa, s) for state in states]
-    rule = weighted_resolvent_form(u0, kappa, s).rule
-    frozen = np.array([weighted_resolvent_form(state, kappa, s, rule=rule).value
-                       for state in states])
+    rule = build_weighted_rule(LaxSpectrum.lanczos([u0], kappa)[0].form_at,
+                               kappa, s)
+    frozen = np.array([
+        rule.combine(spectrum.form_at(rule.tau_nodes),
+                     spectrum.form_at(rule.tau_star)[0])
+        for spectrum in LaxSpectrum.lanczos(states, kappa)])
     margin = min(kappa - check_kappa(state, s, kappa).threshold
                  for state in states)
     assert len(states) == len(report.times) == 11
@@ -982,18 +974,14 @@ def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
         return dense_calls[before:]
 
     def single_calls():
-        rule = build_weighted_rule(
-            LaxSpectrum.lanczos([u0], 32.0)[0].form_at, 32.0, -0.25)
         return [per_call(check_kappa, u0, -0.25, 32.0),
-                per_call(form_flow_derivative, u0, 32.0, 1.0, -0.25),
-                per_call(form_flow_derivative, u0, 32.0, 1.0, -0.25,
-                         rule=rule)]
+                per_call(form_flow_derivative, u0, 32.0, 1.0, -0.25)]
 
     (runs, dense_run) = run_both()
     assert runs == len(set(lanczos_rows[:6])) == 6
     assert dense_run == [] and len(lanczos_rows) == 7
     assert dense_calls == [] and cholesky_calls == []
-    assert single_calls() == [[]] * 3
+    assert single_calls() == [[]] * 2
     assert dense_calls == [] and cholesky_calls == []
 
     lanczos_rows.clear()
@@ -1005,7 +993,7 @@ def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
     # beta's one resolvent solve
     assert cholesky_calls == [(32, 32)]
     dense_calls.clear()
-    assert single_calls() == [[(32, 32)]] * 3
+    assert single_calls() == [[(32, 32)]] * 2
     assert lanczos_rows == []
 
 

@@ -50,6 +50,10 @@ def test_grid_validation():
         SpectralGrid(0.0, 16)
     with pytest.raises(ContractError):
         SpectralGrid(-2.0, 16)
+    # a spacing that underflows to 0, or is subnormal, leaves no lattice
+    for length in (5e-324, 1e-310):
+        with pytest.raises(ContractError, match="not a positive normal float"):
+            SpectralGrid(length, 8)
     # the size limit admits every size the commands run at, and a grid is
     # checked before anything of its size is allocated
     assert MAX_POINTS >= 4096
