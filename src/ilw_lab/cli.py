@@ -10,6 +10,7 @@ positivity, stalled quadrature), 3 assertion failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ContractError, NumericalError
@@ -26,7 +27,10 @@ _HELP = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, so every call shares it and none may modify it."""
     # a flag prefix is a usage error: ``_joined`` joins exact names only
     parser = argparse.ArgumentParser(
         prog="ilw-lab", allow_abbrev=False,

@@ -7,7 +7,9 @@ and the two-depth variant.  The linear part is integrated exactly; the
 quadratic term is dealiased with the 2/3 rule and advanced with the
 fourth-order exponential integrator of Cox & Matthews, with the phi-
 coefficients evaluated by contour averaging as in Kassam & Trefethen
-(SIAM J. Sci. Comput. 26, 2005).
+(SIAM J. Sci. Comput. 26, 2005).  The 2/3 band is a prefix of the half
+spectrum, so the stages and the quadratic term are computed on that band
+alone, and the modes past it advance by the linear propagator.
 """
 
 from __future__ import annotations
@@ -67,11 +69,16 @@ class EvolutionProblem:
         object.__setattr__(self, "linear_symbol", sym)
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        cutoff = _DEALIAS_FRACTION * self.grid.fundamental * (self.grid.n_points // 2)
-        mask = np.abs(self.grid.frequencies) < cutoff - 1e-12
-        mask.setflags(write=False)
-        return mask
+    def quadratic_factor(self) -> np.ndarray:
+        """i*xi/(N*L) on the band the 2/3 rule keeps, which is a prefix of
+        the half spectrum; its length is the band's width.  It carries the
+        scales of both transforms of ``_nonlinear_coeffs``."""
+        grid = self.grid
+        cutoff = _DEALIAS_FRACTION * grid.fundamental * (grid.n_points // 2)
+        width = np.count_nonzero(grid.frequencies < cutoff - 1e-12)
+        factor = 1j * grid.frequencies[:width] / (grid.n_points * grid.length)
+        factor.setflags(write=False)
+        return factor
 
 
 def make_ilw(depth: float, grid: SpectralGrid) -> EvolutionProblem:
@@ -133,22 +140,31 @@ def make_bo_two_speed(c1: float, c2: float, grid: SpectralGrid) -> EvolutionProb
 
 # -- right-hand side ---------------------------------------------------------
 
-def _nonlinear_coeffs(problem: EvolutionProblem, coeffs: np.ndarray) -> np.ndarray:
-    grid = problem.grid
-    mask = problem.dealias_mask
-    w = np.where(mask, coeffs, 0.0)
-    u = np.fft.irfft(w, grid.n_points) * (grid.n_points / grid.length)
-    p = (grid.length / grid.n_points) * np.fft.rfft(u * u)
-    out = 1j * grid.frequencies * p
-    return np.where(mask, out, 0.0)
+def _nonlinear_coeffs(problem: EvolutionProblem, band: np.ndarray,
+                      out: Optional[np.ndarray] = None,
+                      real: Optional[np.ndarray] = None,
+                      spectrum: Optional[np.ndarray] = None) -> np.ndarray:
+    """The dealiased d/dx (u^2) on the 2/3 band: ``band`` holds the first
+    ``len(problem.quadratic_factor)`` coefficients of a half spectrum (or
+    of each row of a stack), and so does the result; past the band the
+    term is exactly 0.  ``out``, ``real`` (the N samples) and ``spectrum``
+    (the half spectrum) are optional work buffers, so a caller that steps
+    allocates none per call."""
+    real = np.fft.irfft(band, problem.grid.n_points, norm="forward", out=real)
+    np.square(real, out=real)
+    spectrum = np.fft.rfft(real, out=spectrum)
+    return np.multiply(spectrum[..., :band.shape[-1]], problem.quadratic_factor,
+                       out=out)
 
 
 def rhs(problem: EvolutionProblem, state: RealField) -> RealField:
     """Full semi-discrete right-hand side at a state."""
     if state.grid != problem.grid:
         raise ContractError("state grid does not match the problem grid")
-    lin = problem.linear_symbol * state.coeffs
-    return RealField(problem.grid, lin + _nonlinear_coeffs(problem, state.coeffs))
+    out = problem.linear_symbol * state.coeffs
+    width = problem.quadratic_factor.shape[0]
+    out[:width] += _nonlinear_coeffs(problem, state.coeffs[:width])
+    return RealField(problem.grid, out)
 
 
 def default_dt(problem: EvolutionProblem, state: RealField) -> float:
@@ -303,8 +319,12 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
     from row to row.  The phi-tables are computed once per distinct problem
     and gathered per row.  Every row takes the same steps, rounded as in
     ``step_count``; the scheme acts row by row, so a row evolves exactly as
-    it would alone.  Yields ``(t, coeffs)`` at t = 0, every
-    ``store_stride`` steps and at ``t_final``; a yielded array is never
+    it would alone.  The stack is stepped in place on buffers allocated
+    once: the stages and the quadratic term live on the band the 2/3 rule
+    keeps (a prefix of the half spectrum), and the modes past it, where
+    the quadratic term is exactly 0, advance by the linear propagator
+    alone.  Yields ``(t, coeffs)`` at t = 0, every ``store_stride`` steps
+    and at ``t_final``; each yielded array is a copy that is never
     modified afterwards.  Each row keeps its own checks: an advisory CFL
     warning, and BlowUpError when it stops being finite or its sup-norm
     exceeds 1e6 times its initial one.
@@ -313,7 +333,7 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
     if c.ndim != 2 or c.shape[0] != len(problems) or not problems:
         raise ContractError("states must be a non-empty (B, n_points//2 + 1) "
                             "stack with one problem per row")
-    # the rows share the grid and the dealiasing mask, so the nonlinear
+    # the rows share the grid and the dealiasing band, so the nonlinear
     # term reads them from the first problem
     problem = problems[0]
     grid = problem.grid
@@ -337,20 +357,45 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
     distinct = {id(p): p for p in problems}
     order = list(distinct)
     rows = [order.index(id(p)) for p in problems]
-    yield 0.0, c
-    # one set of phi-tables per distinct problem, gathered per row
+    yield 0.0, c.copy()
+    # one set of phi-tables per distinct problem, gathered per row; past the
+    # band only exp_full acts
+    width = problem.quadratic_factor.shape[0]
     tables = zip(*(_etdrk4_tables(p.linear_symbol, dt)
                    for p in distinct.values()))
     exp_full, exp_half, f0, f1, f2, f3 = (np.stack(t)[rows] for t in tables)
+    exp_half, f0, f1, f3 = (np.ascontiguousarray(t[:, :width])
+                            for t in (exp_half, f0, f1, f3))
+    f2_twice = 2.0 * f2[:, :width]
+    band = c[:, :width]
+    half, a, b, d, n_a, n_b, n_c, n_d = np.empty((8,) + band.shape,
+                                                 dtype=np.complex128)
+    real, spectrum = np.empty((c.shape[0], n)), np.empty_like(c)
     for step in range(1, n_steps + 1):
-        n_a = _nonlinear_coeffs(problem, c)
-        a = exp_half * c + f0 * n_a
-        n_b = _nonlinear_coeffs(problem, a)
-        b = exp_half * c + f0 * n_b
-        n_c = _nonlinear_coeffs(problem, b)
-        d = exp_half * a + f0 * (2.0 * n_c - n_a)
-        n_d = _nonlinear_coeffs(problem, d)
-        c = exp_full * c + f1 * n_a + 2.0 * f2 * (n_b + n_c) + f3 * n_d
+        _nonlinear_coeffs(problem, band, n_a, real, spectrum)
+        np.multiply(exp_half, band, out=half)
+        np.multiply(f0, n_a, out=a)
+        a += half
+        _nonlinear_coeffs(problem, a, n_b, real, spectrum)
+        np.multiply(f0, n_b, out=b)
+        b += half
+        _nonlinear_coeffs(problem, b, n_c, real, spectrum)
+        # d = exp_half * a + f0 * (2 n_c - n_a)
+        np.multiply(2.0, n_c, out=d)
+        d -= n_a
+        np.multiply(f0, d, out=d)
+        np.multiply(exp_half, a, out=a)
+        d += a
+        _nonlinear_coeffs(problem, d, n_d, real, spectrum)
+        # c = exp_full * c + f1 * n_a + 2 f2 * (n_b + n_c) + f3 * n_d
+        n_b += n_c
+        np.multiply(f2_twice, n_b, out=n_b)
+        np.multiply(f1, n_a, out=n_a)
+        np.multiply(f3, n_d, out=n_d)
+        np.multiply(exp_full, c, out=c)
+        band += n_a
+        band += n_b
+        band += n_d
 
         if not np.all(np.isfinite(c)):
             raise BlowUpError(step * dt, float("inf"))
@@ -362,7 +407,7 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
                 raise BlowUpError(step * dt, sup)
 
         if step % store_stride == 0 or step == n_steps:
-            yield step * dt, c
+            yield step * dt, c.copy()
 
 
 def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
@@ -376,8 +421,8 @@ def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
     samples along the run); their diagnostics are evaluated when first
     read.  Raises BlowUpError when the state stops being finite or its
     sup-norm exceeds 1e6 times the initial one.
-    The run is the one-row case of ``etdrk4_samples`` and is deterministic
-    given its inputs.
+    The run is the one-row case of ``etdrk4_samples``, which steps in place
+    on the dealiased band, and is deterministic given its inputs.
     """
     if initial.grid != problem.grid:
         raise ContractError("initial state grid does not match the problem grid")

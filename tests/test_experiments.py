@@ -685,7 +685,8 @@ def test_gronwall_batches_match_member_runs(tmp_path, capsys):
 def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
                                                   monkeypatch):
     # 2 depths x 3 seeds at one resolved step: one stepper run over all six
-    # rows, and one Lanczos call over all six states per sample
+    # rows, and Lanczos calls of at most 64 rows in whole samples, so the
+    # six samples of six rows take one call over 36 rows
     from ilw_lab import lax as lax_module
 
     stepped, measured = [], []
@@ -708,7 +709,7 @@ def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
     assert main(argv) == 0
     capsys.readouterr()
     assert stepped == [6]
-    assert measured == [6] * 6
+    assert measured == [36]
 
 
 def test_gronwall_builds_no_rule_and_no_field_per_row(tmp_path, capsys,

@@ -10,6 +10,7 @@ import scipy.integrate
 import scipy.linalg
 
 from ilw_lab import (
+    BlowUpError,
     ContractError,
     KappaTooSmallError,
     NumericalError,
@@ -928,6 +929,86 @@ def test_check_kappa_and_the_ensemble_share_the_shift_test():
         gronwall_experiment(u0, 1.0, s, kappa, t_final=0.01, dt=1e-3,
                             n_samples=2, c_s=c_s)
     assert str(failure.value) == message
+
+
+def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
+    # 3 members take 21 samples per lanczos_measures call, so 31 samples
+    # make a full block and a partial one; each sample's rows of a block
+    # are bit for bit its own call, up to the block's wider zero padding,
+    # and the reports equal those of one call per sample
+    grid = SpectralGrid(TWO_PI, 128)
+    initials = [random_field(grid, -0.25, 0.4, seed, decay=0.25)
+                for seed in (1, 2, 3)]
+    kappa = 32.0
+    calls = []
+    lanczos = lax_module.lanczos_measures
+
+    def recording_lanczos(grid, coeffs, *args):
+        measures = lanczos(grid, coeffs, *args)
+        calls.append((coeffs.copy(), measures))
+        return measures
+
+    def run_ensemble():
+        return gronwall_ensemble(initials, [0.5, 1.0, 2.0], -0.25, kappa,
+                                 t_final=0.03, dt=1e-3, n_samples=30)
+
+    monkeypatch.setattr(lax_module, "lanczos_measures", recording_lanczos)
+    blocked = run_ensemble()
+    assert [len(coeffs) for coeffs, _ in calls] == [63, 30]
+    for coeffs, measures in calls:
+        for start in range(0, len(coeffs), 3):
+            alone = lanczos(grid, coeffs[start:start + 3], kappa)
+            width = alone.nodes.shape[1]
+            rows = slice(start, start + 3)
+            for name in ("nodes", "weights"):
+                block = getattr(measures, name)[rows]
+                assert np.array_equal(block[:, :width], getattr(alone, name))
+                assert not block[:, width:].any()
+            for name in ("lambda_min", "lambda_bound", "steps"):
+                assert np.array_equal(getattr(measures, name)[rows],
+                                      getattr(alone, name))
+    calls.clear()
+    monkeypatch.setattr(lax_module, "_LANCZOS_BLOCK_ROWS", 1)
+    single = run_ensemble()
+    assert [len(coeffs) for coeffs, _ in calls] == [3] * 31
+    for a, b in zip(blocked, single):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.form_values, b.form_values)
+        assert (a.a_hat, a.kappa_margin) == (b.a_hat, b.kappa_margin)
+
+
+def test_pending_samples_are_checked_before_a_stepper_error(tmp_path, capsys,
+                                                            monkeypatch):
+    # the stepper yields a sample that fails the shift test, then blows up
+    # while that sample still waits for its Lanczos block: the run reports
+    # the shift failure, as it did when each sample was measured at once
+    measured = []
+    lanczos = lax_module.lanczos_measures
+
+    def counting_lanczos(grid, coeffs, *args):
+        measured.append(len(coeffs))
+        return lanczos(grid, coeffs, *args)
+
+    def failing_stepper(problems, coeffs, t_final, dt, stride):
+        yield 0.0, coeffs
+        grid = problems[0].grid
+        shifted = coeffs.copy()
+        shifted[:, 0] -= 64.0 * grid.length
+        yield dt, shifted
+        raise BlowUpError(2 * dt, 1e9)
+
+    monkeypatch.setattr(lax_module, "etdrk4_samples", failing_stepper)
+    monkeypatch.setattr(lax_module, "lanczos_measures", counting_lanczos)
+    argv = ["gronwall", "--n", "64", "--seeds", "1", "--depth-list", "1",
+            "--samples", "5", "--t-final", "0.05", "--dt", "1e-3",
+            "--outdir", str(tmp_path / "g")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: admissible-shift condition "
+                          "failed along the run: kappa=32 ")
+    assert "blow-up" not in err
+    assert measured == [2]
+    assert not (tmp_path / "g").exists()
 
 
 def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
