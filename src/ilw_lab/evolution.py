@@ -397,10 +397,12 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
         band += n_b
         band += n_d
 
-        if not np.all(np.isfinite(c)):
-            raise BlowUpError(step * dt, float("inf"))
-        # cheap sup bound: (1/L) * sum over the full lattice of |u_hat| >= sup |u|
+        # cheap sup bound: (1/L) * sum over the full lattice of |u_hat| >= sup |u|;
+        # abs and the sum carry inf and NaN into it, so it also tells a row
+        # that stopped being finite
         bound = np.sum(grid.multiplicity * np.abs(c), axis=-1) / grid.length
+        if not np.isfinite(bound).all():
+            raise BlowUpError(step * dt, float("inf"))
         for row in np.flatnonzero(bound > blowup_level):
             sup = RealField(grid, c[row]).sup_norm()
             if sup > blowup_level[row]:

@@ -452,7 +452,7 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     grid = _make_grid(p)
     state = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
     xi_max = modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0 else None
-    spectrum = LaxSpectrum.lanczos([state], p["kappa"], xi_max)[0]
+    spectrum = LaxSpectrum.lanczos(state, p["kappa"], xi_max)
     kcheck = spectrum.check_kappa(p["s"], p["kappa"])
     profile = spectrum.weighted_form(p["kappa"], p["s"])
     # the shared closed-form rule that gronwall uses, against the adaptive

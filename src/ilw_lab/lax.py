@@ -15,6 +15,8 @@ norm.  Every shift reads the form off one spectral measure of P_+ u
 run from P_+ u, whose matrix-vector products go through an FFT, stopped
 once a Gauss-Radau upper bound certifies it at the smallest shift; one
 dense eigendecomposition of the whole matrix stays as its fallback and oracle.
+``lanczos_measures`` is the one batch API, over a stack of states, and
+``LaxSpectrum.lanczos`` its one-field view.
 The resolvent state (L_u + kappa)^(-1) P_+ u comes from Jacobi-preconditioned
 conjugate gradients on the same FFT operator whenever the symbol bound
 certifies the shift, with a dense Cholesky solve as fallback and oracle, so
@@ -22,7 +24,9 @@ the certified path never builds an m x m matrix.
 The weighted integral integrates each node of the measure in closed form:
 integral_kappa^inf tau^(2s)/(lambda + tau) dtau is a hypergeometric
 function of lambda/kappa, which three 32-node Gauss-Jacobi rules
-(``KappaRule``) evaluate to rounding at every admissible node.  The rule
+(``KappaRule``) evaluate to rounding at every admissible node.  Those
+rules and the Lanczos Gauss rules come from one Golub-Welsch
+diagonalization of stacked Jacobi matrices (``_golub_welsch``).  The rule
 does not depend on the state, so one rule serves a whole stack of states
 and every state of a trajectory.  An adaptive composite Gauss-Kronrod rule
 in the substitution tau = kappa*exp(t) (``build_weighted_rule``) gives the
@@ -60,34 +64,27 @@ from .spectral import (
 )
 from .symbols import apply_smoothing_dx
 
-# 15-point Kronrod extension of 7-point Gauss; nodes on [-1, 1].
-_K15_NODES = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+# 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the left half and
+# the centre of each table, mirrored once; the Gauss nodes sit at the odd
+# Kronrod positions
+_K15_LEFT = np.array([
+    -0.991455371120813, -0.949107912342759, -0.864864423359769,
+    -0.741531185599394, -0.586087235467691, -0.405845151377397,
+    -0.207784955007898, 0.0,
 ])
-_K15_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_G7_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
+_K15_NODES = np.concatenate((_K15_LEFT, -_K15_LEFT[-2::-1]))
+_K15_WEIGHTS, _G7_WEIGHTS = (np.concatenate((w, w[-2::-1])) for w in (
+    np.array([0.022935322010529, 0.063092092629979, 0.104790010322250,
+              0.140653259715525, 0.169004726639267, 0.190350578064785,
+              0.204432940075298, 0.209482141084728]),
+    np.array([0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
+              0.381830050505119, 0.0, 0.417959183673469])))
 
 
 def _panel_nodes(a: float, b: float):
+    """Kronrod nodes on [a, b] with their Kronrod and Gauss weights."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    pos = _K15_NODES[:-1]
-    nodes = np.concatenate((mid - half * pos, [mid], mid + half * pos[::-1]))
-    wk = np.concatenate((_K15_WEIGHTS[:-1], [_K15_WEIGHTS[-1]],
-                         _K15_WEIGHTS[:-1][::-1])) * half
-    # Gauss nodes sit at the odd Kronrod positions
-    wg = np.zeros_like(wk)
-    wg[1:-1:2] = np.concatenate((_G7_WEIGHTS[:-1], [_G7_WEIGHTS[-1]],
-                                 _G7_WEIGHTS[:-1][::-1])) * half
-    return nodes, wk, wg
+    return mid + half * _K15_NODES, half * _K15_WEIGHTS, half * _G7_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -127,11 +124,14 @@ def build_lax(u: RealField, xi_max: Optional[float] = None) -> LaxTruncation:
     field on a finer grid first when a deeper truncation is needed.  The
     default is that largest cut.
     """
-    grid = u.grid
-    n_modes = _truncation_size(grid, xi_max)
+    return _truncation(u.grid, u.coeffs[:_truncation_size(u.grid, xi_max)])
+
+
+def _truncation(grid: SpectralGrid, g: np.ndarray) -> LaxTruncation:
+    """The truncation whose Hardy data is g = (u_0, ..., u_{m-1})."""
     return LaxTruncation(grid=grid,
-                         frequencies=grid.fundamental * np.arange(n_modes),
-                         column=u.coeffs[:n_modes] / grid.length)
+                         frequencies=grid.fundamental * np.arange(g.shape[0]),
+                         column=g / grid.length)
 
 
 def _truncation_size(grid: SpectralGrid, xi_max: Optional[float]) -> int:
@@ -333,25 +333,32 @@ def lanczos_measures(grid: SpectralGrid, coeffs: np.ndarray, kappa: float,
     gnorm_sq = (live.real ** 2 + live.imag ** 2).sum(axis=1)
     for k in sorted(set(steps.tolist())):
         group = steps == k
-        jac = np.zeros((group.sum(), k, k))
-        diag = np.arange(k)
-        jac[:, diag, diag] = alpha[group, :k]
-        jac[:, diag[1:], diag[:-1]] = beta[group, :k - 1]
-        jac[:, diag[:-1], diag[1:]] = beta[group, :k - 1]
-        theta, vectors = np.linalg.eigh(jac)
+        theta, first = _golub_welsch(alpha[group, :k], beta[group, :k - 1])
         nodes[rows[group], :k] = theta
-        weights[rows[group], :k] = (gnorm_sq[group, None]
-                                    * vectors[:, 0, :] ** 2 / grid.length)
-    frequencies = grid.fundamental * np.arange(n_modes)
+        weights[rows[group], :k] = gnorm_sq[group, None] * first / grid.length
     for i in np.flatnonzero(~certified):
-        lax = LaxTruncation(grid=grid, frequencies=frequencies,
-                            column=g[i] / grid.length)
-        nodes[i], weights[i] = _dense_measure(lax, g[i])
+        nodes[i], weights[i] = _dense_measure(_truncation(grid, g[i]), g[i])
     all_steps = np.zeros(g.shape[0], dtype=int)
     all_steps[rows] = steps
     return SpectralMeasures(nodes=nodes, weights=weights,
                             lambda_min=nodes[:, 0].copy(), lambda_bound=bound,
                             steps=all_steps)
+
+
+def _golub_welsch(diagonal: np.ndarray, off: np.ndarray):
+    """Eigenvalues of each symmetric tridiagonal matrix of a stack, with
+    diagonals ``diagonal`` (B, k) and off-diagonals ``off`` (B, k - 1), and
+    the squared first component of each eigenvector, from one stacked
+    ``np.linalg.eigh``: the nodes and normalized weights of each Gauss rule
+    (Golub & Welsch, Math. Comp. 23, 1969)."""
+    k = diagonal.shape[-1]
+    jac = np.zeros(diagonal.shape + (k,))
+    index = np.arange(k)
+    jac[:, index, index] = diagonal
+    jac[:, index[1:], index[:-1]] = off
+    jac[:, index[:-1], index[1:]] = off
+    nodes, vectors = np.linalg.eigh(jac)
+    return nodes, vectors[:, 0, :] ** 2
 
 
 def _form_at(nodes: np.ndarray, weights: np.ndarray,
@@ -369,17 +376,17 @@ class LaxSpectrum:
     the Jacobi matrix of a tridiagonalization started at g carries (Golub &
     Welsch, Math. Comp. 23, 1969).  Two constructors build it:
 
-    - ``LaxSpectrum.lanczos(fields, kappa, xi_max)`` runs the Lanczos
-      recurrence from g for each field of a batch and keeps the Gauss rule
-      of its k x k Jacobi matrix: the Ritz values and ||g||^2 S[0, j]^2 / L.
+    - ``LaxSpectrum.lanczos(u, kappa, xi_max)`` runs the Lanczos
+      recurrence from g and keeps the Gauss rule of its k x k Jacobi
+      matrix: the Ritz values and ||g||^2 S[0, j]^2 / L.
       Each row stops on its own once the Gauss rule (a lower bound on
       form(kappa)) and the Gauss-Radau rule with its extra node at the
       symbol bound ``lambda_bound`` <= lambda_min (an upper bound) agree to
       1e-14 relative, at breakdown, or at k = m (Golub & Meurant, Matrices,
       Moments and Quadrature, 2010, ch. 6-7).  A row whose bound does not
-      clear -kappa is not certified and takes the dense measure.  It is a
-      view of ``lanczos_measures``, which the experiments call on whole
-      stacks of states.
+      clear -kappa is not certified and takes the dense measure.  It is
+      the one-row view of ``lanczos_measures``, the batch API, which the
+      experiments call on whole stacks of states.
     - ``LaxSpectrum(lax, u)`` diagonalizes the whole m x m matrix with one
       ``np.linalg.eigh``, A = W diag(lambda) W^H, and weighs each
       eigenvector by |<w_j, g>|^2 / L.  It gives every eigenvalue of A and
@@ -402,32 +409,19 @@ class LaxSpectrum:
         self.lambda_bound = float(_symbol_bound(self.g, self.grid.length))
 
     @classmethod
-    def lanczos(cls, fields: list, kappa: float,
-                xi_max: Optional[float] = None) -> list:
-        """The spectrum of each field from one ``lanczos_measures`` call
-        (all fields on one grid); each equals the one its field gets alone.
-        """
-        if not fields:
-            return []
-        grid = fields[0].grid
-        if any(u.grid != grid for u in fields):
-            raise ContractError("fields live on different grids")
-        measures = lanczos_measures(grid, np.stack([u.coeffs for u in fields]),
-                                    kappa, xi_max)
-        n_modes = _truncation_size(grid, xi_max)
-        spectra = []
-        for u, nodes, weights, steps, bound in zip(
-                fields, measures.nodes, measures.weights, measures.steps,
-                measures.lambda_bound.tolist()):
-            spectrum = cls.__new__(cls)
-            spectrum.grid, spectrum.u = grid, u
-            spectrum.g = hardy_project(u)[:n_modes]
-            spectrum.lambda_bound = bound
-            size = steps or n_modes
-            spectrum.eigenvalues, spectrum.weights = nodes[:size], weights[:size]
-            spectrum.lanczos_steps = int(steps)
-            spectra.append(spectrum)
-        return spectra
+    def lanczos(cls, u: RealField, kappa: float,
+                xi_max: Optional[float] = None) -> "LaxSpectrum":
+        """The spectrum of ``u`` from the one-row ``lanczos_measures`` call."""
+        measures = lanczos_measures(u.grid, u.coeffs[None], kappa, xi_max)
+        spectrum = cls.__new__(cls)
+        spectrum.grid, spectrum.u = u.grid, u
+        spectrum.g = hardy_project(u)[:_truncation_size(u.grid, xi_max)]
+        spectrum.lambda_bound = float(measures.lambda_bound[0])
+        spectrum.lanczos_steps = int(measures.steps[0])
+        # a lone row fills the whole width: no padding
+        spectrum.eigenvalues, spectrum.weights = (measures.nodes[0],
+                                                  measures.weights[0])
+        return spectrum
 
     @property
     def lambda_min(self) -> float:
@@ -445,15 +439,14 @@ class LaxSpectrum:
         return _check_kappas(self.grid, self.u.coeffs[None], self.eigenvalues[:1],
                              _shift_index(s, kappa, c_s), c_s)[0]
 
-    def weighted_form(self, kappa: float, s: float,
-                      rtol: float = 1e-8) -> WeightedFormProfile:
+    def weighted_form(self, kappa: float, s: float) -> WeightedFormProfile:
         """integral_kappa^inf tau^(2s) form(tau) dtau on the adaptive rule
         of this spectrum (``build_weighted_rule``), with its tau profile.
         Values to be differenced along a trajectory come from
         ``shared_weighted_form``, whose rule does not depend on the state.
         The rule's build checks s, kappa and the shift.
         """
-        rule = build_weighted_rule(self.form_at, kappa, s, rtol)
+        rule = build_weighted_rule(self.form_at, kappa, s)
         values = self.form_at(rule.tau_nodes)
         tail_value = float(self.form_at(np.array([rule.tau_star]))[0])
         value = float(np.real(rule.combine(values, tail_value)))
@@ -528,7 +521,7 @@ def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
     """Admissible-shift test of ``u`` on its Lanczos spectrum at kappa (see
     ``LaxSpectrum.check_kappa``): ``lambda_min`` is the smallest Ritz value
     of a certified state, which clears -kappa as the eigenvalues do."""
-    return LaxSpectrum.lanczos([u], kappa, xi_max)[0].check_kappa(s, kappa, c_s)
+    return LaxSpectrum.lanczos(u, kappa, xi_max).check_kappa(s, kappa, c_s)
 
 
 # conjugate gradients stop once the residual is below this fraction of ||g||
@@ -697,9 +690,9 @@ _LANCZOS_BLOCK_ROWS = 64
 
 def _gauss_jacobi(exponents, n: int):
     """n-node Gauss rules on [0, 1] for the weights x^c, one row per
-    exponent c > -1, by Golub-Welsch: the Jacobi recurrence of
-    (1 - y)^0 (1 + y)^c on [-1, 1], mapped by x = (1 + y)/2, and one
-    stacked eigh.  The weight x^c has mass 1/(c + 1)."""
+    exponent c > -1, by ``_golub_welsch``: the Jacobi recurrence of
+    (1 - y)^0 (1 + y)^c on [-1, 1], mapped by x = (1 + y)/2.  The weight
+    x^c has mass 1/(c + 1)."""
     c = np.asarray(exponents, dtype=float)[:, None]
     k = np.arange(1, n)
     two_k = 2.0 * k + c
@@ -707,13 +700,8 @@ def _gauss_jacobi(exponents, n: int):
                           axis=1)
     off = np.sqrt(4.0 * k * k * (k + c) ** 2
                   / (two_k ** 2 * (two_k + 1.0) * (two_k - 1.0)))
-    jac = np.zeros((c.shape[0], n, n))
-    index = np.arange(n)
-    jac[:, index, index] = 0.5 * (1.0 + diag)
-    jac[:, index[1:], index[:-1]] = 0.5 * off
-    jac[:, index[:-1], index[1:]] = 0.5 * off
-    nodes, vectors = np.linalg.eigh(jac)
-    return nodes, vectors[:, 0, :] ** 2 / (c + 1.0)
+    nodes, first = _golub_welsch(0.5 * (1.0 + diag), 0.5 * off)
+    return nodes, first / (c + 1.0)
 
 
 @dataclass(frozen=True)
@@ -821,14 +809,19 @@ class WeightedFormRule:
         return (self.weights * node_values).sum() + self.tail_coeff * tail_value
 
 
-def build_weighted_rule(form_at: Callable, kappa: float, s: float,
-                        rtol: float = 1e-8) -> WeightedFormRule:
+# the adaptive weighted-form rule bisects its panels until their summed
+# Gauss/Kronrod gap is below this fraction of the integral
+_RULE_RTOL = 1e-8
+
+
+def build_weighted_rule(form_at: Callable, kappa: float,
+                        s: float) -> WeightedFormRule:
     """Adapt panels on the reference profile, then freeze them.
 
     The horizon grows until the modeled tail drops below 1e-9 of the total;
     panels then bisect (worst first) until the Gauss/Kronrod gap is below
-    ``rtol`` of the integral.  Raises NumericalError with the panel map if
-    the refinement stalls.
+    ``_RULE_RTOL`` of the integral.  Raises NumericalError with the panel
+    map if the refinement stalls.
     """
     _require_weight_exponent(s, kappa)
     scale = kappa ** (2.0 * s + 1.0)
@@ -867,7 +860,7 @@ def build_weighted_rule(form_at: Callable, kappa: float, s: float,
     for _ in range(400):
         total = sum(r[0] for r in results.values())
         err = sum(r[1] for r in results.values())
-        if err <= rtol * abs(total):
+        if err <= _RULE_RTOL * abs(total):
             break
         worst = max(results, key=lambda p: results[p][1])
         a, b = worst
@@ -922,12 +915,11 @@ class WeightedFormProfile:
 
 
 def weighted_resolvent_form(u: RealField, kappa: float, s: float,
-                            xi_max: Optional[float] = None,
-                            rtol: float = 1e-8) -> WeightedFormProfile:
+                            xi_max: Optional[float] = None
+                            ) -> WeightedFormProfile:
     """integral_kappa^inf tau^(2s) form(tau; u) dtau on the adaptive rule of
     its spectrum; see ``LaxSpectrum.weighted_form``."""
-    spectrum = LaxSpectrum.lanczos([u], kappa, xi_max)[0]
-    return spectrum.weighted_form(kappa, s, rtol)
+    return LaxSpectrum.lanczos(u, kappa, xi_max).weighted_form(kappa, s)
 
 
 @dataclass(frozen=True)
@@ -959,7 +951,7 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
     _require_weight_exponent(s, kappa)
     grid = u.grid
     lax = build_lax(u, xi_max)
-    spectrum = LaxSpectrum.lanczos([u], kappa, xi_max)[0]
+    spectrum = LaxSpectrum.lanczos(u, kappa, xi_max)
     # its first form_at checks the shift
     rule = build_weighted_rule(spectrum.form_at, kappa, s)
 
@@ -1050,18 +1042,23 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     so every depth of one initial state lands in the same batch.  The
     samples are measured in blocks of consecutive ones, so no trajectory is
     stored: one ``lanczos_measures`` call takes the stacks of as many
-    samples as fit in ``_LANCZOS_BLOCK_ROWS`` rows, and at least one.  A
-    row's measure does not depend on the rest of the call, so it equals the
-    one its sample gets alone.  Then, per sample and in time order, the
-    batch's whole (B, n_points//2 + 1) stack takes one H^s_kappa norm
-    reduction, one admissible-shift test (``_check_kappas``, which
-    ``check_kappa`` runs on one row) and one evaluation of the
-    ``KappaRule`` built once per call; no field or spectrum is built per
-    row.  When the stepper fails, the samples it yielded before are
-    measured and checked first, so an admissible-shift failure among them
-    is the error reported.  Every depth's reference rate is computed before
-    the first step.  Reports come back in the order of ``initials``, each
-    equal to the member's own ``gronwall_experiment``.
+    samples as fit in ``_LANCZOS_BLOCK_ROWS`` rows, and at least one, in
+    time order and then member order.  A row's measure does not depend on
+    the rest of the call, so it equals the one its sample gets alone.  Each
+    block then takes one pass over all its rows: the zero-form check (first
+    block), one H^s_kappa norm reduction and admissible-shift test
+    (``_check_kappas``, which ``check_kappa`` runs on one row), the margin
+    update and one evaluation of the ``KappaRule`` built once per call; no
+    field or spectrum is built per row.  The first failing row in time and
+    then member order is the shift failure reported.  Every shift test of a
+    block runs before any rule value, so a later sample's shift failure is
+    reported in place of an earlier negative rule value (which the
+    kernel's positivity rules out); either is a NumericalError.  When the
+    stepper fails, the samples it yielded before are measured and checked
+    first, so an admissible-shift failure among them is the error reported.
+    Every depth's reference rate is computed before the first step.
+    Reports come back in the order of ``initials``, each equal to the
+    member's own ``gronwall_experiment``.
     """
     # a bad s, kappa or c_s fails here, before any step is taken
     index = _shift_index(s, kappa, c_s)
@@ -1096,28 +1093,28 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
                                  t_final, step, stride)
         per_call = max(1, _LANCZOS_BLOCK_ROWS // len(members))
         for block in _sample_blocks(samples, per_call):
-            measures = lanczos_measures(
-                grid, np.concatenate([coeffs for _, coeffs in block]), kappa)
-            for j, (t, coeffs) in enumerate(block):
-                rows = slice(j * len(members), (j + 1) * len(members))
-                weights = measures.weights[rows]
-                if not times and not weights.any(axis=1).all():
-                    # all weights vanish exactly when form(kappa; u0) = 0
-                    raise ContractError("initial data has zero weighted form; "
-                                        "no growth rate can be fitted")
-                checks = _check_kappas(grid, coeffs, measures.lambda_min[rows],
-                                       index, c_s)
-                failed = [check for check in checks if not check.ok]
-                if failed:
-                    raise NumericalError(
-                        "admissible-shift condition failed along the run: "
-                        "kappa=%.4g threshold=%.4g lambda_min=%.4g"
-                        % (kappa, failed[0].threshold, failed[0].lambda_min))
-                margin = np.minimum(margin,
-                                    [kappa - check.threshold for check in checks])
-                times.append(t)
-                values.append(rule.values(measures.nodes[rows], weights))
-        times, values = np.asarray(times), np.array(values)
+            # rows in time order, then member order
+            coeffs = np.concatenate([c for _, c in block])
+            measures = lanczos_measures(grid, coeffs, kappa)
+            if not times and not measures.weights[:len(members)].any(axis=1).all():
+                # all weights vanish exactly when form(kappa; u0) = 0
+                raise ContractError("initial data has zero weighted form; "
+                                    "no growth rate can be fitted")
+            checks = _check_kappas(grid, coeffs, measures.lambda_min, index, c_s)
+            failed = [check for check in checks if not check.ok]
+            if failed:
+                raise NumericalError(
+                    "admissible-shift condition failed along the run: "
+                    "kappa=%.4g threshold=%.4g lambda_min=%.4g"
+                    % (kappa, failed[0].threshold, failed[0].lambda_min))
+            by_sample = (len(block), len(members))
+            thresholds = np.reshape([check.threshold for check in checks],
+                                    by_sample)
+            margin = np.minimum(margin, (kappa - thresholds).min(axis=0))
+            times += [t for t, _ in block]
+            values.append(rule.values(measures.nodes, measures.weights)
+                          .reshape(by_sample))
+        times, values = np.asarray(times), np.concatenate(values)
         # the worst absolute log-slope of each member, and the pointwise
         # check form(t) <= exp(a_hat t) form(0)
         slopes = np.diff(np.log(values), axis=0) / np.diff(times)[:, None]

@@ -155,25 +155,14 @@ def _require_unit_circle(grid: SpectralGrid):
         raise ContractError("periodic-wave operations require a length-1 grid")
 
 
-def _lattice_sum(term_of_n, n0_value, grid: SpectralGrid, what: str) -> np.ndarray:
-    """Sum term_of_n(n) + term_of_n(-n) over n >= 1 until the pair falls
-    below SERIES_TOL in sup norm."""
-    acc = np.array(n0_value, dtype=float, copy=True)
+def _series(term, start, what: str):
+    """start + term(1) + term(2) + ... until a term falls below SERIES_TOL
+    in sup norm; the terms are scalars or arrays of one shape."""
+    total = start
     for n in range(1, SERIES_CAP + 1):
-        pair = term_of_n(n) + term_of_n(-n)
-        acc += pair
-        if float(np.max(np.abs(pair))) < SERIES_TOL:
-            return acc
-    raise NumericalError("%s lattice sum did not converge in %d terms"
-                         % (what, SERIES_CAP))
-
-
-def _scalar_series(term_of_l, what: str) -> float:
-    total = 0.0
-    for l in range(1, SERIES_CAP + 1):
-        term = term_of_l(l)
-        total += term
-        if abs(term) < SERIES_TOL:
+        step = term(n)
+        total = total + step
+        if float(np.max(np.abs(step))) < SERIES_TOL:
             return total
     raise NumericalError("%s series did not converge in %d terms"
                          % (what, SERIES_CAP))
@@ -202,7 +191,7 @@ def interaction_sum_v(a: float, depth: float) -> float:
         sh = np.sinh(min(0.5 * a * l, 350.0)) ** 2
         return a * np.sin(2.0 * ad) / (sh + s2)
 
-    return _scalar_series(term, "speed-correction")
+    return _series(term, 0.0, "speed-correction")
 
 
 @dataclass(frozen=True)
@@ -243,7 +232,7 @@ def periodic_wave_constants(a: float, depth: float) -> PeriodicWaveConstants:
         sh = np.sinh(min(y, 350.0)) ** 2
         return l / np.tanh(y) / (sh + s2)
 
-    d = 2.0 * a ** 2 * s2 * _scalar_series(term_d, "interaction-constant")
+    d = 2.0 * a ** 2 * s2 * _series(term_d, 0.0, "interaction-constant")
     return PeriodicWaveConstants(a=a, depth=depth,
                                  V=interaction_sum_v(a, depth), D=d)
 
@@ -277,7 +266,7 @@ def periodic_profile(a: float, depth: float, grid: SpectralGrid) -> PeriodicWave
     def term(n):
         return amp * _inv_cosh_plus(a * (x + n), ad)
 
-    samples = _lattice_sum(term, term(0), grid, "profile")
+    samples = _series(lambda n: term(n) + term(-n), term(0), "profile")
     lattice = forward_transform(samples, grid)
     return PeriodicWaveProfiles(fourier=fourier, lattice=lattice)
 
@@ -330,21 +319,13 @@ def wave_coth_image(a: float, depth: float, grid: SpectralGrid) -> CothImageRout
     def term(n):
         return -a * _tanh_like(a * (x + n), ad)
 
-    samples = _lattice_sum(term, term(0), grid, "dispersion-image")
+    samples = _series(lambda n: term(n) + term(-n), term(0), "dispersion-image")
     samples = samples + 2.0 * a * x
     lattice = forward_transform(samples, grid)
     return CothImageRoutes(multiplier=image, lattice=lattice)
 
 
 # -- lattice product identities ------------------------------------------------
-
-def _b_term(a: float, adelta: float, x: float, n: int) -> float:
-    return float(_inv_cosh_plus(a * (x + n), adelta))
-
-
-def _d_term(a: float, adelta: float, x: float, n: int) -> float:
-    return float(_tanh_like(a * (x + n), adelta))
-
 
 def pair_product_residual(a: float, depth: float, x: float, n: int, m: int) -> float:
     """Residual of the two-translate product identity.
@@ -362,10 +343,8 @@ def pair_product_residual(a: float, depth: float, x: float, n: int, m: int) -> f
     if n == m:
         raise ContractError("the product identity needs distinct translates")
     ad = a * depth
-    bn = _b_term(a, ad, x, n)
-    bm = _b_term(a, ad, x, m)
-    dn = _d_term(a, ad, x, n)
-    dm = _d_term(a, ad, x, m)
+    bn, bm = (float(_inv_cosh_plus(a * (x + k), ad)) for k in (n, m))
+    dn, dm = (float(_tanh_like(a * (x + k), ad)) for k in (n, m))
     gap = 0.5 * a * (m - n)
     denom = np.sinh(gap) ** 2 + np.sin(ad) ** 2
     lhs = 2.0 * bn * bm

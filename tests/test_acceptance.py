@@ -101,7 +101,7 @@ def test_criterion_4_deep_water_conservation():
     xi_max = modes_to_xi_max(SpectralGrid(TWO_PI, 2048), 512)
     # the shared rule does not depend on the state
     betas = np.array([
-        LaxSpectrum.lanczos([state.embedded(2048)], 32.0, xi_max)[0]
+        LaxSpectrum.lanczos(state.embedded(2048), 32.0, xi_max)
         .shared_weighted_form(32.0, -0.25)
         for state in trajectory.states])
     drift = float(np.max(np.abs(betas - betas[0])) / betas[0])
@@ -148,7 +148,7 @@ def test_criterion_6_flow_derivative_identity():
 
     def beta(state):
         # the shared rule does not depend on the state
-        return LaxSpectrum.lanczos([state], 32.0, xi_max)[0] \
+        return LaxSpectrum.lanczos(state, 32.0, xi_max) \
             .shared_weighted_form(32.0, -0.25)
 
     worst = 0.0

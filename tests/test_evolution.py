@@ -190,6 +190,23 @@ def test_blow_up_is_reported():
     assert info.value.time > 0.0
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_non_finite_row_blows_up_at_the_first_step(row):
+    # the sup bound carries the NaN, so the first step reports it, in
+    # either row, with an infinite sup-norm
+    grid = SpectralGrid(1.0, 64)
+    problem = make_ilw(1.0, grid)
+    calm = random_field(grid, -0.25, 0.1, 1, decay=0.3).coeffs
+    stack = np.stack([calm, calm])
+    stack[row] = np.nan
+    samples = etdrk4_samples([problem, problem], stack, 1.0, 1e-3, 10)
+    assert next(samples)[0] == 0.0
+    with pytest.raises(BlowUpError) as info:
+        next(samples)
+    assert info.value.time == 1e-3
+    assert info.value.sup_norm == np.inf
+
+
 def test_advisory_cfl_warning_fires():
     grid = SpectralGrid(1.0, 256)
     u0 = random_field(grid, -0.25, 1.0, 3, decay=0.3)

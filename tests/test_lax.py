@@ -232,7 +232,7 @@ def test_lanczos_gauss_radau_enclosure(case):
     u, m = _ENCLOSURE_CASES[case]
     kappa, s = 32.0, -0.25
     xi_max = (m - 0.5) * u.grid.fundamental  # m modes; m = 1 included
-    spectrum = LaxSpectrum.lanczos([u], kappa, xi_max)[0]
+    spectrum = LaxSpectrum.lanczos(u, kappa, xi_max)
     dense = LaxSpectrum(build_lax(u, xi_max), u)
     steps = spectrum.lanczos_steps
     assert 1 <= steps <= m
@@ -279,15 +279,20 @@ def test_lanczos_rows_do_not_depend_on_the_batch():
     fields[3] = constant_field(grid, -1.5)
     for m in (3, 17, 64):
         xi_max = modes_to_xi_max(grid, m)
-        batch = LaxSpectrum.lanczos(fields, 32.0, xi_max)
-        assert len({spectrum.lanczos_steps for spectrum in batch}) > 1
-        for u, spectrum in zip(fields, batch):
-            alone = LaxSpectrum.lanczos([u], 32.0, xi_max)[0]
-            assert spectrum.u is u
-            assert spectrum.lanczos_steps == alone.lanczos_steps
-            for name in ("g", "eigenvalues", "weights"):
-                assert np.array_equal(getattr(spectrum, name),
-                                      getattr(alone, name)), name
+        batch = lanczos_measures(grid, np.stack([u.coeffs for u in fields]),
+                                 32.0, xi_max)
+        assert len(set(batch.steps.tolist())) > 1
+        for i, u in enumerate(fields):
+            alone = LaxSpectrum.lanczos(u, 32.0, xi_max)
+            assert alone.u is u
+            assert np.array_equal(alone.g, hardy_project(u)[:m])
+            steps = batch.steps[i]
+            assert steps == alone.lanczos_steps
+            # the row's measure, then its zero padding
+            for name, row in (("eigenvalues", batch.nodes[i]),
+                              ("weights", batch.weights[i])):
+                assert np.array_equal(row[:steps], getattr(alone, name)), name
+                assert not row[steps:].any(), name
 
 
 def test_shared_rule_rows_do_not_depend_on_the_batch():
@@ -310,7 +315,7 @@ def test_shared_rule_rows_do_not_depend_on_the_batch():
     for i, u in enumerate(fields):
         assert not measures.nodes[i, steps[i]:].any()
         assert not measures.weights[i, steps[i]:].any()
-        alone = LaxSpectrum.lanczos([u], kappa)[0]
+        alone = LaxSpectrum.lanczos(u, kappa)
         assert alone.lanczos_steps == steps[i]
         assert values[i] == alone.shared_weighted_form(kappa, s)
 
@@ -336,8 +341,8 @@ def test_spectra_carry_the_symbol_bound_of_their_measure():
     kappa = 2.0
     measures = lax_module.lanczos_measures(
         grid, np.stack([u.coeffs for u in fields]), kappa)
-    for u, spectrum, bound in zip(fields, LaxSpectrum.lanczos(fields, kappa),
-                                  measures.lambda_bound):
+    for u, bound in zip(fields, measures.lambda_bound):
+        spectrum = LaxSpectrum.lanczos(u, kappa)
         expected = lax_module._symbol_bound(spectrum.g, grid.length)
         assert spectrum.lambda_bound == bound == expected
         assert LaxSpectrum(build_lax(u), u).lambda_bound == expected
@@ -353,20 +358,23 @@ def test_uncertified_rows_take_the_dense_path():
     kappa = 2.0
     dense = LaxSpectrum(build_lax(big), big)
     assert dense.lambda_bound + kappa <= 0.0
-    mixed = LaxSpectrum.lanczos([small, big], kappa)
-    assert mixed[1].lanczos_steps == 0
+    mixed = lanczos_measures(grid, np.stack([small.coeffs, big.coeffs]),
+                             kappa)
+    assert mixed.steps[1] == 0
+    assert np.array_equal(mixed.nodes[1], dense.eigenvalues)
+    assert np.array_equal(mixed.weights[1], dense.weights)
+    lone = LaxSpectrum.lanczos(big, kappa)
+    assert lone.lanczos_steps == 0
     for name in ("g", "eigenvalues", "weights"):
-        assert np.array_equal(getattr(mixed[1], name), getattr(dense, name))
-    alone = LaxSpectrum.lanczos([small], kappa)[0]
-    assert alone.lanczos_steps > 0
-    assert np.array_equal(mixed[0].weights, alone.weights)
-    assert np.array_equal(mixed[0].eigenvalues, alone.eigenvalues)
+        assert np.array_equal(getattr(lone, name), getattr(dense, name))
+    alone = LaxSpectrum.lanczos(small, kappa)
+    steps = alone.lanczos_steps
+    assert steps > 0 and mixed.steps[0] == steps
+    assert np.array_equal(mixed.weights[0, :steps], alone.weights)
+    assert np.array_equal(mixed.nodes[0, :steps], alone.eigenvalues)
+    assert not mixed.weights[0, steps:].any()
     with pytest.raises(ContractError):
-        LaxSpectrum.lanczos([small], np.inf)
-    with pytest.raises(ContractError):
-        LaxSpectrum.lanczos([small, random_field(SpectralGrid(TWO_PI, 64),
-                                                 -0.25, 0.3, 1)], kappa)
-    assert LaxSpectrum.lanczos([], kappa) == []
+        LaxSpectrum.lanczos(small, np.inf)
 
 
 def test_build_lax_validation():
@@ -670,7 +678,7 @@ def test_weighted_form_against_adaptive_quadrature():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
     s, kappa = -0.35, 8.0
-    profile = weighted_resolvent_form(u, kappa, s, xi_max=31.0, rtol=1e-10)
+    profile = weighted_resolvent_form(u, kappa, s, xi_max=31.0)
     spectrum = LaxSpectrum(build_lax(u, 31.0), u)
 
     def integrand(tau):
@@ -750,7 +758,7 @@ def test_shared_rule_takes_the_closed_form_below_half_kappa(monkeypatch):
     monkeypatch.setattr(lax_module, "build_weighted_rule",
                         lambda *args, **kwargs: builds.append(args))
     for c in (-0.75 * kappa, -0.99 * kappa):
-        spectrum = LaxSpectrum.lanczos([constant_field(grid, c)], kappa)[0]
+        spectrum = LaxSpectrum.lanczos(constant_field(grid, c), kappa)
         assert spectrum.lanczos_steps == 1
         assert spectrum.lambda_bound + kappa > 0.0
         assert spectrum.lambda_min == pytest.approx(c, rel=1e-15)
@@ -802,7 +810,7 @@ def test_flow_derivative_against_dense_eigenvectors(amplitude, seed, kappa):
     u = random_field(grid, -0.25, amplitude, seed, decay=0.25)
     lax = build_lax(u)
     # the rule that form_flow_derivative builds
-    rule = build_weighted_rule(LaxSpectrum.lanczos([u], kappa)[0].form_at,
+    rule = build_weighted_rule(LaxSpectrum.lanczos(u, kappa).form_at,
                                kappa, -0.25)
     flow = form_flow_derivative(u, kappa, 1.0, -0.25)
 
@@ -836,7 +844,7 @@ def test_flow_derivative_matches_finite_differences():
 
     def beta(state):
         # the shared rule does not depend on the state
-        return LaxSpectrum.lanczos([state], kappa, xi_max)[0] \
+        return LaxSpectrum.lanczos(state, kappa, xi_max) \
             .shared_weighted_form(kappa, s)
 
     fd = (beta(states[0.25 + h]) - beta(states[0.25 - h])) / (2.0 * h)
@@ -855,7 +863,7 @@ def test_weighted_form_conserved_by_deep_water_flow():
     mid = states[0.25]
 
     def beta(state):
-        return LaxSpectrum.lanczos([state], kappa, xi_max)[0] \
+        return LaxSpectrum.lanczos(state, kappa, xi_max) \
             .shared_weighted_form(kappa, s)
 
     fd = (beta(states[0.25 + h]) - beta(states[0.25 - h])) / (2.0 * h)
@@ -894,14 +902,23 @@ def test_gronwall_experiment_matches_public_functions():
                                  n_samples=10)
     states = evolve(make_ilw(1.0, grid), u0, 0.2, dt=1e-3,
                     store_stride=20).states
-    values = [LaxSpectrum.lanczos([state], kappa)[0].shared_weighted_form(
+    values = [LaxSpectrum.lanczos(state, kappa).shared_weighted_form(
         kappa, s) for state in states]
-    rule = build_weighted_rule(LaxSpectrum.lanczos([u0], kappa)[0].form_at,
+    rule = build_weighted_rule(LaxSpectrum.lanczos(u0, kappa).form_at,
                                kappa, s)
+    spectra = [LaxSpectrum.lanczos(state, kappa) for state in states]
     frozen = np.array([
         rule.combine(spectrum.form_at(rule.tau_nodes),
                      spectrum.form_at(rule.tau_star)[0])
-        for spectrum in LaxSpectrum.lanczos(states, kappa)])
+        for spectrum in spectra])
+    # the rows of one call over the states are their one-field measures
+    measures = lanczos_measures(grid, np.stack([u.coeffs for u in states]),
+                                kappa)
+    for i, spectrum in enumerate(spectra):
+        steps = spectrum.lanczos_steps
+        assert measures.steps[i] == steps
+        assert np.array_equal(measures.nodes[i, :steps], spectrum.eigenvalues)
+        assert np.array_equal(measures.weights[i, :steps], spectrum.weights)
     margin = min(kappa - check_kappa(state, s, kappa).threshold
                  for state in states)
     assert len(states) == len(report.times) == 11
@@ -1008,6 +1025,46 @@ def test_pending_samples_are_checked_before_a_stepper_error(tmp_path, capsys,
                           "failed along the run: kappa=32 ")
     assert "blow-up" not in err
     assert measured == [2]
+    assert not (tmp_path / "g").exists()
+
+
+def test_a_block_reports_its_first_failing_sample(tmp_path, capsys,
+                                                  monkeypatch):
+    # three samples share one Lanczos block and the 2nd and 3rd fail the
+    # shift test with different lambda_min: the block's one pass reports
+    # the 2nd, the first failing row in time order
+    measured, failing = [], []
+    lanczos = lax_module.lanczos_measures
+
+    def counting_lanczos(grid, coeffs, *args):
+        measured.append(len(coeffs))
+        return lanczos(grid, coeffs, *args)
+
+    def stepper(problems, coeffs, t_final, dt, stride):
+        yield 0.0, coeffs
+        grid = problems[0].grid
+        for j, drop in enumerate((64.0, 96.0), start=1):
+            shifted = coeffs.copy()
+            shifted[:, 0] -= drop * grid.length
+            failing.append(RealField(grid, shifted[0]))
+            yield j * dt, shifted
+
+    monkeypatch.setattr(lax_module, "etdrk4_samples", stepper)
+    monkeypatch.setattr(lax_module, "lanczos_measures", counting_lanczos)
+    argv = ["gronwall", "--n", "64", "--seeds", "1", "--depth-list", "1",
+            "--samples", "5", "--t-final", "0.05", "--dt", "1e-3",
+            "--outdir", str(tmp_path / "g")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert measured == [3]
+    second, third = (check_kappa(u, -0.25, 32.0) for u in failing)
+    assert not second.ok and not third.ok
+    named = "threshold=%.4g lambda_min=%.4g"
+    assert (named % (second.threshold, second.lambda_min)
+            != named % (third.threshold, third.lambda_min))
+    assert err.startswith("numerical failure: admissible-shift condition "
+                          "failed along the run: kappa=32 "
+                          + named % (second.threshold, second.lambda_min))
     assert not (tmp_path / "g").exists()
 
 
