@@ -230,7 +230,7 @@ def hamiltonian_ilw(state: RealField, depth: float) -> float:
     xi = state.grid.frequencies
     cubic = _cubic_integral(state) / 3.0
     direct = 0.5 * _quadratic_form(state, depth_dispersion_dx_symbol(xi, depth)) + cubic
-    decomposed = (hamiltonian_bo(state)
+    decomposed = (0.5 * _quadratic_form(state, np.abs(xi)) + cubic
                   - mass(state) / depth
                   + 0.5 * _quadratic_form(state, smoothing_symbol(xi, depth)))
     gap = abs(direct - decomposed)

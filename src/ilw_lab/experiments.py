@@ -269,20 +269,26 @@ def load_config(command: str, config_path: Optional[str] = None,
                 overrides: Optional[dict] = None,
                 output_dir: Optional[str] = None) -> ExperimentConfig:
     """Resolve defaults, then the [command] section of an ini file, then
-    explicit overrides.  Unknown keys are usage errors."""
+    explicit overrides.  Unknown keys and a malformed file are usage
+    errors."""
     if command not in _SCHEMAS:
         raise ContractError("unknown command %r" % command)
     schema = _SCHEMAS[command]
     params = {key: spec[1] for key, spec in schema.items()}
     if config_path:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        if not parser.read(config_path):
+        try:
+            found = parser.read(config_path, encoding="utf-8")
+            items = parser.items(command) if parser.has_section(command) else []
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ContractError("malformed config file %s: %s"
+                                % (config_path, exc)) from exc
+        if not found:
             raise ContractError("cannot read config file %s" % config_path)
-        if parser.has_section(command):
-            for key, raw in parser.items(command):
-                if key not in schema:
-                    raise ContractError("unknown key %r in [%s]" % (key, command))
-                params[key] = _coerce(command, key, raw)
+        for key, raw in items:
+            if key not in schema:
+                raise ContractError("unknown key %r in [%s]" % (key, command))
+            params[key] = _coerce(command, key, raw)
     for key, raw in (overrides or {}).items():
         if key not in schema:
             raise ContractError("unknown parameter %r for %s" % (key, command))
@@ -524,9 +530,9 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
                    float(rep.form_values[-1]))
                   for (depth, seed), rep in zip(tasks, results)])
 
-    by_depth = {depth: [rep.a_hat for (d, _), rep in zip(tasks, results)
-                        if d == depth] for depth in depths}
-    mean_rates = {depth: float(np.mean(vals)) for depth, vals in by_depth.items()}
+    # tasks run depth-major, so row i holds the rates at depths[i]
+    a_hats = np.reshape([rep.a_hat for rep in results], (len(depths), -1))
+    mean_rates = dict(zip(depths, a_hats.mean(axis=1).tolist()))
     report = {
         "equation": p["equation"],
         "s": p["s"],

@@ -62,7 +62,7 @@ from .spectral import (
     sobolev_norms,
     synthesize,
 )
-from .symbols import apply_smoothing_dx
+from .symbols import apply_smoothing_dx, smoothing_bound
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the left half and
 # the centre of each table, mirrored once; the Gauss nodes sit at the odd
@@ -81,8 +81,9 @@ _K15_WEIGHTS, _G7_WEIGHTS = (np.concatenate((w, w[-2::-1])) for w in (
               0.381830050505119, 0.0, 0.417959183673469])))
 
 
-def _panel_nodes(a: float, b: float):
-    """Kronrod nodes on [a, b] with their Kronrod and Gauss weights."""
+def _panel_nodes(a, b):
+    """Kronrod nodes on [a, b] with their Kronrod and Gauss weights; (P, 1)
+    columns of panel ends give one row of each per panel."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * _K15_NODES, half * _K15_WEIGHTS, half * _G7_WEIGHTS
 
@@ -297,9 +298,12 @@ class SpectralMeasures:
 
     nodes: np.ndarray
     weights: np.ndarray
-    lambda_min: np.ndarray
     lambda_bound: np.ndarray
     steps: np.ndarray
+
+    @property
+    def lambda_min(self) -> np.ndarray:
+        return self.nodes[:, 0]
 
 
 def lanczos_measures(grid: SpectralGrid, coeffs: np.ndarray, kappa: float,
@@ -340,8 +344,7 @@ def lanczos_measures(grid: SpectralGrid, coeffs: np.ndarray, kappa: float,
         nodes[i], weights[i] = _dense_measure(_truncation(grid, g[i]), g[i])
     all_steps = np.zeros(g.shape[0], dtype=int)
     all_steps[rows] = steps
-    return SpectralMeasures(nodes=nodes, weights=weights,
-                            lambda_min=nodes[:, 0].copy(), lambda_bound=bound,
+    return SpectralMeasures(nodes=nodes, weights=weights, lambda_bound=bound,
                             steps=all_steps)
 
 
@@ -436,8 +439,10 @@ class LaxSpectrum:
         """Check kappa >= c_s*(1 + ||u||_{H^s_kappa})^(1/(2*sigma)), sigma =
         (1/2 + s)/2, plus positivity of the shifted truncation: the one-row
         case of ``_check_kappas``."""
-        return _check_kappas(self.grid, self.u.coeffs[None], self.eigenvalues[:1],
-                             _shift_index(s, kappa, c_s), c_s)[0]
+        norms, thresholds = _check_kappas(self.grid, self.u.coeffs[None],
+                                          _shift_index(s, kappa, c_s), c_s)
+        return KappaCheck(kappa=kappa, threshold=float(thresholds[0]),
+                          lambda_min=self.lambda_min, norm=float(norms[0]))
 
     def weighted_form(self, kappa: float, s: float) -> WeightedFormProfile:
         """integral_kappa^inf tau^(2s) form(tau) dtau on the adaptive rule
@@ -490,16 +495,13 @@ def _shift_index(s: float, kappa: float, c_s: float) -> SobolevIndex:
 
 
 def _check_kappas(grid: SpectralGrid, coeffs: np.ndarray,
-                  lambda_min: np.ndarray, index: SobolevIndex,
-                  c_s: float) -> list:
-    """The admissible-shift test of each row of the (B, n_points//2 + 1)
-    stack ``coeffs`` whose truncation has smallest node ``lambda_min``: one
-    ``KappaCheck`` per row at kappa = ``index.kappa``."""
-    norms = sobolev_norms(grid, coeffs, index).tolist()
-    return [KappaCheck(kappa=index.kappa,
-                       threshold=_kappa_threshold(norm, index.s, c_s),
-                       lambda_min=low, norm=norm)
-            for norm, low in zip(norms, lambda_min.tolist())]
+                  index: SobolevIndex, c_s: float) -> tuple:
+    """The H^s_kappa norm of each row of the (B, n_points//2 + 1) stack
+    ``coeffs`` and the threshold (``_kappa_threshold``) that kappa =
+    ``index.kappa`` must clear there, as two (B,) arrays."""
+    norms = sobolev_norms(grid, coeffs, index)
+    return norms, np.array([_kappa_threshold(norm, index.s, c_s)
+                            for norm in norms.tolist()])
 
 
 @dataclass(frozen=True)
@@ -873,13 +875,9 @@ def build_weighted_rule(form_at: Callable, kappa: float,
         raise NumericalError("weighted-form quadrature stalled; panels: %s"
                              % dump)
 
-    t_nodes, t_weights = [], []
-    for a, b in sorted(results):
-        nodes, wk, _ = _panel_nodes(a, b)
-        t_nodes.append(nodes)
-        t_weights.append(wk)
-    t_nodes = np.concatenate(t_nodes)
-    t_weights = np.concatenate(t_weights)
+    panels = np.array(sorted(results))
+    t_nodes, t_weights, _ = (x.ravel() for x in
+                             _panel_nodes(panels[:, :1], panels[:, 1:]))
     weights = t_weights * scale * np.exp((2.0 * s + 1.0) * t_nodes)
     tau_star = kappa * np.exp(t_star)
     return WeightedFormRule(kappa=kappa, s=s,
@@ -957,11 +955,8 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
 
     q = apply_smoothing_dx(u, depth).samples()
     taus = np.concatenate((rule.tau_nodes, [rule.tau_star]))
-    n_modes = spectrum.g.shape[0]
-    full = np.zeros((taus.shape[0], grid.n_points), dtype=np.complex128)
-    for row, tau in zip(full, taus):
-        row[:n_modes] = -resolvent_solve(lax, tau, spectrum.g)
-    m_phys = np.fft.ifft(full, axis=1) * (grid.n_points / grid.length)
+    m = [-resolvent_solve(lax, tau, spectrum.g) for tau in taus]
+    m_phys = synthesize(grid, hardy_embed(grid, m))
 
     i1_nodes = -(m_phys @ q) * grid.spacing
     i3_nodes = -((np.abs(m_phys) ** 2) @ q) * grid.spacing
@@ -1015,9 +1010,11 @@ def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
     samples, i.e. the empirical Lipschitz rate of log form(t); the drift can
     have either sign, and the unsigned rate is what scales with the
     depth-correction strength.  The report also checks
-    form(t) <= exp(a_hat * t) * form(0) pointwise and that the
-    admissible-shift condition holds at every sample (a NumericalError
-    aborts the run otherwise).  The form at each sample is
+    form(t) <= exp(a_hat * t) * form(0) pointwise (``bound_ok``), which
+    holds by construction on a finite, positive series since a_hat is the
+    largest absolute log-slope, so it catches only a non-finite one; and
+    that the admissible-shift condition holds at every sample (a
+    NumericalError aborts the run otherwise).  The form at each sample is
     ``LaxSpectrum.shared_weighted_form`` of the sampled state.
     ``equation="bo"`` drops the depth correction, under which the form is
     conserved and a_hat collapses to integrator noise.  This is the
@@ -1100,16 +1097,18 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
                 # all weights vanish exactly when form(kappa; u0) = 0
                 raise ContractError("initial data has zero weighted form; "
                                     "no growth rate can be fitted")
-            checks = _check_kappas(grid, coeffs, measures.lambda_min, index, c_s)
-            failed = [check for check in checks if not check.ok]
-            if failed:
+            _, thresholds = _check_kappas(grid, coeffs, index, c_s)
+            lambda_min = measures.lambda_min
+            # KappaCheck.ok row by row: a NaN threshold fails too
+            ok = (kappa >= thresholds) & (lambda_min + kappa > 0.0)
+            failed = np.flatnonzero(~ok)
+            if failed.size:
                 raise NumericalError(
                     "admissible-shift condition failed along the run: "
                     "kappa=%.4g threshold=%.4g lambda_min=%.4g"
-                    % (kappa, failed[0].threshold, failed[0].lambda_min))
+                    % (kappa, thresholds[failed[0]], lambda_min[failed[0]]))
             by_sample = (len(block), len(members))
-            thresholds = np.reshape([check.threshold for check in checks],
-                                    by_sample)
+            thresholds = thresholds.reshape(by_sample)
             margin = np.minimum(margin, (kappa - thresholds).min(axis=0))
             times += [t for t, _ in block]
             values.append(rule.values(measures.nodes, measures.weights)
@@ -1150,15 +1149,12 @@ def _sample_blocks(samples, size: int):
 
 
 def _reference_rate(depth: Optional[float], s: float, epsilon: float) -> float:
-    """The growth rate depth^-2 (1 + depth^(-|s| - 1/2 - epsilon)) that the
-    fitted rate is reported against, 0 without a depth; a ContractError
-    names epsilon and the depth where it overflows (at depth 0 too, which
-    only ``bo`` admits)."""
-    try:
-        rate = (depth ** -2.0 * (1.0 + depth ** (-abs(s) - 0.5 - epsilon))
-                if depth is not None else 0.0)
-    except (OverflowError, ZeroDivisionError):
-        rate = np.inf
+    """The growth rate depth^-2 (1 + depth^(-|s| - 1/2 - epsilon)), the
+    ``smoothing_bound`` that the fitted rate is reported against, 0 without
+    a depth; a ContractError names epsilon and the depth where it overflows
+    (at depth 0 too, which only ``bo`` admits)."""
+    rate = (smoothing_bound(depth, -abs(s) - 0.5 - epsilon)
+            if depth is not None else 0.0)
     if not np.isfinite(rate):
         raise ContractError("the reference rate overflows at epsilon = %.3g "
                             "and depth %.6g" % (epsilon, depth))

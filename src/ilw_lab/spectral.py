@@ -212,10 +212,12 @@ def forward_transform(samples: np.ndarray, grid: SpectralGrid) -> RealField:
 
 
 def synthesize(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Complex-valued synthesis u(x_j) = (1/L) sum u_hat(xi) exp(i xi x_j)."""
+    """Complex-valued synthesis u(x_j) = (1/L) sum u_hat(xi) exp(i xi x_j)
+    of each full FFT-order spectrum along the last axis of ``coeffs``; a
+    row's values do not depend on the rest of the stack."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape != (grid.n_points,):
-        raise ContractError("coefficient array must have shape (n_points,)")
+    if coeffs.shape[-1:] != (grid.n_points,):
+        raise ContractError("coefficient array must have shape (..., n_points)")
     return np.fft.ifft(coeffs) * (grid.n_points / grid.length)
 
 
@@ -274,13 +276,13 @@ def hardy_norm(coeffs: np.ndarray, frequencies: np.ndarray, length: float,
 
 
 def hardy_embed(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Place a one-sided coefficient vector into a full FFT-order array."""
-    half = grid.n_points // 2
+    """Place each one-sided coefficient vector along the last axis of
+    ``coeffs`` into a full FFT-order array of the same leading shape."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape[0] > half:
+    if coeffs.shape[-1] > grid.n_points // 2:
         raise ContractError("one-sided vector longer than the Hardy lattice")
-    out = np.zeros(grid.n_points, dtype=np.complex128)
-    out[: coeffs.shape[0]] = coeffs
+    out = np.zeros(coeffs.shape[:-1] + (grid.n_points,), dtype=np.complex128)
+    out[..., : coeffs.shape[-1]] = coeffs
     return out
 
 

@@ -120,6 +120,15 @@ def apply_smoothing_dx(field: RealField, depth: float) -> RealField:
     return multiplier_apply(field, sym)
 
 
+def smoothing_bound(depth: float, exponent: float) -> float:
+    """depth^-2 (1 + depth^exponent), the bound on the smoothing term behind
+    the Gronwall rate, or inf where it overflows or divides by zero."""
+    try:
+        return depth ** -2.0 * (1.0 + depth ** exponent)
+    except (OverflowError, ZeroDivisionError):
+        return np.inf
+
+
 @dataclass(frozen=True)
 class SmoothingScan:
     """Grid operator norm of the smoothing-derivative composition against
@@ -142,15 +151,12 @@ def smoothing_operator_scan(s1: float, s2: float, depth: float,
 
     The norm of a diagonal operator is the sup over the lattice of
     |xi| * symbol(xi) * <xi>^(s2 - s1), bracket at kappa = 1.  The reference
-    bound is depth^-2 * (1 + depth^(s1 - s2)).
+    bound is ``smoothing_bound(depth, s1 - s2)``.
     """
     if s1 > s2:
         raise ContractError("scan requires s1 <= s2")
     _require_depth(depth)
-    try:
-        bound = depth ** -2.0 * (1.0 + depth ** (s1 - s2))
-    except OverflowError:
-        bound = np.inf
+    bound = smoothing_bound(depth, s1 - s2)
     if not (np.isfinite(bound) and bound > 0.0):
         raise ContractError("depth %.6g puts the smoothing bound %.3g outside "
                             "(0, inf)" % (depth, bound))

@@ -38,6 +38,8 @@ _PHASE_PROBE_DC = 0.1
 def _require_regime(a: float, depth: float):
     if not np.isfinite(a) or a <= 0:
         raise ContractError("wave number a must be positive")
+    if not np.isfinite(a * a):
+        raise ContractError("wave number a = %.3g is too large: a^2 overflows" % a)
     if not np.isfinite(depth) or depth <= 0:
         raise ContractError("depth must be positive")
     if a * depth >= ADELTA_MAX:

@@ -380,6 +380,27 @@ def test_load_config_rejects_bad_input(tmp_path):
         load_config("beta", config_path=str(ini))
     with pytest.raises(ContractError):
         load_config("beta", config_path=str(tmp_path / "absent.ini"))
+    # a malformed file names itself in the usage error
+    for text in (b"kappa = 8\n",                       # no section header
+                 b"[beta]\nkappa = 8\nkappa = 9\n",    # duplicate option
+                 b"[beta]\nkappa = 8\n[beta]\ns = -0.3\n",  # duplicate section
+                 b"[beta]\nkappa = \xff\xfe8\n",       # not UTF-8
+                 b"[beta]\nkappa\n",                    # no '='
+                 b"[beta]\nkappa = %(x)s\n"):           # bad interpolation
+        ini.write_bytes(text)
+        with pytest.raises(ContractError, match="malformed config file .*run.ini"):
+            load_config("beta", config_path=str(ini))
+
+
+def test_cli_malformed_config_is_a_usage_error(tmp_path, capsys):
+    ini = tmp_path / "dup.ini"
+    ini.write_text("[wave]\ndepth = 1\ndepth = 2\n")
+    out = tmp_path / "wv"
+    assert main(["wave", "--config", str(ini), "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: malformed config file %s" % ini)
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ CLI surface
@@ -559,6 +580,9 @@ def test_cli_reported_check_failure_exit(tmp_path, capsys):
        "usage error: grid spacing 0 is not a positive normal float")
       for command in ("simulate", "beta", "gronwall", "twodepth",
                       "smoothing")],
+    # a = adelta/depth = 2e154, whose square overflows
+    (["wave", "--depth", "1e-154"], 1,
+     "usage error: wave number a = 2e+154 is too large: a^2 overflows"),
 ])
 def test_cli_extreme_depths_exit_without_traceback(tmp_path, capsys, argv,
                                                    code, line):

@@ -143,6 +143,15 @@ def test_synthesize_is_fourier_series():
     xi = grid.frequencies[2]
     expected = coeffs[2] * np.exp(1j * xi * grid.nodes) / grid.length
     assert np.max(np.abs(vals - expected)) < 1e-14
+    # a (B, n) stack: each row is its one-row synthesis, bit for bit
+    rng = np.random.default_rng(23)
+    stack = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+    rows = synthesize(grid, stack)
+    assert rows.shape == (5, 16)
+    for row, one in zip(rows, stack):
+        assert np.array_equal(row, synthesize(grid, one))
+    with pytest.raises(ContractError):
+        synthesize(grid, np.ones((5, 15)))
 
 
 # ------------------------------------------------------------------- norms
@@ -250,6 +259,14 @@ def test_hardy_idempotent_and_contractive():
             proj = hardy_norm(plus, grid.frequencies[: grid.n_points // 2],
                               grid.length, idx)
             assert proj <= sobolev_norm(f, idx) * (1.0 + 1e-12)
+    # a (B, n) stack: each row is its one-row embedding, bit for bit
+    stack = rng.standard_normal((4, 20)) + 1j * rng.standard_normal((4, 20))
+    rows = hardy_embed(grid, stack)
+    assert rows.shape == (4, 64)
+    for row, one in zip(rows, stack):
+        assert np.array_equal(row, hardy_embed(grid, one))
+    with pytest.raises(ContractError):
+        hardy_embed(grid, np.ones((4, 33)))
 
 
 # --------------------------------------------------------------- multipliers
