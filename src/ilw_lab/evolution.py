@@ -116,8 +116,6 @@ def make_two_depth(c1: float, c2: float, depth1: float, depth2: float,
     """
     if c1 <= 0 or c2 < 0:
         raise ContractError("two-depth weights need c1 > 0, c2 >= 0")
-    if depth1 <= 0 or depth2 <= 0:
-        raise ContractError("depths must be positive")
     if frame not in ("renormalized", "original"):
         raise ContractError("frame must be 'renormalized' or 'original'")
     xi = grid.frequencies

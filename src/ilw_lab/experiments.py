@@ -383,6 +383,16 @@ def _initial_state(params, grid: SpectralGrid) -> RealField:
                         params["seed"], params.get("decay", 0.0))
 
 
+def _sweep(cfg: ExperimentConfig, key: str) -> list:
+    """The values of a sweep in ascending order; its check compares
+    neighbours, which a repeated value would always fail."""
+    values = sorted(cfg.params[key])
+    if len(set(values)) < len(values):
+        raise ContractError("%s.%s repeats a value: %s"
+                            % (cfg.command, key, cfg.params[key]))
+    return values
+
+
 def run_simulate(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
@@ -506,7 +516,7 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
 def run_gronwall(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
-    depths = sorted(p["depth_list"])
+    depths = _sweep(cfg, "depth_list")
     if p["seeds"] * len(depths) > MAX_MEMBERS:
         raise ContractError("gronwall.seeds = %d at %d depths exceeds the "
                             "limit of %d ensemble members"
@@ -561,7 +571,7 @@ def run_illposed(cfg: ExperimentConfig) -> RunReport:
     t = p["t"]
     rows = []
     distances, moduli, rate_gaps, mean_gaps = [], [], [], []
-    for adelta in p["adelta_list"]:
+    for adelta in _sweep(cfg, "adelta_list"):
         a = adelta / p["depth"]
         obs = illposed_observables(a, p["depth"], t, p["alpha"])
         profiles = periodic_profile(a, p["depth"], grid)
@@ -627,12 +637,12 @@ def run_smoothing(cfg: ExperimentConfig) -> RunReport:
 
 def run_twodepth(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
+    depths = _sweep(cfg, "min_depth_list")
     grid = _make_grid(p)
     u0 = random_field(grid, p["s_target"], p["amplitude"], p["seed"], p["decay"])
     limit_problem = make_bo_two_speed(p["c1"], p["c2"], grid)
     dt = p["dt"] or default_step(limit_problem, u0, p["t_final"])
     n_steps, _ = step_count(p["t_final"], dt)
-    depths = sorted(p["min_depth_list"])
     problems = [limit_problem] + [
         make_two_depth(p["c1"], p["c2"], d1, p["depth_ratio"] * d1, grid,
                        frame=p["frame"]) for d1 in depths]

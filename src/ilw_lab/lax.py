@@ -452,13 +452,13 @@ class LaxSpectrum:
         The rule's build checks s, kappa and the shift.
         """
         rule = build_weighted_rule(self.form_at, kappa, s)
-        values = self.form_at(rule.tau_nodes)
-        tail_value = float(self.form_at(np.array([rule.tau_star]))[0])
-        value = float(np.real(rule.combine(values, tail_value)))
+        values = self.form_at(rule.taus)
+        value = float(np.real(rule.combine(values)))
         if value < 0.0:
             raise NumericalError("weighted form came out negative")
         return WeightedFormProfile(kappa=kappa, s=s, tau_nodes=rule.tau_nodes,
-                                   form_values=values, value=value, rule=rule)
+                                   form_values=values[:-1], value=value,
+                                   rule=rule)
 
     def shared_weighted_form(self, kappa: float, s: float) -> float:
         """integral_kappa^inf tau^(2s) form(tau) dtau on the shared
@@ -795,8 +795,11 @@ class WeightedFormRule:
 
     Substituting tau = kappa*exp(t) turns the weight into
     kappa^(2s+1)*exp((2s+1)t) against a geometrically decaying integrand.
-    ``tau_nodes``/``weights`` give the finite part; the tail beyond
-    tau_star adds tail_coeff * form(tau_star) under the 1/tau decay model.
+    ``taus`` holds the panel nodes ``tau_nodes`` followed by the horizon
+    ``tau_star``.  ``combine`` takes an integrand's values at ``taus``:
+    ``weights`` give the finite part from the node values, and the tail
+    beyond tau_star adds tail_coeff times the last value under the 1/tau
+    decay model.
     """
 
     kappa: float
@@ -807,8 +810,12 @@ class WeightedFormRule:
     tail_coeff: float
     build_error: float
 
-    def combine(self, node_values: np.ndarray, tail_value) -> complex:
-        return (self.weights * node_values).sum() + self.tail_coeff * tail_value
+    @property
+    def taus(self) -> np.ndarray:
+        return np.append(self.tau_nodes, self.tau_star)
+
+    def combine(self, values: np.ndarray) -> complex:
+        return (self.weights * values[:-1]).sum() + self.tail_coeff * values[-1]
 
 
 # the adaptive weighted-form rule bisects its panels until their summed
@@ -836,15 +843,8 @@ def build_weighted_rule(form_at: Callable, kappa: float,
         return float(form_at(np.array([tau_star]))[0]
                      * tau_star ** (2.0 * s + 1.0) / (2.0 * abs(s)))
 
-    reference = float(form_at(np.array([kappa]))[0])
-    if reference == 0.0:
-        # zero state: any rule integrates it exactly
-        nodes, wk, _ = _panel_nodes(0.0, 2.0)
-        return WeightedFormRule(kappa=kappa, s=s,
-                                tau_nodes=kappa * np.exp(nodes),
-                                weights=np.zeros_like(wk),
-                                tau_star=kappa * np.exp(2.0),
-                                tail_coeff=0.0, build_error=0.0)
+    # the shift check at kappa itself: the first Kronrod node lies above it
+    form_at(np.array([kappa]))
 
     # grow the horizon a panel at a time; those panels seed the refinement
     t_star, rough, results = 0.0, 0.0, {}
@@ -880,12 +880,13 @@ def build_weighted_rule(form_at: Callable, kappa: float,
                              _panel_nodes(panels[:, :1], panels[:, 1:]))
     weights = t_weights * scale * np.exp((2.0 * s + 1.0) * t_nodes)
     tau_star = kappa * np.exp(t_star)
+    # a zero state gives total = err = 0, and any rule integrates it exactly
     return WeightedFormRule(kappa=kappa, s=s,
                             tau_nodes=kappa * np.exp(t_nodes),
                             weights=weights,
                             tau_star=tau_star,
                             tail_coeff=tau_star ** (2.0 * s + 1.0) / (2.0 * abs(s)),
-                            build_error=float(err / abs(total)))
+                            build_error=float(err / abs(total)) if total else 0.0)
 
 
 def _gk_panel(h: Callable, a: float, b: float):
@@ -954,14 +955,11 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
     rule = build_weighted_rule(spectrum.form_at, kappa, s)
 
     q = apply_smoothing_dx(u, depth).samples()
-    taus = np.concatenate((rule.tau_nodes, [rule.tau_star]))
-    m = [-resolvent_solve(lax, tau, spectrum.g) for tau in taus]
+    m = [-resolvent_solve(lax, tau, spectrum.g) for tau in rule.taus]
     m_phys = synthesize(grid, hardy_embed(grid, m))
 
-    i1_nodes = -(m_phys @ q) * grid.spacing
-    i3_nodes = -((np.abs(m_phys) ** 2) @ q) * grid.spacing
-    i1 = complex(rule.combine(i1_nodes[:-1], i1_nodes[-1]))
-    i3_c = complex(rule.combine(i3_nodes[:-1], i3_nodes[-1]))
+    i1 = complex(rule.combine(-(m_phys @ q) * grid.spacing))
+    i3_c = complex(rule.combine(-((np.abs(m_phys) ** 2) @ q) * grid.spacing))
     i2 = i1.conjugate()
     total = 2.0 * i1.real + i3_c.real
     return FlowDerivative(I1=i1, I2=i2, I3=i3_c.real, total=total)

@@ -46,15 +46,21 @@ def coth_symbol(xi, depth: float) -> np.ndarray:
     return np.where(xi != 0.0, -1j / np.tanh(y), 0.0)
 
 
-def depth_dispersion_symbol(xi, depth: float) -> np.ndarray:
-    """-i*(coth(depth*xi) - 1/(depth*xi)), removable value 0 at xi = 0."""
+def _coth_minus_inverse(xi, depth: float) -> np.ndarray:
+    """coth(depth*xi) - 1/(depth*xi), removable value 0 at xi = 0: the one
+    evaluation of the finite-depth multiplier, by its series where the two
+    terms cancel."""
     _require_depth(depth)
-    xi = np.asarray(xi, dtype=float)
-    y = depth * xi
+    y = depth * np.asarray(xi, dtype=float)
     ysafe = np.where(np.abs(y) < _SERIES_CUT, 1.0, y)
     direct = 1.0 / np.tanh(ysafe) - 1.0 / ysafe
     series = y / 3.0 - y ** 3 / 45.0 + 2.0 * y ** 5 / 945.0
-    return -1j * np.where(np.abs(y) < _SERIES_CUT, series, direct)
+    return np.where(np.abs(y) < _SERIES_CUT, series, direct)
+
+
+def depth_dispersion_symbol(xi, depth: float) -> np.ndarray:
+    """-i*(coth(depth*xi) - 1/(depth*xi)), removable value 0 at xi = 0."""
+    return -1j * _coth_minus_inverse(xi, depth)
 
 
 def smoothing_symbol(xi, depth: float) -> np.ndarray:
@@ -88,9 +94,10 @@ def coth_dx_symbol(xi, depth: float) -> np.ndarray:
 
 
 def depth_dispersion_dx_symbol(xi, depth: float) -> np.ndarray:
-    """xi*coth(depth*xi) - 1/depth with removable value 0 at xi = 0."""
+    """xi*coth(depth*xi) - 1/depth with removable value 0 at xi = 0, taken
+    as xi times the multiplier so that no 1/depth cancels."""
     xi = np.asarray(xi, dtype=float)
-    return np.where(xi != 0.0, coth_dx_symbol(xi, depth) - 1.0 / depth, 0.0)
+    return xi * _coth_minus_inverse(xi, depth)
 
 
 def coth_dx2_symbol(xi, depth: float) -> np.ndarray:

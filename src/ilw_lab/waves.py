@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 from .spectral import RealField, SpectralGrid, forward_transform, multiplier_apply
-from .symbols import coth_dx_symbol, coth_symbol
+from .symbols import _require_depth, coth_dx_symbol, coth_symbol
 
 SERIES_TOL = 1e-16
 SERIES_CAP = 100_000
@@ -40,12 +40,18 @@ def _require_regime(a: float, depth: float):
         raise ContractError("wave number a must be positive")
     if not np.isfinite(a * a):
         raise ContractError("wave number a = %.3g is too large: a^2 overflows" % a)
-    if not np.isfinite(depth) or depth <= 0:
-        raise ContractError("depth must be positive")
+    _require_depth(depth)
     if a * depth >= ADELTA_MAX:
         raise ContractError(
             "a*depth = %.6f is outside the supported regime (< pi - 1e-3); "
             "the profile denominators degenerate there" % (a * depth))
+
+
+def _lattice_denominator(a: float, ad: float, l):
+    """sinh(a*l/2)^2 + sin(ad)^2, the denominator of every lattice sum; the
+    sinh argument is capped at 350, where its square is still finite and
+    already swamps the other term."""
+    return np.sinh(np.minimum(0.5 * a * np.abs(l), 350.0)) ** 2 + np.sin(ad) ** 2
 
 
 def _inv_cosh_plus(y, adelta: float):
@@ -112,8 +118,7 @@ def wave_number_from_speed(c: float, depth: float) -> float:
     """
     if not np.isfinite(c) or c <= 0:
         raise ContractError("speed must be positive")
-    if not np.isfinite(depth) or depth <= 0:
-        raise ContractError("depth must be positive")
+    _require_depth(depth)
     target = 1.0 - c * depth
 
     def shifted(y):
@@ -187,11 +192,9 @@ def interaction_sum_v(a: float, depth: float) -> float:
     """V = sum_{l>=1} a*sin(2*a*depth) / (sinh(a*l/2)^2 + sin(a*depth)^2)."""
     _require_regime(a, depth)
     ad = a * depth
-    s2 = np.sin(ad) ** 2
 
     def term(l):
-        sh = np.sinh(min(0.5 * a * l, 350.0)) ** 2
-        return a * np.sin(2.0 * ad) / (sh + s2)
+        return a * np.sin(2.0 * ad) / _lattice_denominator(a, ad, l)
 
     return _series(term, 0.0, "speed-correction")
 
@@ -230,9 +233,7 @@ def periodic_wave_constants(a: float, depth: float) -> PeriodicWaveConstants:
     s2 = np.sin(ad) ** 2
 
     def term_d(l):
-        y = 0.5 * a * l
-        sh = np.sinh(min(y, 350.0)) ** 2
-        return l / np.tanh(y) / (sh + s2)
+        return l / np.tanh(0.5 * a * l) / _lattice_denominator(a, ad, l)
 
     d = 2.0 * a ** 2 * s2 * _series(term_d, 0.0, "interaction-constant")
     return PeriodicWaveConstants(a=a, depth=depth,
@@ -347,8 +348,7 @@ def pair_product_residual(a: float, depth: float, x: float, n: int, m: int) -> f
     ad = a * depth
     bn, bm = (float(_inv_cosh_plus(a * (x + k), ad)) for k in (n, m))
     dn, dm = (float(_tanh_like(a * (x + k), ad)) for k in (n, m))
-    gap = 0.5 * a * (m - n)
-    denom = np.sinh(gap) ** 2 + np.sin(ad) ** 2
+    denom = _lattice_denominator(a, ad, m - n)
     lhs = 2.0 * bn * bm
     rhs = (-np.cos(ad) * (bn + bm) + (dn - dm) / np.tanh(0.5 * a * (n - m))) / denom
     return float(abs(lhs - rhs))
@@ -375,9 +375,8 @@ def pair_product_aggregate(a: float, depth: float, x: float, n_max: int):
     total = np.sum(b)
     double_sum = float(total * total - np.sum(b * b))
 
-    s2 = np.sin(ad) ** 2
     ells = np.arange(1, 2 * n_max + 1)
-    denom = np.sinh(np.minimum(0.5 * a * ells, 360.0)) ** 2 + s2
+    denom = _lattice_denominator(a, ad, ells)
     closed = (-2.0 * np.cos(ad) * np.sum(1.0 / denom) * total
               + 2.0 * np.sum(ells / np.tanh(0.5 * a * ells) / denom))
     return double_sum, float(closed)

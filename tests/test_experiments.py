@@ -598,6 +598,34 @@ def test_cli_illposed_passes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["gronwall", "--depth-list", "1.0,0.5,1.0", "--seeds", "2", "--n", "128",
+      "--samples", "5", "--t-final", "0.05"], "gronwall.depth_list"),
+    (["twodepth", "--min-depth-list", "10,10,20", "--n", "64",
+      "--t-final", "0.05"], "twodepth.min_depth_list"),
+    (["illposed", "--adelta-list", "2.8,2.8,3.0", "--n", "64"],
+     "illposed.adelta_list"),
+])
+def test_cli_repeated_sweep_value_is_a_usage_error(tmp_path, capsys, argv,
+                                                   key):
+    # each sweep's check compares neighbours, which a repeat always fails
+    out = tmp_path / "run"
+    assert main(argv + ["--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: %s repeats a value: [" % key)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_illposed_sorts_its_sweep(tmp_path, capsys):
+    out = tmp_path / "ip"
+    assert main(["illposed", "--adelta-list", "3.0,2.8", "--n", "64",
+                 "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / "illposed.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [2.8, 3.0]
+
+
 # -------------------------------------------------------------- determinism
 
 SIM_ARGS = ["simulate", "--n", "128", "--t-final", "0.1", "--dt", "1e-3",

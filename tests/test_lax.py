@@ -658,7 +658,10 @@ def test_weighted_form_zero_field():
     zero = RealField(grid, np.zeros(65, dtype=np.complex128))
     profile = weighted_resolvent_form(zero, 8.0, -0.25)
     assert profile.value == 0.0
-    assert profile.rule.tail_coeff == 0.0
+    assert profile.rule.build_error == 0.0
+    # one horizon panel of 15 Kronrod nodes, all of form value 0
+    assert profile.tau_nodes.shape == (15,)
+    assert not profile.form_values.any()
 
 
 def test_weighted_form_perturbative_closed_form():
@@ -694,6 +697,23 @@ def test_weighted_form_against_adaptive_quadrature():
     total += (spectrum.form_at(np.array([horizon]))[0]
               * horizon ** (2.0 * s + 1.0) / (2.0 * abs(s)))
     assert profile.value == pytest.approx(total, rel=1e-8)
+
+
+def test_weighted_rule_bisects_a_near_critical_state():
+    # lambda_min is -0.68 kappa: the form peaks at kappa, and the horizon
+    # panels miss _RULE_RTOL, so the rule bisects them; the bisected rule
+    # still agrees with the shared closed-form rule to rounding
+    u = random_field(SpectralGrid(1.0, 256), -0.25, 20.0, 1, 0.02)
+    kappa, s = 32.0, -0.25
+    spectrum = LaxSpectrum.lanczos(u, kappa)
+    assert spectrum.lambda_min < -0.5 * kappa
+    profile = spectrum.weighted_form(kappa, s)
+    rule = profile.rule
+    horizon_panels = round(np.log(rule.tau_star / kappa) / 2.0)
+    assert rule.tau_nodes.shape[0] > 15 * horizon_panels
+    assert rule.build_error <= lax_module._RULE_RTOL
+    shared = spectrum.shared_weighted_form(kappa, s)
+    assert abs(profile.value - shared) <= 1e-12 * shared
 
 
 def test_weighted_form_monotone_in_kappa():
@@ -816,15 +836,15 @@ def test_flow_derivative_against_dense_eigenvectors(amplitude, seed, kappa):
 
     g = hardy_project(u)[: lax.frequencies.shape[0]]
     lam, w = scipy.linalg.eigh(lax.matrix)
-    taus = np.concatenate((rule.tau_nodes, [rule.tau_star]))
+    taus = rule.taus
     m_cols = -w @ ((w.conj().T @ g)[:, None] / (lam[:, None] + taus[None, :]))
     m_phys = np.array([synthesize(grid, hardy_embed(grid, m))
                        for m in m_cols.T])
     q = apply_smoothing_dx(u, 1.0).samples()
     i1 = -(m_phys @ q) * grid.spacing
     i3 = -((np.abs(m_phys) ** 2) @ q) * grid.spacing
-    i1 = rule.combine(i1[:-1], i1[-1])
-    i3 = rule.combine(i3[:-1], i3[-1]).real
+    i1 = rule.combine(i1)
+    i3 = rule.combine(i3).real
     assert abs(flow.I1 - i1) <= 1e-12 * abs(i1)
     assert abs(flow.I3 - i3) <= 1e-12 * abs(i3)
     # the total cancels most of 2 Re(I1) against I3: judge it on |I1|
@@ -907,10 +927,8 @@ def test_gronwall_experiment_matches_public_functions():
     rule = build_weighted_rule(LaxSpectrum.lanczos(u0, kappa).form_at,
                                kappa, s)
     spectra = [LaxSpectrum.lanczos(state, kappa) for state in states]
-    frozen = np.array([
-        rule.combine(spectrum.form_at(rule.tau_nodes),
-                     spectrum.form_at(rule.tau_star)[0])
-        for spectrum in spectra])
+    frozen = np.array([rule.combine(spectrum.form_at(rule.taus))
+                       for spectrum in spectra])
     # the rows of one call over the states are their one-field measures
     measures = lanczos_measures(grid, np.stack([u.coeffs for u in states]),
                                 kappa)
@@ -994,11 +1012,18 @@ def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
         assert (a.a_hat, a.kappa_margin) == (b.a_hat, b.kappa_margin)
 
 
-def test_pending_samples_are_checked_before_a_stepper_error(tmp_path, capsys,
-                                                            monkeypatch):
-    # the stepper yields a sample that fails the shift test, then blows up
-    # while that sample still waits for its Lanczos block: the run reports
-    # the shift failure, as it did when each sample was measured at once
+@pytest.mark.parametrize("shift, message", [
+    pytest.param(64.0, "admissible-shift condition failed along the run: "
+                 "kappa=32 ", id="shifted"),
+    pytest.param(0.0, "solution blow-up at t=", id="clean"),
+])
+def test_pending_samples_are_checked_before_a_stepper_error(
+        shift, message, tmp_path, capsys, monkeypatch):
+    # the stepper yields a second sample, then blows up while that sample
+    # still waits for its Lanczos block.  Shifted, the sample fails the
+    # shift test and the run reports that failure, as it did when each
+    # sample was measured at once; clean, the pending block is measured
+    # and the blow-up follows
     measured = []
     lanczos = lax_module.lanczos_measures
 
@@ -1010,7 +1035,7 @@ def test_pending_samples_are_checked_before_a_stepper_error(tmp_path, capsys,
         yield 0.0, coeffs
         grid = problems[0].grid
         shifted = coeffs.copy()
-        shifted[:, 0] -= 64.0 * grid.length
+        shifted[:, 0] -= shift * grid.length
         yield dt, shifted
         raise BlowUpError(2 * dt, 1e9)
 
@@ -1021,9 +1046,8 @@ def test_pending_samples_are_checked_before_a_stepper_error(tmp_path, capsys,
             "--outdir", str(tmp_path / "g")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: admissible-shift condition "
-                          "failed along the run: kappa=32 ")
-    assert "blow-up" not in err
+    assert err.startswith("numerical failure: " + message)
+    assert ("blow-up" in err) == (shift == 0.0)
     assert measured == [2]
     assert not (tmp_path / "g").exists()
 

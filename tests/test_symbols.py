@@ -1,5 +1,7 @@
 """Dispersive symbols, the depth-smoothing operator, and its norm scan."""
 
+import decimal
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ilw_lab import (
 )
 from ilw_lab.symbols import (
     coth_dx2_symbol,
+    depth_dispersion_dx_symbol,
     depth_dispersion_dx2_symbol,
     hilbert_dx2_symbol,
 )
@@ -53,6 +56,23 @@ def test_depth_dispersion_symbol_values():
     direct = -1j * (1.0 / np.tanh(0.011) - 1.0 / 0.011)
     assert lo[1] == pytest.approx(direct, rel=1e-12)
     assert abs(lo[0].imag / 0.009 - lo[1].imag / 0.011) < 1e-3
+
+
+def test_depth_multiplier_holds_at_every_depth():
+    # xi*(coth(depth*xi) - 1/(depth*xi)) against 60-digit decimal
+    # arithmetic; subtracting 1/depth from xi*coth(depth*xi) in floats
+    # loses every digit at depth 1e-8
+    xi = np.arange(1.0, 129.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for depth in (1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 10.0):
+            want = []
+            for k in range(1, 129):
+                y = decimal.Decimal(depth) * k
+                e = (2 * y).exp()
+                want.append(float(k * ((e + 1) / (e - 1) - 1 / y)))
+            got = depth_dispersion_dx_symbol(xi, depth)
+            assert np.all(np.abs(got - want) <= 1e-11 * np.abs(want)), depth
 
 
 def test_symbols_reject_bad_depth():
