@@ -15,10 +15,13 @@ norm.  Every shift reads the form off one spectral measure of P_+ u
 run from P_+ u, whose matrix-vector products go through an FFT, stopped
 once a Gauss-Radau upper bound certifies it at the smallest shift; one
 dense eigendecomposition of the whole matrix stays as its fallback and oracle.
+The run reorthogonalizes fully, with a second Gram-Schmidt pass only on the
+rows whose first pass removed at least half of ||w||^2 (the DGKS test), and
+its FFTs run in place on buffers allocated once per run (``_apply_lax``).
 ``lanczos_measures`` is the one batch API, over a stack of states, and
 ``LaxSpectrum.lanczos`` its one-field view.
 The resolvent state (L_u + kappa)^(-1) P_+ u comes from Jacobi-preconditioned
-conjugate gradients on the same FFT operator whenever the symbol bound
+conjugate gradients on the same buffered FFT operator whenever the symbol bound
 certifies the shift, with a dense Cholesky solve as fallback and oracle, so
 the certified path never builds an m x m matrix.
 The weighted integral integrates each node of the measure in closed form:
@@ -148,15 +151,23 @@ def _truncation_size(grid: SpectralGrid, xi_max: Optional[float]) -> int:
 
 
 def modes_to_xi_max(grid: SpectralGrid, n_modes: int) -> float:
-    """Frequency cut carrying exactly ``n_modes`` Hardy modes (0 included)."""
-    if n_modes < 1:
-        raise ContractError("need at least one Hardy mode")
+    """Frequency cut carrying exactly ``n_modes`` Hardy modes (0 included).
+
+    ``n_modes`` must be at least 2: one mode would put the cut at 0, and a
+    truncation needs a positive cut (see ``build_lax``).
+    """
+    if n_modes < 2:
+        raise ContractError("need at least 2 Hardy modes, got %d" % n_modes)
     return grid.fundamental * (n_modes - 1)
 
 
 # a Lanczos run stops once its Gauss and Gauss-Radau values of form(kappa)
 # agree to this fraction of the Gauss value
 _ENCLOSURE_RTOL = 1e-14
+# a Lanczos row takes a second Gram-Schmidt pass when its first one kept at
+# most this fraction of ||w||^2 (ARPACK's 1/sqrt(2) on the norm), so a w
+# that cancels, or is exactly 0 at breakdown, is orthogonalized twice
+_DGKS_KEEP = 0.5
 
 
 def _symbol_bound(g: np.ndarray, length: float) -> np.ndarray:
@@ -178,15 +189,30 @@ def _circulant_symbol(column: np.ndarray) -> np.ndarray:
     full = np.zeros(column.shape[:-1] + (2 * m,), dtype=np.complex128)
     full[..., :m] = column
     full[..., m + 1:] = np.conj(column[..., :0:-1])
-    # the embedding's column is Hermitian, so its symbol is real
-    return np.fft.fft(full).real
+    # the embedding's column is Hermitian, so its symbol is real; it is kept
+    # complex, so the product with a transform needs no casting
+    symbol = np.fft.fft(full)
+    symbol.imag = 0.0
+    return symbol
 
 
-def _apply_lax(symbol: np.ndarray, diagonal: np.ndarray,
-               x: np.ndarray) -> np.ndarray:
-    """(Toeplitz part + diag(diagonal)) x by FFT, row by row."""
-    m = x.shape[-1]
-    return np.fft.ifft(np.fft.fft(x, 2 * m) * symbol)[..., :m] + diagonal * x
+def _apply_lax(padded: np.ndarray, spectrum: np.ndarray, symbol: np.ndarray,
+               diagonal: np.ndarray) -> np.ndarray:
+    """(Toeplitz part + diag(diagonal)) x by FFT, row by row, on buffers the
+    caller owns and reuses.
+
+    x is the first m columns of ``padded``, a (..., 2m) array whose last m
+    columns stay zero.  The transform goes into ``spectrum``, of the same
+    shape, and back in place; the product is returned as the view of its
+    first m columns, which the next call overwrites.
+    """
+    m = padded.shape[-1] // 2
+    np.fft.fft(padded, out=spectrum)
+    spectrum *= symbol
+    np.fft.ifft(spectrum, out=spectrum)
+    product = spectrum[..., :m]
+    product += diagonal * padded[..., :m]
+    return product
 
 
 def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
@@ -194,7 +220,14 @@ def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
     """Lanczos runs with full reorthogonalization from the rows of g.
 
     The matvec is a circulant embedding of size 2m of the Toeplitz part,
-    applied by FFT, plus the diagonal D, so no m x m matrix is built.  Step
+    applied by FFT, plus the diagonal D, so no m x m matrix is built; it
+    runs on two (rows, 2m) buffers allocated once per run (``_apply_lax``),
+    the current basis vector sitting in the zero-tailed input.  After the
+    three-term recurrence, w is orthogonalized against the whole basis by
+    one classical Gram-Schmidt pass, and by a second one only on the rows
+    whose first pass removed at least half of ||w||^2 (the DGKS test of
+    Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976, as in ARPACK):
+    a pass that keeps most of w leaves it orthogonal to rounding.  Step
     k updates the top-down pivots of T_k + kappa and T_k - a, from which the
     Gauss value e_1^T (T_k + kappa)^{-1} e_1 and its Gauss-Radau completion
     (T_k extended by beta_k and the diagonal entry that makes a an
@@ -202,7 +235,7 @@ def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
     to ``_ENCLOSURE_RTOL``, when beta_k is at the matvec's rounding level
     (breakdown: the Krylov space is invariant and the rule exact), or at
     k = m.  Every operation acts row by row, so the batch never changes a
-    row's numbers.  The basis grows with the steps taken.  Returns the
+    row's numbers.  The basis doubles as the steps need it.  Returns the
     (rows, m) arrays alpha and beta and the steps k of each row: row i
     holds alpha_1..alpha_k and beta_1..beta_k in its first k entries and
     zeros after them.  A row with g = 0 starts from e_1, and its weights
@@ -211,8 +244,10 @@ def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
     rows, m = g.shape
     freqs = fundamental * np.arange(m)
     symbol = _circulant_symbol(g / length)
-    norm = np.sqrt((g.real ** 2 + g.imag ** 2).sum(axis=1))
-    q = np.zeros((rows, m), dtype=np.complex128)
+    norm = np.sqrt(np.vecdot(g, g).real)
+    padded = np.zeros((rows, 2 * m), dtype=np.complex128)
+    spectrum = np.empty_like(padded)
+    q = padded[:, :m]
     q[:, 0] = 1.0
     live = norm > 0.0
     q[live] = g[live] / norm[live, None]
@@ -221,50 +256,64 @@ def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
     alpha, beta = np.zeros((rows, m)), np.zeros((rows, m))
     steps = np.zeros(rows, dtype=int)
     index = np.arange(rows)  # the original row of each running row
-    basis = np.zeros((rows, min(m, 16), m), dtype=np.complex128)
+    basis = np.empty((rows, min(m, 16), m), dtype=np.complex128)
     q_prev, beta_prev = np.zeros_like(q), np.zeros(rows)
-    for k in range(m):
-        if k == basis.shape[1]:
-            more = np.zeros((index.size, min(k, m - k), m), basis.dtype)
-            basis = np.concatenate((basis, more), axis=1)
-        basis[:, k] = q
-        w = _apply_lax(symbol, freqs, q)
-        a_k = np.vecdot(q, w).real
-        w -= a_k[:, None] * q + beta_prev[:, None] * q_prev
-        span = basis[:, :k + 1]
-        for _ in range(2):
-            w -= np.matmul(np.vecdot(span, w[:, None, :])[:, None, :],
-                           span)[:, 0]
-        b_k = np.sqrt((w.real ** 2 + w.imag ** 2).sum(axis=1))
-        alpha[index, k], beta[index, k] = a_k, b_k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(m):
+            if k == basis.shape[1]:
+                grown = np.empty((index.size, min(2 * k, m), m), basis.dtype)
+                grown[:, :k] = basis
+                basis = grown
+            basis[:, k] = q
+            w = _apply_lax(padded, spectrum, symbol, freqs)
+            a_k = np.vecdot(q, w).real
+            w -= a_k[:, None] * q + beta_prev[:, None] * q_prev
+            span = basis[:, :k + 1]
+            w_sq = np.vecdot(w, w).real
+            w -= _projection(span, w)
+            b_sq = np.vecdot(w, w).real
+            again = b_sq <= _DGKS_KEEP * w_sq
+            if again.any():
+                w[again] -= _projection(span[again], w[again])
+                b_sq[again] = np.vecdot(w[again], w[again]).real
+            b_k = np.sqrt(b_sq)
+            alpha[index, k], beta[index, k] = a_k, b_k
 
-        if k == 0:
-            pivot, pivot_a = a_k + kappa, a_k - bound
-            gauss = 1.0 / pivot
-            corner = gauss * gauss
-        else:
-            r = beta_prev * beta_prev
-            pivot = a_k + kappa - r / pivot
-            pivot_a = a_k - bound - r / pivot_a
-            step = r * corner / pivot
-            gauss = gauss + step
-            corner = step / pivot
-        rb = b_k * b_k
-        with np.errstate(divide="ignore", invalid="ignore"):
+            if k == 0:
+                pivot, pivot_a = a_k + kappa, a_k - bound
+                gauss = 1.0 / pivot
+                corner = gauss * gauss
+            else:
+                r = beta_prev * beta_prev
+                pivot = a_k + kappa - r / pivot
+                pivot_a = a_k - bound - r / pivot_a
+                step = r * corner / pivot
+                gauss = gauss + step
+                corner = step / pivot
+            rb = b_k * b_k
             radau_pivot = bound + kappa + rb / pivot_a - rb / pivot
             gap = np.where(pivot_a > 0.0, rb * corner / radau_pivot, np.inf)
-        done = (gap <= _ENCLOSURE_RTOL * gauss) | (b_k <= tiny) | (k + 1 == m)
-        steps[index[done]] = k + 1
-        if done.all():
-            break
-        if done.any():
-            keep = ~done
-            (index, symbol, tiny, bound, basis, q, w, b_k, pivot, pivot_a,
-             gauss, corner) = (
-                x[keep] for x in (index, symbol, tiny, bound, basis, q, w, b_k,
-                                  pivot, pivot_a, gauss, corner))
-        q_prev, q, beta_prev = q, w / b_k[:, None], b_k
+            done = ((gap <= _ENCLOSURE_RTOL * gauss) | (b_k <= tiny)
+                    | (k + 1 == m))
+            if done.any():
+                steps[index[done]] = k + 1
+                if done.all():
+                    break
+                keep = ~done
+                (index, symbol, tiny, bound, basis, padded, spectrum, w, b_k,
+                 pivot, pivot_a, gauss, corner) = (
+                    x[keep] for x in (index, symbol, tiny, bound, basis,
+                                      padded, spectrum, w, b_k, pivot,
+                                      pivot_a, gauss, corner))
+            q_prev, q, beta_prev = basis[:, k], padded[:, :m], b_k
+            np.divide(w, b_k[:, None], out=q)
     return alpha, beta, steps
+
+
+def _projection(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The component of each row of w in the span of its orthonormal basis
+    rows, (rows, k, m): what one classical Gram-Schmidt pass removes."""
+    return np.matmul(np.vecdot(basis, w[:, None, :])[:, None, :], basis)[:, 0]
 
 
 def _dense_measure(lax: LaxTruncation, g: np.ndarray):
@@ -587,26 +636,34 @@ def _preconditioned_cg(lax: LaxTruncation, kappa: float, g: np.ndarray,
     (x, ||residual||, iterations), or None after m iterations without
     convergence or on a direction of nonpositive curvature.
     """
+    m = g.shape[0]
     freqs = lax.frequencies + kappa
     diagonal = freqs + lax.column[0].real
-    x = g / diagonal
-    r = g - _apply_lax(lax.symbol, freqs, x)
+    # x and p live in the zero-tailed inputs of the matvec
+    x_padded, p_padded = np.zeros((2, 2 * m), dtype=np.complex128)
+    spectrum = np.empty(2 * m, dtype=np.complex128)
+    x, p = x_padded[:m], p_padded[:m]
+    np.divide(g, diagonal, out=x)
+    r = g - _apply_lax(x_padded, spectrum, lax.symbol, freqs)
     z = r / diagonal
-    p, rz = z, np.vdot(r, z).real
-    for iterations in range(g.shape[0] + 1):
+    p[:] = z
+    rz = np.vdot(r, z).real
+    for iterations in range(m + 1):
         residual = float(np.linalg.norm(r))
         if residual <= _PCG_RTOL * gnorm:
             return x, residual, iterations
-        if iterations == g.shape[0]:
+        if iterations == m:
             break
-        curvature = np.vdot(p, _apply_lax(lax.symbol, freqs, p)).real
+        curvature = np.vdot(
+            p, _apply_lax(p_padded, spectrum, lax.symbol, freqs)).real
         if not curvature > 0.0:
             break
-        x = x + (rz / curvature) * p
-        r = g - _apply_lax(lax.symbol, freqs, x)
+        x += (rz / curvature) * p
+        r = g - _apply_lax(x_padded, spectrum, lax.symbol, freqs)
         z = r / diagonal
         rz, rz_prev = np.vdot(r, z).real, rz
-        p = z + (rz / rz_prev) * p
+        p *= rz / rz_prev
+        p += z
     return None
 
 

@@ -617,6 +617,20 @@ def test_cli_repeated_sweep_value_is_a_usage_error(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+def test_cli_beta_needs_two_hardy_modes(tmp_path, capsys):
+    # one mode would put the frequency cut at 0; the error names the count,
+    # not a parameter the command line never set
+    out = tmp_path / "one"
+    assert main(["beta", "--modes", "1", "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: need at least 2 Hardy modes, got 1")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert main(["beta", "--modes", "2", "--outdir",
+                 str(tmp_path / "two")]) == 0
+    capsys.readouterr()
+
+
 def test_illposed_sorts_its_sweep(tmp_path, capsys):
     out = tmp_path / "ip"
     assert main(["illposed", "--adelta-list", "3.0,2.8", "--n", "64",

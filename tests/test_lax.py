@@ -3,11 +3,6 @@ and the growth experiments built on them."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-import mpmath
-import scipy.integrate
-import scipy.linalg
 
 from ilw_lab import (
     BlowUpError,
@@ -145,7 +140,8 @@ def test_lax_spectrum_against_dense_oracles(case):
     lax = build_lax(u, xi_max)
     spectrum = LaxSpectrum(lax, u)
     a, g, length = lax.matrix, spectrum.g, _GRID.length
-    dense = scipy.linalg.eigh(a, eigvals_only=True)
+    linalg = pytest.importorskip("scipy.linalg")
+    dense = linalg.eigh(a, eigvals_only=True)
     lam = spectrum.eigenvalues
     assert np.all(np.abs(lam - dense) <= 1e-12 * (1.0 + np.abs(dense)))
 
@@ -295,6 +291,93 @@ def test_lanczos_rows_do_not_depend_on_the_batch():
                 assert not row[steps:].any(), name
 
 
+def _recording_projection(monkeypatch):
+    """Record the rows of each Gram-Schmidt pass of ``_lanczos``: the first
+    pass of a step takes every running row, the second only its own rows."""
+    passes = []
+    projection = lax_module._projection
+
+    def recording(basis, w):
+        passes.append(w.shape[0])
+        return projection(basis, w)
+
+    monkeypatch.setattr(lax_module, "_projection", recording)
+    return passes
+
+
+@pytest.mark.parametrize("m", [2, 32])
+def test_lanczos_second_pass_runs_at_breakdown(m, monkeypatch):
+    # g = u_0 e_1 is an eigenvector, so w is 0 after the first step: the
+    # first pass keeps none of it, the second pass runs, and the one-node
+    # measure is the dense one
+    grid = SpectralGrid(TWO_PI, 256)
+    u = constant_field(grid, -2.0)
+    xi_max = modes_to_xi_max(grid, m)
+    passes = _recording_projection(monkeypatch)
+    spectrum = LaxSpectrum.lanczos(u, 32.0, xi_max)
+    assert spectrum.lanczos_steps == 1
+    assert passes == [1, 1]
+    dense = LaxSpectrum(build_lax(u, xi_max), u)
+    taus = np.array([32.0, 32.0 * np.e ** 3, 1e4])
+    want = dense.form_at(taus)
+    assert np.all(np.abs(spectrum.form_at(taus) - want) <= 1e-12 * want)
+    heaviest = np.argmax(dense.weights)
+    assert abs(spectrum.eigenvalues[0] - dense.eigenvalues[heaviest]) <= 1e-12
+    assert (abs(spectrum.weights[0] - dense.weights.sum())
+            <= 1e-12 * dense.weights.sum())
+
+
+class _FirstBlock(Exception):
+    pass
+
+
+def _second_pass_fields(tmp_path, monkeypatch):
+    """The first Lanczos block of the default ``gronwall`` (60 rows: 2
+    samples of 30 members, at m = 65) and the ``beta --n 4096`` seed-1
+    field, with the grid and kappa of each."""
+    blocks = []
+
+    def first_block(grid, coeffs, kappa, *args):
+        blocks.append((grid, coeffs.copy(), kappa))
+        raise _FirstBlock
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lax_module, "lanczos_measures", first_block)
+        with pytest.raises(_FirstBlock):
+            run(load_config("gronwall", output_dir=str(tmp_path / "g")))
+    p = load_config("beta", overrides={"n": 4096}).params
+    grid = SpectralGrid(p["length"], p["n"])
+    u = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
+    return blocks + [(grid, u.coeffs[None], p["kappa"])]
+
+
+def test_lanczos_forced_second_pass_keeps_the_gauss_values(tmp_path,
+                                                          monkeypatch):
+    # by default no row of these fields takes the second pass; forced on
+    # every row of every step, it moves the Gauss values by rounding only
+    fields = _second_pass_fields(tmp_path, monkeypatch)
+    assert [len(coeffs) for _, coeffs, _ in fields] == [60, 1]
+    passes = _recording_projection(monkeypatch)
+    default = lax_module._DGKS_KEEP
+    for grid, coeffs, kappa in fields:
+        taus = np.array([kappa, kappa * np.e ** 3, 1e4])
+        values = []
+        for forced in (False, True):
+            # a pass never keeps more than all of ||w||^2, so 2 forces it
+            monkeypatch.setattr(lax_module, "_DGKS_KEEP",
+                                2.0 if forced else default)
+            passes.clear()
+            measures = lanczos_measures(grid, coeffs, kappa)
+            if forced:
+                assert passes[0::2] == passes[1::2]
+            else:
+                assert len(passes) == measures.steps.max()
+            values.append(np.sum(measures.weights[:, :, None]
+                                 / (measures.nodes[:, :, None] + taus), axis=1))
+        once, twice = values
+        assert np.all(np.abs(twice - once) <= 1e-14 * once)
+
+
 def test_shared_rule_rows_do_not_depend_on_the_batch():
     # rows of 6 to 24 Lanczos steps in one zero-padded stack: each row's
     # padding is exactly 0, and its shared-rule value is the one it gets
@@ -320,16 +403,23 @@ def test_shared_rule_rows_do_not_depend_on_the_batch():
         assert values[i] == alone.shared_weighted_form(kappa, s)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.floats(0.0, 50.0),
-       st.sampled_from([0.0, 0.05, 0.25]), st.integers(1, 64))
-def test_symbol_bound_is_below_lambda_min(seed, amplitude, decay, m):
-    grid = SpectralGrid(TWO_PI, 256)
-    u = random_field(grid, -0.25, amplitude, seed, decay=decay)
-    lax = build_lax(u, (m - 0.5) * grid.fundamental)
-    lam = scipy.linalg.eigh(lax.matrix, eigvals_only=True)[0]
-    bound = LaxSpectrum(lax, u).lambda_bound
-    assert bound <= lam + 1e-12 * (1.0 + abs(lam))
+def test_symbol_bound_is_below_lambda_min():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    linalg = pytest.importorskip("scipy.linalg")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(0, 10 ** 6), st.floats(0.0, 50.0),
+                      st.sampled_from([0.0, 0.05, 0.25]), st.integers(1, 64))
+    def bound_below_lambda_min(seed, amplitude, decay, m):
+        grid = SpectralGrid(TWO_PI, 256)
+        u = random_field(grid, -0.25, amplitude, seed, decay=decay)
+        lax = build_lax(u, (m - 0.5) * grid.fundamental)
+        lam = linalg.eigh(lax.matrix, eigvals_only=True)[0]
+        bound = LaxSpectrum(lax, u).lambda_bound
+        assert bound <= lam + 1e-12 * (1.0 + abs(lam))
+
+    bound_below_lambda_min()
 
 
 def test_spectra_carry_the_symbol_bound_of_their_measure():
@@ -496,9 +586,9 @@ def test_resolvent_solve_rejects_bad_shift():
 
 
 def _cholesky_oracle(lax, kappa, g):
+    linalg = pytest.importorskip("scipy.linalg")
     shifted = lax.matrix + kappa * np.eye(g.shape[0])
-    return shifted, scipy.linalg.cho_solve(
-        scipy.linalg.cho_factor(shifted, lower=True), g)
+    return shifted, linalg.cho_solve(linalg.cho_factor(shifted, lower=True), g)
 
 
 _SOLVER_FIELDS = {"smooth": (0.3, 0.25), "rough": (5.0, 0.0)}
@@ -542,7 +632,8 @@ def test_resolvent_solve_uncertified_shift_is_cholesky(monkeypatch):
     lax = build_lax(u, 63.0)
     g = hardy_project(u)[:64]
     bound = float(lax_module._symbol_bound(g, grid.length))
-    lam = scipy.linalg.eigh(lax.matrix, eigvals_only=True)[0]
+    linalg = pytest.importorskip("scipy.linalg")
+    lam = linalg.eigh(lax.matrix, eigvals_only=True)[0]
     assert bound < lam
     kappa = -0.5 * (bound + lam)
     oracle = _cholesky_oracle(lax, kappa, g)[1]
@@ -687,11 +778,11 @@ def test_weighted_form_against_adaptive_quadrature():
     def integrand(tau):
         return tau ** (2.0 * s) * spectrum.form_at(np.array([tau]))[0]
 
+    integrate = pytest.importorskip("scipy.integrate")
     edges = [kappa * 4.0 ** j for j in range(10)]
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        part, _ = scipy.integrate.quad(integrand, a, b, epsrel=1e-12,
-                                       limit=200)
+        part, _ = integrate.quad(integrand, a, b, epsrel=1e-12, limit=200)
         total += part
     horizon = edges[-1]
     total += (spectrum.form_at(np.array([horizon]))[0]
@@ -758,6 +849,7 @@ _RULE_Z = np.concatenate((-1.0 + np.geomspace(1e-3, 0.5, 15),
                                      (-0.4999, 1e-13), (-0.49999, 1e-13)])
 def test_kappa_rule_against_hypergeometric(s, rtol):
     # at kappa = 1, W(lambda) = 2F1(1, b; b + 1; -lambda)/b with b = -2s
+    mpmath = pytest.importorskip("mpmath")
     rule = KappaRule.build(1.0, s)
     got = rule.kernel(_RULE_Z)
     b = -2.0 * s
@@ -772,6 +864,7 @@ def test_shared_rule_takes_the_closed_form_below_half_kappa(monkeypatch):
     # a constant field c has one node, lambda = c, of weight c^2 L; below
     # -kappa/2 it is certified, and its row takes the closed form like
     # every other, with no adaptive rule
+    mpmath = pytest.importorskip("mpmath")
     grid = SpectralGrid(TWO_PI, 128)
     kappa, s = 32.0, -0.25
     builds = []
@@ -835,7 +928,8 @@ def test_flow_derivative_against_dense_eigenvectors(amplitude, seed, kappa):
     flow = form_flow_derivative(u, kappa, 1.0, -0.25)
 
     g = hardy_project(u)[: lax.frequencies.shape[0]]
-    lam, w = scipy.linalg.eigh(lax.matrix)
+    linalg = pytest.importorskip("scipy.linalg")
+    lam, w = linalg.eigh(lax.matrix)
     taus = rule.taus
     m_cols = -w @ ((w.conj().T @ g)[:, None] / (lam[:, None] + taus[None, :]))
     m_phys = np.array([synthesize(grid, hardy_embed(grid, m))
