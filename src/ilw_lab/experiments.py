@@ -509,6 +509,9 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     if not kcheck.ok:
         failures.append("kappa %.4g below admissible threshold %.4g"
                         % (kcheck.kappa, kcheck.threshold))
+    if route_gap > 1e-12:
+        failures.append("resolvent and Lanczos forms differ by %.3e > 1e-12"
+                        % route_gap)
     return RunReport(cfg.command, report, failures,
                      {"beta_profile.csv": table})
 

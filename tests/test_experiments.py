@@ -508,6 +508,28 @@ def test_beta_solves_the_resolvent_without_a_dense_matrix(tmp_path, capsys,
     assert dense == []
 
 
+def test_beta_checks_its_form_route_gap(tmp_path, capsys, monkeypatch):
+    # a resolvent state off by 1e-11 moves the form by as much, past the
+    # 1e-12 that the two routes must meet
+    from ilw_lab.lax import ResolventState
+
+    solve = experiments.resolvent_state
+
+    def skewed(*args, **kwargs):
+        state = solve(*args, **kwargs)
+        return ResolventState(state.coeffs * (1.0 + 1e-11), state.iterations)
+
+    monkeypatch.setattr(experiments, "resolvent_state", skewed)
+    out = tmp_path / "bt"
+    assert main(["beta", "--outdir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("FAILED:") == 1
+    assert "FAILED: resolvent and Lanczos forms differ by 1.0" in err
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert 9e-12 < report["report"]["form_route_gap"] < 1.1e-11
+
+
 def test_beta_keeps_its_rules_together_at_the_critical_edge(tmp_path):
     # near s = -1/2 the default kappa fails its admissible threshold (exit
     # 3), and the closed-form kernel still agrees with the adaptive rule

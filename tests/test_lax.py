@@ -291,32 +291,16 @@ def test_lanczos_rows_do_not_depend_on_the_batch():
                 assert not row[steps:].any(), name
 
 
-def _recording_projection(monkeypatch):
-    """Record the rows of each Gram-Schmidt pass of ``_lanczos``: the first
-    pass of a step takes every running row, the second only its own rows."""
-    passes = []
-    projection = lax_module._projection
-
-    def recording(basis, w):
-        passes.append(w.shape[0])
-        return projection(basis, w)
-
-    monkeypatch.setattr(lax_module, "_projection", recording)
-    return passes
-
-
 @pytest.mark.parametrize("m", [2, 32])
-def test_lanczos_second_pass_runs_at_breakdown(m, monkeypatch):
-    # g = u_0 e_1 is an eigenvector, so w is 0 after the first step: the
-    # first pass keeps none of it, the second pass runs, and the one-node
+def test_lanczos_second_pass_runs_at_breakdown(m):
+    # g = u_0 e_1 is an eigenvector, so w is 0 up to the matvec's rounding
+    # after the first step: the run breaks down there, and the one-node
     # measure is the dense one
     grid = SpectralGrid(TWO_PI, 256)
     u = constant_field(grid, -2.0)
     xi_max = modes_to_xi_max(grid, m)
-    passes = _recording_projection(monkeypatch)
     spectrum = LaxSpectrum.lanczos(u, 32.0, xi_max)
     assert spectrum.lanczos_steps == 1
-    assert passes == [1, 1]
     dense = LaxSpectrum(build_lax(u, xi_max), u)
     taus = np.array([32.0, 32.0 * np.e ** 3, 1e4])
     want = dense.form_at(taus)
@@ -331,10 +315,11 @@ class _FirstBlock(Exception):
     pass
 
 
-def _second_pass_fields(tmp_path, monkeypatch):
+def _lanczos_fields(tmp_path, monkeypatch):
     """The first Lanczos block of the default ``gronwall`` (60 rows: 2
-    samples of 30 members, at m = 65) and the ``beta --n 4096`` seed-1
-    field, with the grid and kappa of each."""
+    samples of 30 members, at m = 64), the ``beta --n 4096`` seed-1 field
+    (m = 1024) and a certified near-critical field (m = 1024, 89 steps,
+    lambda_min/kappa = -0.50), with the grid and kappa of each."""
     blocks = []
 
     def first_block(grid, coeffs, kappa, *args):
@@ -348,34 +333,142 @@ def _second_pass_fields(tmp_path, monkeypatch):
     p = load_config("beta", overrides={"n": 4096}).params
     grid = SpectralGrid(p["length"], p["n"])
     u = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
-    return blocks + [(grid, u.coeffs[None], p["kappa"])]
+    near = random_field(SpectralGrid(1.0, 4096), -0.25, 15.0, 1, 0.02)
+    return blocks + [(grid, u.coeffs[None], p["kappa"]),
+                     (near.grid, near.coeffs[None], 32.0)]
 
 
-def test_lanczos_forced_second_pass_keeps_the_gauss_values(tmp_path,
-                                                          monkeypatch):
-    # by default no row of these fields takes the second pass; forced on
-    # every row of every step, it moves the Gauss values by rounding only
-    fields = _second_pass_fields(tmp_path, monkeypatch)
-    assert [len(coeffs) for _, coeffs, _ in fields] == [60, 1]
-    passes = _recording_projection(monkeypatch)
-    default = lax_module._DGKS_KEEP
+def _reorthogonalized_lanczos(g, fundamental, length, kappa, bound):
+    """A fully reorthogonalized Lanczos run, the oracle of the plain
+    ``lax._lanczos``: the same matvec and stop rule, with one classical
+    Gram-Schmidt pass against the stored basis per step and a second one
+    on the rows whose first pass kept at most half of ||w||^2 (the DGKS
+    test of Daniel, Gragg, Kaufman & Stewart 1976, as in ARPACK)."""
+    def projection(basis, w):
+        return np.matmul(np.vecdot(basis, w[:, None, :])[:, None, :],
+                         basis)[:, 0]
+
+    rows, m = g.shape
+    freqs = fundamental * np.arange(m)
+    symbol = lax_module._circulant_symbol(g / length)
+    norm = np.sqrt(np.vecdot(g, g).real)
+    padded = np.zeros((rows, 2 * m), dtype=np.complex128)
+    spectrum = np.empty_like(padded)
+    q = padded[:, :m]
+    q[:, 0] = 1.0
+    live = norm > 0.0
+    q[live] = g[live] / norm[live, None]
+    tiny = np.finfo(float).eps * m * (freqs[-1] - bound)
+    alpha, beta = np.zeros((rows, m)), np.zeros((rows, m))
+    steps = np.zeros(rows, dtype=int)
+    index = np.arange(rows)
+    basis = np.empty((rows, m, m), dtype=np.complex128)
+    q_prev, beta_prev = np.zeros_like(q), np.zeros(rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(m):
+            basis[:, k] = q
+            w = lax_module._apply_lax(padded, spectrum, symbol, freqs)
+            a_k = np.vecdot(q, w).real
+            w -= a_k[:, None] * q + beta_prev[:, None] * q_prev
+            span = basis[:, :k + 1]
+            w_sq = np.vecdot(w, w).real
+            w -= projection(span, w)
+            b_sq = np.vecdot(w, w).real
+            again = b_sq <= 0.5 * w_sq
+            if again.any():
+                w[again] -= projection(span[again], w[again])
+                b_sq[again] = np.vecdot(w[again], w[again]).real
+            b_k = np.sqrt(b_sq)
+            alpha[index, k], beta[index, k] = a_k, b_k
+            if k == 0:
+                pivot, pivot_a = a_k + kappa, a_k - bound
+                gauss = 1.0 / pivot
+                corner = gauss * gauss
+            else:
+                r = beta_prev * beta_prev
+                pivot = a_k + kappa - r / pivot
+                pivot_a = a_k - bound - r / pivot_a
+                step = r * corner / pivot
+                gauss = gauss + step
+                corner = step / pivot
+            rb = b_k * b_k
+            radau_pivot = bound + kappa + rb / pivot_a - rb / pivot
+            gap = np.where(pivot_a > 0.0, rb * corner / radau_pivot, np.inf)
+            done = ((gap <= lax_module._ENCLOSURE_RTOL * gauss)
+                    | (b_k <= tiny) | (k + 1 == m))
+            if done.any():
+                steps[index[done]] = k + 1
+                if done.all():
+                    break
+                keep = ~done
+                (index, symbol, tiny, bound, basis, padded, spectrum, w, b_k,
+                 pivot, pivot_a, gauss, corner) = (
+                    x[keep] for x in (index, symbol, tiny, bound, basis,
+                                      padded, spectrum, w, b_k, pivot,
+                                      pivot_a, gauss, corner))
+            q_prev, q, beta_prev = basis[:, k], padded[:, :m], b_k
+            np.divide(w, b_k[:, None], out=q)
+    return alpha, beta, steps
+
+
+def _plain_basis(g, fundamental, length, alpha, beta, k):
+    """The k basis vectors of the plain run from the Hardy data g, rebuilt
+    from its alpha and beta: (k, m) rows.  The rebuild repeats the kernel's
+    arithmetic operation by operation, so it gives the run's vectors bit
+    for bit; one that rounds differently drifts away from them, because a
+    recurrence with fixed coefficients amplifies rounding along the
+    converged Ritz vectors."""
+    m = g.shape[0]
+    freqs = fundamental * np.arange(m)
+    symbol = lax_module._circulant_symbol(g[None] / length)
+    padded = np.zeros((1, 2 * m), dtype=np.complex128)
+    spectrum = np.empty_like(padded)
+    padded[0, :m] = g / np.sqrt(np.vecdot(g, g).real)
+    basis, q_prev = [padded[0, :m].copy()], np.zeros(m, dtype=np.complex128)
+    for j in range(k - 1):
+        w = lax_module._apply_lax(padded, spectrum, symbol, freqs)
+        w -= alpha[j] * padded[:, :m] + (beta[j - 1] if j else 0.0) * q_prev
+        q_prev = padded[0, :m].copy()
+        np.divide(w, beta[j], out=padded[:, :m])
+        basis.append(padded[0, :m].copy())
+    return np.array(basis)
+
+
+def test_plain_lanczos_matches_the_reorthogonalized_run(tmp_path,
+                                                         monkeypatch):
+    # the plain recurrence against the reorthogonalized one, row by row: the
+    # same steps, the same Gauss values to 1e-14 and the same smallest node
+    # to 1e-12 kappa, and a basis orthonormal to sqrt(eps)
+    fields = _lanczos_fields(tmp_path, monkeypatch)
+    assert [len(coeffs) for _, coeffs, _ in fields] == [60, 1, 1]
     for grid, coeffs, kappa in fields:
         taus = np.array([kappa, kappa * np.e ** 3, 1e4])
-        values = []
-        for forced in (False, True):
-            # a pass never keeps more than all of ||w||^2, so 2 forces it
-            monkeypatch.setattr(lax_module, "_DGKS_KEEP",
-                                2.0 if forced else default)
-            passes.clear()
-            measures = lanczos_measures(grid, coeffs, kappa)
-            if forced:
-                assert passes[0::2] == passes[1::2]
-            else:
-                assert len(passes) == measures.steps.max()
-            values.append(np.sum(measures.weights[:, :, None]
-                                 / (measures.nodes[:, :, None] + taus), axis=1))
-        once, twice = values
-        assert np.all(np.abs(twice - once) <= 1e-14 * once)
+        g = coeffs[:, :lax_module._truncation_size(grid, None)]
+        bound = lax_module._symbol_bound(g, grid.length)
+        assert np.all(bound + kappa > 0.0)
+        plain = lanczos_measures(grid, coeffs, kappa)
+        alpha, beta, steps = lax_module._lanczos(
+            g, grid.fundamental, grid.length, kappa, bound)
+        want_alpha, want_beta, want_steps = _reorthogonalized_lanczos(
+            g, grid.fundamental, grid.length, kappa, bound)
+        assert np.array_equal(plain.steps, want_steps)
+        gnorm_sq = np.vecdot(g, g).real
+        for i, k in enumerate(steps.tolist()):
+            nodes, first = lax_module._golub_welsch(want_alpha[i:i + 1, :k],
+                                                    want_beta[i:i + 1, :k - 1])
+            want = lax_module._form_at(nodes[0],
+                                       gnorm_sq[i] * first[0] / grid.length,
+                                       taus)
+            got = lax_module._form_at(plain.nodes[i], plain.weights[i], taus)
+            assert np.all(np.abs(got - want) <= 1e-14 * want), (i, got, want)
+            assert abs(plain.lambda_min[i] - nodes[0, 0]) <= 1e-12 * kappa
+            basis = _plain_basis(g[i], grid.fundamental, grid.length,
+                                 alpha[i], beta[i], k)
+            gram = basis.conj() @ basis.T
+            assert np.max(np.abs(gram - np.eye(k))) <= np.sqrt(
+                np.finfo(float).eps), i
+    # the last field is the near-critical one
+    assert steps.tolist() == [89] and plain.lambda_min[0] / kappa < -0.49
 
 
 def test_shared_rule_rows_do_not_depend_on_the_batch():
