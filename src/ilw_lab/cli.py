@@ -2,9 +2,10 @@
 
 Every command resolves its parameters from built-in defaults, then the
 [command] section of an ini file given with --config, then --key value
-flags, and writes its artifacts into --outdir.  Exit codes: 0 all in-run
-assertions passed, 1 usage error, 2 numerical failure (blow-up, lost
-positivity, stalled quadrature), 3 assertion failure.
+flags, and writes its artifacts into --outdir.  Exit codes: 0 every in-run
+check passed, 1 usage error, 2 numerical failure (blow-up, lost
+positivity, stalled quadrature), 3 a failed check: one FAILED line each,
+with every output written.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print("internal check failed: %s" % exc, file=sys.stderr)
-        return 3
     if result.failures:
         for item in result.failures:
             print("FAILED: %s" % item, file=sys.stderr)

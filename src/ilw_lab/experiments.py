@@ -1,12 +1,12 @@
 """Deterministic experiment drivers behind the command line.
 
 Each runner consumes a resolved ExperimentConfig and returns its summary
-numbers, its in-run assertion outcomes and the bytes of its tables; it
+numbers, its failed in-run checks and the bytes of its tables; it
 touches no file.  ``run`` renders report.json and manifest.json, and only
 then creates the output directory and writes every file, so a run that
-fails leaves nothing behind.  Given the same parameters and seed the
-tabular outputs are byte-identical; only the manifest carries wall-clock
-information.
+raises leaves nothing behind, and a run whose checks fail writes them
+all.  Given the same parameters and seed the tabular outputs are
+byte-identical; only the manifest carries wall-clock information.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .evolution import (
     etdrk4_samples,
     evolve,
     galilean,
+    hamiltonian_decomposed,
     make_bo_two_speed,
     make_problem,
     make_two_depth,
@@ -156,7 +157,7 @@ _SCHEMAS = {
         "amplitude": ("float", 0.25),
         "s_target": ("float", -0.25),
         # default spectra decay fast enough that the dealiased band carries
-        # the whole field; the in-run mass assertion depends on it
+        # the whole field; the in-run mass check depends on it
         "decay": ("float", 0.25),
         "t_final": ("float", 1.0),
         "dt": ("float", 0.0, _STEP),
@@ -301,7 +302,7 @@ def load_config(command: str, config_path: Optional[str] = None,
 
 @dataclass
 class RunReport:
-    """Outcome of one runner: summary numbers, failed assertions, and the
+    """Outcome of one runner: summary numbers, failed checks, and the
     bytes of each output file by name."""
 
     command: str
@@ -393,6 +394,18 @@ def _sweep(cfg: ExperimentConfig, key: str) -> list:
     return values
 
 
+def _decreasing(values: list) -> bool:
+    """Each value strictly below the one before it: the check of a
+    figure along a sweep; a NaN fails it."""
+    return all(x > y for x, y in zip(values, values[1:]))
+
+
+def _relative_gap(value: float, reference: float) -> float:
+    """|value - reference| relative to |reference|, or absolute where the
+    reference is 0."""
+    return abs(value - reference) / (abs(reference) or 1.0)
+
+
 def run_simulate(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
@@ -421,6 +434,14 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
         "final_sup": trajectory.final().sup_norm(),
     }
     failures = []
+    if p["equation"] == "ilw":
+        energy = trajectory.diagnostics["hamiltonian"]
+        gaps = np.abs(energy - [hamiltonian_decomposed(u, p["depth"])
+                                for u in trajectory.states])
+        violated = np.flatnonzero(gaps > 1e-12 * np.maximum(1.0, np.abs(energy)))
+        if violated.size:
+            failures.append("Hamiltonian decomposition identity violated "
+                            "(gap %.3e)" % gaps[violated[0]])
     if mean_drift > 1e-12 * max(1.0, abs(trajectory.diagnostics["mean"][0])):
         failures.append("spatial mean drifted: %.3e" % mean_drift)
     if mass_drift > 1e-6:
@@ -474,16 +495,12 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     # the shared closed-form rule that gronwall uses, against the adaptive
     # Gauss-Kronrod value
     shared_value = spectrum.shared_weighted_form(p["kappa"], p["s"])
-    rule_gap = abs(shared_value - profile.value)
-    if profile.value != 0.0:
-        rule_gap /= abs(profile.value)
+    rule_gap = _relative_gap(shared_value, profile.value)
     resolved = resolvent_state(state, p["kappa"], xi_max=xi_max)
     form_value = resolved.form(state)
     # the resolvent solve against the certified Lanczos measure
     gauss_value = float(spectrum.form_at(p["kappa"])[0])
-    route_gap = abs(form_value - gauss_value)
-    if gauss_value != 0.0:
-        route_gap /= abs(gauss_value)
+    route_gap = _relative_gap(form_value, gauss_value)
     table = _csv(["tau", "form"], zip(profile.tau_nodes, profile.form_values))
     report = {
         "kappa": p["kappa"],
@@ -545,14 +562,14 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
 
     # tasks run depth-major, so row i holds the rates at depths[i]
     a_hats = np.reshape([rep.a_hat for rep in results], (len(depths), -1))
-    mean_rates = dict(zip(depths, a_hats.mean(axis=1).tolist()))
+    rates = a_hats.mean(axis=1).tolist()
     report = {
         "equation": p["equation"],
         "s": p["s"],
         "kappa": p["kappa"],
         "depths": depths,
         "runs": len(tasks),
-        "mean_a_hat": {repr(d): mean_rates[d] for d in depths},
+        "mean_a_hat": {repr(d): rate for d, rate in zip(depths, rates)},
         "max_a_hat": float(max(rep.a_hat for rep in results)),
         "all_bound_ok": all(rep.bound_ok for rep in results),
     }
@@ -561,10 +578,8 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
         if not rep.bound_ok:
             failures.append("growth bound violated at depth=%g seed=%d"
                             % (depth, seed))
-    if p["equation"] == "ilw" and len(depths) > 1:
-        rates = [mean_rates[d] for d in depths]
-        if not all(x > y for x, y in zip(rates, rates[1:])):
-            failures.append("fitted rates not decreasing in depth: %s" % rates)
+    if p["equation"] == "ilw" and not _decreasing(rates):
+        failures.append("fitted rates not decreasing in depth: %s" % rates)
     return RunReport(cfg.command, report, failures, {"runs.csv": table})
 
 
@@ -601,10 +616,9 @@ def run_illposed(cfg: ExperimentConfig) -> RunReport:
         "max_mean_gap": max(mean_gaps),
     }
     failures = []
-    if not all(x > y for x, y in zip(distances, distances[1:])):
+    if not _decreasing(distances):
         failures.append("Dirac distances not decreasing: %s" % distances)
-    gaps_to_limit = [abs(m - 2.0 * np.pi) for m in moduli]
-    if not all(x > y for x, y in zip(gaps_to_limit, gaps_to_limit[1:])):
+    if not _decreasing([abs(m - 2.0 * np.pi) for m in moduli]):
         failures.append("mode moduli not converging to 2*pi: %s" % moduli)
     if max(rate_gaps) > 1e-10:
         failures.append("phase rate differs from -2*pi*t by %.3e" % max(rate_gaps))
@@ -675,7 +689,7 @@ def run_twodepth(cfg: ExperimentConfig) -> RunReport:
         "l2_gaps": [float(g) for g in gaps],
     }
     failures = []
-    if len(depths) > 1 and not all(x > y for x, y in zip(gaps, gaps[1:])):
+    if not _decreasing(gaps):
         failures.append("deep-water gap not decreasing: %s" % gaps)
     return RunReport(cfg.command, report, failures, {"twodepth.csv": table})
 
@@ -694,7 +708,7 @@ RUNNERS = {
 def run(cfg: ExperimentConfig) -> RunReport:
     """Dispatch a resolved config, render report.json and manifest.json, and
     only then write every file into the output directory: the one place
-    that writes outputs, so a failed run leaves no directory behind."""
+    that writes outputs, so a run that raises leaves no directory behind."""
     started = time.time()
     result = RUNNERS[cfg.command](cfg)
     result.files["report.json"] = _json(cfg.output_dir / "report.json", {

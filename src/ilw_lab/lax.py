@@ -471,10 +471,10 @@ class LaxSpectrum:
         """Check kappa >= c_s*(1 + ||u||_{H^s_kappa})^(1/(2*sigma)), sigma =
         (1/2 + s)/2, plus positivity of the shifted truncation: the one-row
         case of ``_check_kappas``."""
-        norms, thresholds = _check_kappas(self.grid, self.u.coeffs[None],
-                                          _shift_index(s, kappa, c_s), c_s)
-        return KappaCheck(kappa=kappa, threshold=float(thresholds[0]),
-                          lambda_min=self.lambda_min, norm=float(norms[0]))
+        check = _check_kappas(self.grid, self.u.coeffs[None], self.lambda_min,
+                              _shift_index(s, kappa, c_s), c_s)
+        return KappaCheck(kappa=kappa, threshold=float(check.threshold[0]),
+                          lambda_min=self.lambda_min, norm=float(check.norm[0]))
 
     def weighted_form(self, kappa: float, s: float) -> WeightedFormProfile:
         """integral_kappa^inf tau^(2s) form(tau) dtau on the adaptive rule
@@ -526,19 +526,24 @@ def _shift_index(s: float, kappa: float, c_s: float) -> SobolevIndex:
     return SobolevIndex(s, kappa)
 
 
-def _check_kappas(grid: SpectralGrid, coeffs: np.ndarray,
-                  index: SobolevIndex, c_s: float) -> tuple:
-    """The H^s_kappa norm of each row of the (B, n_points//2 + 1) stack
-    ``coeffs`` and the threshold (``_kappa_threshold``) that kappa =
-    ``index.kappa`` must clear there, as two (B,) arrays."""
+def _check_kappas(grid: SpectralGrid, coeffs: np.ndarray, lambda_min,
+                  index: SobolevIndex, c_s: float) -> KappaCheck:
+    """The admissible-shift test of kappa = ``index.kappa`` at each row of
+    the (B, n_points//2 + 1) stack ``coeffs``, whose smallest eigenvalues
+    (or Ritz values) are ``lambda_min``: a KappaCheck of (B,) arrays, with
+    the H^s_kappa norm of each row and the threshold (``_kappa_threshold``)
+    that kappa must clear there."""
     norms = sobolev_norms(grid, coeffs, index)
-    return norms, np.array([_kappa_threshold(norm, index.s, c_s)
-                            for norm in norms.tolist()])
+    thresholds = [_kappa_threshold(norm, index.s, c_s) for norm in norms.tolist()]
+    return KappaCheck(kappa=index.kappa, threshold=np.array(thresholds),
+                      lambda_min=lambda_min, norm=norms)
 
 
 @dataclass(frozen=True)
 class KappaCheck:
-    """Outcome of the admissible-shift test at one state."""
+    """Outcome of the admissible-shift test at one state, or at each row
+    of a stack when ``threshold``, ``lambda_min`` and ``norm`` are (B,)
+    arrays."""
 
     kappa: float
     threshold: float
@@ -546,8 +551,10 @@ class KappaCheck:
     norm: float
 
     @property
-    def ok(self) -> bool:
-        return self.kappa >= self.threshold and self.lambda_min + self.kappa > 0.0
+    def ok(self):
+        """kappa clears the threshold and -lambda_min, elementwise; a NaN
+        threshold fails."""
+        return (self.kappa >= self.threshold) & (self.lambda_min + self.kappa > 0.0)
 
 
 def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
@@ -1137,18 +1144,16 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
                 # all weights vanish exactly when form(kappa; u0) = 0
                 raise ContractError("initial data has zero weighted form; "
                                     "no growth rate can be fitted")
-            _, thresholds = _check_kappas(grid, coeffs, index, c_s)
-            lambda_min = measures.lambda_min
-            # KappaCheck.ok row by row: a NaN threshold fails too
-            ok = (kappa >= thresholds) & (lambda_min + kappa > 0.0)
-            failed = np.flatnonzero(~ok)
+            check = _check_kappas(grid, coeffs, measures.lambda_min, index, c_s)
+            failed = np.flatnonzero(~check.ok)
             if failed.size:
                 raise NumericalError(
                     "admissible-shift condition failed along the run: "
                     "kappa=%.4g threshold=%.4g lambda_min=%.4g"
-                    % (kappa, thresholds[failed[0]], lambda_min[failed[0]]))
+                    % (kappa, check.threshold[failed[0]],
+                       check.lambda_min[failed[0]]))
             by_sample = (len(block), len(members))
-            thresholds = thresholds.reshape(by_sample)
+            thresholds = check.threshold.reshape(by_sample)
             margin = np.minimum(margin, (kappa - thresholds).min(axis=0))
             times += [t for t, _ in block]
             values.append(rule.values(measures.nodes, measures.weights)

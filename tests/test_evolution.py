@@ -446,6 +446,19 @@ def test_hamiltonian_decomposition_identity():
                                       * np.abs(coeffs) ** 2))) / grid.length
         expected = hamiltonian_bo(u) - mass(u) / depth + 0.5 * quad_q
         assert abs(h - expected) < 1e-12 * max(1.0, abs(h))
+        assert abs(evolution.hamiltonian_decomposed(u, depth) - expected) \
+            < 1e-12 * max(1.0, abs(h))
+
+
+def test_diagnostics_read_without_raising_at_small_depth():
+    # the decomposition identity is checked by simulate, not by a monitor:
+    # at depth 1e-7, where its gap (1.3e-11) exceeds the tolerance, the
+    # diagnostics still read
+    grid = SpectralGrid(TWO_PI, 64)
+    u0 = random_field(grid, -0.25, 0.25, 1, decay=0.25)
+    diagnostics = evolve(make_ilw(1e-7, grid), u0, 1.0).diagnostics
+    assert sorted(diagnostics) == ["hamiltonian", "l2", "mass", "mean", "sup"]
+    assert all(np.isfinite(values).all() for values in diagnostics.values())
 
 
 def test_cubic_term_matches_quadrature():

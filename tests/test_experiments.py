@@ -1,6 +1,7 @@
 """Seeded data, snapshots, configuration resolution, experiment runners,
 and the command-line surface."""
 
+import ast
 import csv
 import json
 import os
@@ -585,6 +586,44 @@ def test_cli_reported_check_failure_exit(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert not report["passed"]
     assert any("spread" in item for item in report["failures"])
+
+
+def _reject_non_finite(token):
+    raise ValueError("non-finite JSON value %s" % token)
+
+
+def test_simulate_reports_the_hamiltonian_identity_as_a_failed_check(
+        tmp_path, capsys):
+    # at depth 1e-7 the decomposed energy misses the direct one by 1.3e-11,
+    # past 1e-12*max(1, |H|): the identity fails like every other check,
+    # with one FAILED line and every output written
+    out = tmp_path / "sim"
+    assert main(["simulate", "--n", "64", "--depth", "1e-7",
+                 "--outdir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("FAILED:") == 1
+    assert re.search(r"^FAILED: Hamiltonian decomposition identity violated "
+                     r"\(gap \d\.\d{3}e-\d+\)$", err, re.MULTILINE)
+    assert "internal check failed" not in err
+    assert (out / "trajectory.csv").is_file()
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_reject_non_finite)
+    assert report["passed"] is False
+    assert report["failures"] == [err.strip()[len("FAILED: "):]]
+
+
+def test_package_has_one_failure_channel():
+    # a check fails through RunReport.failures alone: the package holds no
+    # assert statement (which -O strips) and raises or catches no
+    # AssertionError
+    package = Path(__file__).resolve().parents[1] / "src" / "ilw_lab"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []
 
 
 @pytest.mark.parametrize("argv, code, line", [

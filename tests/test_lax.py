@@ -33,9 +33,9 @@ from ilw_lab import (
     weighted_resolvent_form,
 )
 from ilw_lab.cli import main
-from ilw_lab.experiments import load_config, run
+from ilw_lab.experiments import load_config, run, run_beta
 from ilw_lab import lax as lax_module
-from ilw_lab.lax import KappaRule, LaxSpectrum
+from ilw_lab.lax import KappaCheck, KappaRule, LaxSpectrum
 from ilw_lab.spectral import (
     SobolevIndex,
     hardy_embed,
@@ -614,6 +614,36 @@ def test_check_kappa_threshold_overflow_fails_the_check():
     u = random_field(grid, -0.25, 1e100, 7, decay=0.25)
     check = LaxSpectrum(build_lax(u, 31.0), u).check_kappa(-0.25, 32.0)
     assert check.threshold == np.inf and not check.ok
+
+
+def test_kappa_check_ok_is_elementwise():
+    # the verdict gronwall_ensemble reads on a whole stack: a row fails on
+    # its threshold, on a NaN threshold or on lambda_min
+    check = KappaCheck(kappa=32.0,
+                       threshold=np.array([31.0, 32.0, 33.0, np.nan, 1.0]),
+                       lambda_min=np.array([0.0, -31.0, 0.0, 0.0, -32.0]),
+                       norm=np.zeros(5))
+    assert check.ok.tolist() == [True, True, False, False, False]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"seed": "1"},
+    {"seed": "2"},
+    # the Ritz value reads +9.09e-4 here, the smallest eigenvalue -2.01e-3
+    {"n": "4096", "seed": "12"},
+])
+def test_beta_lambda_min_brackets_the_smallest_eigenvalue(overrides):
+    # beta's lambda_min is the smallest Ritz value at the step that
+    # certifies its form: it bounds the smallest eigenvalue from above, as
+    # lambda_min_bound does from below, and need not have converged to it
+    cfg = load_config("beta", overrides=overrides)
+    report = run_beta(cfg).report
+    p = cfg.params
+    u = random_field(SpectralGrid(p["length"], p["n"]), p["s"],
+                     p["amplitude"], p["seed"], p["decay"])
+    assert report["lanczos_steps"] > 0
+    smallest = LaxSpectrum(build_lax(u), u).lambda_min
+    assert report["lambda_min_bound"] <= smallest <= report["lambda_min"]
 
 
 @pytest.mark.parametrize("amplitude", [1e160, 1e200])
