@@ -39,6 +39,11 @@ and every state of a trajectory.  An adaptive composite Gauss-Kronrod rule
 in the substitution tau = kappa*exp(t) (``build_weighted_rule``) gives the
 tau profile that ``beta`` reports, its cross-check of the closed form, and
 the flow derivative.
+The growth layer tracks the weighted form along runs that it steps itself
+(``gronwall_ensemble``), and its ``GrowthReport`` holds only the trace, the
+fitted rate and the checks that the ``gronwall`` table reads.
+``apriori_bound`` evaluates the closed-form H^s bound on a state that its
+caller evolved, so this module runs no ``evolve`` of its own.
 """
 
 from __future__ import annotations
@@ -53,8 +58,6 @@ from .errors import ContractError, KappaTooSmallError, NumericalError
 from .evolution import (
     default_step,
     etdrk4_samples,
-    evolve,
-    make_ilw,
     make_problem,
     step_count,
 )
@@ -1020,30 +1023,12 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
 class GrowthReport:
     """Weighted-form trace along one run with its fitted growth rate."""
 
-    depth: Optional[float]
-    s: float
-    kappa: float
-    equation: str
     times: np.ndarray
     form_values: np.ndarray
     a_hat: float
     bound_ok: bool
     a_reference: float
     kappa_margin: float
-
-    def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "s": self.s,
-            "kappa": self.kappa,
-            "equation": self.equation,
-            "a_hat": self.a_hat,
-            "bound_ok": bool(self.bound_ok),
-            "a_reference": self.a_reference,
-            "kappa_margin": self.kappa_margin,
-            "form_initial": float(self.form_values[0]),
-            "form_final": float(self.form_values[-1]),
-        }
 
 
 def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
@@ -1167,7 +1152,6 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
         bound_ok = np.all(values <= bound * (1.0 + 1e-6), axis=0)
         for j, i in enumerate(members):
             reports[i] = GrowthReport(
-                depth=depths[i], s=s, kappa=kappa, equation=equation,
                 times=times, form_values=values[:, j], a_hat=float(a_hat[j]),
                 bound_ok=bool(bound_ok[j]), a_reference=references[depths[i]],
                 kappa_margin=float(margin[j]))
@@ -1219,19 +1203,17 @@ class AprioriBound:
         return self.lhs <= self.rhs
 
 
-def apriori_bound(u0: RealField, s: float, depth: float, t: float,
-                  c_s: float, a_rate: float,
-                  dt: Optional[float] = None) -> AprioriBound:
-    """Compare ||u(t)||_{H^s} with the closed-form bound
+def apriori_bound(u0: RealField, u_t: RealField, s: float, t: float,
+                  c_s: float, a_rate: float) -> AprioriBound:
+    """Compare ||u(t)||_{H^s} of a state u_t that the caller evolved from u0
+    for a time t with the closed-form bound
 
         c_s^(|s|+1) * exp(a*t) * (1 + 2*c_s*exp(a*t)*||u0||)^(2|s|/(1-2|s|))
             * ||u0||_{H^s}.
     """
     index = SobolevIndex(s, 1.0)
     _require_weight_exponent(s, index.kappa)
-    problem = make_ilw(depth, u0.grid)
-    trajectory = evolve(problem, u0, t, dt)
-    lhs = sobolev_norm(trajectory.final(), index)
+    lhs = sobolev_norm(u_t, index)
     n0 = sobolev_norm(u0, index)
     growth = np.exp(a_rate * t)
     power = 2.0 * abs(s) / (1.0 - 2.0 * abs(s))

@@ -8,10 +8,16 @@ The family is parameterized by the interior wave number ``a`` and the depth;
 and its unit periodization solves the traveling equation on the circle with
 a speed correction coming from tail interactions.  As a*depth -> pi the
 periodized profiles concentrate to a negative multiple of the Dirac comb,
-which drives the low-regularity degeneration experiments.
+which drives the low-regularity degeneration experiments.  The
+exp(2*pi*i*x) coefficient of that periodization (the 2*pi-mode) has one
+closed form, a negative real amplitude whose modulus tends to 2*pi, times
+exp(-2*pi*i*c*t) at a phase speed c; the traveling wave, the
+Galilean-boosted family and the phase-rate probe each read it at their
+own speed.
 
-All hyperbolic expressions are evaluated in the exp(-|y|) form so profiles
-and lattice sums stay finite far from the core.
+All hyperbolic expressions are evaluated in the exp(-|y|) form, over one
+shared denominator, so profiles and lattice sums stay finite far from the
+core.
 """
 
 from __future__ import annotations
@@ -54,21 +60,25 @@ def _lattice_denominator(a: float, ad: float, l):
     return np.sinh(np.minimum(0.5 * a * np.abs(l), 350.0)) ** 2 + np.sin(ad) ** 2
 
 
-def _inv_cosh_plus(y, adelta: float):
-    """1 / (cosh(y) + cos(adelta)), stable for all y."""
+def _scaled_cosh_plus(y, adelta: float):
+    """exp(-|y|) and 2*exp(-|y|)*(cosh(y) + cos(adelta)), finite for all y;
+    the second is written (1 - exp(-|y|))^2 + 4*cos(adelta/2)^2*exp(-|y|)."""
     ay = np.abs(y)
     e = np.exp(-ay)
     em = -np.expm1(-ay)  # 1 - exp(-|y|), accurate near 0
-    return 2.0 * e / (em * em + 4.0 * np.cos(0.5 * adelta) ** 2 * e)
+    return e, em * em + 4.0 * np.cos(0.5 * adelta) ** 2 * e
+
+
+def _inv_cosh_plus(y, adelta: float):
+    """1 / (cosh(y) + cos(adelta)), stable for all y."""
+    e, denominator = _scaled_cosh_plus(y, adelta)
+    return 2.0 * e / denominator
 
 
 def _tanh_like(y, adelta: float):
     """sinh(y) / (cosh(y) + cos(adelta)), stable for all y."""
-    ay = np.abs(y)
-    e = np.exp(-ay)
-    em = -np.expm1(-ay)
-    num = np.sign(y) * (1.0 - np.exp(-2.0 * ay))
-    return num / (em * em + 4.0 * np.cos(0.5 * adelta) ** 2 * e)
+    _, denominator = _scaled_cosh_plus(y, adelta)
+    return np.sign(y) * (1.0 - np.exp(-2.0 * np.abs(y))) / denominator
 
 
 def _sinh_ratio(p, q):
@@ -87,10 +97,11 @@ def _profile_ratio(xi, a: float, depth: float) -> np.ndarray:
                     a * depth / np.pi)
 
 
-def _mode_2pi_modulus(a: float, depth: float) -> float:
-    """-2*pi*sinh(2*pi*depth)/sinh(2*pi^2/a), the signed amplitude of the
-    exp(2*pi*i*x) coefficient of the periodized wave."""
-    return -_TWO_PI * float(_sinh_ratio(_TWO_PI * depth, 2.0 * np.pi ** 2 / a))
+def _mode_2pi(a: float, depth: float, c: float, t: float) -> complex:
+    """The 2*pi-mode at time t of the periodized wave whose phase travels at
+    speed c (the formula of ``traveling_mode_2pi``)."""
+    modulus = -_TWO_PI * float(_sinh_ratio(_TWO_PI * depth, 2.0 * np.pi ** 2 / a))
+    return complex(modulus * np.exp(-2j * np.pi * c * t))
 
 
 @dataclass(frozen=True)
@@ -440,10 +451,7 @@ def traveling_mode_2pi(a: float, depth: float, t: float) -> complex:
     rate -2*pi*t per unit of speed, which is the mechanism behind norm
     deflation at low regularity.
     """
-    _require_regime(a, depth)
-    c = periodic_speed(a, depth)
-    modulus = _mode_2pi_modulus(a, depth)
-    return complex(modulus * np.exp(-2j * np.pi * c * t))
+    return _mode_2pi(a, depth, periodic_speed(a, depth), t)
 
 
 def mode_phase_rate(a: float, depth: float, t: float):
@@ -462,8 +470,8 @@ def mode_phase_rate(a: float, depth: float, t: float):
     step = _PHASE_PROBE_DC / (abs(t) * max(slope, 1e-300))
     step = min(step, 0.5 * (ADELTA_MAX / depth - a), 0.1 * a)
     c2 = periodic_speed(a + step, depth)
-    z1 = traveling_mode_2pi(a, depth, t)
-    z2 = traveling_mode_2pi(a + step, depth, t)
+    z1 = _mode_2pi(a, depth, c1, t)
+    z2 = _mode_2pi(a + step, depth, c2, t)
     if z1 == 0 or c2 == c1:
         raise NumericalError("no phase rate at a=%.6g, depth=%.6g: the 2*pi mode "
                              "or the speed step underflows" % (a, depth))
@@ -483,11 +491,6 @@ class IllposedObservables:
     wave_mean: float
     mode_2pi: complex
 
-    @property
-    def mean(self) -> float:
-        # the boost by gamma = wave_mean - alpha shifts the mean to alpha exactly
-        return self.alpha
-
 
 def illposed_observables(a: float, depth: float, t: float,
                          alpha: float) -> IllposedObservables:
@@ -498,10 +501,8 @@ def illposed_observables(a: float, depth: float, t: float,
     exp(-2*pi*i*(c + 2*(mu - alpha))*t) where mu = -2*a*depth is the wave
     mean; at alpha = mu this reduces to the plain traveling phase.
     """
-    _require_regime(a, depth)
     c = periodic_speed(a, depth)
     mu = -2.0 * a * depth
-    modulus = _mode_2pi_modulus(a, depth)
-    phase = np.exp(-2j * np.pi * (c + 2.0 * (mu - alpha)) * t)
+    mode = _mode_2pi(a, depth, c + 2.0 * (mu - alpha), t)
     return IllposedObservables(a=a, depth=depth, t=t, alpha=alpha, speed=c,
-                               wave_mean=mu, mode_2pi=complex(modulus * phase))
+                               wave_mean=mu, mode_2pi=mode)

@@ -988,6 +988,9 @@ def test_run_rejects_unknown_equation(tmp_path):
 # ----------------------------------------------- recorded reference outputs
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+# the explicit-solution commands have no benchmark workload; their tables are
+# recorded here, as absolute paths that replace REFERENCE when joined to it
+TEST_REFERENCE = Path(__file__).resolve().parent / "reference"
 # Refactors must reproduce the recorded tables to these tolerances.  a_hat is
 # a log-slope between samples 1/100 apart, so a relative error e in the form
 # values moves it by up to 2*e/0.01 in absolute terms.
@@ -1005,6 +1008,8 @@ def _read_rows(path):
      "runs.csv", "gronwall-ensemble/seed-1/runs.csv"),
     (["beta", "--n", "4096", "--seed", "1"],
      "beta_profile.csv", "beta-large/seed-1/beta_profile.csv"),
+    (["wave", "--n", "64"], "wave.csv", TEST_REFERENCE / "wave-n64/wave.csv"),
+    (["illposed"], "illposed.csv", TEST_REFERENCE / "illposed/illposed.csv"),
 ])
 def test_outputs_match_recorded_reference(tmp_path, capsys, argv, table,
                                           reference):

@@ -6,6 +6,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

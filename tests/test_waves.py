@@ -13,6 +13,7 @@ from ilw_lab import (
     galilean,
     make_ilw,
 )
+from ilw_lab import waves as waves_module
 from ilw_lab.waves import (
     WaveParams,
     dirac_norm_sq,
@@ -300,13 +301,26 @@ def test_mode_phase_rate():
 
 def test_illposed_observables_fields():
     obs = illposed_observables(2.0, 1.0, 0.7, 0.5)
-    assert obs.mean == 0.5
     assert obs.wave_mean == pytest.approx(-4.0, rel=1e-14)
     assert obs.speed == pytest.approx(periodic_speed(2.0, 1.0), rel=1e-14)
-    # with alpha equal to the wave mean the boost is trivial
-    plain = illposed_observables(2.0, 1.0, 0.7, -4.0)
-    assert plain.mode_2pi == pytest.approx(traveling_mode_2pi(2.0, 1.0, 0.7),
-                                           rel=1e-14)
+    # with alpha equal to the wave mean the boost is trivial, and both read
+    # the one closed form of the mode
+    plain = illposed_observables(2.0, 1.0, 0.7, obs.wave_mean)
+    assert plain.mode_2pi == traveling_mode_2pi(2.0, 1.0, 0.7)
+
+
+def test_mode_phase_rate_sums_three_speeds(monkeypatch):
+    # the base speed, the slope probe and the far speed; both modes reuse
+    # the base and far speeds
+    calls = []
+
+    def counted(a, depth):
+        calls.append(a)
+        return periodic_speed(a, depth)
+
+    monkeypatch.setattr(waves_module, "periodic_speed", counted)
+    mode_phase_rate(2.0, 1.0, 0.7)
+    assert len(calls) == 3
 
 
 def test_mode_formulas_against_evolution():
