@@ -91,11 +91,11 @@ from .symbols import (
 from .waves import (
     IllposedObservables,
     PeriodicWaveConstants,
-    PeriodicWaveProfiles,
     WaveParams,
     dirac_norm_sq,
     distance_to_dirac,
     illposed_observables,
+    lattice_profile,
     line_profile,
     line_profile_fourier,
     mode_phase_rate,

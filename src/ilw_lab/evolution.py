@@ -438,22 +438,14 @@ def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
     return Trajectory(problem=problem, times=np.asarray(times), states=states)
 
 
-def galilean(state: RealField, gamma: float, t: float, flavor: str) -> RealField:
-    """Galilean images of a state at time t.
-
-    ``shift_subtract``: u(x - 2*gamma*t) - gamma, the symmetry of the
-    single-depth family (the subtracted constant rides along with a doubled
-    transport).  ``pure_shift``: u(x + gamma*t), the change of frame used by
-    the two-depth renormalization.
-    """
-    if flavor == "shift_subtract":
-        out = state.shifted(2.0 * gamma * t)
-        coeffs = out.coeffs.copy()
-        coeffs[0] -= gamma * state.grid.length
-        return RealField(state.grid, coeffs)
-    if flavor == "pure_shift":
-        return state.shifted(-gamma * t)
-    raise ContractError("flavor must be 'shift_subtract' or 'pure_shift'")
+def galilean(state: RealField, gamma: float, t: float) -> RealField:
+    """Galilean image u(x - 2*gamma*t) - gamma of a state at time t, the
+    symmetry of the single-depth family (the subtracted constant rides
+    along with a doubled transport)."""
+    out = state.shifted(2.0 * gamma * t)
+    coeffs = out.coeffs.copy()
+    coeffs[0] -= gamma * state.grid.length
+    return RealField(state.grid, coeffs)
 
 
 def relative_drift(values: np.ndarray) -> float:

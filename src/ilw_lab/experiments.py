@@ -36,16 +36,16 @@ from .evolution import (
     relative_drift,
     step_count,
 )
-from .lax import LaxSpectrum, gronwall_ensemble, modes_to_xi_max, \
-    resolvent_state
+from .lax import LaxSpectrum, build_lax, gronwall_ensemble, \
+    modes_to_xi_max, resolvent_state
 from .spectral import HERMITIAN_RTOL, RealField, SpectralGrid
 from .symbols import smoothing_operator_scan
 from .waves import (
     distance_to_dirac,
     illposed_observables,
+    lattice_profile,
     mode_phase_rate,
     periodic_profile,
-    periodic_speed,
     periodic_wave_constants,
     traveling_residual,
 )
@@ -453,24 +453,23 @@ def run_wave(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     a = p["adelta"] / p["depth"]
     grid = SpectralGrid(1.0, p["n"])
-    profiles = periodic_profile(a, p["depth"], grid)
+    profile = periodic_profile(a, p["depth"], grid)
+    lattice = lattice_profile(a, p["depth"], grid)
     constants = periodic_wave_constants(a, p["depth"])
-    speed = periodic_speed(a, p["depth"])
-    residual = traveling_residual(profiles.fourier, speed, constants.B, p["depth"])
-    route_gap = float(np.max(np.abs(profiles.fourier.samples()
-                                    - profiles.lattice.samples())))
-    distance = distance_to_dirac(profiles.fourier, p["s_dirac"])
+    residual = traveling_residual(profile, constants.speed, constants.B,
+                                  p["depth"])
+    route_gap = float(np.max(np.abs(profile.samples() - lattice.samples())))
+    distance = distance_to_dirac(profile, p["s_dirac"])
     table = _csv(["x", "u_fourier", "u_lattice"],
-                 zip(grid.nodes, profiles.fourier.samples(),
-                     profiles.lattice.samples()))
+                 zip(grid.nodes, profile.samples(), lattice.samples()))
     report = {
         "a": a,
         "depth": p["depth"],
-        "speed": speed,
+        "speed": constants.speed,
         "v_const": constants.V,
         "d_const": constants.D,
         "b_const": constants.B,
-        "mean": profiles.fourier.mean(),
+        "mean": profile.mean(),
         "residual_sup": residual,
         "route_gap": route_gap,
         "delta_distance": distance,
@@ -489,14 +488,16 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     grid = _make_grid(p)
     state = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
     xi_max = modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0 else None
-    spectrum = LaxSpectrum.lanczos(state, p["kappa"], xi_max)
+    # one truncation serves the Lanczos measure and the resolvent solve
+    lax = build_lax(state, xi_max)
+    spectrum = LaxSpectrum.lanczos(lax, state, p["kappa"])
     kcheck = spectrum.check_kappa(p["s"], p["kappa"])
     profile = spectrum.weighted_form(p["kappa"], p["s"])
     # the shared closed-form rule that gronwall uses, against the adaptive
     # Gauss-Kronrod value
     shared_value = spectrum.shared_weighted_form(p["kappa"], p["s"])
     rule_gap = _relative_gap(shared_value, profile.value)
-    resolved = resolvent_state(state, p["kappa"], xi_max=xi_max)
+    resolved = resolvent_state(lax, p["kappa"])
     form_value = resolved.form(state)
     # the resolvent solve against the certified Lanczos measure
     gauss_value = float(spectrum.form_at(p["kappa"])[0])
@@ -592,11 +593,11 @@ def run_illposed(cfg: ExperimentConfig) -> RunReport:
     for adelta in _sweep(cfg, "adelta_list"):
         a = adelta / p["depth"]
         obs = illposed_observables(a, p["depth"], t, p["alpha"])
-        profiles = periodic_profile(a, p["depth"], grid)
-        distance = distance_to_dirac(profiles.fourier, p["s"])
-        rate, c1, _ = mode_phase_rate(a, p["depth"], t)
+        profile = periodic_profile(a, p["depth"], grid)
+        distance = distance_to_dirac(profile, p["s"])
+        rate = mode_phase_rate(a, p["depth"], t)[0]
         gamma = obs.wave_mean - p["alpha"]
-        boosted = galilean(profiles.fourier, gamma, t, "shift_subtract")
+        boosted = galilean(profile, gamma, t)
         mean_gap = abs(boosted.mean() - p["alpha"])
         rows.append((adelta, a, obs.speed, distance, abs(obs.mode_2pi),
                      float(np.angle(obs.mode_2pi)), rate, mean_gap))
@@ -675,8 +676,9 @@ def run_twodepth(cfg: ExperimentConfig) -> RunReport:
         d2 = p["depth_ratio"] * d1
         state = RealField(grid, coeffs)
         if p["frame"] == "original":
+            # back to the original frame: u(x + gamma*t)
             gamma = p["c1"] / d1 + p["c2"] / d2
-            state = galilean(state, gamma, p["t_final"], "pure_shift")
+            state = state.shifted(-gamma * p["t_final"])
         gaps.append((state - limit_final).l2_norm())
     table = _csv(["min_depth", "depth1", "depth2", "l2_gap"],
                  [(d, d, p["depth_ratio"] * d, gap)

@@ -10,7 +10,12 @@ resolvent form
 
 is nonnegative for admissible shifts, is conserved by the deep-water flow,
 and its s-weighted integral in kappa is equivalent to the squared H^s_kappa
-norm.  Every shift reads the form off one spectral measure of P_+ u
+norm.  ``build_lax`` makes the truncation (``LaxTruncation``) of a state,
+and a stack of states is one truncation too; it is the one place that
+derives the diagonal, the Toeplitz column, its circulant symbol and the
+symbol bound on lambda_min, and every route below takes the truncation it
+is given, so one bound per state certifies a shift for all of them.  Every
+shift reads the form off one spectral measure of P_+ u
 (``LaxSpectrum``).  The experiments take it as the Gauss rule of a Lanczos
 run from P_+ u, whose matrix-vector products go through an FFT, stopped
 once a Gauss-Radau upper bound certifies it at the smallest shift; one
@@ -22,12 +27,12 @@ whether or not its basis stays orthogonal (Greenbaum 1989; Musco, Musco &
 Sidford 2018), and on the fields measured its basis stays orthonormal to
 1e-11 or better.  Its FFTs run in place on buffers allocated once per run
 (``_apply_lax``).
-``lanczos_measures`` is the one batch API, over a stack of states, and
-``LaxSpectrum.lanczos`` its one-field view.
+``lanczos_measures`` is the one batch API, over a stacked truncation, and
+``LaxSpectrum.lanczos`` its one-state view.
 The resolvent state (L_u + kappa)^(-1) P_+ u comes from Jacobi-preconditioned
-conjugate gradients on the same buffered FFT operator whenever the symbol bound
-certifies the shift, with a dense Cholesky solve as fallback and oracle, so
-the certified path never builds an m x m matrix.
+conjugate gradients on the same buffered FFT operator of the same truncation
+whenever its symbol bound certifies the shift, with a dense Cholesky solve
+as fallback and oracle, so the certified path never builds an m x m matrix.
 The weighted integral integrates each node of the measure in closed form:
 integral_kappa^inf tau^(2s)/(lambda + tau) dtau is a hypergeometric
 function of lambda/kappa, which three 32-node Gauss-Jacobi rules
@@ -100,18 +105,38 @@ def _panel_nodes(a, b):
 
 @dataclass(frozen=True)
 class LaxTruncation:
-    """Hermitian truncation of the Lax matrix on the Hardy lattice.
+    """Hermitian truncation of the Lax matrix on the Hardy lattice, for one
+    state or a stack of them.
 
-    It is stored as its diagonal ``frequencies`` and the first column
-    u_hat(k)/L, k < m, of its Toeplitz part.  Products with it go through
-    the circulant ``symbol``; the dense ``matrix`` is gathered from it only
-    when read (the dense ``LaxSpectrum``, the Cholesky fallback of
-    ``resolvent_solve`` and the tests).
+    It stores the grid and the Hardy data ``g`` = (u_0, ..., u_{m-1}), of
+    shape (m,) for one state or (B, m) for a stack, and derives everything
+    else from them once, when first read: the diagonal ``frequencies``, the
+    first column u_k/L of the Toeplitz part (``column``), its circulant
+    ``symbol``, through which products go, and the symbol ``bound`` on
+    lambda_min (``_symbol_bound``), which certifies a shift for every route.
+    The dense ``matrix`` of one state is gathered only when read (the dense
+    ``LaxSpectrum``, the Cholesky fallback of ``resolvent_solve`` and the
+    tests).
     """
 
     grid: SpectralGrid
-    frequencies: np.ndarray
-    column: np.ndarray
+    g: np.ndarray
+
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        return self.grid.fundamental * np.arange(self.g.shape[-1])
+
+    @cached_property
+    def column(self) -> np.ndarray:
+        return self.g / self.grid.length
+
+    @cached_property
+    def symbol(self) -> np.ndarray:
+        return _circulant_symbol(self.column)
+
+    @cached_property
+    def bound(self) -> np.ndarray:
+        return _symbol_bound(self.g, self.grid.length)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -122,10 +147,6 @@ class LaxTruncation:
         matrix[np.diag_indices(m)] += self.frequencies
         return matrix
 
-    @cached_property
-    def symbol(self) -> np.ndarray:
-        return _circulant_symbol(self.column)
-
 
 def build_lax(u: RealField, xi_max: Optional[float] = None) -> LaxTruncation:
     """Assemble the truncated matrix for all Hardy frequencies <= xi_max.
@@ -135,14 +156,7 @@ def build_lax(u: RealField, xi_max: Optional[float] = None) -> LaxTruncation:
     field on a finer grid first when a deeper truncation is needed.  The
     default is that largest cut.
     """
-    return _truncation(u.grid, u.coeffs[:_truncation_size(u.grid, xi_max)])
-
-
-def _truncation(grid: SpectralGrid, g: np.ndarray) -> LaxTruncation:
-    """The truncation whose Hardy data is g = (u_0, ..., u_{m-1})."""
-    return LaxTruncation(grid=grid,
-                         frequencies=grid.fundamental * np.arange(g.shape[0]),
-                         column=g / grid.length)
+    return LaxTruncation(u.grid, u.coeffs[:_truncation_size(u.grid, xi_max)])
 
 
 def _truncation_size(grid: SpectralGrid, xi_max: Optional[float]) -> int:
@@ -218,9 +232,9 @@ def _apply_lax(padded: np.ndarray, spectrum: np.ndarray, symbol: np.ndarray,
     return product
 
 
-def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
-             bound: np.ndarray) -> tuple:
-    """Plain three-term Lanczos runs from the rows of g.
+def _lanczos(lax: LaxTruncation, kappa: float) -> tuple:
+    """Plain three-term Lanczos runs from the Hardy data of each state of
+    ``lax``, a one-state truncation taken as a stack of one row.
 
     The matvec is a circulant embedding of size 2m of the Toeplitz part,
     applied by FFT, plus the diagonal D, so no m x m matrix is built; it
@@ -247,9 +261,10 @@ def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
     its first k entries and zeros after them.  A row with g = 0 starts from
     e_1, and its weights come out exactly 0.
     """
+    g = np.atleast_2d(lax.g)
     rows, m = g.shape
-    freqs = fundamental * np.arange(m)
-    symbol = _circulant_symbol(g / length)
+    freqs, symbol = lax.frequencies, np.atleast_2d(lax.symbol)
+    bound = np.atleast_1d(lax.bound)
     norm = np.sqrt(np.vecdot(g, g).real)
     padded = np.zeros((rows, 2 * m), dtype=np.complex128)
     spectrum = np.empty_like(padded)
@@ -302,11 +317,12 @@ def _lanczos(g: np.ndarray, fundamental: float, length: float, kappa: float,
     return alpha, beta, steps
 
 
-def _dense_measure(lax: LaxTruncation, g: np.ndarray):
-    """Every eigenvalue of the truncation and the weight |<w_j, g>|^2 / L of
-    each eigenvector, from one ``np.linalg.eigh`` of the dense matrix."""
+def _dense_measure(lax: LaxTruncation):
+    """Every eigenvalue of a one-state truncation and the weight
+    |<w_j, g>|^2 / L of each eigenvector, from one ``np.linalg.eigh`` of the
+    dense matrix."""
     with np.errstate(over="ignore"):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = float(np.linalg.norm(lax.g))
     if not np.isfinite(gnorm):
         raise NumericalError("||P_+ u|| = %.3g is not finite" % gnorm)
     try:
@@ -316,7 +332,7 @@ def _dense_measure(lax: LaxTruncation, g: np.ndarray):
     if not (np.isfinite(values).all() and np.isfinite(vectors).all()):
         raise NumericalError("dense eigendecomposition is not finite")
     # a zero field gives every weight exactly 0
-    return values, np.abs(g @ vectors.conj()) ** 2 / lax.grid.length
+    return values, np.abs(lax.g @ vectors.conj()) ** 2 / lax.grid.length
 
 
 @dataclass(frozen=True)
@@ -328,7 +344,7 @@ class SpectralMeasures:
     0.  ``steps`` is the Lanczos steps k of each row, which carries k nodes,
     or 0 for a dense row, which carries every eigenvalue of its truncation.
     ``lambda_min`` is each row's smallest node and ``lambda_bound`` its
-    symbol bound (see ``_symbol_bound``).
+    symbol bound (``LaxTruncation.bound``).
     """
 
     nodes: np.ndarray
@@ -341,32 +357,26 @@ class SpectralMeasures:
         return self.nodes[:, 0]
 
 
-def lanczos_measures(grid: SpectralGrid, coeffs: np.ndarray, kappa: float,
-                     xi_max: Optional[float] = None) -> SpectralMeasures:
-    """The Gauss rule of a Lanczos run from P_+ u for each half spectrum in
-    the (B, n_points//2 + 1) stack ``coeffs``, certified at kappa.
+def lanczos_measures(lax: LaxTruncation, kappa: float) -> SpectralMeasures:
+    """The Gauss rule of a Lanczos run from P_+ u for each state of ``lax``
+    (a one-state truncation is a stack of one), certified at kappa.
 
     One batched recurrence serves every row, and a row's arithmetic does not
     depend on the rest of the batch.  The k x k Jacobi matrices are
     diagonalized in one stacked ``np.linalg.eigh`` per distinct k; row i
     keeps the Ritz values and ||g||^2 S[0, j]^2 / L.  A row whose
-    ``lambda_bound + kappa <= 0`` is not certified and takes the dense
+    ``lax.bound + kappa <= 0`` is not certified and takes the dense
     measure of its truncation (``_dense_measure``).  See ``LaxSpectrum``.
     """
     if not np.isfinite(kappa):
         raise ContractError("kappa must be finite")
-    coeffs = np.asarray(coeffs)
-    if coeffs.ndim != 2 or coeffs.shape[1] != grid.frequencies.shape[0]:
-        raise ContractError("states must be a (B, n_points//2 + 1) stack")
-    n_modes = _truncation_size(grid, xi_max)
-    g = coeffs[:, :n_modes]
-    bound = _symbol_bound(g, grid.length)
+    g, bound = np.atleast_2d(lax.g), np.atleast_1d(lax.bound)
     certified = bound + kappa > 0.0
     rows = np.flatnonzero(certified)
     live = g[rows]
-    alpha, beta, steps = _lanczos(live, grid.fundamental, grid.length, kappa,
-                                  bound[rows])
-    width = max(steps.max(initial=0), 0 if certified.all() else n_modes)
+    alpha, beta, steps = _lanczos(
+        lax if certified.all() else LaxTruncation(lax.grid, live), kappa)
+    width = max(steps.max(initial=0), 0 if certified.all() else g.shape[1])
     nodes = np.zeros((g.shape[0], width))
     weights = np.zeros((g.shape[0], width))
     gnorm_sq = (live.real ** 2 + live.imag ** 2).sum(axis=1)
@@ -374,9 +384,11 @@ def lanczos_measures(grid: SpectralGrid, coeffs: np.ndarray, kappa: float,
         group = steps == k
         theta, first = _golub_welsch(alpha[group, :k], beta[group, :k - 1])
         nodes[rows[group], :k] = theta
-        weights[rows[group], :k] = gnorm_sq[group, None] * first / grid.length
+        weights[rows[group], :k] = (gnorm_sq[group, None] * first
+                                    / lax.grid.length)
     for i in np.flatnonzero(~certified):
-        nodes[i], weights[i] = _dense_measure(_truncation(grid, g[i]), g[i])
+        row = lax if lax.g.ndim == 1 else LaxTruncation(lax.grid, g[i])
+        nodes[i], weights[i] = _dense_measure(row)
     all_steps = np.zeros(g.shape[0], dtype=int)
     all_steps[rows] = steps
     return SpectralMeasures(nodes=nodes, weights=weights, lambda_bound=bound,
@@ -414,7 +426,7 @@ class LaxSpectrum:
     the Jacobi matrix of a tridiagonalization started at g carries (Golub &
     Welsch, Math. Comp. 23, 1969).  Two constructors build it:
 
-    - ``LaxSpectrum.lanczos(u, kappa, xi_max)`` runs the Lanczos
+    - ``LaxSpectrum.lanczos(lax, u, kappa)`` runs the Lanczos
       recurrence from g and keeps the Gauss rule of its k x k Jacobi
       matrix: the Ritz values and ||g||^2 S[0, j]^2 / L.
       Each row stops on its own once the Gauss rule (a lower bound on
@@ -430,36 +442,38 @@ class LaxSpectrum:
       eigenvector by |<w_j, g>|^2 / L.  It gives every eigenvalue of A and
       is the oracle for the Lanczos rule.
 
-    Only ``eigenvalues`` and ``weights`` are kept, so a spectrum holds no
-    m x m array; the resolvent state m(tau) itself comes from
-    ``resolvent_solve``.  ``lanczos_steps`` is k, 0 on the dense path.
+    Both read g, the grid and the symbol bound off ``lax``, the one-state
+    truncation of ``u``, and keep only ``eigenvalues`` and ``weights``, so a
+    spectrum holds no m x m array; the resolvent state m(tau) itself comes
+    from ``resolvent_solve`` on the same truncation.  ``lanczos_steps`` is
+    k, 0 on the dense path.
     """
 
     lanczos_steps = 0
 
     def __init__(self, lax: LaxTruncation, u: RealField):
-        if u.grid != lax.grid:
-            raise ContractError("field and truncation grids differ")
-        self.grid = lax.grid
-        self.u = u
-        self.g = hardy_project(u)[:lax.frequencies.shape[0]]
-        self.eigenvalues, self.weights = _dense_measure(lax, self.g)
-        self.lambda_bound = float(_symbol_bound(self.g, self.grid.length))
+        self._read(lax, u)
+        self.eigenvalues, self.weights = _dense_measure(lax)
 
     @classmethod
-    def lanczos(cls, u: RealField, kappa: float,
-                xi_max: Optional[float] = None) -> "LaxSpectrum":
+    def lanczos(cls, lax: LaxTruncation, u: RealField,
+                kappa: float) -> "LaxSpectrum":
         """The spectrum of ``u`` from the one-row ``lanczos_measures`` call."""
-        measures = lanczos_measures(u.grid, u.coeffs[None], kappa, xi_max)
         spectrum = cls.__new__(cls)
-        spectrum.grid, spectrum.u = u.grid, u
-        spectrum.g = hardy_project(u)[:_truncation_size(u.grid, xi_max)]
-        spectrum.lambda_bound = float(measures.lambda_bound[0])
+        spectrum._read(lax, u)
+        measures = lanczos_measures(lax, kappa)
         spectrum.lanczos_steps = int(measures.steps[0])
         # a lone row fills the whole width: no padding
         spectrum.eigenvalues, spectrum.weights = (measures.nodes[0],
                                                   measures.weights[0])
         return spectrum
+
+    def _read(self, lax: LaxTruncation, u: RealField):
+        if u.grid != lax.grid or lax.g.ndim != 1:
+            raise ContractError("a spectrum takes the one-state truncation "
+                                "of its field")
+        self.grid, self.u, self.g = lax.grid, u, lax.g
+        self.lambda_bound = float(lax.bound)
 
     @property
     def lambda_min(self) -> float:
@@ -565,7 +579,8 @@ def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
     """Admissible-shift test of ``u`` on its Lanczos spectrum at kappa (see
     ``LaxSpectrum.check_kappa``): ``lambda_min`` is the smallest Ritz value
     of a certified state, which clears -kappa as the eigenvalues do."""
-    return LaxSpectrum.lanczos(u, kappa, xi_max).check_kappa(s, kappa, c_s)
+    return LaxSpectrum.lanczos(build_lax(u, xi_max), u,
+                               kappa).check_kappa(s, kappa, c_s)
 
 
 # conjugate gradients stop once the residual is below this fraction of ||g||
@@ -575,12 +590,12 @@ _PCG_RTOL = 1e-14
 def resolvent_solve(lax: LaxTruncation, kappa: float, g: np.ndarray) -> np.ndarray:
     """Solve (L_u + kappa) x = g with a residual check.
 
-    A shift certified by the symbol bound (a + kappa > 0, as in
-    ``LaxSpectrum.lanczos``) runs Jacobi-preconditioned conjugate gradients
-    on the FFT operator; otherwise, or if they have not converged after m
-    iterations, a Cholesky factorization of the dense matrix solves it and
-    raises KappaTooSmallError when the shifted matrix is not positive
-    definite.  Either way a relative residual above 1e-12 is a
+    A shift certified by the symbol bound (``lax.bound`` + kappa > 0, the
+    test that ``lanczos_measures`` makes) runs Jacobi-preconditioned
+    conjugate gradients on the FFT operator; otherwise, or if they have not
+    converged after m iterations, a Cholesky factorization of the dense
+    matrix solves it and raises KappaTooSmallError when the shifted matrix
+    is not positive definite.  Either way a relative residual above 1e-12 is a
     NumericalError.
     """
     return _resolvent_solve(lax, kappa, g)[0]
@@ -595,9 +610,8 @@ def _resolvent_solve(lax: LaxTruncation, kappa: float, g: np.ndarray):
     gnorm = float(np.linalg.norm(g))
     if not np.isfinite(gnorm):
         raise NumericalError("right-hand side norm %.3g is not finite" % gnorm)
-    # the column already carries the 1/L of the Hardy data
     solved = (_preconditioned_cg(lax, kappa, g, gnorm)
-              if _symbol_bound(lax.column, 1.0) + kappa > 0.0 else None)
+              if lax.bound + kappa > 0.0 else None)
     if solved is None:
         shifted = lax.matrix + kappa * np.eye(lax.frequencies.shape[0])
         try:
@@ -693,24 +707,22 @@ class ResolventState:
         return float(value)
 
 
-def resolvent_state(u: RealField, kappa: float,
-                    xi_max: Optional[float] = None) -> ResolventState:
-    lax = build_lax(u, xi_max)
-    g = hardy_project(u)[: lax.frequencies.shape[0]]
-    x, iterations = _resolvent_solve(lax, kappa, g)
+def resolvent_state(lax: LaxTruncation, kappa: float) -> ResolventState:
+    """m = -(L_u + kappa)^(-1) P_+ u on the one-state truncation ``lax``."""
+    x, iterations = _resolvent_solve(lax, kappa, lax.g)
     return ResolventState(coeffs=-x, iterations=iterations)
 
 
 def resolvent_form(u: RealField, kappa: float, xi_max: Optional[float] = None) -> float:
     """form(kappa; u) through two routes, cross-checked; see
     ``ResolventState.form``."""
-    return resolvent_state(u, kappa, xi_max).form(u)
+    return resolvent_state(build_lax(u, xi_max), kappa).form(u)
 
 
 def resolvent_form_gradient(u: RealField, kappa: float,
                             xi_max: Optional[float] = None) -> RealField:
     """Variational derivative -(m + conj(m) + |m|^2) as a real field."""
-    state = resolvent_state(u, kappa, xi_max)
+    state = resolvent_state(build_lax(u, xi_max), kappa)
     m_phys = synthesize(u.grid, hardy_embed(u.grid, state.coeffs))
     samples = -(2.0 * m_phys.real + np.abs(m_phys) ** 2)
     return forward_transform(samples, u.grid)
@@ -970,7 +982,8 @@ def weighted_resolvent_form(u: RealField, kappa: float, s: float,
                             ) -> WeightedFormProfile:
     """integral_kappa^inf tau^(2s) form(tau; u) dtau on the adaptive rule of
     its spectrum; see ``LaxSpectrum.weighted_form``."""
-    return LaxSpectrum.lanczos(u, kappa, xi_max).weighted_form(kappa, s)
+    return LaxSpectrum.lanczos(build_lax(u, xi_max), u,
+                               kappa).weighted_form(kappa, s)
 
 
 @dataclass(frozen=True)
@@ -1002,12 +1015,12 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
     _require_weight_exponent(s, kappa)
     grid = u.grid
     lax = build_lax(u, xi_max)
-    spectrum = LaxSpectrum.lanczos(u, kappa, xi_max)
+    spectrum = LaxSpectrum.lanczos(lax, u, kappa)
     # its first form_at checks the shift
     rule = build_weighted_rule(spectrum.form_at, kappa, s)
 
     q = apply_smoothing_dx(u, depth).samples()
-    m = [-resolvent_solve(lax, tau, spectrum.g) for tau in rule.taus]
+    m = [-resolvent_solve(lax, tau, lax.g) for tau in rule.taus]
     m_phys = synthesize(grid, hardy_embed(grid, m))
 
     i1 = complex(rule.combine(-(m_phys @ q) * grid.spacing))
@@ -1099,6 +1112,7 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     grid = initials[0].grid
     if any(u0.grid != grid for u0 in initials):
         raise ContractError("ensemble members live on different grids")
+    n_modes = _truncation_size(grid, None)
     by_depth = {depth: make_problem(equation, depth, grid)
                 for depth in dict.fromkeys(depths)}
     problems = [by_depth[depth] for depth in depths]
@@ -1124,7 +1138,8 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
         for block in _sample_blocks(samples, per_call):
             # rows in time order, then member order
             coeffs = np.concatenate([c for _, c in block])
-            measures = lanczos_measures(grid, coeffs, kappa)
+            measures = lanczos_measures(
+                LaxTruncation(grid, coeffs[:, :n_modes]), kappa)
             if not times and not measures.weights[:len(members)].any(axis=1).all():
                 # all weights vanish exactly when form(kappa; u0) = 0
                 raise ContractError("initial data has zero weighted form; "

@@ -6,14 +6,17 @@ The family is parameterized by the interior wave number ``a`` and the depth;
     u(t, x) = -a * sin(a*depth) / (cosh(a*(x - c*t)) + cos(a*depth)),
 
 and its unit periodization solves the traveling equation on the circle with
-a speed correction coming from tail interactions.  As a*depth -> pi the
-periodized profiles concentrate to a negative multiple of the Dirac comb,
-which drives the low-regularity degeneration experiments.  The
-exp(2*pi*i*x) coefficient of that periodization (the 2*pi-mode) has one
-closed form, a negative real amplitude whose modulus tends to 2*pi, times
-exp(-2*pi*i*c*t) at a phase speed c; the traveling wave, the
-Galilean-boosted family and the phase-rate probe each read it at their
-own speed.
+a speed correction V coming from tail interactions.  The periodization has
+two independent routes, its Fourier coefficients (``periodic_profile``)
+and the direct sum of its translates (``lattice_profile``), and
+``periodic_wave_constants`` sums V once for both V and the speed.  As
+a*depth -> pi the periodized profiles concentrate to a negative multiple
+of the Dirac comb, which drives the low-regularity degeneration
+experiments.  The exp(2*pi*i*x) coefficient of that periodization (the
+2*pi-mode) has one closed form, a negative real amplitude whose modulus
+tends to 2*pi, times exp(-2*pi*i*c*t) at a phase speed c; the traveling
+wave, the Galilean-boosted family and the phase-rate probe each read it at
+their own speed.
 
 All hyperbolic expressions are evaluated in the exp(-|y|) form, over one
 shared denominator, so profiles and lattice sums stay finite far from the
@@ -193,9 +196,12 @@ def periodic_speed(a: float, depth: float) -> float:
 
     where V collects the interactions between lattice translates.
     """
-    _require_regime(a, depth)
+    return _speed(a, depth, interaction_sum_v(a, depth))
+
+
+def _speed(a: float, depth: float, v: float) -> float:
+    """The formula of ``periodic_speed`` at a summed V."""
     ad = a * depth
-    v = interaction_sum_v(a, depth)
     return 1.0 / depth - a * np.cos(ad) / np.sin(ad) - v
 
 
@@ -213,12 +219,12 @@ def interaction_sum_v(a: float, depth: float) -> float:
 @dataclass(frozen=True)
 class PeriodicWaveConstants:
     """Closed-form lattice constants entering the periodized traveling
-    equation: speed correction V, interaction constant D > 0, and the
-    equation's constant right side B = -D."""
+    equation: speed correction V, the speed it gives (``periodic_speed``),
+    interaction constant D > 0, and the equation's constant right side
+    B = -D."""
 
-    a: float
-    depth: float
     V: float
+    speed: float
     D: float
 
     @property
@@ -229,8 +235,9 @@ class PeriodicWaveConstants:
 def periodic_wave_constants(a: float, depth: float) -> PeriodicWaveConstants:
     """Constants of the periodized traveling equation.
 
-    V is the speed correction from interacting translates.  D is the constant
-    part of the squared wave left over after matching the V*U term,
+    V is the speed correction from interacting translates, summed once for
+    both V and the speed.  D is the constant part of the squared wave left
+    over after matching the V*U term,
 
         D = 2*a^2*sin(a*depth)^2 * sum_{l>=1} l*coth(a*l/2)
             / (sinh(a*l/2)^2 + sin(a*depth)^2),
@@ -247,32 +254,30 @@ def periodic_wave_constants(a: float, depth: float) -> PeriodicWaveConstants:
         return l / np.tanh(0.5 * a * l) / _lattice_denominator(a, ad, l)
 
     d = 2.0 * a ** 2 * s2 * _series(term_d, 0.0, "interaction-constant")
-    return PeriodicWaveConstants(a=a, depth=depth,
-                                 V=interaction_sum_v(a, depth), D=d)
+    v = interaction_sum_v(a, depth)
+    return PeriodicWaveConstants(V=v, speed=_speed(a, depth, v), D=d)
 
 
-@dataclass(frozen=True)
-class PeriodicWaveProfiles:
-    """The periodized wave computed through two independent routes."""
-
-    fourier: RealField
-    lattice: RealField
-
-
-def periodic_profile(a: float, depth: float, grid: SpectralGrid) -> PeriodicWaveProfiles:
-    """Unit periodization of the line wave, by coefficients and by summation.
-
-    Fourier route: coefficients -2*pi*sinh(depth*xi)/sinh(pi*xi/a) on
-    xi in 2*pi*Z (value -2*a*depth at xi = 0, so the mean is -2*a*depth).
-    Lattice route: direct summation of translates; the summand decays like
-    exp(-a*|n|) so symmetric truncation at SERIES_TOL is exact to rounding.
-    The two agree by Poisson summation.
+def periodic_profile(a: float, depth: float, grid: SpectralGrid) -> RealField:
+    """Unit periodization of the line wave from its coefficients
+    -2*pi*sinh(depth*xi)/sinh(pi*xi/a) on xi in 2*pi*Z (value -2*a*depth at
+    xi = 0, so the mean is -2*a*depth).  ``lattice_profile`` sums the same
+    field in physical space; the two agree by Poisson summation.
     """
     _require_regime(a, depth)
     _require_unit_circle(grid)
     ratio = _profile_ratio(grid.frequencies, a, depth)
-    fourier = RealField(grid, -_TWO_PI * ratio + 0j)
+    return RealField(grid, -_TWO_PI * ratio + 0j)
 
+
+def lattice_profile(a: float, depth: float, grid: SpectralGrid) -> RealField:
+    """Unit periodization of the line wave by direct summation of its
+    translates: the summand decays like exp(-a*|n|), so symmetric
+    truncation at SERIES_TOL is exact to rounding.  The independent route
+    to ``periodic_profile``.
+    """
+    _require_regime(a, depth)
+    _require_unit_circle(grid)
     x = grid.nodes
     ad = a * depth
     amp = -a * np.sin(ad)
@@ -281,8 +286,7 @@ def periodic_profile(a: float, depth: float, grid: SpectralGrid) -> PeriodicWave
         return amp * _inv_cosh_plus(a * (x + n), ad)
 
     samples = _series(lambda n: term(n) + term(-n), term(0), "profile")
-    lattice = forward_transform(samples, grid)
-    return PeriodicWaveProfiles(fourier=fourier, lattice=lattice)
+    return forward_transform(samples, grid)
 
 
 def traveling_residual(profile: RealField, c: float, b: float, depth: float) -> float:
@@ -322,10 +326,8 @@ def wave_coth_image(a: float, depth: float, grid: SpectralGrid) -> CothImageRout
     -2*a*x; adding 2*a*x back selects the periodic branch that the
     multiplier route produces.
     """
-    _require_regime(a, depth)
-    _require_unit_circle(grid)
-    profiles = periodic_profile(a, depth, grid)
-    image = multiplier_apply(profiles.fourier, lambda xi: coth_symbol(xi, depth))
+    image = multiplier_apply(periodic_profile(a, depth, grid),
+                             lambda xi: coth_symbol(xi, depth))
 
     x = grid.nodes
     ad = a * depth

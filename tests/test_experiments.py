@@ -701,6 +701,41 @@ def test_illposed_sorts_its_sweep(tmp_path, capsys):
     assert [float(row.split(",")[0]) for row in rows] == [2.8, 3.0]
 
 
+def test_wave_sums_the_speed_correction_once(monkeypatch):
+    # the wave constants carry the speed of their own V
+    from ilw_lab import waves
+
+    calls = []
+    interaction_sum_v = waves.interaction_sum_v
+
+    def counted(a, depth):
+        calls.append(a)
+        return interaction_sum_v(a, depth)
+
+    monkeypatch.setattr(waves, "interaction_sum_v", counted)
+    experiments.run_wave(load_config("wave"))
+    assert len(calls) == 1
+
+
+def test_illposed_sums_no_lattice_profile(monkeypatch):
+    # the sweep reads only the Fourier profile, so it sums no translates
+    from ilw_lab import waves
+
+    calls = []
+    inv_cosh_plus = waves._inv_cosh_plus
+
+    def counted(y, adelta):
+        calls.append(adelta)
+        return inv_cosh_plus(y, adelta)
+
+    monkeypatch.setattr(waves, "_inv_cosh_plus", counted)
+    experiments.run_illposed(load_config("illposed"))
+    assert calls == []
+    # the wave command still sums its lattice route through it
+    experiments.run_wave(load_config("wave"))
+    assert calls
+
+
 # -------------------------------------------------------------- determinism
 
 SIM_ARGS = ["simulate", "--n", "128", "--t-final", "0.1", "--dt", "1e-3",
@@ -824,9 +859,9 @@ def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
         stepped.append(len(coeffs))
         return stepper(problems, coeffs, *args)
 
-    def counting_lanczos(grid, coeffs, *args):
-        measured.append(len(coeffs))
-        return lanczos(grid, coeffs, *args)
+    def counting_lanczos(lax, *args):
+        measured.append(len(lax.g))
+        return lanczos(lax, *args)
 
     monkeypatch.setattr(lax_module, "etdrk4_samples", counting_stepper)
     monkeypatch.setattr(lax_module, "lanczos_measures", counting_lanczos)

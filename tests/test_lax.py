@@ -35,7 +35,7 @@ from ilw_lab import (
 from ilw_lab.cli import main
 from ilw_lab.experiments import load_config, run, run_beta
 from ilw_lab import lax as lax_module
-from ilw_lab.lax import KappaCheck, KappaRule, LaxSpectrum
+from ilw_lab.lax import KappaCheck, KappaRule, LaxSpectrum, LaxTruncation
 from ilw_lab.spectral import (
     SobolevIndex,
     hardy_embed,
@@ -52,6 +52,13 @@ def constant_field(grid, value):
     coeffs = np.zeros(grid.n_points // 2 + 1, dtype=np.complex128)
     coeffs[0] = value * grid.length
     return RealField(grid, coeffs)
+
+
+def _stacked_lax(fields, xi_max=None):
+    """The stacked truncation of ``fields``, each cut as ``build_lax`` cuts
+    it."""
+    return LaxTruncation(fields[0].grid,
+                         np.stack([build_lax(u, xi_max).g for u in fields]))
 
 
 def full_spectrum(u):
@@ -174,8 +181,7 @@ def _jacobi(spectrum, kappa):
     beta_1..beta_k), beta_k being the last residual norm."""
     grid = spectrum.grid
     alpha, beta, steps = lax_module._lanczos(
-        spectrum.g[None], grid.fundamental, grid.length, kappa,
-        np.array([spectrum.lambda_bound]))
+        LaxTruncation(grid, spectrum.g[None]), kappa)
     return alpha[0, :steps[0]], beta[0, :steps[0]]
 
 
@@ -228,7 +234,7 @@ def test_lanczos_gauss_radau_enclosure(case):
     u, m = _ENCLOSURE_CASES[case]
     kappa, s = 32.0, -0.25
     xi_max = (m - 0.5) * u.grid.fundamental  # m modes; m = 1 included
-    spectrum = LaxSpectrum.lanczos(u, kappa, xi_max)
+    spectrum = LaxSpectrum.lanczos(build_lax(u, xi_max), u, kappa)
     dense = LaxSpectrum(build_lax(u, xi_max), u)
     steps = spectrum.lanczos_steps
     assert 1 <= steps <= m
@@ -275,11 +281,10 @@ def test_lanczos_rows_do_not_depend_on_the_batch():
     fields[3] = constant_field(grid, -1.5)
     for m in (3, 17, 64):
         xi_max = modes_to_xi_max(grid, m)
-        batch = lanczos_measures(grid, np.stack([u.coeffs for u in fields]),
-                                 32.0, xi_max)
+        batch = lanczos_measures(_stacked_lax(fields, xi_max), 32.0)
         assert len(set(batch.steps.tolist())) > 1
         for i, u in enumerate(fields):
-            alone = LaxSpectrum.lanczos(u, 32.0, xi_max)
+            alone = LaxSpectrum.lanczos(build_lax(u, xi_max), u, 32.0)
             assert alone.u is u
             assert np.array_equal(alone.g, hardy_project(u)[:m])
             steps = batch.steps[i]
@@ -299,7 +304,7 @@ def test_lanczos_second_pass_runs_at_breakdown(m):
     grid = SpectralGrid(TWO_PI, 256)
     u = constant_field(grid, -2.0)
     xi_max = modes_to_xi_max(grid, m)
-    spectrum = LaxSpectrum.lanczos(u, 32.0, xi_max)
+    spectrum = LaxSpectrum.lanczos(build_lax(u, xi_max), u, 32.0)
     assert spectrum.lanczos_steps == 1
     dense = LaxSpectrum(build_lax(u, xi_max), u)
     taus = np.array([32.0, 32.0 * np.e ** 3, 1e4])
@@ -322,8 +327,8 @@ def _lanczos_fields(tmp_path, monkeypatch):
     lambda_min/kappa = -0.50), with the grid and kappa of each."""
     blocks = []
 
-    def first_block(grid, coeffs, kappa, *args):
-        blocks.append((grid, coeffs.copy(), kappa))
+    def first_block(lax, kappa):
+        blocks.append((lax.grid, lax.g.copy(), kappa))
         raise _FirstBlock
 
     with monkeypatch.context() as patch:
@@ -446,9 +451,9 @@ def test_plain_lanczos_matches_the_reorthogonalized_run(tmp_path,
         g = coeffs[:, :lax_module._truncation_size(grid, None)]
         bound = lax_module._symbol_bound(g, grid.length)
         assert np.all(bound + kappa > 0.0)
-        plain = lanczos_measures(grid, coeffs, kappa)
-        alpha, beta, steps = lax_module._lanczos(
-            g, grid.fundamental, grid.length, kappa, bound)
+        plain = lanczos_measures(LaxTruncation(grid, g), kappa)
+        alpha, beta, steps = lax_module._lanczos(LaxTruncation(grid, g),
+                                                 kappa)
         want_alpha, want_beta, want_steps = _reorthogonalized_lanczos(
             g, grid.fundamental, grid.length, kappa, bound)
         assert np.array_equal(plain.steps, want_steps)
@@ -481,8 +486,7 @@ def test_shared_rule_rows_do_not_depend_on_the_batch():
                   [(0.4, 0.25), (3.0, 0.0), (0.3, 0.0), (1.0, 0.0),
                    (2.0, 0.05), (0.4, 0.5)])]
     kappa, s = 32.0, -0.25
-    measures = lanczos_measures(grid, np.stack([u.coeffs for u in fields]),
-                                kappa)
+    measures = lanczos_measures(_stacked_lax(fields), kappa)
     steps = measures.steps
     assert steps.min() < 8 and steps.max() > 16
     assert measures.nodes.shape == measures.weights.shape == (6, steps.max())
@@ -491,7 +495,7 @@ def test_shared_rule_rows_do_not_depend_on_the_batch():
     for i, u in enumerate(fields):
         assert not measures.nodes[i, steps[i]:].any()
         assert not measures.weights[i, steps[i]:].any()
-        alone = LaxSpectrum.lanczos(u, kappa)
+        alone = LaxSpectrum.lanczos(build_lax(u), u, kappa)
         assert alone.lanczos_steps == steps[i]
         assert values[i] == alone.shared_weighted_form(kappa, s)
 
@@ -516,16 +520,15 @@ def test_symbol_bound_is_below_lambda_min():
 
 
 def test_spectra_carry_the_symbol_bound_of_their_measure():
-    # a Lanczos view reads its row's bound off the measure, the dense
-    # constructor computes it once; both equal the bound of the Hardy data
+    # a Lanczos view, the dense constructor and a stacked call all read the
+    # bound of their truncation; each equals the bound of the Hardy data
     grid = SpectralGrid(TWO_PI, 128)
     fields = [random_field(grid, -0.25, amp, seed, decay=0.25)
               for amp, seed in ((0.3, 7), (5.0, 3), (0.0, 1))]
     kappa = 2.0
-    measures = lax_module.lanczos_measures(
-        grid, np.stack([u.coeffs for u in fields]), kappa)
+    measures = lax_module.lanczos_measures(_stacked_lax(fields), kappa)
     for u, bound in zip(fields, measures.lambda_bound):
-        spectrum = LaxSpectrum.lanczos(u, kappa)
+        spectrum = LaxSpectrum.lanczos(build_lax(u), u, kappa)
         expected = lax_module._symbol_bound(spectrum.g, grid.length)
         assert spectrum.lambda_bound == bound == expected
         assert LaxSpectrum(build_lax(u), u).lambda_bound == expected
@@ -541,23 +544,22 @@ def test_uncertified_rows_take_the_dense_path():
     kappa = 2.0
     dense = LaxSpectrum(build_lax(big), big)
     assert dense.lambda_bound + kappa <= 0.0
-    mixed = lanczos_measures(grid, np.stack([small.coeffs, big.coeffs]),
-                             kappa)
+    mixed = lanczos_measures(_stacked_lax([small, big]), kappa)
     assert mixed.steps[1] == 0
     assert np.array_equal(mixed.nodes[1], dense.eigenvalues)
     assert np.array_equal(mixed.weights[1], dense.weights)
-    lone = LaxSpectrum.lanczos(big, kappa)
+    lone = LaxSpectrum.lanczos(build_lax(big), big, kappa)
     assert lone.lanczos_steps == 0
     for name in ("g", "eigenvalues", "weights"):
         assert np.array_equal(getattr(lone, name), getattr(dense, name))
-    alone = LaxSpectrum.lanczos(small, kappa)
+    alone = LaxSpectrum.lanczos(build_lax(small), small, kappa)
     steps = alone.lanczos_steps
     assert steps > 0 and mixed.steps[0] == steps
     assert np.array_equal(mixed.weights[0, :steps], alone.weights)
     assert np.array_equal(mixed.nodes[0, :steps], alone.eigenvalues)
     assert not mixed.weights[0, steps:].any()
     with pytest.raises(ContractError):
-        LaxSpectrum.lanczos(small, np.inf)
+        LaxSpectrum.lanczos(build_lax(small), small, np.inf)
 
 
 def test_build_lax_validation():
@@ -773,6 +775,23 @@ def test_resolvent_solve_uncertified_shift_is_cholesky(monkeypatch):
     assert np.linalg.norm(x - oracle) <= 1e-14 * np.linalg.norm(oracle)
 
 
+def test_one_bound_certifies_both_routes():
+    # kappa = -a exactly: the shift is not certified, so the Lanczos route
+    # takes the dense measure and the resolvent solve the Cholesky
+    # factorization, both read off the truncation's one bound (a bound of
+    # g/L instead of g sits an ulp higher here, and certified the solve)
+    grid = SpectralGrid(TWO_PI, 128)
+    u = random_field(grid, -0.25, 3.0, 14, decay=0.3)
+    kappa = 1.1631720455308805
+    lax = build_lax(u)
+    assert lax.bound + kappa == 0.0
+    assert lanczos_measures(lax, kappa).steps.tolist() == [0]
+    x, iterations = lax_module._resolvent_solve(lax, kappa, lax.g)
+    assert iterations == 0
+    shifted = lax.matrix + kappa * np.eye(lax.g.shape[0])
+    assert np.linalg.norm(shifted @ x - lax.g) <= 1e-12 * np.linalg.norm(lax.g)
+
+
 def test_lax_truncation_builds_its_matrix_only_when_read():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
@@ -788,7 +807,7 @@ def test_resolvent_state_decays_with_kappa():
     frequencies = build_lax(u).frequencies
     logs = []
     for kappa in (8.0, 16.0, 32.0, 64.0):
-        state = resolvent_state(u, kappa)
+        state = resolvent_state(build_lax(u), kappa)
         logs.append(np.log(hardy_norm(state.coeffs, frequencies, grid.length,
                                       SobolevIndex(-0.25, 1.0))))
     slope = np.polyfit(np.log([8.0, 16.0, 32.0, 64.0]), logs, 1)[0]
@@ -919,7 +938,7 @@ def test_weighted_rule_bisects_a_near_critical_state():
     # still agrees with the shared closed-form rule to rounding
     u = random_field(SpectralGrid(1.0, 256), -0.25, 20.0, 1, 0.02)
     kappa, s = 32.0, -0.25
-    spectrum = LaxSpectrum.lanczos(u, kappa)
+    spectrum = LaxSpectrum.lanczos(build_lax(u), u, kappa)
     assert spectrum.lambda_min < -0.5 * kappa
     profile = spectrum.weighted_form(kappa, s)
     rule = profile.rule
@@ -994,7 +1013,8 @@ def test_shared_rule_takes_the_closed_form_below_half_kappa(monkeypatch):
     monkeypatch.setattr(lax_module, "build_weighted_rule",
                         lambda *args, **kwargs: builds.append(args))
     for c in (-0.75 * kappa, -0.99 * kappa):
-        spectrum = LaxSpectrum.lanczos(constant_field(grid, c), kappa)
+        field = constant_field(grid, c)
+        spectrum = LaxSpectrum.lanczos(build_lax(field), field, kappa)
         assert spectrum.lanczos_steps == 1
         assert spectrum.lambda_bound + kappa > 0.0
         assert spectrum.lambda_min == pytest.approx(c, rel=1e-15)
@@ -1046,8 +1066,8 @@ def test_flow_derivative_against_dense_eigenvectors(amplitude, seed, kappa):
     u = random_field(grid, -0.25, amplitude, seed, decay=0.25)
     lax = build_lax(u)
     # the rule that form_flow_derivative builds
-    rule = build_weighted_rule(LaxSpectrum.lanczos(u, kappa).form_at,
-                               kappa, -0.25)
+    rule = build_weighted_rule(
+        LaxSpectrum.lanczos(lax, u, kappa).form_at, kappa, -0.25)
     flow = form_flow_derivative(u, kappa, 1.0, -0.25)
 
     g = hardy_project(u)[: lax.frequencies.shape[0]]
@@ -1081,7 +1101,7 @@ def test_flow_derivative_matches_finite_differences():
 
     def beta(state):
         # the shared rule does not depend on the state
-        return LaxSpectrum.lanczos(state, kappa, xi_max) \
+        return LaxSpectrum.lanczos(build_lax(state, xi_max), state, kappa) \
             .shared_weighted_form(kappa, s)
 
     fd = (beta(states[0.25 + h]) - beta(states[0.25 - h])) / (2.0 * h)
@@ -1100,7 +1120,7 @@ def test_weighted_form_conserved_by_deep_water_flow():
     mid = states[0.25]
 
     def beta(state):
-        return LaxSpectrum.lanczos(state, kappa, xi_max) \
+        return LaxSpectrum.lanczos(build_lax(state, xi_max), state, kappa) \
             .shared_weighted_form(kappa, s)
 
     fd = (beta(states[0.25 + h]) - beta(states[0.25 - h])) / (2.0 * h)
@@ -1137,16 +1157,16 @@ def test_gronwall_experiment_matches_public_functions():
                                  n_samples=10)
     states = evolve(make_ilw(1.0, grid), u0, 0.2, dt=1e-3,
                     store_stride=20).states
-    values = [LaxSpectrum.lanczos(state, kappa).shared_weighted_form(
-        kappa, s) for state in states]
-    rule = build_weighted_rule(LaxSpectrum.lanczos(u0, kappa).form_at,
-                               kappa, s)
-    spectra = [LaxSpectrum.lanczos(state, kappa) for state in states]
+    values = [LaxSpectrum.lanczos(build_lax(state), state, kappa)
+              .shared_weighted_form(kappa, s) for state in states]
+    rule = build_weighted_rule(
+        LaxSpectrum.lanczos(build_lax(u0), u0, kappa).form_at, kappa, s)
+    spectra = [LaxSpectrum.lanczos(build_lax(state), state, kappa)
+               for state in states]
     frozen = np.array([rule.combine(spectrum.form_at(rule.taus))
                        for spectrum in spectra])
     # the rows of one call over the states are their one-field measures
-    measures = lanczos_measures(grid, np.stack([u.coeffs for u in states]),
-                                kappa)
+    measures = lanczos_measures(_stacked_lax(states), kappa)
     for i, spectrum in enumerate(spectra):
         steps = spectrum.lanczos_steps
         assert measures.steps[i] == steps
@@ -1193,9 +1213,9 @@ def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
     calls = []
     lanczos = lax_module.lanczos_measures
 
-    def recording_lanczos(grid, coeffs, *args):
-        measures = lanczos(grid, coeffs, *args)
-        calls.append((coeffs.copy(), measures))
+    def recording_lanczos(lax, *args):
+        measures = lanczos(lax, *args)
+        calls.append((lax.g.copy(), measures))
         return measures
 
     def run_ensemble():
@@ -1207,7 +1227,8 @@ def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
     assert [len(coeffs) for coeffs, _ in calls] == [63, 30]
     for coeffs, measures in calls:
         for start in range(0, len(coeffs), 3):
-            alone = lanczos(grid, coeffs[start:start + 3], kappa)
+            alone = lanczos(LaxTruncation(grid, coeffs[start:start + 3]),
+                            kappa)
             width = alone.nodes.shape[1]
             rows = slice(start, start + 3)
             for name in ("nodes", "weights"):
@@ -1242,9 +1263,9 @@ def test_pending_samples_are_checked_before_a_stepper_error(
     measured = []
     lanczos = lax_module.lanczos_measures
 
-    def counting_lanczos(grid, coeffs, *args):
-        measured.append(len(coeffs))
-        return lanczos(grid, coeffs, *args)
+    def counting_lanczos(lax, *args):
+        measured.append(len(lax.g))
+        return lanczos(lax, *args)
 
     def failing_stepper(problems, coeffs, t_final, dt, stride):
         yield 0.0, coeffs
@@ -1275,9 +1296,9 @@ def test_a_block_reports_its_first_failing_sample(tmp_path, capsys,
     measured, failing = [], []
     lanczos = lax_module.lanczos_measures
 
-    def counting_lanczos(grid, coeffs, *args):
-        measured.append(len(coeffs))
-        return lanczos(grid, coeffs, *args)
+    def counting_lanczos(lax, *args):
+        measured.append(len(lax.g))
+        return lanczos(lax, *args)
 
     def stepper(problems, coeffs, t_final, dt, stride):
         yield 0.0, coeffs
@@ -1325,9 +1346,9 @@ def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
         cholesky_calls.append(np.shape(a))
         return np_cholesky(a, *args, **kwargs)
 
-    def counting_lanczos(g, *args):
-        lanczos_rows.extend(row.tobytes() for row in g)
-        return lanczos(g, *args)
+    def counting_lanczos(lax, *args):
+        lanczos_rows.extend(row.tobytes() for row in np.atleast_2d(lax.g))
+        return lanczos(lax, *args)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)

@@ -21,6 +21,7 @@ from ilw_lab.waves import (
     distance_to_dirac,
     illposed_observables,
     interaction_sum_v,
+    lattice_profile,
     line_profile,
     line_profile_fourier,
     mode_phase_rate,
@@ -122,23 +123,24 @@ def test_periodization_routes_agree():
     # Fourier coefficients vs direct lattice summation (Poisson summation)
     grid = SpectralGrid(1.0, 256)
     for adelta in (1.0, 2.0, 3.0):
-        profiles = periodic_profile(adelta, 1.0, grid)
-        gap = np.max(np.abs(profiles.fourier.coeffs - profiles.lattice.coeffs))
+        profile = periodic_profile(adelta, 1.0, grid)
+        gap = np.max(np.abs(profile.coeffs
+                            - lattice_profile(adelta, 1.0, grid).coeffs))
         assert gap < 1e-10
-        assert profiles.fourier.coeffs[0] == pytest.approx(-2.0 * adelta,
-                                                           rel=1e-14)
+        assert profile.coeffs[0] == pytest.approx(-2.0 * adelta, rel=1e-14)
 
 
 def test_periodic_profile_validation():
     grid = SpectralGrid(1.0, 64)
-    with pytest.raises(ContractError):
-        periodic_profile(np.pi - 1e-4, 1.0, grid)  # too close to collapse
-    with pytest.raises(ContractError):
-        periodic_profile(-1.0, 1.0, grid)
-    with pytest.raises(ContractError):
-        periodic_profile(1.0, -1.0, grid)
-    with pytest.raises(ContractError):
-        periodic_profile(2.0, 1.0, SpectralGrid(2.0, 64))  # unit circle only
+    for route in (periodic_profile, lattice_profile):
+        with pytest.raises(ContractError):
+            route(np.pi - 1e-4, 1.0, grid)  # too close to collapse
+        with pytest.raises(ContractError):
+            route(-1.0, 1.0, grid)
+        with pytest.raises(ContractError):
+            route(1.0, -1.0, grid)
+        with pytest.raises(ContractError):
+            route(2.0, 1.0, SpectralGrid(2.0, 64))  # unit circle only
 
 
 def test_periodic_speed_examples():
@@ -170,7 +172,7 @@ def test_traveling_equation_residual_mesh():
     for adelta in (0.8, 1.5, 2.2, 2.8, 3.05):
         for depth in (0.5, 1.0, 2.0):
             a = adelta / depth
-            profile = periodic_profile(a, depth, grid).fourier
+            profile = periodic_profile(a, depth, grid)
             k = periodic_wave_constants(a, depth)
             residual = traveling_residual(profile, periodic_speed(a, depth),
                                           k.B, depth)
@@ -179,7 +181,7 @@ def test_traveling_equation_residual_mesh():
 
 def test_traveling_residual_detects_wrong_speed():
     grid = SpectralGrid(1.0, 1024)
-    profile = periodic_profile(2.0, 1.0, grid).fourier
+    profile = periodic_profile(2.0, 1.0, grid)
     k = periodic_wave_constants(2.0, 1.0)
     c = periodic_speed(2.0, 1.0)
     assert traveling_residual(profile, c + 0.1, k.B, 1.0) >= 0.099 * profile.sup_norm()
@@ -262,7 +264,7 @@ def test_dirac_tail_absolute_value():
 def test_distance_to_dirac():
     grid = SpectralGrid(1.0, 1024)
     s = -0.6
-    distances = [distance_to_dirac(periodic_profile(ad, 1.0, grid).fourier, s)
+    distances = [distance_to_dirac(periodic_profile(ad, 1.0, grid), s)
                  for ad in (2.8, 3.0, 3.1, 3.14)]
     assert distances == sorted(distances, reverse=True)
     # a field whose grid coefficients all equal -2*pi differs from the comb
@@ -280,7 +282,7 @@ def test_distance_to_dirac():
 def test_traveling_mode_matches_profile():
     grid = SpectralGrid(1.0, 128)
     for adelta in (1.5, 2.0, 2.9):
-        profile = periodic_profile(adelta, 1.0, grid).fourier
+        profile = periodic_profile(adelta, 1.0, grid)
         z0 = traveling_mode_2pi(adelta, 1.0, 0.0)
         assert z0 == pytest.approx(complex(profile.coeffs[1]), rel=1e-13)
     # modulus climbs to 2*pi at the collapse
@@ -328,14 +330,14 @@ def test_mode_formulas_against_evolution():
     # coefficient, bare and Galilean-boosted
     a, depth, t, alpha = 2.0, 1.0, 0.05, 0.5
     grid = SpectralGrid(1.0, 256)
-    profile = periodic_profile(a, depth, grid).fourier
+    profile = periodic_profile(a, depth, grid)
     u_t = evolve(make_ilw(depth, grid), profile, t, dt=2e-5,
                  store_stride=2500).final()
     z = traveling_mode_2pi(a, depth, t)
     assert abs(complex(u_t.coeffs[1]) - z) < 1e-10 * abs(z)
 
     mu = -2.0 * a * depth
-    boosted = galilean(u_t, mu - alpha, t, "shift_subtract")
+    boosted = galilean(u_t, mu - alpha, t)
     obs = illposed_observables(a, depth, t, alpha)
     assert abs(complex(boosted.coeffs[1]) - obs.mode_2pi) < 1e-10 * abs(obs.mode_2pi)
     assert abs(boosted.mean() - alpha) < 1e-12
