@@ -4,10 +4,14 @@ The package models the finite-depth internal-wave equation as a
 perturbation of its deep-water limit: periodic grids and Sobolev norms
 (`spectral`), the dispersive and smoothing multipliers (`symbols`),
 exponential time integration with conserved-quantity monitors
-(`evolution`), explicit traveling waves and their degenerate limits
+(`evolution`), the periodized traveling waves and their degenerate limits
 (`waves`), the truncated Hardy-space Lax matrix with its resolvent
 functionals (`lax`), and deterministic batch experiments behind the
 ``ilw-lab`` command (`experiments`, `cli`).
+
+The package holds what the commands run.  Closed forms that only the tests
+compare against, such as the line soliton, the derivation identities of the
+periodized wave and the bare Hilbert and coth symbols, live with the tests.
 """
 
 from .errors import BlowUpError, ContractError, KappaTooSmallError, NumericalError
@@ -72,7 +76,6 @@ from .spectral import (
     SpectralGrid,
     forward_transform,
     hardy_embed,
-    hardy_norm,
     hardy_project,
     multiplier_apply,
     sobolev_norm,
@@ -82,30 +85,20 @@ from .spectral import (
 from .symbols import (
     SmoothingScan,
     apply_smoothing_dx,
-    coth_symbol,
     depth_dispersion_symbol,
-    hilbert_symbol,
     smoothing_operator_scan,
     smoothing_symbol,
 )
 from .waves import (
     IllposedObservables,
     PeriodicWaveConstants,
-    WaveParams,
-    dirac_norm_sq,
     distance_to_dirac,
     illposed_observables,
     lattice_profile,
-    line_profile,
-    line_profile_fourier,
-    mode_phase_rate,
     periodic_profile,
     periodic_speed,
     periodic_wave_constants,
-    traveling_mode_2pi,
     traveling_residual,
-    wave_coth_image,
-    wave_number_from_speed,
 )
 
 __version__ = "0.1.0"

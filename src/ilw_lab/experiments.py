@@ -44,7 +44,6 @@ from .waves import (
     distance_to_dirac,
     illposed_observables,
     lattice_profile,
-    mode_phase_rate,
     periodic_profile,
     periodic_wave_constants,
     traveling_residual,
@@ -459,7 +458,7 @@ def run_wave(cfg: ExperimentConfig) -> RunReport:
     residual = traveling_residual(profile, constants.speed, constants.B,
                                   p["depth"])
     route_gap = float(np.max(np.abs(profile.samples() - lattice.samples())))
-    distance = distance_to_dirac(profile, p["s_dirac"])
+    distance = distance_to_dirac([profile], p["s_dirac"])[0]
     table = _csv(["x", "u_fourier", "u_lattice"],
                  zip(grid.nodes, profile.samples(), lattice.samples()))
     report = {
@@ -588,22 +587,22 @@ def run_illposed(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = SpectralGrid(1.0, p["n"])
     t = p["t"]
+    adeltas = _sweep(cfg, "adelta_list")
+    wave_numbers = [adelta / p["depth"] for adelta in adeltas]
+    profiles = [periodic_profile(a, p["depth"], grid) for a in wave_numbers]
+    distances = distance_to_dirac(profiles, p["s"])
     rows = []
-    distances, moduli, rate_gaps, mean_gaps = [], [], [], []
-    for adelta in _sweep(cfg, "adelta_list"):
-        a = adelta / p["depth"]
+    moduli, rate_gaps, mean_gaps = [], [], []
+    for adelta, a, profile, distance in zip(adeltas, wave_numbers, profiles,
+                                            distances):
         obs = illposed_observables(a, p["depth"], t, p["alpha"])
-        profile = periodic_profile(a, p["depth"], grid)
-        distance = distance_to_dirac(profile, p["s"])
-        rate = mode_phase_rate(a, p["depth"], t)[0]
         gamma = obs.wave_mean - p["alpha"]
         boosted = galilean(profile, gamma, t)
         mean_gap = abs(boosted.mean() - p["alpha"])
         rows.append((adelta, a, obs.speed, distance, abs(obs.mode_2pi),
-                     float(np.angle(obs.mode_2pi)), rate, mean_gap))
-        distances.append(distance)
+                     float(np.angle(obs.mode_2pi)), obs.phase_rate, mean_gap))
         moduli.append(abs(obs.mode_2pi))
-        rate_gaps.append(abs(rate + 2.0 * np.pi * t))
+        rate_gaps.append(abs(obs.phase_rate + 2.0 * np.pi * t))
         mean_gaps.append(mean_gap)
     table = _csv(["adelta", "a", "speed", "delta_distance", "mode_abs",
                   "mode_arg", "arg_rate", "mean_gap"], rows)

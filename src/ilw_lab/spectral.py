@@ -1,5 +1,6 @@
-"""Periodic spectral grids, transforms, weighted Sobolev norms, and the
-nonnegative-frequency (Hardy) projection.
+"""Periodic spectral grids, transforms, weighted Sobolev norms of real
+fields, and the nonnegative-frequency (Hardy) projection with its embedding
+back into a full spectrum.
 
 Conventions.  On a period-``L`` domain the transform pair is
 
@@ -266,13 +267,6 @@ def hardy_project(field: RealField) -> np.ndarray:
     ``field.grid.frequencies[: n_points // 2]``.
     """
     return field.coeffs[: field.grid.n_points // 2].copy()
-
-
-def hardy_norm(coeffs: np.ndarray, frequencies: np.ndarray, length: float,
-               index: SobolevIndex) -> float:
-    """Sobolev norm of a one-sided coefficient vector (complex function)."""
-    w = index.bracket(frequencies) ** (2.0 * index.s)
-    return float(np.sqrt(np.sum(w * np.abs(coeffs) ** 2) / length))
 
 
 def hardy_embed(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:

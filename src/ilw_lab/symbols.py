@@ -1,9 +1,11 @@
 """Fourier symbols of the dispersive operators and smoothing diagnostics.
 
 All symbols are evaluated on angular-frequency arrays.  ``depth`` is the
-stratification depth parameter: the coth-type symbols degenerate to the
-Hilbert transform as depth -> infinity and the finite-depth corrections
-vanish accordingly.
+stratification depth parameter: the coth-type symbols degenerate to their
+Hilbert-transform counterparts as depth -> infinity and the finite-depth
+corrections vanish accordingly.  The bare coth multiplier is singular on
+constants, so it appears here only regularized, less 1/(depth*xi) or
+composed with a derivative, each with its removable value at xi = 0.
 """
 
 from __future__ import annotations
@@ -25,25 +27,6 @@ _SERIES_CUT = 1e-2
 def _require_depth(depth: float):
     if not np.isfinite(depth) or depth <= 0:
         raise ContractError("depth must be positive and finite")
-
-
-def hilbert_symbol(xi) -> np.ndarray:
-    """-i*sgn(xi), with sgn(0) = 0."""
-    return -1j * np.sign(np.asarray(xi, dtype=float))
-
-
-def coth_symbol(xi, depth: float) -> np.ndarray:
-    """-i*coth(depth*xi), principal-value convention 0 at xi = 0.
-
-    The bare coth multiplier is singular on constants; it is only ever
-    applied to profiles where the symmetric-sum (principal value) reading is
-    the meaningful one.  Compositions with a derivative use the dedicated
-    composed symbols below.
-    """
-    _require_depth(depth)
-    xi = np.asarray(xi, dtype=float)
-    y = depth * np.where(xi != 0.0, xi, 1.0)
-    return np.where(xi != 0.0, -1j / np.tanh(y), 0.0)
 
 
 def _coth_minus_inverse(xi, depth: float) -> np.ndarray:

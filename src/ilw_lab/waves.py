@@ -12,15 +12,16 @@ and the direct sum of its translates (``lattice_profile``), and
 ``periodic_wave_constants`` sums V once for both V and the speed.  As
 a*depth -> pi the periodized profiles concentrate to a negative multiple
 of the Dirac comb, which drives the low-regularity degeneration
-experiments.  The exp(2*pi*i*x) coefficient of that periodization (the
-2*pi-mode) has one closed form, a negative real amplitude whose modulus
-tends to 2*pi, times exp(-2*pi*i*c*t) at a phase speed c; the traveling
-wave, the Galilean-boosted family and the phase-rate probe each read it at
-their own speed.
+experiments; ``distance_to_dirac`` measures it for the profiles of one
+grid, which share one Dirac tail.  The exp(2*pi*i*x) coefficient of the
+periodization (the 2*pi-mode) has one closed form, a negative real
+amplitude whose modulus tends to 2*pi, times exp(-2*pi*i*c*t) at a phase
+speed c.  ``illposed_observables`` reads it for the Galilean-boosted
+family and, at two nearby wave numbers, for the phase-rate probe, from
+one speed sum at a.
 
-All hyperbolic expressions are evaluated in the exp(-|y|) form, over one
-shared denominator, so profiles and lattice sums stay finite far from the
-core.
+All hyperbolic expressions are evaluated in the exp(-|y|) form, so
+profiles and lattice sums stay finite far from the core.
 """
 
 from __future__ import annotations
@@ -31,16 +32,16 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 from .spectral import RealField, SpectralGrid, forward_transform, multiplier_apply
-from .symbols import _require_depth, coth_dx_symbol, coth_symbol
+from .symbols import _require_depth, coth_dx_symbol
 
 SERIES_TOL = 1e-16
 SERIES_CAP = 100_000
 ADELTA_MAX = np.pi - 1e-3
 
 _TWO_PI = 2.0 * np.pi
-# ``mode_phase_rate`` sizes its probe step in a so that the speed moves by
-# about this much over |t|: the phase difference 2*pi*t*(c2 - c1) then
-# stays near 0.6, on one branch of arg
+# ``illposed_observables`` sizes its phase probe step in a so that the
+# speed moves by about this much over |t|: the phase difference
+# 2*pi*t*(c2 - c1) then stays near 0.6, on one branch of arg
 _PHASE_PROBE_DC = 0.1
 
 
@@ -63,25 +64,14 @@ def _lattice_denominator(a: float, ad: float, l):
     return np.sinh(np.minimum(0.5 * a * np.abs(l), 350.0)) ** 2 + np.sin(ad) ** 2
 
 
-def _scaled_cosh_plus(y, adelta: float):
-    """exp(-|y|) and 2*exp(-|y|)*(cosh(y) + cos(adelta)), finite for all y;
-    the second is written (1 - exp(-|y|))^2 + 4*cos(adelta/2)^2*exp(-|y|)."""
+def _inv_cosh_plus(y, adelta: float):
+    """1 / (cosh(y) + cos(adelta)), stable for all y: both sides scaled by
+    2*exp(-|y|), which writes the denominator as
+    (1 - exp(-|y|))^2 + 4*cos(adelta/2)^2*exp(-|y|)."""
     ay = np.abs(y)
     e = np.exp(-ay)
     em = -np.expm1(-ay)  # 1 - exp(-|y|), accurate near 0
-    return e, em * em + 4.0 * np.cos(0.5 * adelta) ** 2 * e
-
-
-def _inv_cosh_plus(y, adelta: float):
-    """1 / (cosh(y) + cos(adelta)), stable for all y."""
-    e, denominator = _scaled_cosh_plus(y, adelta)
-    return 2.0 * e / denominator
-
-
-def _tanh_like(y, adelta: float):
-    """sinh(y) / (cosh(y) + cos(adelta)), stable for all y."""
-    _, denominator = _scaled_cosh_plus(y, adelta)
-    return np.sign(y) * (1.0 - np.exp(-2.0 * np.abs(y))) / denominator
+    return 2.0 * e / (em * em + 4.0 * np.cos(0.5 * adelta) ** 2 * e)
 
 
 def _sinh_ratio(p, q):
@@ -101,74 +91,17 @@ def _profile_ratio(xi, a: float, depth: float) -> np.ndarray:
 
 
 def _mode_2pi(a: float, depth: float, c: float, t: float) -> complex:
-    """The 2*pi-mode at time t of the periodized wave whose phase travels at
-    speed c (the formula of ``traveling_mode_2pi``)."""
+    """Coefficient of exp(2*pi*i*x) at time t in the periodized wave whose
+    phase travels at speed c:
+
+        -2*pi*exp(-2*pi*i*c*t) * sinh(2*pi*depth)/sinh(2*pi^2/a).
+
+    The modulus converges to 2*pi as a*depth -> pi while the phase turns at
+    rate -2*pi*t per unit of speed, which is the mechanism behind norm
+    deflation at low regularity.
+    """
     modulus = -_TWO_PI * float(_sinh_ratio(_TWO_PI * depth, 2.0 * np.pi ** 2 / a))
     return complex(modulus * np.exp(-2j * np.pi * c * t))
-
-
-@dataclass(frozen=True)
-class WaveParams:
-    """One line wave of the traveling family: a and c are linked by
-    a*depth*cot(a*depth) = 1 - c*depth."""
-
-    depth: float
-    a: float
-    c: float
-
-    def __post_init__(self):
-        _require_regime(self.a, self.depth)
-
-    @classmethod
-    def line(cls, c: float, depth: float) -> "WaveParams":
-        return cls(depth=depth, a=wave_number_from_speed(c, depth), c=c)
-
-
-def wave_number_from_speed(c: float, depth: float) -> float:
-    """Solve a*depth*cot(a*depth) = 1 - c*depth for a in (0, pi/depth).
-
-    y*cot(y) decreases strictly from 1 to -inf on (0, pi), so the root is
-    unique for every c > 0.  Plain bisection to 1e-14 relative width.
-    """
-    if not np.isfinite(c) or c <= 0:
-        raise ContractError("speed must be positive")
-    _require_depth(depth)
-    target = 1.0 - c * depth
-
-    def shifted(y):
-        return y * np.cos(y) / np.sin(y) - target
-
-    lo, hi = 1e-300, np.pi * (1.0 - 1e-16)
-    if shifted(hi) > 0.0:
-        raise NumericalError("bisection bracket failed at the collapse end")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if shifted(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            return 0.5 * (lo + hi) / depth
-    raise NumericalError("bisection did not reach the requested width")
-
-
-def line_profile(x, t: float, params: WaveParams) -> np.ndarray:
-    """Samples of the line wave -a*sin(a*depth)/(cosh(a*(x-c*t))+cos(a*depth))."""
-    a, depth = params.a, params.depth
-    y = a * (np.asarray(x, dtype=float) - params.c * t)
-    return -a * np.sin(a * depth) * _inv_cosh_plus(y, a * depth)
-
-
-def line_profile_fourier(xi, params: WaveParams) -> np.ndarray:
-    """Line-convention transform of the t = 0 profile.
-
-    With the unitary normalization u_hat(xi) = (2*pi)^(-1/2) * integral
-    u exp(-i xi x) dx the profile transforms to
-    -sqrt(2*pi) * sinh(depth*xi)/sinh(pi*xi/a), value -sqrt(2*pi)*a*depth/pi
-    at xi = 0.  The collocation convention of this package carries an extra
-    factor sqrt(2*pi).
-    """
-    return -np.sqrt(_TWO_PI) * _profile_ratio(xi, params.a, params.depth)
 
 
 def _require_unit_circle(grid: SpectralGrid):
@@ -243,8 +176,8 @@ def periodic_wave_constants(a: float, depth: float) -> PeriodicWaveConstants:
             / (sinh(a*l/2)^2 + sin(a*depth)^2),
 
     obtained by aggregating the two-translate product identity over ordered
-    pairs grouped by their difference (see pair_product_aggregate); B = -D is
-    then forced by the zero mode of the equation.
+    pairs grouped by their difference; B = -D is then forced by the zero
+    mode of the equation.
     """
     _require_regime(a, depth)
     ad = a * depth
@@ -305,96 +238,6 @@ def traveling_residual(profile: RealField, c: float, b: float, depth: float) -> 
     return float(np.max(np.abs(res)))
 
 
-@dataclass(frozen=True)
-class CothImageRoutes:
-    """The dispersion image of the periodized wave via two routes."""
-
-    multiplier: RealField
-    lattice: RealField
-
-
-def wave_coth_image(a: float, depth: float, grid: SpectralGrid) -> CothImageRoutes:
-    """Image of the periodized wave under the bare coth multiplier.
-
-    Multiplier route: principal-value convention (zero mode -> 0) applied to
-    the Fourier-route profile.  Lattice route: termwise image
-
-        -sum_n a*sinh(a*(x+n)) / (cosh(a*(x+n)) + cos(a*depth)),
-
-    summed in symmetric pairs.  Because the summand tends to -+a as
-    n -> +-infinity, the symmetric partial sums carry an exact linear drift
-    -2*a*x; adding 2*a*x back selects the periodic branch that the
-    multiplier route produces.
-    """
-    image = multiplier_apply(periodic_profile(a, depth, grid),
-                             lambda xi: coth_symbol(xi, depth))
-
-    x = grid.nodes
-    ad = a * depth
-
-    def term(n):
-        return -a * _tanh_like(a * (x + n), ad)
-
-    samples = _series(lambda n: term(n) + term(-n), term(0), "dispersion-image")
-    samples = samples + 2.0 * a * x
-    lattice = forward_transform(samples, grid)
-    return CothImageRoutes(multiplier=image, lattice=lattice)
-
-
-# -- lattice product identities ------------------------------------------------
-
-def pair_product_residual(a: float, depth: float, x: float, n: int, m: int) -> float:
-    """Residual of the two-translate product identity.
-
-    With b_k = 1/(cosh(a*(x+k)) + cos(a*depth)) and d_k = b_k*sinh(a*(x+k)),
-    for n != m:
-
-        2*b_n*b_m = [-cos(a*depth)*(b_n + b_m)
-                     + coth(a*(n-m)/2)*(d_n - d_m)]
-                    / (sinh(a*(m-n)/2)^2 + sin(a*depth)^2).
-
-    Returns |lhs - rhs|.
-    """
-    _require_regime(a, depth)
-    if n == m:
-        raise ContractError("the product identity needs distinct translates")
-    ad = a * depth
-    bn, bm = (float(_inv_cosh_plus(a * (x + k), ad)) for k in (n, m))
-    dn, dm = (float(_tanh_like(a * (x + k), ad)) for k in (n, m))
-    denom = _lattice_denominator(a, ad, m - n)
-    lhs = 2.0 * bn * bm
-    rhs = (-np.cos(ad) * (bn + bm) + (dn - dm) / np.tanh(0.5 * a * (n - m))) / denom
-    return float(abs(lhs - rhs))
-
-
-def pair_product_aggregate(a: float, depth: float, x: float, n_max: int):
-    """Both sides of the aggregated product identity, truncated at |n| <= n_max.
-
-    sum_{n != m} b_n b_m  =  -2*(sum_{l>=1} cos(a*depth)/(sinh(a*l/2)^2
-                              + sin(a*depth)^2)) * sum_k b_k
-                              + 2*sum_{l>=1} l*coth(a*l/2)/(sinh(a*l/2)^2
-                              + sin(a*depth)^2).
-
-    Grouping ordered pairs by the difference l = n - m, the b-part of the
-    two-translate identity contributes 2*sum_k b_k per difference while the
-    d-part telescopes to the boundary value 2*l, whence the coefficients.
-    Returns (double_sum, closed_form); the truncation error decays like
-    exp(-a*n_max).
-    """
-    _require_regime(a, depth)
-    ad = a * depth
-    ns = np.arange(-n_max, n_max + 1)
-    b = _inv_cosh_plus(a * (x + ns), ad)
-    total = np.sum(b)
-    double_sum = float(total * total - np.sum(b * b))
-
-    ells = np.arange(1, 2 * n_max + 1)
-    denom = _lattice_denominator(a, ad, ells)
-    closed = (-2.0 * np.cos(ad) * np.sum(1.0 / denom) * total
-              + 2.0 * np.sum(ells / np.tanh(0.5 * a * ells) / denom))
-    return double_sum, float(closed)
-
-
 # -- degeneration diagnostics ---------------------------------------------------
 
 def dirac_tail(k_start: int, s: float) -> float:
@@ -419,79 +262,41 @@ def dirac_tail(k_start: int, s: float) -> float:
     return direct + integral + 0.5 * g - gprime / 12.0
 
 
-def dirac_norm_sq(s: float) -> float:
-    """Squared H^s norm of the unit Dirac comb mode sum: sum <xi>^(2s)."""
-    return 1.0 + 2.0 * dirac_tail(1, s)
-
-
-def distance_to_dirac(profile: RealField, s: float) -> float:
-    """H^s distance from a periodic field to -2*pi*delta_0 for s < -1/2.
+def distance_to_dirac(profiles, s: float) -> list:
+    """H^s distances from periodic fields on one grid to -2*pi*delta_0 for
+    s < -1/2, one per field.
 
     The Dirac's coefficients are identically 1, so the squared distance is
     the lattice sum of <xi>^(2s) |u_hat(xi) + 2*pi|^2.  Modes beyond the grid
-    contribute the pure Dirac tail; the Nyquist pair +-N/2 is treated as part
-    of that tail for symmetry.
+    contribute the pure Dirac tail, which every field of the grid shares;
+    the Nyquist pair +-N/2 is treated as part of that tail for symmetry.
     """
     if not (np.isfinite(s) and s < -0.5):
         raise ContractError("the Dirac distance needs a finite s < -1/2")
-    _require_unit_circle(profile.grid)
-    grid = profile.grid
+    grid = profiles[0].grid
+    _require_unit_circle(grid)
+    if any(profile.grid != grid for profile in profiles):
+        raise ContractError("fields live on different grids")
     half = grid.n_points // 2
     xi = grid.frequencies[:half]
     w = grid.multiplicity[:half] * (1.0 + xi ** 2) ** s
-    on_grid = float(np.sum(w * np.abs(profile.coeffs[:half] + _TWO_PI) ** 2))
     tail = (_TWO_PI ** 2) * 2.0 * dirac_tail(half, s)
-    return float(np.sqrt(on_grid + tail))
-
-
-def traveling_mode_2pi(a: float, depth: float, t: float) -> complex:
-    """Coefficient of exp(2*pi*i*x) in the evolved periodized wave:
-
-        -2*pi*exp(-2*pi*i*c*t) * sinh(2*pi*depth)/sinh(2*pi^2/a).
-
-    The modulus converges to 2*pi as a*depth -> pi while the phase turns at
-    rate -2*pi*t per unit of speed, which is the mechanism behind norm
-    deflation at low regularity.
-    """
-    return _mode_2pi(a, depth, periodic_speed(a, depth), t)
-
-
-def mode_phase_rate(a: float, depth: float, t: float):
-    """Measured d(arg mode)/dc between two nearby wave numbers.
-
-    The amplitude factor is real of one sign, so the phase difference is
-    entirely -2*pi*t*(c2 - c1); the probe step in a is sized so that the
-    phase stays within one branch of arg.  Returns (rate, c1, c2).
-    """
-    _require_regime(a, depth)
-    if t == 0.0:
-        raise ContractError("the phase rate is measured at a nonzero time")
-    c1 = periodic_speed(a, depth)
-    da = 1e-8 * a
-    slope = abs(periodic_speed(a + da, depth) - c1) / da
-    step = _PHASE_PROBE_DC / (abs(t) * max(slope, 1e-300))
-    step = min(step, 0.5 * (ADELTA_MAX / depth - a), 0.1 * a)
-    c2 = periodic_speed(a + step, depth)
-    z1 = _mode_2pi(a, depth, c1, t)
-    z2 = _mode_2pi(a + step, depth, c2, t)
-    if z1 == 0 or c2 == c1:
-        raise NumericalError("no phase rate at a=%.6g, depth=%.6g: the 2*pi mode "
-                             "or the speed step underflows" % (a, depth))
-    rate = float(np.angle(z2 / z1) / (c2 - c1))
-    return rate, c1, c2
+    distances = []
+    for profile in profiles:
+        on_grid = float(np.sum(w * np.abs(profile.coeffs[:half] + _TWO_PI) ** 2))
+        distances.append(float(np.sqrt(on_grid + tail)))
+    return distances
 
 
 @dataclass(frozen=True)
 class IllposedObservables:
-    """Closed-form observables of the Galilean-boosted wave family."""
+    """Closed-form observables of the Galilean-boosted wave family, and the
+    measured phase rate of its 2*pi-mode."""
 
-    a: float
-    depth: float
-    t: float
-    alpha: float
     speed: float
     wave_mean: float
     mode_2pi: complex
+    phase_rate: float
 
 
 def illposed_observables(a: float, depth: float, t: float,
@@ -502,9 +307,32 @@ def illposed_observables(a: float, depth: float, t: float,
     exp(2*pi*i*x) coefficient picks up the phase
     exp(-2*pi*i*(c + 2*(mu - alpha))*t) where mu = -2*a*depth is the wave
     mean; at alpha = mu this reduces to the plain traveling phase.
+
+    ``phase_rate`` is d(arg mode)/dc of the plain traveling wave, measured
+    between a and a nearby wave number.  The amplitude factor is real of
+    one sign, so the phase difference is entirely -2*pi*t*(c2 - c1); the
+    probe step in a is sized so that the phase stays within one branch of
+    arg.  It needs t != 0.
     """
-    c = periodic_speed(a, depth)
+    _require_regime(a, depth)
+    if t == 0.0:
+        raise ContractError("the phase rate is measured at a nonzero time")
+    c1 = periodic_speed(a, depth)
+    da = 1e-8 * a
+    slope = float(abs(periodic_speed(a + da, depth) - c1) / da)
+    # on Python floats a step too large for a float reads inf, without a
+    # warning, and the clamp below takes over
+    spread = float(abs(t) * max(slope, 1e-300))
+    step = _PHASE_PROBE_DC / spread if spread else np.inf
+    step = min(step, 0.5 * (ADELTA_MAX / depth - a), 0.1 * a)
+    c2 = periodic_speed(a + step, depth)
+    z1 = _mode_2pi(a, depth, c1, t)
+    z2 = _mode_2pi(a + step, depth, c2, t)
+    if z1 == 0 or c2 == c1:
+        raise NumericalError("no phase rate at a=%.6g, depth=%.6g: the 2*pi mode "
+                             "or the speed step underflows" % (a, depth))
     mu = -2.0 * a * depth
-    mode = _mode_2pi(a, depth, c + 2.0 * (mu - alpha), t)
-    return IllposedObservables(a=a, depth=depth, t=t, alpha=alpha, speed=c,
-                               wave_mean=mu, mode_2pi=mode)
+    return IllposedObservables(
+        speed=c1, wave_mean=mu,
+        mode_2pi=_mode_2pi(a, depth, c1 + 2.0 * (mu - alpha), t),
+        phase_rate=float(np.angle(z2 / z1) / (c2 - c1)))

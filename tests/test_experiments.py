@@ -736,6 +736,56 @@ def test_illposed_sums_no_lattice_profile(monkeypatch):
     assert calls
 
 
+def test_illposed_sums_the_dirac_tail_and_each_speed_once(monkeypatch):
+    # the sweep's profiles share one grid, so they share one Dirac tail;
+    # one observables call per wave number sums the speed at a, at the
+    # slope probe and at the far probe
+    from ilw_lab import waves
+
+    tails, speeds = [], []
+    dirac_tail, periodic_speed = waves.dirac_tail, waves.periodic_speed
+
+    def counted_tail(k_start, s):
+        tails.append((k_start, s))
+        return dirac_tail(k_start, s)
+
+    def counted_speed(a, depth):
+        speeds.append(a)
+        return periodic_speed(a, depth)
+
+    monkeypatch.setattr(waves, "dirac_tail", counted_tail)
+    monkeypatch.setattr(waves, "periodic_speed", counted_speed)
+    experiments.run_illposed(load_config("illposed"))
+    assert tails == [(512, -0.6)]
+    assert len(speeds) == 12
+    sweep = [2.8, 3.0, 3.1, 3.14]
+    assert [a for a in speeds if a in sweep] == sweep
+    # the wave command measures one profile, so it sums one tail too
+    experiments.run_wave(load_config("wave"))
+    assert len(tails) == 2
+
+
+@pytest.mark.parametrize("flags, reference", [
+    ([], "illposed-tiny-t"),
+    # slopes near 0.04: |t|*slope rounds to 0
+    (["--depth", "0.01", "--adelta-list", "0.05,0.1"],
+     "illposed-tiny-t-shallow"),
+])
+def test_illposed_tiny_time_clamps_its_probe_without_a_warning(
+        tmp_path, capsys, flags, reference):
+    # at t = 5e-324 the probe step 0.1/(|t|*slope) is too large for a float:
+    # it reads inf and the clamp takes over, with no overflow or
+    # divide-by-zero warning
+    out = tmp_path / "ip"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["illposed", "--n", "64", "--t", "5e-324", *flags,
+                     "--outdir", str(out)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    assert (out / "illposed.csv").read_bytes() == (
+        TEST_REFERENCE / reference / "illposed.csv").read_bytes()
+
+
 # -------------------------------------------------------------- determinism
 
 SIM_ARGS = ["simulate", "--n", "128", "--t-final", "0.1", "--dt", "1e-3",
@@ -1045,6 +1095,10 @@ def _read_rows(path):
      "beta_profile.csv", "beta-large/seed-1/beta_profile.csv"),
     (["wave", "--n", "64"], "wave.csv", TEST_REFERENCE / "wave-n64/wave.csv"),
     (["illposed"], "illposed.csv", TEST_REFERENCE / "illposed/illposed.csv"),
+    # a nonzero boost at another depth and time
+    (["illposed", "--depth", "0.5", "--adelta-list", "1,2,3", "--t", "0.3",
+      "--alpha", "-1"],
+     "illposed.csv", TEST_REFERENCE / "illposed-boost/illposed.csv"),
 ])
 def test_outputs_match_recorded_reference(tmp_path, capsys, argv, table,
                                           reference):

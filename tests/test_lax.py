@@ -39,11 +39,11 @@ from ilw_lab.lax import KappaCheck, KappaRule, LaxSpectrum, LaxTruncation
 from ilw_lab.spectral import (
     SobolevIndex,
     hardy_embed,
-    hardy_norm,
     hardy_project,
     synthesize,
 )
 from ilw_lab.symbols import apply_smoothing_dx
+from oracles import hardy_norm
 
 TWO_PI = 2.0 * np.pi
 

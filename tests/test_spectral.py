@@ -15,7 +15,8 @@ from ilw_lab import (
     sobolev_norm,
     synthesize,
 )
-from ilw_lab.spectral import MAX_POINTS, hardy_norm
+from ilw_lab.spectral import MAX_POINTS
+from oracles import hardy_norm
 
 
 def random_real_field(grid, rng, amplitude=1.0, rolloff=1.5, nyquist=False):

@@ -10,10 +10,8 @@ from ilw_lab import (
     SobolevIndex,
     SpectralGrid,
     apply_smoothing_dx,
-    coth_symbol,
     depth_dispersion_symbol,
     forward_transform,
-    hilbert_symbol,
     smoothing_operator_scan,
     smoothing_symbol,
     sobolev_norm,
@@ -24,6 +22,7 @@ from ilw_lab.symbols import (
     depth_dispersion_dx2_symbol,
     hilbert_dx2_symbol,
 )
+from oracles import coth_symbol, hilbert_symbol
 
 
 TWO_PI = 2.0 * np.pi

@@ -15,23 +15,24 @@ from ilw_lab import (
 )
 from ilw_lab import waves as waves_module
 from ilw_lab.waves import (
-    WaveParams,
-    dirac_norm_sq,
     dirac_tail,
     distance_to_dirac,
     illposed_observables,
     interaction_sum_v,
     lattice_profile,
-    line_profile,
-    line_profile_fourier,
-    mode_phase_rate,
-    pair_product_aggregate,
-    pair_product_residual,
     periodic_profile,
     periodic_speed,
     periodic_wave_constants,
-    traveling_mode_2pi,
     traveling_residual,
+)
+from oracles import (
+    WaveParams,
+    dirac_norm_sq,
+    line_profile,
+    line_profile_fourier,
+    pair_product_aggregate,
+    pair_product_residual,
+    traveling_mode_2pi,
     wave_coth_image,
     wave_number_from_speed,
 )
@@ -264,19 +265,26 @@ def test_dirac_tail_absolute_value():
 def test_distance_to_dirac():
     grid = SpectralGrid(1.0, 1024)
     s = -0.6
-    distances = [distance_to_dirac(periodic_profile(ad, 1.0, grid), s)
-                 for ad in (2.8, 3.0, 3.1, 3.14)]
+    profiles = [periodic_profile(ad, 1.0, grid) for ad in (2.8, 3.0, 3.1, 3.14)]
+    distances = distance_to_dirac(profiles, s)
     assert distances == sorted(distances, reverse=True)
+    # each field's distance does not depend on the others of its grid
+    assert distances == [distance_to_dirac([profile], s)[0]
+                         for profile in profiles]
     # a field whose grid coefficients all equal -2*pi differs from the comb
     # only beyond the grid, which is the pure tail
     truncated = RealField(grid, np.full(grid.n_points // 2 + 1, -TWO_PI,
                                         dtype=np.complex128))
     expected = np.sqrt(TWO_PI ** 2 * 2.0 * dirac_tail(512, s))
-    assert distance_to_dirac(truncated, s) == pytest.approx(expected,
-                                                            rel=1e-12)
+    assert distance_to_dirac([truncated], s)[0] == pytest.approx(expected,
+                                                                 rel=1e-12)
     for bad_s in (-0.4, np.nan, -np.inf):
         with pytest.raises(ContractError):
-            distance_to_dirac(truncated, bad_s)
+            distance_to_dirac([truncated], bad_s)
+    # the profiles share one grid, and so one tail
+    with pytest.raises(ContractError):
+        distance_to_dirac([truncated, periodic_profile(2.8, 1.0,
+                                                       SpectralGrid(1.0, 64))], s)
 
 
 def test_traveling_mode_matches_profile():
@@ -292,13 +300,30 @@ def test_traveling_mode_matches_profile():
     assert gaps[-1] < 0.05
 
 
-def test_mode_phase_rate():
+def _counted_speeds(monkeypatch):
+    """The (a, speed) pairs of every ``periodic_speed`` call in ``waves``."""
+    calls = []
+
+    def counted(a, depth):
+        c = periodic_speed(a, depth)
+        calls.append((a, c))
+        return c
+
+    monkeypatch.setattr(waves_module, "periodic_speed", counted)
+    return calls
+
+
+def test_mode_phase_rate(monkeypatch):
+    speeds = _counted_speeds(monkeypatch)
     for t in (0.3, 1.0):
-        rate, c1, c2 = mode_phase_rate(2.0, 1.0, t)
+        speeds.clear()
+        rate = illposed_observables(2.0, 1.0, t, 0.5).phase_rate
         assert abs(rate + TWO_PI * t) < 1e-10 * TWO_PI * t
-        assert c2 > c1
+        # the probe reads the speed at a and further out, at a + step
+        (a1, c1), (_, c2) = speeds[0], speeds[-1]
+        assert a1 == 2.0 and c2 > c1
     with pytest.raises(ContractError):
-        mode_phase_rate(2.0, 1.0, 0.0)
+        illposed_observables(2.0, 1.0, 0.0, 0.5)
 
 
 def test_illposed_observables_fields():
@@ -312,16 +337,10 @@ def test_illposed_observables_fields():
 
 
 def test_mode_phase_rate_sums_three_speeds(monkeypatch):
-    # the base speed, the slope probe and the far speed; both modes reuse
-    # the base and far speeds
-    calls = []
-
-    def counted(a, depth):
-        calls.append(a)
-        return periodic_speed(a, depth)
-
-    monkeypatch.setattr(waves_module, "periodic_speed", counted)
-    mode_phase_rate(2.0, 1.0, 0.7)
+    # the base speed, the slope probe and the far speed; the boosted mode
+    # and both probe modes reuse the base and far speeds
+    calls = _counted_speeds(monkeypatch)
+    illposed_observables(2.0, 1.0, 0.7, 0.5)
     assert len(calls) == 3
 
 
