@@ -24,8 +24,7 @@ from .evolution import (
     etdrk4_samples,
     evolve,
     galilean,
-    hamiltonian_bo,
-    hamiltonian_ilw,
+    hamiltonian,
     make_bo,
     make_bo_two_speed,
     make_ilw,
@@ -53,7 +52,6 @@ from .lax import (
     LaxSpectrum,
     LaxTruncation,
     SpectralMeasures,
-    WeightedFormProfile,
     WeightedFormRule,
     apriori_bound,
     build_lax,

@@ -9,7 +9,9 @@ fourth-order exponential integrator of Cox & Matthews, with the phi-
 coefficients evaluated by contour averaging as in Kassam & Trefethen
 (SIAM J. Sci. Comput. 26, 2005).  The 2/3 band is a prefix of the half
 spectrum, so the stages and the quadratic term are computed on that band
-alone, and the modes past it advance by the linear propagator.
+alone, and the modes past it advance by the linear propagator.  Each
+problem carries the symbol of the energy its flow conserves, and a
+trajectory's ``hamiltonian`` diagnostic reads it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .spectral import RealField, SpectralGrid, _zero_padded
 from .symbols import (
     coth_dx2_symbol,
     depth_dispersion_dx_symbol,
-    depth_dispersion_dx2_symbol,
     hilbert_dx2_symbol,
     smoothing_symbol,
 )
@@ -44,17 +45,19 @@ _DEALIAS_FRACTION = 2.0 / 3.0
 
 @dataclass(frozen=True)
 class EvolutionProblem:
-    """Grid, linear dispersion symbol, and nonlinearity configuration.
+    """Grid, linear dispersion symbol, and the energy the flow conserves.
 
     ``linear_symbol`` lives on ``grid.frequencies`` and must be purely
     imaginary so the linear flow is unitary; the Nyquist entry is zeroed.
-    ``depth`` is carried for Hamiltonian bookkeeping where applicable.
+    ``energy_symbol`` is the real symbol of the quadratic part of the
+    Hamiltonian that the flow conserves (see ``hamiltonian``), on the same
+    frequencies with its Nyquist entry kept, or None for a flow whose
+    energy is not monitored.
     """
 
     grid: SpectralGrid
     linear_symbol: np.ndarray
-    label: str
-    depth: Optional[float] = None
+    energy_symbol: Optional[np.ndarray]
 
     def __post_init__(self):
         sym = np.asarray(self.linear_symbol, dtype=np.complex128)
@@ -67,6 +70,12 @@ class EvolutionProblem:
         sym[self.grid.nyquist_index] = 0.0
         sym.setflags(write=False)
         object.__setattr__(self, "linear_symbol", sym)
+        if self.energy_symbol is not None:
+            energy = np.array(self.energy_symbol, dtype=float)
+            if energy.shape != sym.shape:
+                raise ContractError("energy symbol must match the grid")
+            energy.setflags(write=False)
+            object.__setattr__(self, "energy_symbol", energy)
 
     @cached_property
     def quadratic_factor(self) -> np.ndarray:
@@ -82,15 +91,21 @@ class EvolutionProblem:
 
 
 def make_ilw(depth: float, grid: SpectralGrid) -> EvolutionProblem:
-    """Finite-depth problem: symbol i*xi^2*(coth(depth*xi) - 1/(depth*xi))."""
-    sym = depth_dispersion_dx2_symbol(grid.frequencies, depth)
-    return EvolutionProblem(grid=grid, linear_symbol=sym, label="ilw", depth=depth)
+    """Finite-depth problem: symbol i*xi^2*(coth(depth*xi) - 1/(depth*xi)),
+    i*xi times its energy symbol xi*coth(depth*xi) - 1/depth."""
+    xi = grid.frequencies
+    energy = depth_dispersion_dx_symbol(xi, depth)
+    return EvolutionProblem(grid=grid, linear_symbol=1j * xi * energy,
+                            energy_symbol=energy)
 
 
 def make_bo(grid: SpectralGrid) -> EvolutionProblem:
-    """Deep-water limit: symbol i*xi*|xi|."""
-    sym = hilbert_dx2_symbol(grid.frequencies)
-    return EvolutionProblem(grid=grid, linear_symbol=sym, label="bo", depth=None)
+    """Deep-water limit: symbol i*xi*|xi|, i*xi times its energy symbol
+    |xi|."""
+    xi = grid.frequencies
+    energy = np.abs(xi)
+    return EvolutionProblem(grid=grid, linear_symbol=1j * xi * energy,
+                            energy_symbol=energy)
 
 
 def make_problem(equation: str, depth: Optional[float],
@@ -123,8 +138,7 @@ def make_two_depth(c1: float, c2: float, depth1: float, depth2: float,
     if frame == "original":
         gamma = c1 / depth1 + c2 / depth2
         sym = sym - 1j * gamma * xi
-    label = "two_depth_%s" % frame
-    return EvolutionProblem(grid=grid, linear_symbol=sym, label=label, depth=None)
+    return EvolutionProblem(grid=grid, linear_symbol=sym, energy_symbol=None)
 
 
 def make_bo_two_speed(c1: float, c2: float, grid: SpectralGrid) -> EvolutionProblem:
@@ -132,8 +146,7 @@ def make_bo_two_speed(c1: float, c2: float, grid: SpectralGrid) -> EvolutionProb
     if c1 <= 0 or c2 < 0:
         raise ContractError("two-depth weights need c1 > 0, c2 >= 0")
     sym = (c1 + c2) * hilbert_dx2_symbol(grid.frequencies)
-    return EvolutionProblem(grid=grid, linear_symbol=sym, label="bo_two_speed",
-                            depth=None)
+    return EvolutionProblem(grid=grid, linear_symbol=sym, energy_symbol=None)
 
 
 # -- right-hand side ---------------------------------------------------------
@@ -211,44 +224,24 @@ def _quadratic_form(state: RealField, symbol_values: np.ndarray) -> float:
     return float(total.real)
 
 
-def hamiltonian_bo(state: RealField) -> float:
-    """H = 1/2 integral u*(Hilbert d/dx u) + 1/3 integral u^3."""
-    quad = _quadratic_form(state, np.abs(state.grid.frequencies))
-    return 0.5 * quad + _cubic_integral(state) / 3.0
-
-
-def hamiltonian_ilw(state: RealField, depth: float) -> float:
-    """Finite-depth energy 1/2 integral u*(G d/dx u) + 1/3 integral u^3,
-    with G d/dx of symbol xi*coth(depth*xi) - 1/depth."""
-    xi = state.grid.frequencies
-    return (0.5 * _quadratic_form(state, depth_dispersion_dx_symbol(xi, depth))
-            + _cubic_integral(state) / 3.0)
+def hamiltonian(state: RealField, energy_symbol: np.ndarray) -> float:
+    """H = 1/2 integral u*(E u) + 1/3 integral u^3, where E is the real
+    energy symbol of a flow (``EvolutionProblem.energy_symbol``): |xi|, the
+    symbol of the Hilbert transform of d/dx, for the deep-water flow and
+    xi*coth(depth*xi) - 1/depth for the finite-depth one."""
+    return 0.5 * _quadratic_form(state, energy_symbol) + _cubic_integral(state) / 3.0
 
 
 def hamiltonian_decomposed(state: RealField, depth: float) -> float:
     """The finite-depth energy from its three parts: the deep-water one
     perturbed by the mass and the smoothing term,
     H_bo - (1/depth)*M + 1/2 integral u*(smoothing u).  It agrees with
-    ``hamiltonian_ilw`` to rounding, and ``simulate`` checks that at every
-    stored state; a persistent gap means a symbol regression."""
+    ``hamiltonian`` on the ``make_ilw`` energy symbol to rounding, and
+    ``simulate`` checks that at every stored state; a persistent gap means
+    a symbol regression."""
     xi = state.grid.frequencies
-    return (hamiltonian_bo(state) - mass(state) / depth
+    return (hamiltonian(state, np.abs(xi)) - mass(state) / depth
             + 0.5 * _quadratic_form(state, smoothing_symbol(xi, depth)))
-
-
-def default_monitors(problem: EvolutionProblem) -> dict:
-    monitors = {
-        "mass": mass,
-        "mean": lambda u: u.mean(),
-        "l2": lambda u: u.l2_norm(),
-        "sup": lambda u: u.sup_norm(),
-    }
-    if problem.label == "ilw":
-        depth = problem.depth
-        monitors["hamiltonian"] = lambda u: hamiltonian_ilw(u, depth)
-    elif problem.label == "bo":
-        monitors["hamiltonian"] = hamiltonian_bo
-    return monitors
 
 
 # -- time stepping ------------------------------------------------------------
@@ -263,10 +256,16 @@ class Trajectory:
 
     @cached_property
     def diagnostics(self) -> dict:
-        """Each of ``default_monitors`` at every stored state, evaluated
-        when first read."""
+        """mass, mean, l2 and sup at every stored state, and the
+        ``hamiltonian`` of a problem with an energy symbol; evaluated when
+        first read."""
+        monitors = {"mass": mass, "mean": RealField.mean,
+                    "l2": RealField.l2_norm, "sup": RealField.sup_norm}
+        energy = self.problem.energy_symbol
+        if energy is not None:
+            monitors["hamiltonian"] = lambda u: hamiltonian(u, energy)
         return {name: np.asarray([fn(state) for state in self.states])
-                for name, fn in default_monitors(self.problem).items()}
+                for name, fn in monitors.items()}
 
     def final(self) -> RealField:
         return self.states[-1]

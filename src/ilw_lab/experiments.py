@@ -36,8 +36,8 @@ from .evolution import (
     relative_drift,
     step_count,
 )
-from .lax import LaxSpectrum, build_lax, gronwall_ensemble, \
-    modes_to_xi_max, resolvent_state
+from .lax import LaxSpectrum, build_lax, build_weighted_rule, \
+    gronwall_ensemble, modes_to_xi_max, resolvent_state
 from .spectral import HERMITIAN_RTOL, RealField, SpectralGrid
 from .symbols import smoothing_operator_scan
 from .waves import (
@@ -457,10 +457,11 @@ def run_wave(cfg: ExperimentConfig) -> RunReport:
     constants = periodic_wave_constants(a, p["depth"])
     residual = traveling_residual(profile, constants.speed, constants.B,
                                   p["depth"])
-    route_gap = float(np.max(np.abs(profile.samples() - lattice.samples())))
+    u_fourier, u_lattice = profile.samples(), lattice.samples()
+    route_gap = float(np.max(np.abs(u_fourier - u_lattice)))
     distance = distance_to_dirac([profile], p["s_dirac"])[0]
     table = _csv(["x", "u_fourier", "u_lattice"],
-                 zip(grid.nodes, profile.samples(), lattice.samples()))
+                 zip(grid.nodes, u_fourier, u_lattice))
     report = {
         "a": a,
         "depth": p["depth"],
@@ -491,29 +492,29 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     lax = build_lax(state, xi_max)
     spectrum = LaxSpectrum.lanczos(lax, state, p["kappa"])
     kcheck = spectrum.check_kappa(p["s"], p["kappa"])
-    profile = spectrum.weighted_form(p["kappa"], p["s"])
-    # the shared closed-form rule that gronwall uses, against the adaptive
-    # Gauss-Kronrod value
+    # the adaptive Gauss-Kronrod rule, with the tau profile it adapted on
+    rule = build_weighted_rule(spectrum.form_at, p["kappa"], p["s"])
+    # the shared closed-form rule that gronwall uses, against the adaptive one
     shared_value = spectrum.shared_weighted_form(p["kappa"], p["s"])
-    rule_gap = _relative_gap(shared_value, profile.value)
+    rule_gap = _relative_gap(shared_value, rule.value)
     resolved = resolvent_state(lax, p["kappa"])
     form_value = resolved.form(state)
     # the resolvent solve against the certified Lanczos measure
     gauss_value = float(spectrum.form_at(p["kappa"])[0])
     route_gap = _relative_gap(form_value, gauss_value)
-    table = _csv(["tau", "form"], zip(profile.tau_nodes, profile.form_values))
+    table = _csv(["tau", "form"], zip(rule.tau_nodes, rule.form_values))
     report = {
         "kappa": p["kappa"],
         "s": p["s"],
-        "sigma": profile.sigma,
+        "sigma": rule.sigma,
         "form_at_kappa": form_value,
         "form_route_gap": route_gap,
         "resolvent_iterations": resolved.iterations,
-        "weighted_value": profile.value,
+        "weighted_value": rule.value,
         "weighted_value_shared": shared_value,
         "weighted_rule_gap": rule_gap,
-        "n_nodes": int(profile.tau_nodes.shape[0]),
-        "rule_build_error": profile.rule.build_error,
+        "n_nodes": int(rule.tau_nodes.shape[0]),
+        "rule_build_error": rule.build_error,
         # an overflowed threshold fails the check below; JSON holds no inf
         "kappa_threshold": (kcheck.threshold if np.isfinite(kcheck.threshold)
                             else None),

@@ -43,7 +43,8 @@ does not depend on the state, so one rule serves a whole stack of states
 and every state of a trajectory.  An adaptive composite Gauss-Kronrod rule
 in the substitution tau = kappa*exp(t) (``build_weighted_rule``) gives the
 tau profile that ``beta`` reports, its cross-check of the closed form, and
-the flow derivative.
+the flow derivative; the ``WeightedFormRule`` keeps the profile it adapted
+on and the weighted value, so no tau is evaluated twice.
 The growth layer tracks the weighted form along runs that it steps itself
 (``gronwall_ensemble``), and its ``GrowthReport`` holds only the trace, the
 fitted rate and the checks that the ``gronwall`` table reads.
@@ -493,22 +494,6 @@ class LaxSpectrum:
         return KappaCheck(kappa=kappa, threshold=float(check.threshold[0]),
                           lambda_min=self.lambda_min, norm=float(check.norm[0]))
 
-    def weighted_form(self, kappa: float, s: float) -> WeightedFormProfile:
-        """integral_kappa^inf tau^(2s) form(tau) dtau on the adaptive rule
-        of this spectrum (``build_weighted_rule``), with its tau profile.
-        Values to be differenced along a trajectory come from
-        ``shared_weighted_form``, whose rule does not depend on the state.
-        The rule's build checks s, kappa and the shift.
-        """
-        rule = build_weighted_rule(self.form_at, kappa, s)
-        values = self.form_at(rule.taus)
-        value = float(np.real(rule.combine(values)))
-        if value < 0.0:
-            raise NumericalError("weighted form came out negative")
-        return WeightedFormProfile(kappa=kappa, s=s, tau_nodes=rule.tau_nodes,
-                                   form_values=values[:-1], value=value,
-                                   rule=rule)
-
     def shared_weighted_form(self, kappa: float, s: float) -> float:
         """integral_kappa^inf tau^(2s) form(tau) dtau on the shared
         ``KappaRule``: the value ``gronwall_ensemble`` takes at this state."""
@@ -855,7 +840,8 @@ class KappaRule:
 
 @dataclass(frozen=True)
 class WeightedFormRule:
-    """Frozen quadrature for integral_kappa^inf tau^(2s) form(tau) dtau.
+    """Frozen quadrature for integral_kappa^inf tau^(2s) form(tau) dtau,
+    with the profile it was adapted on.
 
     Substituting tau = kappa*exp(t) turns the weight into
     kappa^(2s+1)*exp((2s+1)t) against a geometrically decaying integrand.
@@ -863,7 +849,8 @@ class WeightedFormRule:
     ``tau_star``.  ``combine`` takes an integrand's values at ``taus``:
     ``weights`` give the finite part from the node values, and the tail
     beyond tau_star adds tail_coeff times the last value under the 1/tau
-    decay model.
+    decay model.  ``form_values`` is the profile form(tau) at ``tau_nodes``
+    and ``value`` the weighted form, the rule combined over that profile.
     """
 
     kappa: float
@@ -873,10 +860,16 @@ class WeightedFormRule:
     tau_star: float
     tail_coeff: float
     build_error: float
+    form_values: np.ndarray
+    value: float
 
     @property
     def taus(self) -> np.ndarray:
         return np.append(self.tau_nodes, self.tau_star)
+
+    @property
+    def sigma(self) -> float:
+        return 0.5 * (0.5 + self.s)
 
     def combine(self, values: np.ndarray) -> complex:
         return (self.weights * values[:-1]).sum() + self.tail_coeff * values[-1]
@@ -893,19 +886,23 @@ def build_weighted_rule(form_at: Callable, kappa: float,
 
     The horizon grows until the modeled tail drops below 1e-9 of the total;
     panels then bisect (worst first) until the Gauss/Kronrod gap is below
-    ``_RULE_RTOL`` of the integral.  Raises NumericalError with the panel
-    map if the refinement stalls.
+    ``_RULE_RTOL`` of the integral.  The rule keeps the profile it
+    evaluated on its final panels and at its horizon, so no tau of the
+    rule is passed to ``form_at`` twice.  Raises NumericalError with the
+    panel map if the refinement stalls, and when the weighted form comes
+    out negative.
     """
     _require_weight_exponent(s, kappa)
-    scale = kappa ** (2.0 * s + 1.0)
+    power = 2.0 * s + 1.0
+    scale = kappa ** power
 
-    def h(t: np.ndarray) -> np.ndarray:
-        return scale * np.exp((2.0 * s + 1.0) * t) * form_at(kappa * np.exp(t))
-
-    def tail_at(t_star: float) -> float:
-        tau_star = kappa * np.exp(t_star)
-        return float(form_at(np.array([tau_star]))[0]
-                     * tau_star ** (2.0 * s + 1.0) / (2.0 * abs(s)))
+    def panel(a: float, b: float):
+        """Kronrod value, Gauss/Kronrod gap and profile of one panel."""
+        nodes, wk, wg = _panel_nodes(a, b)
+        form = form_at(kappa * np.exp(nodes))
+        vals = scale * np.exp(power * nodes) * form
+        kronrod = float(np.sum(wk * vals))
+        return kronrod, abs(kronrod - float(np.sum(wg * vals))), form
 
     # the shift check at kappa itself: the first Kronrod node lies above it
     form_at(np.array([kappa]))
@@ -913,11 +910,13 @@ def build_weighted_rule(form_at: Callable, kappa: float,
     # grow the horizon a panel at a time; those panels seed the refinement
     t_star, rough, results = 0.0, 0.0, {}
     while True:
-        panel = (t_star, t_star + 2.0)
-        results[panel] = _gk_panel(h, *panel)
-        rough += results[panel][0]
-        t_star = panel[1]
-        tail = tail_at(t_star)
+        edges = (t_star, t_star + 2.0)
+        results[edges] = panel(*edges)
+        rough += results[edges][0]
+        t_star = edges[1]
+        tau_star = kappa * np.exp(t_star)
+        form_star = form_at(np.array([tau_star]))[0]
+        tail = float(form_star * tau_star ** power / (2.0 * abs(s)))
         if tail <= 1e-9 * (abs(rough) + tail):
             break
         if t_star >= 400.0:
@@ -932,58 +931,41 @@ def build_weighted_rule(form_at: Callable, kappa: float,
         a, b = worst
         mid = 0.5 * (a + b)
         del results[worst]
-        results[(a, mid)] = _gk_panel(h, a, mid)
-        results[(mid, b)] = _gk_panel(h, mid, b)
+        results[(a, mid)] = panel(a, mid)
+        results[(mid, b)] = panel(mid, b)
     else:
         dump = sorted(results)
         raise NumericalError("weighted-form quadrature stalled; panels: %s"
                              % dump)
 
-    panels = np.array(sorted(results))
+    edges = sorted(results)
+    panels = np.array(edges)
     t_nodes, t_weights, _ = (x.ravel() for x in
                              _panel_nodes(panels[:, :1], panels[:, 1:]))
-    weights = t_weights * scale * np.exp((2.0 * s + 1.0) * t_nodes)
-    tau_star = kappa * np.exp(t_star)
+    weights = t_weights * scale * np.exp(power * t_nodes)
+    tail_coeff = tau_star ** power / (2.0 * abs(s))
+    form_values = np.concatenate([results[e][2] for e in edges])
+    value = float((weights * form_values).sum() + tail_coeff * form_star)
+    if value < 0.0:
+        raise NumericalError("weighted form came out negative")
     # a zero state gives total = err = 0, and any rule integrates it exactly
     return WeightedFormRule(kappa=kappa, s=s,
                             tau_nodes=kappa * np.exp(t_nodes),
-                            weights=weights,
-                            tau_star=tau_star,
-                            tail_coeff=tau_star ** (2.0 * s + 1.0) / (2.0 * abs(s)),
-                            build_error=float(err / abs(total)) if total else 0.0)
-
-
-def _gk_panel(h: Callable, a: float, b: float):
-    nodes, wk, wg = _panel_nodes(a, b)
-    vals = h(nodes)
-    kronrod = float(np.sum(wk * vals))
-    gauss = float(np.sum(wg * vals))
-    return kronrod, abs(kronrod - gauss)
-
-
-@dataclass(frozen=True)
-class WeightedFormProfile:
-    """The weighted integral with the profile it was assembled from."""
-
-    kappa: float
-    s: float
-    tau_nodes: np.ndarray
-    form_values: np.ndarray
-    value: float
-    rule: WeightedFormRule
-
-    @property
-    def sigma(self) -> float:
-        return 0.5 * (0.5 + self.s)
+                            weights=weights, tau_star=tau_star,
+                            tail_coeff=tail_coeff,
+                            build_error=float(err / abs(total)) if total else 0.0,
+                            form_values=form_values, value=value)
 
 
 def weighted_resolvent_form(u: RealField, kappa: float, s: float,
-                            xi_max: Optional[float] = None
-                            ) -> WeightedFormProfile:
+                            xi_max: Optional[float] = None) -> WeightedFormRule:
     """integral_kappa^inf tau^(2s) form(tau; u) dtau on the adaptive rule of
-    its spectrum; see ``LaxSpectrum.weighted_form``."""
-    return LaxSpectrum.lanczos(build_lax(u, xi_max), u,
-                               kappa).weighted_form(kappa, s)
+    its Lanczos spectrum (``build_weighted_rule``), which carries the value
+    and the tau profile.  Values to be differenced along a trajectory come
+    from ``LaxSpectrum.shared_weighted_form``, whose rule does not depend on
+    the state."""
+    return build_weighted_rule(
+        LaxSpectrum.lanczos(build_lax(u, xi_max), u, kappa).form_at, kappa, s)
 
 
 @dataclass(frozen=True)

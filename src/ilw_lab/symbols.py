@@ -89,12 +89,6 @@ def coth_dx2_symbol(xi, depth: float) -> np.ndarray:
     return 1j * xi * coth_dx_symbol(xi, depth)
 
 
-def depth_dispersion_dx2_symbol(xi, depth: float) -> np.ndarray:
-    """i*xi^2*(coth(depth*xi) - 1/(depth*xi)); removable value 0 at xi = 0."""
-    xi = np.asarray(xi, dtype=float)
-    return 1j * xi * depth_dispersion_dx_symbol(xi, depth)
-
-
 def hilbert_dx2_symbol(xi) -> np.ndarray:
     """i*xi*|xi|, the deep-water counterpart of the dx2 symbols."""
     xi = np.asarray(xi, dtype=float)

@@ -9,8 +9,8 @@ against them:
   bare coth image of the wave by two routes and the two-translate product
   identity with its aggregate over ordered pairs;
 - oracles: the traveling 2*pi-mode at the periodic speed, the squared H^s
-  norm of the Dirac comb, the Hilbert symbol and the Sobolev norm of a
-  one-sided coefficient vector.
+  norm of the Dirac comb, the Hilbert symbol, the finite-depth linear
+  symbol and the Sobolev norm of a one-sided coefficient vector.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from ilw_lab.spectral import (
     forward_transform,
     multiplier_apply,
 )
-from ilw_lab.symbols import _require_depth
+from ilw_lab.symbols import _require_depth, depth_dispersion_dx_symbol
 from ilw_lab.waves import (
     _TWO_PI,
     _inv_cosh_plus,
@@ -59,6 +59,14 @@ def coth_symbol(xi, depth: float) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     y = depth * np.where(xi != 0.0, xi, 1.0)
     return np.where(xi != 0.0, -1j / np.tanh(y), 0.0)
+
+
+def depth_dispersion_dx2_symbol(xi, depth: float) -> np.ndarray:
+    """i*xi^2*(coth(depth*xi) - 1/(depth*xi)); removable value 0 at xi = 0.
+    The finite-depth linear symbol in closed form: ``make_ilw`` builds it
+    as i*xi times its energy symbol."""
+    xi = np.asarray(xi, dtype=float)
+    return 1j * xi * depth_dispersion_dx_symbol(xi, depth)
 
 
 def hardy_norm(coeffs: np.ndarray, frequencies: np.ndarray, length: float,

@@ -13,8 +13,7 @@ from ilw_lab import (
     evolve,
     forward_transform,
     galilean,
-    hamiltonian_bo,
-    hamiltonian_ilw,
+    hamiltonian,
     make_bo,
     make_bo_two_speed,
     make_ilw,
@@ -28,14 +27,32 @@ from ilw_lab import (
 )
 from ilw_lab import evolution
 from ilw_lab.spectral import MAX_POINTS
-from ilw_lab.symbols import coth_dx2_symbol, smoothing_symbol
+from ilw_lab.symbols import (
+    coth_dx2_symbol,
+    depth_dispersion_dx_symbol,
+    hilbert_dx2_symbol,
+    smoothing_symbol,
+)
 from ilw_lab.waves import periodic_profile, periodic_speed
+from oracles import depth_dispersion_dx2_symbol
 
 TWO_PI = 2.0 * np.pi
 
 
 def zero_field(grid):
     return RealField(grid, np.zeros(grid.n_points // 2 + 1, dtype=np.complex128))
+
+
+def hamiltonian_bo(state):
+    """The deep-water energy: ``hamiltonian`` on the symbol |xi|."""
+    return hamiltonian(state, np.abs(state.grid.frequencies))
+
+
+def hamiltonian_ilw(state, depth):
+    """The finite-depth energy: ``hamiltonian`` on the symbol
+    xi*coth(depth*xi) - 1/depth."""
+    return hamiltonian(state, depth_dispersion_dx_symbol(state.grid.frequencies,
+                                                         depth))
 
 
 def full_spectrum(u):
@@ -111,7 +128,10 @@ def test_problem_validation():
     with pytest.raises(ContractError):
         make_bo_two_speed(-1.0, 1.0, grid)
     with pytest.raises(ContractError):
-        EvolutionProblem(grid=grid, linear_symbol=np.ones(33), label="x")
+        EvolutionProblem(grid=grid, linear_symbol=np.ones(33), energy_symbol=None)
+    with pytest.raises(ContractError, match="energy symbol"):
+        EvolutionProblem(grid=grid, linear_symbol=np.zeros(33, dtype=complex),
+                         energy_symbol=np.ones(32))
 
 
 # ------------------------------------------------------------------ rhs
@@ -230,11 +250,11 @@ def test_evolve_validation():
 
 def test_diagnostics_are_evaluated_when_first_read(monkeypatch):
     # a run whose diagnostics are never read evaluates no monitor; the
-    # first read evaluates each default monitor once per stored state
+    # first read evaluates each monitor once per stored state
     calls = []
-    monkeypatch.setattr(evolution, "hamiltonian_ilw",
-                        lambda state, depth: calls.append(state)
-                        or hamiltonian_ilw(state, depth))
+    monkeypatch.setattr(evolution, "hamiltonian",
+                        lambda state, energy: calls.append((state, energy))
+                        or hamiltonian(state, energy))
     grid = SpectralGrid(TWO_PI, 64)
     problem = make_ilw(1.0, grid)
     trajectory = evolve(problem, random_field(grid, -0.25, 0.25, 2,
@@ -243,7 +263,9 @@ def test_diagnostics_are_evaluated_when_first_read(monkeypatch):
     assert calls == []
     diagnostics = trajectory.diagnostics
     assert len(calls) == 5
-    assert all(a is b for a, b in zip(calls, trajectory.states))
+    assert all(a is b for (a, _), b in zip(calls, trajectory.states))
+    # each call reads the problem's own energy symbol
+    assert all(energy is problem.energy_symbol for _, energy in calls)
     assert sorted(diagnostics) == ["hamiltonian", "l2", "mass", "mean", "sup"]
     assert trajectory.diagnostics is diagnostics and len(calls) == 5
     assert diagnostics["mass"].tolist() == [mass(u) for u in trajectory.states]
@@ -459,6 +481,32 @@ def test_diagnostics_read_without_raising_at_small_depth():
     diagnostics = evolve(make_ilw(1e-7, grid), u0, 1.0).diagnostics
     assert sorted(diagnostics) == ["hamiltonian", "l2", "mass", "mean", "sup"]
     assert all(np.isfinite(values).all() for values in diagnostics.values())
+
+
+def test_problems_carry_the_energy_symbol_of_their_flow():
+    # the finite-depth and deep-water problems carry the symbol of their
+    # conserved energy bit for bit, Nyquist slot included, and their linear
+    # symbols are i*xi times it, as the dx2 symbols give them; the
+    # two-depth problems carry none and record no hamiltonian
+    grid = SpectralGrid(TWO_PI, 64)
+    xi, nyquist = grid.frequencies, grid.nyquist_index
+    for problem, energy, linear in (
+            (make_ilw(0.7, grid), depth_dispersion_dx_symbol(xi, 0.7),
+             depth_dispersion_dx2_symbol(xi, 0.7)),
+            (make_bo(grid), np.abs(xi), hilbert_dx2_symbol(xi))):
+        assert problem.energy_symbol.tobytes() == energy.tobytes()
+        assert problem.energy_symbol[nyquist] == energy[nyquist] != 0.0
+        assert not problem.energy_symbol.flags.writeable
+        linear[nyquist] = 0.0
+        assert problem.linear_symbol.tobytes() == linear.tobytes()
+    u0 = random_field(grid, -0.25, 0.25, 3, decay=0.25)
+    for problem in (make_two_depth(1.0, 1.0, 10.0, 20.0, grid),
+                    make_two_depth(1.0, 1.0, 10.0, 20.0, grid,
+                                   frame="original"),
+                    make_bo_two_speed(1.0, 1.0, grid)):
+        assert problem.energy_symbol is None
+        diagnostics = evolve(problem, u0, 0.01, dt=1e-3).diagnostics
+        assert sorted(diagnostics) == ["l2", "mass", "mean", "sup"]
 
 
 def test_cubic_term_matches_quadrature():

@@ -717,6 +717,58 @@ def test_wave_sums_the_speed_correction_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_wave_synthesizes_each_profile_route_once(monkeypatch):
+    # route_gap and wave.csv read one synthesis of each route; the other two
+    # are traveling_residual's own (the profile and its dispersion image)
+    from ilw_lab.spectral import RealField
+
+    calls = []
+    samples = RealField.samples
+    monkeypatch.setattr(RealField, "samples",
+                        lambda self: calls.append(self) or samples(self))
+    experiments.run_wave(load_config("wave"))
+    assert len(calls) == 4
+
+
+def test_simulate_evaluates_the_depth_multiplier_once(monkeypatch):
+    # make_ilw evaluates the energy symbol once and takes the linear symbol
+    # from it; the hamiltonian diagnostic reads that symbol at every state
+    from ilw_lab import symbols
+
+    calls = []
+    coth_minus_inverse = symbols._coth_minus_inverse
+    monkeypatch.setattr(symbols, "_coth_minus_inverse",
+                        lambda xi, depth: calls.append(depth)
+                        or coth_minus_inverse(xi, depth))
+    result = experiments.run_simulate(load_config("simulate"))
+    assert calls == [1.0]
+    assert result.passed
+
+
+def test_beta_passes_each_tau_of_its_rule_to_the_form_once(monkeypatch):
+    # the adaptive rule keeps the profile it adapted on, so beta evaluates
+    # no tau twice except kappa: once for the rule's shift check and once
+    # for the Gauss value of its route check
+    from ilw_lab.lax import LaxSpectrum
+
+    taus = []
+    form_at = LaxSpectrum.form_at
+
+    def recorded(self, values):
+        taus.extend(np.atleast_1d(values).tolist())
+        return form_at(self, values)
+
+    monkeypatch.setattr(LaxSpectrum, "form_at", recorded)
+    cfg = load_config("beta")
+    result = experiments.run_beta(cfg)
+    nodes = [float(row.split(",")[0]) for row in
+             result.files["beta_profile.csv"].decode().splitlines()[1:]]
+    assert len(taus) == 338
+    assert taus.count(cfg.params["kappa"]) == 2
+    assert len(set(taus)) == len(taus) - 1
+    assert set(nodes) <= set(taus)
+
+
 def test_illposed_sums_no_lattice_profile(monkeypatch):
     # the sweep reads only the Fourier profile, so it sums no translates
     from ilw_lab import waves
@@ -1123,3 +1175,84 @@ def test_outputs_match_recorded_reference(tmp_path, capsys, argv, table,
             else:
                 x, r = float(cell), float(ref[column])
                 assert abs(x - r) <= VALUE_RTOL * abs(r), (column, x, r)
+
+
+# ---------------------------------------------- contracts stated elsewhere
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the argv of every ilw-lab call in the CI workflow's numpy-only smoke step,
+# in its order, with the exit code and the one FAILED line it asserts (None
+# where it checks none); the usage-error loop runs each argv with
+# ``--outdir usage``
+SMOKE_RUNS = [
+    ("simulate --n 64 --t-final 0.05 --outdir simulate", 0, None),
+    ("simulate --depth 1e-6 --t-final 0.1 --outdir simulate-shallow", 3,
+     "FAILED: Hamiltonian decomposition identity violated"),
+    ("wave --n 64 --outdir wave", 0, None),
+    ("beta --n 4096 --outdir beta", 0, None),
+    ("beta --amplitude 2 --kappa 3 --outdir beta-fallback", 3, None),
+    ("beta --n 4096 --amplitude 15 --outdir beta-near-critical", 3,
+     "FAILED: kappa 32 below admissible threshold"),
+    ("gronwall --n 128 --seeds 2 --samples 5 --t-final 0.05 --outdir gronwall",
+     0, None),
+    ("gronwall --n 128 --seeds 2 --samples 7 --t-final 0.05 "
+     "--outdir gronwall-blocks", 0, None),
+    ("gronwall --epsilon -1e-2 --n 128 --seeds 2 --samples 5 --t-final 0.05 "
+     "--outdir gronwall-epsilon", 0, None),
+    ("illposed --n 64 --outdir illposed", 0, None),
+    ("smoothing --n 256 --outdir smoothing", 0, None),
+    ("twodepth --n 64 --t-final 0.05 --outdir twodepth", 0, None),
+] + [(argv + " --outdir usage", 1, None) for argv in (
+    "simulate --length 5e-324", "wave --depth 1e-154", "wave --config dup.ini",
+    "gronwall --depth-list 1,1 --n 64", "illposed --adelta-list 2.8,2.8",
+    "illposed --t 0")]
+
+
+def _smoke_step_argvs():
+    """The argv of each ilw-lab call of the workflow's smoke step, read off
+    its shell lines: the direct calls, then the usage-error loop's."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("- name: Every command at small size")[1]
+    step = step.split("\n\n")[0]
+    direct = re.findall(r"ilw-lab (\w.*?--outdir \S+)", step)
+    loop = re.search(r"for argv in (.*?); do", step, re.S).group(1)
+    return direct + [argv + " --outdir usage"
+                     for argv in re.findall(r'"([^"]+)"', loop)]
+
+
+def test_smoke_runs_are_the_ci_step():
+    assert [argv for argv, _, _ in SMOKE_RUNS] == _smoke_step_argvs()
+
+
+@pytest.mark.parametrize("argv, exit_code, failed", SMOKE_RUNS, ids=[
+    argv.replace(" ", "_") for argv, _, _ in SMOKE_RUNS])
+def test_ci_smoke_step_runs_in_process(tmp_path, capsys, monkeypatch, argv,
+                                       exit_code, failed):
+    # the smoke step's assertions, offline: its exit code, its FAILED line,
+    # the report written by every completed run, and no traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dup.ini").write_text("[wave]\ndepth = 1\ndepth = 2\n")
+    assert main(argv.split()) == exit_code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    failed_lines = [line for line in err.splitlines()
+                    if line.startswith("FAILED:")]
+    if failed is not None:
+        assert len(failed_lines) == 1
+        assert failed_lines[0].startswith(failed)
+    elif exit_code != 3:
+        assert failed_lines == []
+    outdir = tmp_path / argv.split("--outdir ")[1]
+    assert (outdir / "report.json").is_file() == (exit_code in (0, 3))
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    # every python block of README.md runs as written
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for i, block in enumerate(blocks):
+        exec(compile(block, "README.md python block %d" % i, "exec"), {})
+    capsys.readouterr()

@@ -889,12 +889,38 @@ def test_form_times_tau_converges_to_hardy_mass():
 def test_weighted_form_zero_field():
     grid = SpectralGrid(TWO_PI, 128)
     zero = RealField(grid, np.zeros(65, dtype=np.complex128))
-    profile = weighted_resolvent_form(zero, 8.0, -0.25)
-    assert profile.value == 0.0
-    assert profile.rule.build_error == 0.0
+    rule = weighted_resolvent_form(zero, 8.0, -0.25)
+    assert rule.value == 0.0
+    assert rule.build_error == 0.0
     # one horizon panel of 15 Kronrod nodes, all of form value 0
-    assert profile.tau_nodes.shape == (15,)
-    assert not profile.form_values.any()
+    assert rule.tau_nodes.shape == (15,)
+    assert not rule.form_values.any()
+
+
+@pytest.mark.parametrize("overrides", [{}, {"n": "4096", "seed": "12"},
+                                       {"amplitude": "0"}])
+def test_weighted_rule_keeps_the_profile_it_adapted_on(overrides):
+    # the rule keeps the form values of its final panels and of its
+    # horizon: they equal a fresh evaluation at its nodes, and its value is
+    # the rule combined over that fresh profile, bit for bit (on the beta
+    # states at the defaults, at n = 4096 with seed 12, and on the zero
+    # field)
+    p = load_config("beta", overrides=overrides).params
+    grid = SpectralGrid(p["length"], p["n"])
+    u = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
+    spectrum = LaxSpectrum.lanczos(build_lax(u), u, p["kappa"])
+    rule = build_weighted_rule(spectrum.form_at, p["kappa"], p["s"])
+    fresh = spectrum.form_at(rule.taus)
+    assert rule.form_values.tobytes() == fresh[:-1].tobytes()
+    assert rule.value == float(np.real(rule.combine(fresh)))
+    assert rule.sigma == 0.5 * (0.5 + p["s"])
+    assert (rule.value == 0.0) == (p["amplitude"] == 0.0)
+
+
+def test_weighted_rule_refuses_a_negative_value():
+    # the rule carries its value, and with it the positivity check
+    with pytest.raises(NumericalError, match="negative"):
+        build_weighted_rule(lambda taus: -1.0 / np.asarray(taus), 8.0, -0.25)
 
 
 def test_weighted_form_perturbative_closed_form():
@@ -940,13 +966,12 @@ def test_weighted_rule_bisects_a_near_critical_state():
     kappa, s = 32.0, -0.25
     spectrum = LaxSpectrum.lanczos(build_lax(u), u, kappa)
     assert spectrum.lambda_min < -0.5 * kappa
-    profile = spectrum.weighted_form(kappa, s)
-    rule = profile.rule
+    rule = build_weighted_rule(spectrum.form_at, kappa, s)
     horizon_panels = round(np.log(rule.tau_star / kappa) / 2.0)
     assert rule.tau_nodes.shape[0] > 15 * horizon_panels
     assert rule.build_error <= lax_module._RULE_RTOL
     shared = spectrum.shared_weighted_form(kappa, s)
-    assert abs(profile.value - shared) <= 1e-12 * shared
+    assert abs(rule.value - shared) <= 1e-12 * shared
 
 
 def test_weighted_form_monotone_in_kappa():

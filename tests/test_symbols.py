@@ -19,10 +19,9 @@ from ilw_lab import (
 from ilw_lab.symbols import (
     coth_dx2_symbol,
     depth_dispersion_dx_symbol,
-    depth_dispersion_dx2_symbol,
     hilbert_dx2_symbol,
 )
-from oracles import coth_symbol, hilbert_symbol
+from oracles import coth_symbol, depth_dispersion_dx2_symbol, hilbert_symbol
 
 
 TWO_PI = 2.0 * np.pi
