@@ -51,7 +51,6 @@ from .lax import (
     KappaRule,
     LaxSpectrum,
     LaxTruncation,
-    SpectralMeasures,
     WeightedFormRule,
     apriori_bound,
     build_lax,
@@ -60,7 +59,6 @@ from .lax import (
     form_flow_derivative,
     gronwall_ensemble,
     gronwall_experiment,
-    lanczos_measures,
     modes_to_xi_max,
     resolvent_form,
     resolvent_form_gradient,

@@ -218,10 +218,11 @@ def _cubic_integral(state: RealField) -> float:
     return float(np.sum(u ** 3) * (state.grid.length / n_fine))
 
 
-def _quadratic_form(state: RealField, symbol_values: np.ndarray) -> float:
+def quadratic_energy(state: RealField, symbol_values: np.ndarray) -> float:
+    """1/2 integral u*(E u) for the real symbol E on the half lattice."""
     weights = state.grid.multiplicity * symbol_values
     total = np.sum(weights * np.abs(state.coeffs) ** 2) / state.grid.length
-    return float(total.real)
+    return 0.5 * float(total.real)
 
 
 def hamiltonian(state: RealField, energy_symbol: np.ndarray) -> float:
@@ -229,19 +230,20 @@ def hamiltonian(state: RealField, energy_symbol: np.ndarray) -> float:
     energy symbol of a flow (``EvolutionProblem.energy_symbol``): |xi|, the
     symbol of the Hilbert transform of d/dx, for the deep-water flow and
     xi*coth(depth*xi) - 1/depth for the finite-depth one."""
-    return 0.5 * _quadratic_form(state, energy_symbol) + _cubic_integral(state) / 3.0
+    return quadratic_energy(state, energy_symbol) + _cubic_integral(state) / 3.0
 
 
-def hamiltonian_decomposed(state: RealField, depth: float) -> float:
-    """The finite-depth energy from its three parts: the deep-water one
-    perturbed by the mass and the smoothing term,
-    H_bo - (1/depth)*M + 1/2 integral u*(smoothing u).  It agrees with
-    ``hamiltonian`` on the ``make_ilw`` energy symbol to rounding, and
-    ``simulate`` checks that at every stored state; a persistent gap means
-    a symbol regression."""
+def quadratic_energy_decomposed(state: RealField, depth: float) -> float:
+    """The quadratic part of the finite-depth energy from its three parts:
+    the deep-water one perturbed by the mass and the smoothing term,
+    1/2 integral u*(|D| u) - (1/depth)*M + 1/2 integral u*(smoothing u).
+    The cubic part of the energy is the same for every flow, so this agrees
+    with ``quadratic_energy`` on the ``make_ilw`` energy symbol to
+    rounding, and ``simulate`` checks that at every stored state; a
+    persistent gap means a symbol regression."""
     xi = state.grid.frequencies
-    return (hamiltonian(state, np.abs(xi)) - mass(state) / depth
-            + 0.5 * _quadratic_form(state, smoothing_symbol(xi, depth)))
+    return (quadratic_energy(state, np.abs(xi)) - mass(state) / depth
+            + quadratic_energy(state, smoothing_symbol(xi, depth)))
 
 
 # -- time stepping ------------------------------------------------------------

@@ -27,8 +27,10 @@ whether or not its basis stays orthogonal (Greenbaum 1989; Musco, Musco &
 Sidford 2018), and on the fields measured its basis stays orthonormal to
 1e-11 or better.  Its FFTs run in place on buffers allocated once per run
 (``_apply_lax``).
-``lanczos_measures`` is the one batch API, over a stacked truncation, and
-``LaxSpectrum.lanczos`` its one-state view.
+``LaxSpectrum`` is that measure for one state or for a stack of them,
+as ``LaxTruncation`` is the truncation: the experiments call
+``LaxSpectrum.lanczos`` on whole stacks of states, and on one state the
+same call gives the same row.
 The resolvent state (L_u + kappa)^(-1) P_+ u comes from Jacobi-preconditioned
 conjugate gradients on the same buffered FFT operator of the same truncation
 whenever its symbol bound certifies the shift, with a dense Cholesky solve
@@ -336,66 +338,6 @@ def _dense_measure(lax: LaxTruncation):
     return values, np.abs(lax.g @ vectors.conj()) ** 2 / lax.grid.length
 
 
-@dataclass(frozen=True)
-class SpectralMeasures:
-    """The spectral measures of P_+ u for a stack of states, one per row.
-
-    Row i holds its nodes (ascending) and weights in its first entries and
-    zeros after them, so a padded weight is exactly 0 and a padded node is
-    0.  ``steps`` is the Lanczos steps k of each row, which carries k nodes,
-    or 0 for a dense row, which carries every eigenvalue of its truncation.
-    ``lambda_min`` is each row's smallest node and ``lambda_bound`` its
-    symbol bound (``LaxTruncation.bound``).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    lambda_bound: np.ndarray
-    steps: np.ndarray
-
-    @property
-    def lambda_min(self) -> np.ndarray:
-        return self.nodes[:, 0]
-
-
-def lanczos_measures(lax: LaxTruncation, kappa: float) -> SpectralMeasures:
-    """The Gauss rule of a Lanczos run from P_+ u for each state of ``lax``
-    (a one-state truncation is a stack of one), certified at kappa.
-
-    One batched recurrence serves every row, and a row's arithmetic does not
-    depend on the rest of the batch.  The k x k Jacobi matrices are
-    diagonalized in one stacked ``np.linalg.eigh`` per distinct k; row i
-    keeps the Ritz values and ||g||^2 S[0, j]^2 / L.  A row whose
-    ``lax.bound + kappa <= 0`` is not certified and takes the dense
-    measure of its truncation (``_dense_measure``).  See ``LaxSpectrum``.
-    """
-    if not np.isfinite(kappa):
-        raise ContractError("kappa must be finite")
-    g, bound = np.atleast_2d(lax.g), np.atleast_1d(lax.bound)
-    certified = bound + kappa > 0.0
-    rows = np.flatnonzero(certified)
-    live = g[rows]
-    alpha, beta, steps = _lanczos(
-        lax if certified.all() else LaxTruncation(lax.grid, live), kappa)
-    width = max(steps.max(initial=0), 0 if certified.all() else g.shape[1])
-    nodes = np.zeros((g.shape[0], width))
-    weights = np.zeros((g.shape[0], width))
-    gnorm_sq = (live.real ** 2 + live.imag ** 2).sum(axis=1)
-    for k in sorted(set(steps.tolist())):
-        group = steps == k
-        theta, first = _golub_welsch(alpha[group, :k], beta[group, :k - 1])
-        nodes[rows[group], :k] = theta
-        weights[rows[group], :k] = (gnorm_sq[group, None] * first
-                                    / lax.grid.length)
-    for i in np.flatnonzero(~certified):
-        row = lax if lax.g.ndim == 1 else LaxTruncation(lax.grid, g[i])
-        nodes[i], weights[i] = _dense_measure(row)
-    all_steps = np.zeros(g.shape[0], dtype=int)
-    all_steps[rows] = steps
-    return SpectralMeasures(nodes=nodes, weights=weights, lambda_bound=bound,
-                            steps=all_steps)
-
-
 def _golub_welsch(diagonal: np.ndarray, off: np.ndarray):
     """Eigenvalues of each symmetric tridiagonal matrix of a stack, with
     diagonals ``diagonal`` (B, k) and off-diagonals ``off`` (B, k - 1), and
@@ -420,85 +362,102 @@ def _form_at(nodes: np.ndarray, weights: np.ndarray,
 
 
 class LaxSpectrum:
-    """Spectral measure of one truncation A at g = P_+ u, reused across
-    resolvent shifts.
+    """Spectral measure of P_+ u for one truncation A, reused across
+    resolvent shifts: of one state, or of each state of a stacked
+    truncation, one per row.
 
-    The form only needs nodes lambda_j and the weights of g on them, which
-    the Jacobi matrix of a tridiagonalization started at g carries (Golub &
-    Welsch, Math. Comp. 23, 1969).  Two constructors build it:
+    The form only needs nodes lambda_j and the weights of g = P_+ u on
+    them, which the Jacobi matrix of a tridiagonalization started at g
+    carries (Golub & Welsch, Math. Comp. 23, 1969).  Two constructors build
+    it:
 
-    - ``LaxSpectrum.lanczos(lax, u, kappa)`` runs the Lanczos
-      recurrence from g and keeps the Gauss rule of its k x k Jacobi
-      matrix: the Ritz values and ||g||^2 S[0, j]^2 / L.
+    - ``LaxSpectrum.lanczos(lax, kappa)`` runs the Lanczos recurrence from
+      the Hardy data of each state of ``lax`` and keeps the Gauss rule of
+      its k x k Jacobi matrix: the Ritz values and ||g||^2 S[0, j]^2 / L.
       Each row stops on its own once the Gauss rule (a lower bound on
       form(kappa)) and the Gauss-Radau rule with its extra node at the
       symbol bound ``lambda_bound`` <= lambda_min (an upper bound) agree to
       1e-14 relative, at breakdown, or at k = m (Golub & Meurant, Matrices,
       Moments and Quadrature, 2010, ch. 6-7).  A row whose bound does not
-      clear -kappa is not certified and takes the dense measure.  It is
-      the one-row view of ``lanczos_measures``, the batch API, which the
-      experiments call on whole stacks of states.
-    - ``LaxSpectrum(lax, u)`` diagonalizes the whole m x m matrix with one
-      ``np.linalg.eigh``, A = W diag(lambda) W^H, and weighs each
-      eigenvector by |<w_j, g>|^2 / L.  It gives every eigenvalue of A and
-      is the oracle for the Lanczos rule.
+      clear -kappa is not certified and takes the dense measure.
+    - ``LaxSpectrum(lax, u)`` diagonalizes the whole m x m matrix of the
+      one-state truncation ``lax`` of ``u`` with one ``np.linalg.eigh``,
+      A = W diag(lambda) W^H, and weighs each eigenvector by
+      |<w_j, g>|^2 / L.  It gives every eigenvalue of A and is the oracle
+      for the Lanczos rule.
 
-    Both read g, the grid and the symbol bound off ``lax``, the one-state
-    truncation of ``u``, and keep only ``eigenvalues`` and ``weights``, so a
+    It holds ``nodes`` (ascending) and ``weights``, of shape (k,) for one
+    state or (B, width) for a stack, whose row i keeps its measure in its
+    first entries and zeros after them, so a padded weight is exactly 0 and
+    a padded node is 0; a row's numbers do not depend on the rest of the
+    stack.  ``steps`` is the Lanczos steps k of each state, 0 for a dense
+    one, ``lambda_bound`` the symbol bound of its truncation
+    (``LaxTruncation.bound``) and ``lambda_min`` its smallest node.  A
     spectrum holds no m x m array; the resolvent state m(tau) itself comes
-    from ``resolvent_solve`` on the same truncation.  ``lanczos_steps`` is
-    k, 0 on the dense path.
+    from ``resolvent_solve`` on the same truncation.
     """
 
-    lanczos_steps = 0
-
     def __init__(self, lax: LaxTruncation, u: RealField):
-        self._read(lax, u)
-        self.eigenvalues, self.weights = _dense_measure(lax)
+        if u.grid != lax.grid or lax.g.ndim != 1:
+            raise ContractError("a dense spectrum takes the one-state "
+                                "truncation of its field")
+        self.nodes, self.weights = _dense_measure(lax)
+        self.steps, self.lambda_bound = 0, lax.bound
 
     @classmethod
-    def lanczos(cls, lax: LaxTruncation, u: RealField,
-                kappa: float) -> "LaxSpectrum":
-        """The spectrum of ``u`` from the one-row ``lanczos_measures`` call."""
+    def lanczos(cls, lax: LaxTruncation, kappa: float) -> "LaxSpectrum":
+        """The Gauss rule of a Lanczos run from P_+ u for each state of
+        ``lax``, certified at kappa.
+
+        One batched recurrence serves every row.  The k x k Jacobi matrices
+        are diagonalized in one stacked ``np.linalg.eigh`` per distinct k;
+        row i keeps the Ritz values and ||g||^2 S[0, j]^2 / L.  A row whose
+        ``lax.bound + kappa <= 0`` is not certified and takes the dense
+        measure of its truncation (``_dense_measure``).  A one-state
+        truncation gives a one-state spectrum, which fills its whole width.
+        """
+        if not np.isfinite(kappa):
+            raise ContractError("kappa must be finite")
+        g, bound = np.atleast_2d(lax.g), np.atleast_1d(lax.bound)
+        certified = bound + kappa > 0.0
+        rows = np.flatnonzero(certified)
+        live = g[rows]
+        alpha, beta, steps = _lanczos(
+            lax if certified.all() else LaxTruncation(lax.grid, live), kappa)
+        width = max(steps.max(initial=0), 0 if certified.all() else g.shape[1])
+        nodes = np.zeros((g.shape[0], width))
+        weights = np.zeros((g.shape[0], width))
+        gnorm_sq = (live.real ** 2 + live.imag ** 2).sum(axis=1)
+        for k in sorted(set(steps.tolist())):
+            group = steps == k
+            theta, first = _golub_welsch(alpha[group, :k], beta[group, :k - 1])
+            nodes[rows[group], :k] = theta
+            weights[rows[group], :k] = (gnorm_sq[group, None] * first
+                                        / lax.grid.length)
+        for i in np.flatnonzero(~certified):
+            row = lax if lax.g.ndim == 1 else LaxTruncation(lax.grid, g[i])
+            nodes[i], weights[i] = _dense_measure(row)
+        all_steps = np.zeros(g.shape[0], dtype=int)
+        all_steps[rows] = steps
         spectrum = cls.__new__(cls)
-        spectrum._read(lax, u)
-        measures = lanczos_measures(lax, kappa)
-        spectrum.lanczos_steps = int(measures.steps[0])
-        # a lone row fills the whole width: no padding
-        spectrum.eigenvalues, spectrum.weights = (measures.nodes[0],
-                                                  measures.weights[0])
+        state = slice(None) if lax.g.ndim > 1 else 0
+        vars(spectrum).update(nodes=nodes[state], weights=weights[state],
+                              steps=all_steps[state], lambda_bound=lax.bound)
         return spectrum
 
-    def _read(self, lax: LaxTruncation, u: RealField):
-        if u.grid != lax.grid or lax.g.ndim != 1:
-            raise ContractError("a spectrum takes the one-state truncation "
-                                "of its field")
-        self.grid, self.u, self.g = lax.grid, u, lax.g
-        self.lambda_bound = float(lax.bound)
-
     @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[0])
+    def lambda_min(self):
+        """The smallest node: a number for one state, a (B,) array for a
+        stack."""
+        return np.take(self.nodes, 0, axis=-1)
 
     def form_at(self, taus: np.ndarray) -> np.ndarray:
-        """form(tau) = (1/L) sum |<w_j, g>|^2 / (lambda_j + tau), vectorized."""
+        """form(tau) = (1/L) sum |<w_j, g>|^2 / (lambda_j + tau) of one
+        state, vectorized; a stack is a ContractError."""
+        if self.nodes.ndim != 1:
+            raise ContractError("form_at takes the spectrum of one state")
         _require_shift(self.lambda_min, float(np.min(taus)))
-        return _form_at(self.eigenvalues, self.weights, taus)
-
-    def check_kappa(self, s: float, kappa: float, c_s: float = 1.0) -> KappaCheck:
-        """Check kappa >= c_s*(1 + ||u||_{H^s_kappa})^(1/(2*sigma)), sigma =
-        (1/2 + s)/2, plus positivity of the shifted truncation: the one-row
-        case of ``_check_kappas``."""
-        check = _check_kappas(self.grid, self.u.coeffs[None], self.lambda_min,
-                              _shift_index(s, kappa, c_s), c_s)
-        return KappaCheck(kappa=kappa, threshold=float(check.threshold[0]),
-                          lambda_min=self.lambda_min, norm=float(check.norm[0]))
-
-    def shared_weighted_form(self, kappa: float, s: float) -> float:
-        """integral_kappa^inf tau^(2s) form(tau) dtau on the shared
-        ``KappaRule``: the value ``gronwall_ensemble`` takes at this state."""
-        rule = KappaRule.build(kappa, s)
-        return float(rule.values(self.eigenvalues[None], self.weights[None])[0])
+        return _form_at(self.nodes, self.weights, taus)
 
 
 def _require_shift(lambda_min: float, tau: float):
@@ -530,14 +489,16 @@ def _shift_index(s: float, kappa: float, c_s: float) -> SobolevIndex:
 
 def _check_kappas(grid: SpectralGrid, coeffs: np.ndarray, lambda_min,
                   index: SobolevIndex, c_s: float) -> KappaCheck:
-    """The admissible-shift test of kappa = ``index.kappa`` at each row of
-    the (B, n_points//2 + 1) stack ``coeffs``, whose smallest eigenvalues
-    (or Ritz values) are ``lambda_min``: a KappaCheck of (B,) arrays, with
-    the H^s_kappa norm of each row and the threshold (``_kappa_threshold``)
-    that kappa must clear there."""
+    """The admissible-shift test of kappa = ``index.kappa`` at the half
+    spectrum ``coeffs`` of one state, or at each row of a (B, n_points//2
+    + 1) stack, whose smallest eigenvalues (or Ritz values) are
+    ``lambda_min``: a KappaCheck with the H^s_kappa norm of each state and
+    the threshold (``_kappa_threshold``) that kappa must clear there."""
     norms = sobolev_norms(grid, coeffs, index)
-    thresholds = [_kappa_threshold(norm, index.s, c_s) for norm in norms.tolist()]
-    return KappaCheck(kappa=index.kappa, threshold=np.array(thresholds),
+    thresholds = np.reshape([_kappa_threshold(norm, index.s, c_s)
+                             for norm in np.ravel(norms).tolist()],
+                            np.shape(norms))
+    return KappaCheck(kappa=index.kappa, threshold=thresholds[()],
                       lambda_min=lambda_min, norm=norms)
 
 
@@ -561,11 +522,13 @@ class KappaCheck:
 
 def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
                 xi_max: Optional[float] = None) -> KappaCheck:
-    """Admissible-shift test of ``u`` on its Lanczos spectrum at kappa (see
-    ``LaxSpectrum.check_kappa``): ``lambda_min`` is the smallest Ritz value
-    of a certified state, which clears -kappa as the eigenvalues do."""
-    return LaxSpectrum.lanczos(build_lax(u, xi_max), u,
-                               kappa).check_kappa(s, kappa, c_s)
+    """Admissible-shift test of ``u`` on its Lanczos spectrum at kappa
+    (``_check_kappas`` on one state): ``lambda_min`` is the smallest Ritz
+    value of a certified state, which clears -kappa as the eigenvalues
+    do."""
+    spectrum = LaxSpectrum.lanczos(build_lax(u, xi_max), kappa)
+    return _check_kappas(u.grid, u.coeffs, spectrum.lambda_min,
+                         _shift_index(s, kappa, c_s), c_s)
 
 
 # conjugate gradients stop once the residual is below this fraction of ||g||
@@ -576,7 +539,7 @@ def resolvent_solve(lax: LaxTruncation, kappa: float, g: np.ndarray) -> np.ndarr
     """Solve (L_u + kappa) x = g with a residual check.
 
     A shift certified by the symbol bound (``lax.bound`` + kappa > 0, the
-    test that ``lanczos_measures`` makes) runs Jacobi-preconditioned
+    test that ``LaxSpectrum.lanczos`` makes) runs Jacobi-preconditioned
     conjugate gradients on the FFT operator; otherwise, or if they have not
     converged after m iterations, a Cholesky factorization of the dense
     matrix solves it and raises KappaTooSmallError when the shifted matrix
@@ -729,7 +692,7 @@ def _require_weight_exponent(s: float, kappa: float):
 _KAPPA_RULE_NODES = 32
 _KAPPA_RULE_SWITCH = 8.0
 
-# rows per lanczos_measures call of gronwall_ensemble, in whole samples and
+# rows per LaxSpectrum.lanczos call of gronwall_ensemble, in whole samples and
 # at least one sample: the default 30 members take two samples per call.
 # The 3,030 sampled rows of the default gronwall took 0.21 s in calls of
 # 60 rows, 0.18 s in calls of 120 or 240 and 0.23 s in one call (medians of
@@ -825,14 +788,17 @@ class KappaRule:
         out[low] = 2.0 ** -b * lower + pole ** (b - 1.0) * upper
         return self.kappa ** (2.0 * self.s) * out
 
-    def values(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """beta_s of each row of a zero-padded (B, k) measure stack (see
-        ``SpectralMeasures``).  Raises KappaTooSmallError when a node does
-        not clear -kappa, and NumericalError on a negative value."""
+    def values(self, spectrum: LaxSpectrum):
+        """beta_s of one state's measure, or of each row of a zero-padded
+        stack of them (``LaxSpectrum``).  Raises KappaTooSmallError when a
+        node does not clear -kappa, and NumericalError on a negative
+        value."""
+        nodes = spectrum.nodes
         _require_shift(float(nodes.min()), self.kappa)
         # running sums: a row's zero padding then adds exact zeros, so its
         # value does not depend on the width of the stack
-        values = (weights * self.kernel(nodes)).cumsum(axis=1)[:, -1]
+        values = np.take((spectrum.weights * self.kernel(nodes))
+                         .cumsum(axis=-1), -1, axis=-1)
         if np.any(values < 0.0):
             raise NumericalError("weighted form came out negative")
         return values
@@ -962,10 +928,9 @@ def weighted_resolvent_form(u: RealField, kappa: float, s: float,
     """integral_kappa^inf tau^(2s) form(tau; u) dtau on the adaptive rule of
     its Lanczos spectrum (``build_weighted_rule``), which carries the value
     and the tau profile.  Values to be differenced along a trajectory come
-    from ``LaxSpectrum.shared_weighted_form``, whose rule does not depend on
-    the state."""
+    from ``KappaRule.values``, whose rule does not depend on the state."""
     return build_weighted_rule(
-        LaxSpectrum.lanczos(build_lax(u, xi_max), u, kappa).form_at, kappa, s)
+        LaxSpectrum.lanczos(build_lax(u, xi_max), kappa).form_at, kappa, s)
 
 
 @dataclass(frozen=True)
@@ -997,7 +962,7 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
     _require_weight_exponent(s, kappa)
     grid = u.grid
     lax = build_lax(u, xi_max)
-    spectrum = LaxSpectrum.lanczos(lax, u, kappa)
+    spectrum = LaxSpectrum.lanczos(lax, kappa)
     # its first form_at checks the shift
     rule = build_weighted_rule(spectrum.form_at, kappa, s)
 
@@ -1042,7 +1007,7 @@ def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
     largest absolute log-slope, so it catches only a non-finite one; and
     that the admissible-shift condition holds at every sample (a
     NumericalError aborts the run otherwise).  The form at each sample is
-    ``LaxSpectrum.shared_weighted_form`` of the sampled state.
+    the ``KappaRule.values`` of the sampled state's Lanczos spectrum.
     ``equation="bo"`` drops the depth correction, under which the form is
     conserved and a_hat collapses to integrator noise.  This is the
     one-member case of ``gronwall_ensemble``.
@@ -1065,13 +1030,13 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     their depths: the default step depends only on the grid and the state,
     so every depth of one initial state lands in the same batch.  The
     samples are measured in blocks of consecutive ones, so no trajectory is
-    stored: one ``lanczos_measures`` call takes the stacks of as many
+    stored: one ``LaxSpectrum.lanczos`` call takes the stacks of as many
     samples as fit in ``_LANCZOS_BLOCK_ROWS`` rows, and at least one, in
     time order and then member order.  A row's measure does not depend on
     the rest of the call, so it equals the one its sample gets alone.  Each
     block then takes one pass over all its rows: the zero-form check (first
     block), one H^s_kappa norm reduction and admissible-shift test
-    (``_check_kappas``, which ``check_kappa`` runs on one row), the margin
+    (``_check_kappas``, which ``check_kappa`` runs on one state), the margin
     update and one evaluation of the ``KappaRule`` built once per call; no
     field or spectrum is built per row.  The first failing row in time and
     then member order is the shift failure reported.  Every shift test of a
@@ -1120,13 +1085,13 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
         for block in _sample_blocks(samples, per_call):
             # rows in time order, then member order
             coeffs = np.concatenate([c for _, c in block])
-            measures = lanczos_measures(
+            spectra = LaxSpectrum.lanczos(
                 LaxTruncation(grid, coeffs[:, :n_modes]), kappa)
-            if not times and not measures.weights[:len(members)].any(axis=1).all():
+            if not times and not spectra.weights[:len(members)].any(axis=1).all():
                 # all weights vanish exactly when form(kappa; u0) = 0
                 raise ContractError("initial data has zero weighted form; "
                                     "no growth rate can be fitted")
-            check = _check_kappas(grid, coeffs, measures.lambda_min, index, c_s)
+            check = _check_kappas(grid, coeffs, spectra.lambda_min, index, c_s)
             failed = np.flatnonzero(~check.ok)
             if failed.size:
                 raise NumericalError(
@@ -1138,8 +1103,7 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
             thresholds = check.threshold.reshape(by_sample)
             margin = np.minimum(margin, (kappa - thresholds).min(axis=0))
             times += [t for t, _ in block]
-            values.append(rule.values(measures.nodes, measures.weights)
-                          .reshape(by_sample))
+            values.append(rule.values(spectra).reshape(by_sample))
         times, values = np.asarray(times), np.concatenate(values)
         # the worst absolute log-slope of each member, and the pointwise
         # check form(t) <= exp(a_hat t) form(0)

@@ -24,7 +24,7 @@ from ilw_lab import (
     weighted_resolvent_form,
 )
 from ilw_lab.experiments import load_config, run
-from ilw_lab.lax import LaxSpectrum
+from ilw_lab.lax import KappaRule, LaxSpectrum
 from ilw_lab.symbols import smoothing_operator_scan
 from ilw_lab.waves import (
     lattice_profile,
@@ -102,10 +102,10 @@ def test_criterion_4_deep_water_conservation():
     trajectory = evolve(make_bo(grid), u0, 1.0, dt=1e-4, store_stride=1000)
     xi_max = modes_to_xi_max(SpectralGrid(TWO_PI, 2048), 512)
     # the shared rule does not depend on the state
+    rule = KappaRule.build(32.0, -0.25)
     betas = np.array([
-        LaxSpectrum.lanczos(build_lax(state.embedded(2048), xi_max),
-                            state.embedded(2048), 32.0)
-        .shared_weighted_form(32.0, -0.25)
+        rule.values(LaxSpectrum.lanczos(
+            build_lax(state.embedded(2048), xi_max), 32.0))
         for state in trajectory.states])
     drift = float(np.max(np.abs(betas - betas[0])) / betas[0])
     elapsed = time.time() - started
@@ -151,8 +151,8 @@ def test_criterion_6_flow_derivative_identity():
 
     def beta(state):
         # the shared rule does not depend on the state
-        return LaxSpectrum.lanczos(build_lax(state, xi_max), state, 32.0) \
-            .shared_weighted_form(32.0, -0.25)
+        return KappaRule.build(32.0, -0.25).values(
+            LaxSpectrum.lanczos(build_lax(state, xi_max), 32.0))
 
     worst = 0.0
     for idx in (2500, 5000, 7500):

@@ -471,6 +471,46 @@ def test_certified_runs_never_import_scipy_linalg(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_perfbench_tracer_wraps_every_layer_it_names(tmp_path):
+    # perfbench/tracing.py rebinds the package's layer functions and
+    # methods by name, and a renamed or re-signed one fails its traced
+    # run; the tracer monkeypatches the package, so it runs in a fresh
+    # process, with small beta, gronwall and simulate runs and the dense
+    # LaxSpectrum call that perfbench's diagnostic times
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    runs = [["beta", "--n", "256"],
+            ["gronwall", "--n", "64", "--seeds", "1", "--samples", "2",
+             "--t-final", "0.01"],
+            ["simulate", "--n", "64", "--t-final", "0.05"]]
+    code = "\n".join([
+        "import json, sys",
+        "sys.path.insert(0, %r)" % str(root / "perfbench"),
+        "import tracing",
+        "from ilw_lab import cli, lax",
+        "from ilw_lab.experiments import random_field",
+        "from ilw_lab.spectral import SpectralGrid",
+        "tracer = tracing.Tracer()",
+        "tracing.install(tracer)",
+        "codes = [cli.main(argv + ['--outdir', 'o%%d' %% i])"
+        " for i, argv in enumerate(%r)]" % runs,
+        "u = random_field(SpectralGrid(1.0, 128), -0.25, 0.3, 1, 0.0)",
+        "lax.LaxSpectrum(lax.build_lax(u, lax.modes_to_xi_max(u.grid, 16)),"
+        " u)",
+        "print(json.dumps({'codes': codes, 'errors': tracer.errors,"
+        " 'names': sorted({span[2] for span in tracer.spans})}))"])
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["errors"] == []
+    assert {"lax.eigh", "lax.form_at"} <= set(result["names"])
+
+
 def test_cli_usage_errors(tmp_path, capsys):
     assert main([]) == 1
     assert main(["wave", "--n", "abc", "--outdir", str(tmp_path / "x")]) == 1
@@ -594,7 +634,7 @@ def _reject_non_finite(token):
 
 def test_simulate_reports_the_hamiltonian_identity_as_a_failed_check(
         tmp_path, capsys):
-    # at depth 1e-7 the decomposed energy misses the direct one by 1.3e-11,
+    # at depth 1e-7 the decomposed energy misses the direct one by 6.1e-12,
     # past 1e-12*max(1, |H|): the identity fails like every other check,
     # with one FAILED line and every output written
     out = tmp_path / "sim"
@@ -742,6 +782,23 @@ def test_simulate_evaluates_the_depth_multiplier_once(monkeypatch):
                         or coth_minus_inverse(xi, depth))
     result = experiments.run_simulate(load_config("simulate"))
     assert calls == [1.0]
+    assert result.passed
+
+
+def test_simulate_computes_the_cubic_term_once_per_state(monkeypatch):
+    # the hamiltonian diagnostic takes the cubic term of each of the 101
+    # stored states; the decomposition check compares the quadratic parts
+    # alone, because the cubic term is the same on both sides
+    from ilw_lab import evolution
+
+    calls = []
+    cubic_integral = evolution._cubic_integral
+    monkeypatch.setattr(evolution, "_cubic_integral",
+                        lambda state: calls.append(state)
+                        or cubic_integral(state))
+    result = experiments.run_simulate(load_config("simulate"))
+    assert len(calls) == 101
+    assert len({id(state) for state in calls}) == 101
     assert result.passed
 
 
@@ -955,7 +1012,7 @@ def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
 
     stepped, measured = [], []
     stepper = lax_module.etdrk4_samples
-    lanczos = lax_module.lanczos_measures
+    lanczos = lax_module.LaxSpectrum.lanczos
 
     def counting_stepper(problems, coeffs, *args):
         stepped.append(len(coeffs))
@@ -966,7 +1023,7 @@ def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
         return lanczos(lax, *args)
 
     monkeypatch.setattr(lax_module, "etdrk4_samples", counting_stepper)
-    monkeypatch.setattr(lax_module, "lanczos_measures", counting_lanczos)
+    monkeypatch.setattr(lax_module.LaxSpectrum, "lanczos", counting_lanczos)
     argv = ["gronwall", "--depth-list", "0.5,1.0", "--seeds", "3",
             "--t-final", "0.05", "--dt", "1e-3", "--n", "128",
             "--samples", "5", "--outdir", str(tmp_path / "g")]

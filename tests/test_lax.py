@@ -21,7 +21,6 @@ from ilw_lab import (
     forward_transform,
     gronwall_ensemble,
     gronwall_experiment,
-    lanczos_measures,
     make_bo,
     make_ilw,
     modes_to_xi_max,
@@ -89,7 +88,7 @@ def test_lax_matrix_zero_and_constant_fields():
     # adding a constant shifts every eigenvalue by that constant
     shifted = build_lax(constant_field(grid, -2.0), 31.0)
     spectrum = LaxSpectrum(shifted, constant_field(grid, -2.0))
-    assert np.max(np.abs(np.sort(spectrum.eigenvalues)
+    assert np.max(np.abs(np.sort(spectrum.nodes)
                          - (np.arange(32.0) - 2.0))) < 1e-13
     assert spectrum.lambda_min == pytest.approx(-2.0, abs=1e-13)
 
@@ -113,7 +112,7 @@ def test_lax_eigenvalues_stay_within_sup_norm():
     for seed in range(5):
         u = random_field(grid, -0.25, 0.3, seed, decay=0.25)
         spectrum = LaxSpectrum(build_lax(u, 31.0), u)
-        gap = np.max(np.abs(np.sort(spectrum.eigenvalues) - np.arange(32.0)))
+        gap = np.max(np.abs(np.sort(spectrum.nodes) - np.arange(32.0)))
         assert gap <= u.sup_norm() * (1.0 + 1e-12)
 
 
@@ -146,10 +145,10 @@ def test_lax_spectrum_against_dense_oracles(case):
     u, xi_max = _DECOMPOSITION_CASES[case]
     lax = build_lax(u, xi_max)
     spectrum = LaxSpectrum(lax, u)
-    a, g, length = lax.matrix, spectrum.g, _GRID.length
+    a, g, length = lax.matrix, lax.g, _GRID.length
     linalg = pytest.importorskip("scipy.linalg")
     dense = linalg.eigh(a, eigvals_only=True)
-    lam = spectrum.eigenvalues
+    lam = spectrum.nodes
     assert np.all(np.abs(lam - dense) <= 1e-12 * (1.0 + np.abs(dense)))
 
     taus = -spectrum.lambda_min + np.array([1.0, 4.0, 32.0, 1e3, 1e6])
@@ -169,23 +168,23 @@ def test_lax_spectrum_keeps_no_matrix():
     spectrum = LaxSpectrum(build_lax(u, modes_to_xi_max(grid, 64)), u)
     arrays = {name: value for name, value in vars(spectrum).items()
               if isinstance(value, np.ndarray)}
-    assert {"g", "eigenvalues", "weights"} <= set(arrays)
+    assert {"nodes", "weights"} <= set(arrays)
     assert all(value.shape == (64,) for value in arrays.values()), \
         {name: value.shape for name, value in arrays.items()}
 
 
 # ---------------------------------------------------------------- Lanczos
 
-def _jacobi(spectrum, kappa):
-    """The Lanczos run behind ``spectrum``: (alpha_1..alpha_k,
-    beta_1..beta_k), beta_k being the last residual norm."""
-    grid = spectrum.grid
+def _jacobi(lax, kappa):
+    """The Lanczos run from the one-state truncation ``lax``:
+    (alpha_1..alpha_k, beta_1..beta_k), beta_k being the last residual
+    norm."""
     alpha, beta, steps = lax_module._lanczos(
-        LaxTruncation(grid, spectrum.g[None]), kappa)
+        LaxTruncation(lax.grid, lax.g[None]), kappa)
     return alpha[0, :steps[0]], beta[0, :steps[0]]
 
 
-def _gauss_and_gap(spectrum, jacobi, steps, tau):
+def _gauss_and_gap(lax, jacobi, steps, tau):
     """Gauss value of form(tau) after ``steps`` Lanczos steps and the amount
     its Gauss-Radau completion adds, by dense solves on the Jacobi entries.
 
@@ -199,9 +198,9 @@ def _gauss_and_gap(spectrum, jacobi, steps, tau):
     jac = (np.diag(alpha[:steps]) + np.diag(beta[:steps - 1], 1)
            + np.diag(beta[:steps - 1], -1))
     eye = np.eye(steps)
-    scale = np.vdot(spectrum.g, spectrum.g).real / spectrum.grid.length
+    scale = np.vdot(lax.g, lax.g).real / lax.grid.length
     gauss = scale * np.linalg.solve(jac + tau * eye, eye[0])[0]
-    a, b = spectrum.lambda_bound, beta[steps - 1]
+    a, b = lax.bound, beta[steps - 1]
     if np.linalg.eigvalsh(jac)[0] <= a:
         return gauss, np.inf
     corner = a + b * b * np.linalg.solve(jac - a * eye, eye[-1])[-1]
@@ -234,9 +233,10 @@ def test_lanczos_gauss_radau_enclosure(case):
     u, m = _ENCLOSURE_CASES[case]
     kappa, s = 32.0, -0.25
     xi_max = (m - 0.5) * u.grid.fundamental  # m modes; m = 1 included
-    spectrum = LaxSpectrum.lanczos(build_lax(u, xi_max), u, kappa)
+    lax = build_lax(u, xi_max)
+    spectrum = LaxSpectrum.lanczos(lax, kappa)
     dense = LaxSpectrum(build_lax(u, xi_max), u)
-    steps = spectrum.lanczos_steps
+    steps = spectrum.steps
     assert 1 <= steps <= m
     assert spectrum.lambda_bound + kappa > 0.0
     exact = dense.form_at(np.array([kappa]))[0]
@@ -246,19 +246,19 @@ def test_lanczos_gauss_radau_enclosure(case):
         return
     gauss = spectrum.form_at(np.array([kappa]))[0]
     assert gauss <= exact * (1 + _ENCLOSURE_SLACK)
-    jacobi = _jacobi(spectrum, kappa)
+    jacobi = _jacobi(lax, kappa)
     assert jacobi[0].shape == (steps,)
     for j in range(1, steps + 1):
-        gauss, gap = _gauss_and_gap(spectrum, jacobi, j, kappa)
+        gauss, gap = _gauss_and_gap(lax, jacobi, j, kappa)
         assert gauss <= exact * (1 + _ENCLOSURE_SLACK), (j, gauss, exact)
         assert exact <= (gauss + gap) * (1 + _ENCLOSURE_SLACK), (j, gap, exact)
     # the run stops at the first k whose gap is below 1e-14 of the Gauss
     # value (the 1e-6 allows for the rounding of this route), at breakdown,
     # or at k = m
     if steps > 1:
-        gauss, gap = _gauss_and_gap(spectrum, jacobi, steps - 1, kappa)
+        gauss, gap = _gauss_and_gap(lax, jacobi, steps - 1, kappa)
         assert gap > 1e-14 * (1 - 1e-6) * gauss
-    gauss, gap = _gauss_and_gap(spectrum, jacobi, steps, kappa)
+    gauss, gap = _gauss_and_gap(lax, jacobi, steps, kappa)
     beta_k = jacobi[1][-1]
     assert (gap <= 1e-14 * (1 + 1e-6) * gauss or steps == m
             or beta_k <= 1e-13 * (m - spectrum.lambda_bound))
@@ -281,16 +281,16 @@ def test_lanczos_rows_do_not_depend_on_the_batch():
     fields[3] = constant_field(grid, -1.5)
     for m in (3, 17, 64):
         xi_max = modes_to_xi_max(grid, m)
-        batch = lanczos_measures(_stacked_lax(fields, xi_max), 32.0)
+        batch = LaxSpectrum.lanczos(_stacked_lax(fields, xi_max), 32.0)
         assert len(set(batch.steps.tolist())) > 1
         for i, u in enumerate(fields):
-            alone = LaxSpectrum.lanczos(build_lax(u, xi_max), u, 32.0)
-            assert alone.u is u
-            assert np.array_equal(alone.g, hardy_project(u)[:m])
+            lax = build_lax(u, xi_max)
+            alone = LaxSpectrum.lanczos(lax, 32.0)
+            assert np.array_equal(lax.g, hardy_project(u)[:m])
             steps = batch.steps[i]
-            assert steps == alone.lanczos_steps
+            assert steps == alone.steps
             # the row's measure, then its zero padding
-            for name, row in (("eigenvalues", batch.nodes[i]),
+            for name, row in (("nodes", batch.nodes[i]),
                               ("weights", batch.weights[i])):
                 assert np.array_equal(row[:steps], getattr(alone, name)), name
                 assert not row[steps:].any(), name
@@ -304,14 +304,14 @@ def test_lanczos_second_pass_runs_at_breakdown(m):
     grid = SpectralGrid(TWO_PI, 256)
     u = constant_field(grid, -2.0)
     xi_max = modes_to_xi_max(grid, m)
-    spectrum = LaxSpectrum.lanczos(build_lax(u, xi_max), u, 32.0)
-    assert spectrum.lanczos_steps == 1
+    spectrum = LaxSpectrum.lanczos(build_lax(u, xi_max), 32.0)
+    assert spectrum.steps == 1
     dense = LaxSpectrum(build_lax(u, xi_max), u)
     taus = np.array([32.0, 32.0 * np.e ** 3, 1e4])
     want = dense.form_at(taus)
     assert np.all(np.abs(spectrum.form_at(taus) - want) <= 1e-12 * want)
     heaviest = np.argmax(dense.weights)
-    assert abs(spectrum.eigenvalues[0] - dense.eigenvalues[heaviest]) <= 1e-12
+    assert abs(spectrum.nodes[0] - dense.nodes[heaviest]) <= 1e-12
     assert (abs(spectrum.weights[0] - dense.weights.sum())
             <= 1e-12 * dense.weights.sum())
 
@@ -332,7 +332,7 @@ def _lanczos_fields(tmp_path, monkeypatch):
         raise _FirstBlock
 
     with monkeypatch.context() as patch:
-        patch.setattr(lax_module, "lanczos_measures", first_block)
+        patch.setattr(LaxSpectrum, "lanczos", first_block)
         with pytest.raises(_FirstBlock):
             run(load_config("gronwall", output_dir=str(tmp_path / "g")))
     p = load_config("beta", overrides={"n": 4096}).params
@@ -451,7 +451,7 @@ def test_plain_lanczos_matches_the_reorthogonalized_run(tmp_path,
         g = coeffs[:, :lax_module._truncation_size(grid, None)]
         bound = lax_module._symbol_bound(g, grid.length)
         assert np.all(bound + kappa > 0.0)
-        plain = lanczos_measures(LaxTruncation(grid, g), kappa)
+        plain = LaxSpectrum.lanczos(LaxTruncation(grid, g), kappa)
         alpha, beta, steps = lax_module._lanczos(LaxTruncation(grid, g),
                                                  kappa)
         want_alpha, want_beta, want_steps = _reorthogonalized_lanczos(
@@ -486,18 +486,19 @@ def test_shared_rule_rows_do_not_depend_on_the_batch():
                   [(0.4, 0.25), (3.0, 0.0), (0.3, 0.0), (1.0, 0.0),
                    (2.0, 0.05), (0.4, 0.5)])]
     kappa, s = 32.0, -0.25
-    measures = lanczos_measures(_stacked_lax(fields), kappa)
+    measures = LaxSpectrum.lanczos(_stacked_lax(fields), kappa)
     steps = measures.steps
     assert steps.min() < 8 and steps.max() > 16
     assert measures.nodes.shape == measures.weights.shape == (6, steps.max())
     assert np.array_equal(measures.lambda_min, measures.nodes[:, 0])
-    values = KappaRule.build(kappa, s).values(measures.nodes, measures.weights)
+    rule = KappaRule.build(kappa, s)
+    values = rule.values(measures)
     for i, u in enumerate(fields):
         assert not measures.nodes[i, steps[i]:].any()
         assert not measures.weights[i, steps[i]:].any()
-        alone = LaxSpectrum.lanczos(build_lax(u), u, kappa)
-        assert alone.lanczos_steps == steps[i]
-        assert values[i] == alone.shared_weighted_form(kappa, s)
+        alone = LaxSpectrum.lanczos(build_lax(u), kappa)
+        assert alone.steps == steps[i]
+        assert values[i] == rule.values(alone)
 
 
 def test_symbol_bound_is_below_lambda_min():
@@ -526,10 +527,10 @@ def test_spectra_carry_the_symbol_bound_of_their_measure():
     fields = [random_field(grid, -0.25, amp, seed, decay=0.25)
               for amp, seed in ((0.3, 7), (5.0, 3), (0.0, 1))]
     kappa = 2.0
-    measures = lax_module.lanczos_measures(_stacked_lax(fields), kappa)
+    measures = LaxSpectrum.lanczos(_stacked_lax(fields), kappa)
     for u, bound in zip(fields, measures.lambda_bound):
-        spectrum = LaxSpectrum.lanczos(build_lax(u), u, kappa)
-        expected = lax_module._symbol_bound(spectrum.g, grid.length)
+        spectrum = LaxSpectrum.lanczos(build_lax(u), kappa)
+        expected = lax_module._symbol_bound(build_lax(u).g, grid.length)
         assert spectrum.lambda_bound == bound == expected
         assert LaxSpectrum(build_lax(u), u).lambda_bound == expected
     assert measures.lambda_bound[1] + kappa <= 0.0
@@ -537,29 +538,48 @@ def test_spectra_carry_the_symbol_bound_of_their_measure():
 
 def test_uncertified_rows_take_the_dense_path():
     # a + kappa <= 0 cannot be certified: that row is the dense spectrum,
-    # and the rest of the batch is unchanged by it
+    # and the rest of the batch is unchanged by it.  A one-state call gives
+    # its row of the stacked call bit for bit, certified or dense: the
+    # measure, the shared-rule value and the admissible-shift test
     grid = SpectralGrid(TWO_PI, 128)
     big = random_field(grid, -0.25, 5.0, 3, decay=0.3)
     small = random_field(grid, -0.25, 0.3, 7, decay=0.25)
     kappa = 2.0
     dense = LaxSpectrum(build_lax(big), big)
     assert dense.lambda_bound + kappa <= 0.0
-    mixed = lanczos_measures(_stacked_lax([small, big]), kappa)
+    mixed = LaxSpectrum.lanczos(_stacked_lax([small, big]), kappa)
     assert mixed.steps[1] == 0
-    assert np.array_equal(mixed.nodes[1], dense.eigenvalues)
+    assert np.array_equal(mixed.nodes[1], dense.nodes)
     assert np.array_equal(mixed.weights[1], dense.weights)
-    lone = LaxSpectrum.lanczos(build_lax(big), big, kappa)
-    assert lone.lanczos_steps == 0
-    for name in ("g", "eigenvalues", "weights"):
+    lone = LaxSpectrum.lanczos(build_lax(big), kappa)
+    assert lone.steps == 0
+    for name in ("nodes", "weights", "lambda_bound"):
         assert np.array_equal(getattr(lone, name), getattr(dense, name))
-    alone = LaxSpectrum.lanczos(build_lax(small), small, kappa)
-    steps = alone.lanczos_steps
+    alone = LaxSpectrum.lanczos(build_lax(small), kappa)
+    steps = alone.steps
     assert steps > 0 and mixed.steps[0] == steps
     assert np.array_equal(mixed.weights[0, :steps], alone.weights)
-    assert np.array_equal(mixed.nodes[0, :steps], alone.eigenvalues)
+    assert np.array_equal(mixed.nodes[0, :steps], alone.nodes)
     assert not mixed.weights[0, steps:].any()
+    rule, index = KappaRule.build(kappa, -0.25), SobolevIndex(-0.25, kappa)
+    values = rule.values(mixed)
+    checks = lax_module._check_kappas(
+        grid, np.stack([small.coeffs, big.coeffs]), mixed.lambda_min, index,
+        1.0)
+    for i, (u, one) in enumerate(((small, alone), (big, lone))):
+        assert one.nodes.ndim == 1 and np.ndim(one.steps) == 0
+        assert one.lambda_min == mixed.lambda_min[i]
+        assert one.lambda_bound == mixed.lambda_bound[i]
+        assert rule.values(one) == values[i]
+        check = lax_module._check_kappas(grid, u.coeffs, one.lambda_min,
+                                         index, 1.0)
+        for name in ("threshold", "lambda_min", "norm", "ok"):
+            assert getattr(check, name) == getattr(checks, name)[i], name
+        assert check == check_kappa(u, -0.25, kappa)
+    with pytest.raises(ContractError, match="one state"):
+        mixed.form_at(np.array([kappa]))
     with pytest.raises(ContractError):
-        LaxSpectrum.lanczos(build_lax(small), small, np.inf)
+        LaxSpectrum.lanczos(build_lax(small), np.inf)
 
 
 def test_build_lax_validation():
@@ -614,7 +634,7 @@ def test_check_kappa_threshold_monotone():
 def test_check_kappa_threshold_overflow_fails_the_check():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 1e100, 7, decay=0.25)
-    check = LaxSpectrum(build_lax(u, 31.0), u).check_kappa(-0.25, 32.0)
+    check = check_kappa(u, -0.25, 32.0, xi_max=31.0)
     assert check.threshold == np.inf and not check.ok
 
 
@@ -785,7 +805,7 @@ def test_one_bound_certifies_both_routes():
     kappa = 1.1631720455308805
     lax = build_lax(u)
     assert lax.bound + kappa == 0.0
-    assert lanczos_measures(lax, kappa).steps.tolist() == [0]
+    assert LaxSpectrum.lanczos(lax, kappa).steps == 0
     x, iterations = lax_module._resolvent_solve(lax, kappa, lax.g)
     assert iterations == 0
     shifted = lax.matrix + kappa * np.eye(lax.g.shape[0])
@@ -908,7 +928,7 @@ def test_weighted_rule_keeps_the_profile_it_adapted_on(overrides):
     p = load_config("beta", overrides=overrides).params
     grid = SpectralGrid(p["length"], p["n"])
     u = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
-    spectrum = LaxSpectrum.lanczos(build_lax(u), u, p["kappa"])
+    spectrum = LaxSpectrum.lanczos(build_lax(u), p["kappa"])
     rule = build_weighted_rule(spectrum.form_at, p["kappa"], p["s"])
     fresh = spectrum.form_at(rule.taus)
     assert rule.form_values.tobytes() == fresh[:-1].tobytes()
@@ -964,13 +984,13 @@ def test_weighted_rule_bisects_a_near_critical_state():
     # still agrees with the shared closed-form rule to rounding
     u = random_field(SpectralGrid(1.0, 256), -0.25, 20.0, 1, 0.02)
     kappa, s = 32.0, -0.25
-    spectrum = LaxSpectrum.lanczos(build_lax(u), u, kappa)
+    spectrum = LaxSpectrum.lanczos(build_lax(u), kappa)
     assert spectrum.lambda_min < -0.5 * kappa
     rule = build_weighted_rule(spectrum.form_at, kappa, s)
     horizon_panels = round(np.log(rule.tau_star / kappa) / 2.0)
     assert rule.tau_nodes.shape[0] > 15 * horizon_panels
     assert rule.build_error <= lax_module._RULE_RTOL
-    shared = spectrum.shared_weighted_form(kappa, s)
+    shared = KappaRule.build(kappa, s).values(spectrum)
     assert abs(rule.value - shared) <= 1e-12 * shared
 
 
@@ -1039,11 +1059,11 @@ def test_shared_rule_takes_the_closed_form_below_half_kappa(monkeypatch):
                         lambda *args, **kwargs: builds.append(args))
     for c in (-0.75 * kappa, -0.99 * kappa):
         field = constant_field(grid, c)
-        spectrum = LaxSpectrum.lanczos(build_lax(field), field, kappa)
-        assert spectrum.lanczos_steps == 1
+        spectrum = LaxSpectrum.lanczos(build_lax(field), kappa)
+        assert spectrum.steps == 1
         assert spectrum.lambda_bound + kappa > 0.0
         assert spectrum.lambda_min == pytest.approx(c, rel=1e-15)
-        value = spectrum.shared_weighted_form(kappa, s)
+        value = KappaRule.build(kappa, s).values(spectrum)
         with mpmath.workdps(30):
             exact = float(c * c * grid.length * mpmath.quad(
                 lambda tau: tau ** (2 * s) / (c + tau),
@@ -1092,7 +1112,7 @@ def test_flow_derivative_against_dense_eigenvectors(amplitude, seed, kappa):
     lax = build_lax(u)
     # the rule that form_flow_derivative builds
     rule = build_weighted_rule(
-        LaxSpectrum.lanczos(lax, u, kappa).form_at, kappa, -0.25)
+        LaxSpectrum.lanczos(lax, kappa).form_at, kappa, -0.25)
     flow = form_flow_derivative(u, kappa, 1.0, -0.25)
 
     g = hardy_project(u)[: lax.frequencies.shape[0]]
@@ -1126,8 +1146,8 @@ def test_flow_derivative_matches_finite_differences():
 
     def beta(state):
         # the shared rule does not depend on the state
-        return LaxSpectrum.lanczos(build_lax(state, xi_max), state, kappa) \
-            .shared_weighted_form(kappa, s)
+        return KappaRule.build(kappa, s).values(
+            LaxSpectrum.lanczos(build_lax(state, xi_max), kappa))
 
     fd = (beta(states[0.25 + h]) - beta(states[0.25 - h])) / (2.0 * h)
     flow = form_flow_derivative(mid, kappa, depth, s, xi_max=xi_max)
@@ -1145,8 +1165,8 @@ def test_weighted_form_conserved_by_deep_water_flow():
     mid = states[0.25]
 
     def beta(state):
-        return LaxSpectrum.lanczos(build_lax(state, xi_max), state, kappa) \
-            .shared_weighted_form(kappa, s)
+        return KappaRule.build(kappa, s).values(
+            LaxSpectrum.lanczos(build_lax(state, xi_max), kappa))
 
     fd = (beta(states[0.25 + h]) - beta(states[0.25 - h])) / (2.0 * h)
     assert abs(fd) < 1e-7 * beta(mid)
@@ -1182,20 +1202,20 @@ def test_gronwall_experiment_matches_public_functions():
                                  n_samples=10)
     states = evolve(make_ilw(1.0, grid), u0, 0.2, dt=1e-3,
                     store_stride=20).states
-    values = [LaxSpectrum.lanczos(build_lax(state), state, kappa)
-              .shared_weighted_form(kappa, s) for state in states]
+    values = [KappaRule.build(kappa, s).values(
+        LaxSpectrum.lanczos(build_lax(state), kappa)) for state in states]
     rule = build_weighted_rule(
-        LaxSpectrum.lanczos(build_lax(u0), u0, kappa).form_at, kappa, s)
-    spectra = [LaxSpectrum.lanczos(build_lax(state), state, kappa)
+        LaxSpectrum.lanczos(build_lax(u0), kappa).form_at, kappa, s)
+    spectra = [LaxSpectrum.lanczos(build_lax(state), kappa)
                for state in states]
     frozen = np.array([rule.combine(spectrum.form_at(rule.taus))
                        for spectrum in spectra])
     # the rows of one call over the states are their one-field measures
-    measures = lanczos_measures(_stacked_lax(states), kappa)
+    measures = LaxSpectrum.lanczos(_stacked_lax(states), kappa)
     for i, spectrum in enumerate(spectra):
-        steps = spectrum.lanczos_steps
+        steps = spectrum.steps
         assert measures.steps[i] == steps
-        assert np.array_equal(measures.nodes[i, :steps], spectrum.eigenvalues)
+        assert np.array_equal(measures.nodes[i, :steps], spectrum.nodes)
         assert np.array_equal(measures.weights[i, :steps], spectrum.weights)
     margin = min(kappa - check_kappa(state, s, kappa).threshold
                  for state in states)
@@ -1227,16 +1247,18 @@ def test_check_kappa_and_the_ensemble_share_the_shift_test():
 
 
 def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
-    # 3 members take 21 samples per lanczos_measures call, so 31 samples
-    # make a full block and a partial one; each sample's rows of a block
-    # are bit for bit its own call, up to the block's wider zero padding,
-    # and the reports equal those of one call per sample
+    # 3 members take 21 samples per LaxSpectrum.lanczos call, so 31
+    # samples make a full block and a partial one; each sample's rows of a
+    # block are bit for bit its own call, up to the block's wider zero
+    # padding, and so is each row's one-state call with its shared-rule
+    # value; the reports equal those of one call per sample
     grid = SpectralGrid(TWO_PI, 128)
     initials = [random_field(grid, -0.25, 0.4, seed, decay=0.25)
                 for seed in (1, 2, 3)]
     kappa = 32.0
     calls = []
-    lanczos = lax_module.lanczos_measures
+    lanczos = LaxSpectrum.lanczos
+    rule = KappaRule.build(kappa, -0.25)
 
     def recording_lanczos(lax, *args):
         measures = lanczos(lax, *args)
@@ -1247,10 +1269,18 @@ def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
         return gronwall_ensemble(initials, [0.5, 1.0, 2.0], -0.25, kappa,
                                  t_final=0.03, dt=1e-3, n_samples=30)
 
-    monkeypatch.setattr(lax_module, "lanczos_measures", recording_lanczos)
+    monkeypatch.setattr(LaxSpectrum, "lanczos", recording_lanczos)
     blocked = run_ensemble()
     assert [len(coeffs) for coeffs, _ in calls] == [63, 30]
     for coeffs, measures in calls:
+        values = rule.values(measures)
+        for i, row in enumerate(coeffs):
+            one = lanczos(LaxTruncation(grid, row), kappa)
+            assert np.array_equal(measures.nodes[i, :one.steps], one.nodes)
+            assert np.array_equal(measures.weights[i, :one.steps],
+                                  one.weights)
+            assert one.lambda_min == measures.lambda_min[i]
+            assert rule.values(one) == values[i]
         for start in range(0, len(coeffs), 3):
             alone = lanczos(LaxTruncation(grid, coeffs[start:start + 3]),
                             kappa)
@@ -1286,7 +1316,7 @@ def test_pending_samples_are_checked_before_a_stepper_error(
     # sample was measured at once; clean, the pending block is measured
     # and the blow-up follows
     measured = []
-    lanczos = lax_module.lanczos_measures
+    lanczos = LaxSpectrum.lanczos
 
     def counting_lanczos(lax, *args):
         measured.append(len(lax.g))
@@ -1301,7 +1331,7 @@ def test_pending_samples_are_checked_before_a_stepper_error(
         raise BlowUpError(2 * dt, 1e9)
 
     monkeypatch.setattr(lax_module, "etdrk4_samples", failing_stepper)
-    monkeypatch.setattr(lax_module, "lanczos_measures", counting_lanczos)
+    monkeypatch.setattr(LaxSpectrum, "lanczos", counting_lanczos)
     argv = ["gronwall", "--n", "64", "--seeds", "1", "--depth-list", "1",
             "--samples", "5", "--t-final", "0.05", "--dt", "1e-3",
             "--outdir", str(tmp_path / "g")]
@@ -1319,7 +1349,7 @@ def test_a_block_reports_its_first_failing_sample(tmp_path, capsys,
     # shift test with different lambda_min: the block's one pass reports
     # the 2nd, the first failing row in time order
     measured, failing = [], []
-    lanczos = lax_module.lanczos_measures
+    lanczos = LaxSpectrum.lanczos
 
     def counting_lanczos(lax, *args):
         measured.append(len(lax.g))
@@ -1335,7 +1365,7 @@ def test_a_block_reports_its_first_failing_sample(tmp_path, capsys,
             yield j * dt, shifted
 
     monkeypatch.setattr(lax_module, "etdrk4_samples", stepper)
-    monkeypatch.setattr(lax_module, "lanczos_measures", counting_lanczos)
+    monkeypatch.setattr(LaxSpectrum, "lanczos", counting_lanczos)
     argv = ["gronwall", "--n", "64", "--seeds", "1", "--depth-list", "1",
             "--samples", "5", "--t-final", "0.05", "--dt", "1e-3",
             "--outdir", str(tmp_path / "g")]
