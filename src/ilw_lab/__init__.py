@@ -45,7 +45,6 @@ from .experiments import (
 )
 from .lax import (
     AprioriBound,
-    FlowDerivative,
     GrowthReport,
     KappaCheck,
     KappaRule,
@@ -62,7 +61,6 @@ from .lax import (
     modes_to_xi_max,
     resolvent_form,
     resolvent_form_gradient,
-    resolvent_solve,
     resolvent_state,
     weighted_resolvent_form,
 )

@@ -31,10 +31,13 @@ Sidford 2018), and on the fields measured its basis stays orthonormal to
 as ``LaxTruncation`` is the truncation: the experiments call
 ``LaxSpectrum.lanczos`` on whole stacks of states, and on one state the
 same call gives the same row.
-The resolvent state (L_u + kappa)^(-1) P_+ u comes from Jacobi-preconditioned
-conjugate gradients on the same buffered FFT operator of the same truncation
-whenever its symbol bound certifies the shift, with a dense Cholesky solve
-as fallback and oracle, so the certified path never builds an m x m matrix.
+The resolvent state m = -(L_u + kappa)^(-1) P_+ u has one solve,
+``resolvent_state``: Jacobi-preconditioned conjugate gradients on the same
+buffered FFT operator of the same truncation whenever its symbol bound
+certifies the shift, with a dense Cholesky solve as fallback and oracle, so
+the certified path never builds an m x m matrix.  The ``ResolventState``
+it returns carries m on the grid and the form's gradient, which the form,
+``resolvent_form_gradient`` and the flow derivative all read.
 The weighted integral integrates each node of the measure in closed form:
 integral_kappa^inf tau^(2s)/(lambda + tau) dtau is a hypergeometric
 function of lambda/kappa, which three 32-node Gauss-Jacobi rules
@@ -118,7 +121,7 @@ class LaxTruncation:
     ``symbol``, through which products go, and the symbol ``bound`` on
     lambda_min (``_symbol_bound``), which certifies a shift for every route.
     The dense ``matrix`` of one state is gathered only when read (the dense
-    ``LaxSpectrum``, the Cholesky fallback of ``resolvent_solve`` and the
+    ``LaxSpectrum``, the Cholesky fallback of ``resolvent_state`` and the
     tests).
     """
 
@@ -394,7 +397,7 @@ class LaxSpectrum:
     one, ``lambda_bound`` the symbol bound of its truncation
     (``LaxTruncation.bound``) and ``lambda_min`` its smallest node.  A
     spectrum holds no m x m array; the resolvent state m(tau) itself comes
-    from ``resolvent_solve`` on the same truncation.
+    from ``resolvent_state`` on the same truncation.
     """
 
     def __init__(self, lax: LaxTruncation, u: RealField):
@@ -535,49 +538,6 @@ def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
 _PCG_RTOL = 1e-14
 
 
-def resolvent_solve(lax: LaxTruncation, kappa: float, g: np.ndarray) -> np.ndarray:
-    """Solve (L_u + kappa) x = g with a residual check.
-
-    A shift certified by the symbol bound (``lax.bound`` + kappa > 0, the
-    test that ``LaxSpectrum.lanczos`` makes) runs Jacobi-preconditioned
-    conjugate gradients on the FFT operator; otherwise, or if they have not
-    converged after m iterations, a Cholesky factorization of the dense
-    matrix solves it and raises KappaTooSmallError when the shifted matrix
-    is not positive definite.  Either way a relative residual above 1e-12 is a
-    NumericalError.
-    """
-    return _resolvent_solve(lax, kappa, g)[0]
-
-
-def _resolvent_solve(lax: LaxTruncation, kappa: float, g: np.ndarray):
-    """``resolvent_solve`` and its count of conjugate-gradient iterations,
-    0 on the dense path."""
-    g = np.asarray(g, dtype=np.complex128)
-    if g.shape != lax.frequencies.shape:
-        raise ContractError("right-hand side does not match the truncation")
-    gnorm = float(np.linalg.norm(g))
-    if not np.isfinite(gnorm):
-        raise NumericalError("right-hand side norm %.3g is not finite" % gnorm)
-    solved = (_preconditioned_cg(lax, kappa, g, gnorm)
-              if lax.bound + kappa > 0.0 else None)
-    if solved is None:
-        shifted = lax.matrix + kappa * np.eye(lax.frequencies.shape[0])
-        try:
-            factor = np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError as exc:
-            raise KappaTooSmallError(
-                "shifted Lax matrix is not positive definite at kappa=%.6g"
-                % kappa) from exc
-        x = np.linalg.solve(factor.conj().T, np.linalg.solve(factor, g))
-        residual = float(np.linalg.norm(shifted @ x - g))
-        solved = x, residual, 0
-    x, residual, iterations = solved
-    if gnorm > 0.0 and residual / gnorm > 1e-12:
-        raise NumericalError("resolvent solve residual %.3e"
-                             % (residual / gnorm))
-    return x, iterations
-
-
 def _preconditioned_cg(lax: LaxTruncation, kappa: float, g: np.ndarray,
                        gnorm: float):
     """Conjugate gradients on (L_u + kappa) x = g preconditioned by the
@@ -624,25 +584,34 @@ def _preconditioned_cg(lax: LaxTruncation, kappa: float, g: np.ndarray,
 
 @dataclass(frozen=True)
 class ResolventState:
-    """The auxiliary state m = -(L_u + kappa)^(-1) P_+ u; ``iterations``
-    counts the conjugate-gradient steps, 0 on the dense path."""
+    """The auxiliary state m = -(L_u + kappa)^(-1) P_+ u of one truncation,
+    with the grid it was solved on; ``iterations`` counts the
+    conjugate-gradient steps, 0 on the dense path.  Its ``samples`` (m on
+    the grid) and the form's ``gradient`` -(m + conj(m) + |m|^2) on the
+    grid are derived once, when first read."""
 
+    grid: SpectralGrid
     coeffs: np.ndarray
     iterations: int
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return synthesize(self.grid, hardy_embed(self.grid, self.coeffs))
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        return -(2.0 * self.samples.real + np.abs(self.samples) ** 2)
 
     def form(self, u: RealField) -> float:
         """form(kappa; u) through two routes, cross-checked.
 
         Route one pairs the Hardy data with m in coefficient space; route
-        two synthesizes m and integrates -u*m over the period.  They agree
-        to rounding because m has no negative frequencies.
+        two integrates -u*m over the period on the grid.  They agree to
+        rounding because m has no negative frequencies.
         """
-        m = self.coeffs
-        g = hardy_project(u)[: m.shape[0]]
-        grid = u.grid
-        route_coeff = -np.vdot(g, m) / grid.length
-        m_phys = synthesize(grid, hardy_embed(grid, m))
-        route_phys = -np.sum(u.samples() * m_phys) * grid.spacing
+        g = hardy_project(u)[: self.coeffs.shape[0]]
+        route_coeff = -np.vdot(g, self.coeffs) / self.grid.length
+        route_phys = -np.sum(u.samples() * self.samples) * self.grid.spacing
         if abs(route_coeff.imag) > 1e-11 * (1.0 + abs(route_coeff.real)):
             raise NumericalError("resolvent form acquired an imaginary part")
         if abs(route_coeff - route_phys) > 1e-11 * (1.0 + abs(route_coeff)):
@@ -656,9 +625,41 @@ class ResolventState:
 
 
 def resolvent_state(lax: LaxTruncation, kappa: float) -> ResolventState:
-    """m = -(L_u + kappa)^(-1) P_+ u on the one-state truncation ``lax``."""
-    x, iterations = _resolvent_solve(lax, kappa, lax.g)
-    return ResolventState(coeffs=-x, iterations=iterations)
+    """m = -(L_u + kappa)^(-1) P_+ u on the one-state truncation ``lax``,
+    solved from its Hardy data ``lax.g`` with a residual check.
+
+    A shift certified by the symbol bound (``lax.bound`` + kappa > 0, the
+    test that ``LaxSpectrum.lanczos`` makes) runs Jacobi-preconditioned
+    conjugate gradients on the FFT operator; otherwise, or if they have not
+    converged after m iterations, a Cholesky factorization of the dense
+    matrix solves it and raises KappaTooSmallError when the shifted matrix
+    is not positive definite.  Either way a relative residual above 1e-12
+    is a NumericalError.  A stacked truncation is a ContractError.
+    """
+    if lax.g.ndim != 1:
+        raise ContractError("a resolvent state takes a one-state truncation")
+    g = lax.g
+    gnorm = float(np.linalg.norm(g))
+    if not np.isfinite(gnorm):
+        raise NumericalError("right-hand side norm %.3g is not finite" % gnorm)
+    solved = (_preconditioned_cg(lax, kappa, g, gnorm)
+              if lax.bound + kappa > 0.0 else None)
+    if solved is None:
+        shifted = lax.matrix + kappa * np.eye(lax.frequencies.shape[0])
+        try:
+            factor = np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError as exc:
+            raise KappaTooSmallError(
+                "shifted Lax matrix is not positive definite at kappa=%.6g"
+                % kappa) from exc
+        x = np.linalg.solve(factor.conj().T, np.linalg.solve(factor, g))
+        residual = float(np.linalg.norm(shifted @ x - g))
+        solved = x, residual, 0
+    x, residual, iterations = solved
+    if gnorm > 0.0 and residual / gnorm > 1e-12:
+        raise NumericalError("resolvent solve residual %.3e"
+                             % (residual / gnorm))
+    return ResolventState(grid=lax.grid, coeffs=-x, iterations=iterations)
 
 
 def resolvent_form(u: RealField, kappa: float, xi_max: Optional[float] = None) -> float:
@@ -669,11 +670,10 @@ def resolvent_form(u: RealField, kappa: float, xi_max: Optional[float] = None) -
 
 def resolvent_form_gradient(u: RealField, kappa: float,
                             xi_max: Optional[float] = None) -> RealField:
-    """Variational derivative -(m + conj(m) + |m|^2) as a real field."""
-    state = resolvent_state(build_lax(u, xi_max), kappa)
-    m_phys = synthesize(u.grid, hardy_embed(u.grid, state.coeffs))
-    samples = -(2.0 * m_phys.real + np.abs(m_phys) ** 2)
-    return forward_transform(samples, u.grid)
+    """Variational derivative -(m + conj(m) + |m|^2) as a real field
+    (``ResolventState.gradient``)."""
+    return forward_transform(
+        resolvent_state(build_lax(u, xi_max), kappa).gradient, u.grid)
 
 
 # -- weighted integral -----------------------------------------------------------
@@ -933,48 +933,30 @@ def weighted_resolvent_form(u: RealField, kappa: float, s: float,
         LaxSpectrum.lanczos(build_lax(u, xi_max), kappa).form_at, kappa, s)
 
 
-@dataclass(frozen=True)
-class FlowDerivative:
-    """Time derivative of the weighted form along the finite-depth flow,
-    split by the source term: I1 from m, I2 from conj(m), I3 from |m|^2."""
-
-    I1: complex
-    I2: complex
-    I3: float
-    total: float
-
-
 def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
-                         xi_max: Optional[float] = None) -> FlowDerivative:
+                         xi_max: Optional[float] = None) -> float:
     """Evaluate d/dt of the weighted form via the commutator identity.
 
     Under the deep-water part of the flow the form is exactly conserved, so
-    the derivative reduces to the pairing of the gradient with the
+    the derivative reduces to the pairing of the form's gradient with the
     smoothing-derivative term:
 
         d/dt = -integral tau^(2s) integral (m + conj(m) + |m|^2)
                (smoothing d/dx u) dx dtau.
 
     The outer integral takes the adaptive weighted-form rule of the state's
-    spectrum (``build_weighted_rule``); at each rule node m(tau) comes from
-    ``resolvent_solve``, with its residual check.
+    spectrum (``build_weighted_rule``); at each rule node the gradient is
+    ``resolvent_state(lax, tau).gradient``, with its residual check.
     """
     _require_weight_exponent(s, kappa)
-    grid = u.grid
     lax = build_lax(u, xi_max)
-    spectrum = LaxSpectrum.lanczos(lax, kappa)
     # its first form_at checks the shift
-    rule = build_weighted_rule(spectrum.form_at, kappa, s)
-
+    rule = build_weighted_rule(LaxSpectrum.lanczos(lax, kappa).form_at,
+                               kappa, s)
     q = apply_smoothing_dx(u, depth).samples()
-    m = [-resolvent_solve(lax, tau, lax.g) for tau in rule.taus]
-    m_phys = synthesize(grid, hardy_embed(grid, m))
-
-    i1 = complex(rule.combine(-(m_phys @ q) * grid.spacing))
-    i3_c = complex(rule.combine(-((np.abs(m_phys) ** 2) @ q) * grid.spacing))
-    i2 = i1.conjugate()
-    total = 2.0 * i1.real + i3_c.real
-    return FlowDerivative(I1=i1, I2=i2, I3=i3_c.real, total=total)
+    pairings = [(resolvent_state(lax, tau).gradient @ q) * u.grid.spacing
+                for tau in rule.taus]
+    return float(rule.combine(np.array(pairings)))
 
 
 # -- growth experiments -----------------------------------------------------------

@@ -161,7 +161,7 @@ def test_criterion_6_flow_derivative_identity():
               - beta(trajectory.states[idx - 1])) / (2.0 * h)
         flow = form_flow_derivative(trajectory.states[idx], 32.0, 0.5, -0.25,
                                     xi_max=xi_max)
-        worst = max(worst, abs(fd - flow.total) / abs(flow.total))
+        worst = max(worst, abs(fd - flow) / abs(flow))
     elapsed = time.time() - started
     ok = worst < 1e-4 and elapsed < 300.0
     line = _verdict(6, ok, "flow derivative vs finite differences %.3e "
