@@ -308,7 +308,8 @@ def _lanczos(lax: LaxTruncation, kappa: float) -> tuple:
             gap = np.where(pivot_a > 0.0, rb * corner / radau_pivot, np.inf)
             done = ((gap <= _ENCLOSURE_RTOL * gauss) | (b_k <= tiny)
                     | (k + 1 == m))
-            if done.any():
+            # an empty stack (no certified row) is done after its first step
+            if done.any() or not done.size:
                 steps[index[done]] = k + 1
                 if done.all():
                     break
@@ -470,17 +471,6 @@ def _require_shift(lambda_min: float, tau: float):
             "shift %.6g does not clear lambda_min = %.6g" % (tau, lambda_min))
 
 
-def _kappa_threshold(norm: float, s: float, c_s: float) -> float:
-    """c_s*(1 + norm)^(1/(2*sigma)), sigma = (1/2 + s)/2, or inf when it
-    overflows (no finite kappa clears it, so the check fails).  Python's
-    pow, which numpy's vectorized power can differ from in the last bit."""
-    sigma = 0.5 * (0.5 + s)
-    try:
-        return c_s * (1.0 + norm) ** (1.0 / (2.0 * sigma))
-    except OverflowError:
-        return np.inf
-
-
 def _shift_index(s: float, kappa: float, c_s: float) -> SobolevIndex:
     """The H^s_kappa index of the admissible-shift test, once s, kappa and
     c_s meet its contract; a kappa whose square overflows fails here."""
@@ -496,12 +486,17 @@ def _check_kappas(grid: SpectralGrid, coeffs: np.ndarray, lambda_min,
     spectrum ``coeffs`` of one state, or at each row of a (B, n_points//2
     + 1) stack, whose smallest eigenvalues (or Ritz values) are
     ``lambda_min``: a KappaCheck with the H^s_kappa norm of each state and
-    the threshold (``_kappa_threshold``) that kappa must clear there."""
+    the threshold c_s*(1 + norm)^(1/(2*sigma)), sigma = (1/2 + s)/2, that
+    kappa must clear there; an overflowed threshold is inf, which no finite
+    kappa clears.  ``np.power`` takes one state's norm through the same
+    ufunc loop as a stack's, so a row's threshold equals its one-state
+    call bit for bit (a float64 scalar's ``**`` would call libm's pow, which
+    differs from the vectorized loop in the last bit)."""
     norms = sobolev_norms(grid, coeffs, index)
-    thresholds = np.reshape([_kappa_threshold(norm, index.s, c_s)
-                             for norm in np.ravel(norms).tolist()],
-                            np.shape(norms))
-    return KappaCheck(kappa=index.kappa, threshold=thresholds[()],
+    sigma = 0.5 * (0.5 + index.s)
+    with np.errstate(over="ignore"):
+        thresholds = c_s * np.power(1.0 + norms, 1.0 / (2.0 * sigma))
+    return KappaCheck(kappa=index.kappa, threshold=thresholds,
                       lambda_min=lambda_min, norm=norms)
 
 
@@ -509,7 +504,7 @@ def _check_kappas(grid: SpectralGrid, coeffs: np.ndarray, lambda_min,
 class KappaCheck:
     """Outcome of the admissible-shift test at one state, or at each row
     of a stack when ``threshold``, ``lambda_min`` and ``norm`` are (B,)
-    arrays."""
+    arrays.  A threshold that overflowed is inf, so its check fails."""
 
     kappa: float
     threshold: float
@@ -1017,8 +1012,9 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     time order and then member order.  A row's measure does not depend on
     the rest of the call, so it equals the one its sample gets alone.  Each
     block then takes one pass over all its rows: the zero-form check (first
-    block), one H^s_kappa norm reduction and admissible-shift test
-    (``_check_kappas``, which ``check_kappa`` runs on one state), the margin
+    block), one H^s_kappa norm reduction and one numpy power for the
+    admissible-shift thresholds (``_check_kappas``, which ``check_kappa``
+    runs on one state, so each row's threshold is its own), the margin
     update and one evaluation of the ``KappaRule`` built once per call; no
     field or spectrum is built per row.  The first failing row in time and
     then member order is the shift failure reported.  Every shift test of a

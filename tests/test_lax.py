@@ -1,6 +1,8 @@
 """Truncated Lax matrix, resolvent functionals, weighted-form quadrature,
 and the growth experiments built on them."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -581,6 +583,34 @@ def test_uncertified_rows_take_the_dense_path():
         LaxSpectrum.lanczos(build_lax(small), np.inf)
 
 
+def test_all_uncertified_lanczos_stops_after_one_matvec(monkeypatch):
+    # with no certified row the recurrence runs on an empty stack, which is
+    # done after its first step; every row is the dense measure
+    grid = SpectralGrid(TWO_PI, 128)
+    fields = [random_field(grid, -0.25, 5.0, seed, decay=0.3)
+              for seed in (3, 5)]
+    kappa = 1.5
+    calls = []
+    apply_lax = lax_module._apply_lax
+
+    def counting_apply_lax(padded, *args):
+        calls.append(padded.shape)
+        return apply_lax(padded, *args)
+
+    monkeypatch.setattr(lax_module, "_apply_lax", counting_apply_lax)
+    for lax in (build_lax(fields[0]), _stacked_lax(fields)):
+        assert np.all(lax.bound + kappa <= 0.0)
+        calls.clear()
+        spectrum = LaxSpectrum.lanczos(lax, kappa)
+        assert len(calls) <= 1 and all(shape[0] == 0 for shape in calls)
+        assert not np.any(spectrum.steps)
+        nodes, weights = np.atleast_2d(spectrum.nodes, spectrum.weights)
+        for i, u in enumerate(fields[:len(nodes)]):
+            dense = LaxSpectrum(build_lax(u), u)
+            assert np.array_equal(nodes[i], dense.nodes)
+            assert np.array_equal(weights[i], dense.weights)
+
+
 def test_build_lax_validation():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 1)
@@ -645,6 +675,30 @@ def test_kappa_check_ok_is_elementwise():
                        lambda_min=np.array([0.0, -31.0, 0.0, 0.0, -32.0]),
                        norm=np.zeros(5))
     assert check.ok.tolist() == [True, True, False, False, False]
+
+
+def test_check_kappas_rows_equal_their_one_state_calls():
+    # one numpy power serves one state and a stack, so each row's threshold
+    # is its one-state call bit for bit.  Over these 64 fields a float64
+    # scalar's ** (libm's pow) would differ from the vectorized power in the
+    # last bit on 3 rows of an AVX-512 host; an overflowed row reads inf
+    grid = SpectralGrid(TWO_PI, 256)
+    index = SobolevIndex(-0.25, 32.0)
+    fields = [random_field(grid, -0.25, 0.4, seed, decay=0.25)
+              for seed in range(1, 65)]
+    fields.append(random_field(grid, -0.25, 1e100, 7, decay=0.25))
+    stack = np.stack([u.coeffs for u in fields])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = lax_module._check_kappas(grid, stack, np.zeros(len(fields)),
+                                          index, 1.0)
+        for i, u in enumerate(fields):
+            check = lax_module._check_kappas(grid, u.coeffs, 0.0, index, 1.0)
+            assert np.ndim(check.threshold) == 0
+            assert check.threshold == checks.threshold[i], i
+            assert check.norm == checks.norm[i], i
+    assert np.isfinite(checks.threshold[:-1]).all()
+    assert checks.threshold[-1] == np.inf and not checks.ok[-1]
 
 
 @pytest.mark.parametrize("overrides", [
