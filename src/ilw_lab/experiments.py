@@ -401,6 +401,12 @@ def _decreasing(values: list) -> bool:
     return all(x > y for x, y in zip(values, values[1:]))
 
 
+def _below_threshold(kappa: float, threshold: float) -> str:
+    """The failure of the admissible-shift test, in the words that ``beta``
+    and ``gronwall`` share."""
+    return "kappa %.4g below admissible threshold %.4g" % (kappa, threshold)
+
+
 def _relative_gap(value: float, reference: float) -> float:
     """|value - reference| relative to |reference|, or absolute where the
     reference is 0."""
@@ -531,8 +537,7 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     }
     failures = []
     if not kcheck.ok:
-        failures.append("kappa %.4g below admissible threshold %.4g"
-                        % (kcheck.kappa, kcheck.threshold))
+        failures.append(_below_threshold(kcheck.kappa, kcheck.threshold))
     if route_gap > 1e-12:
         failures.append("resolvent and Lanczos forms differ by %.3e > 1e-12"
                         % route_gap)
@@ -560,12 +565,16 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
         p["s"], p["kappa"], t_final=p["t_final"], dt=p["dt"] or None,
         n_samples=p["samples"], c_s=p["c_s"], epsilon=p["epsilon"],
         equation=p["equation"])
+    # form(t) <= exp(a_hat t) form(0) at every sample
+    bound_ok = [bool(np.all(rep.form_values <= rep.form_values[0]
+                            * np.exp(rep.a_hat * rep.times) * (1.0 + 1e-6)))
+                for rep in results]
     table = _csv(["depth", "seed", "a_hat", "a_reference", "bound_ok",
                   "kappa_margin", "form_initial", "form_final"],
-                 [(depth, seed, rep.a_hat, rep.a_reference, rep.bound_ok,
+                 [(depth, seed, rep.a_hat, rep.a_reference, ok,
                    rep.kappa_margin, float(rep.form_values[0]),
                    float(rep.form_values[-1]))
-                  for (depth, seed), rep in zip(tasks, results)])
+                  for (depth, seed), rep, ok in zip(tasks, results, bound_ok)])
 
     # tasks run depth-major, so row i holds the rates at depths[i]
     a_hats = np.reshape([rep.a_hat for rep in results], (len(depths), -1))
@@ -578,11 +587,18 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
         "runs": len(tasks),
         "mean_a_hat": {repr(d): rate for d, rate in zip(depths, rates)},
         "max_a_hat": float(max(rep.a_hat for rep in results)),
-        "all_bound_ok": all(rep.bound_ok for rep in results),
+        "all_bound_ok": all(bound_ok),
     }
     failures = []
-    for (depth, seed), rep in zip(tasks, results):
-        if not rep.bound_ok:
+    margins = [rep.kappa_margin for rep in results]
+    # "not >= 0" fails a NaN margin too, and argmin names a NaN first
+    if not all(margin >= 0.0 for margin in margins):
+        worst = int(np.argmin(margins))
+        depth, seed = tasks[worst]
+        failures.append("%s at depth=%g seed=%d" % (_below_threshold(
+            p["kappa"], p["kappa"] - margins[worst]), depth, seed))
+    for (depth, seed), ok in zip(tasks, bound_ok):
+        if not ok:
             failures.append("growth bound violated at depth=%g seed=%d"
                             % (depth, seed))
     if p["equation"] == "ilw" and not _decreasing(rates):

@@ -994,12 +994,64 @@ def test_gronwall_batches_match_member_runs(tmp_path, capsys):
             rep = gronwall_experiment(u0, depth, p["s"], p["kappa"],
                                       t_final=p["t_final"], n_samples=p["samples"],
                                       c_s=p["c_s"], epsilon=p["epsilon"])
-            rows.append((depth, seed, rep.a_hat, rep.a_reference, rep.bound_ok,
+            bound_ok = np.all(rep.form_values <= rep.form_values[0]
+                              * np.exp(rep.a_hat * rep.times) * (1.0 + 1e-6))
+            rows.append((depth, seed, rep.a_hat, rep.a_reference, bound_ok,
                          rep.kappa_margin, float(rep.form_values[0]),
                          float(rep.form_values[-1])))
     expected = _csv(["depth", "seed", "a_hat", "a_reference", "bound_ok",
                      "kappa_margin", "form_initial", "form_final"], rows)
     assert (out / "runs.csv").read_bytes() == expected
+
+
+def _failed_lines(err):
+    return [line for line in err.splitlines() if line.startswith("FAILED:")]
+
+
+def test_gronwall_checks_the_admissible_shift(tmp_path, capsys):
+    # kappa = 1 clears lambda_min but not the norm threshold 2.008: every
+    # form is computable, so the run writes all its outputs, and its one
+    # FAILED line names the worst member, in beta's words (exit 3)
+    out = tmp_path / "g"
+    assert main(["gronwall", "--kappa", "1", "--n", "64", "--seeds", "1",
+                 "--samples", "2", "--t-final", "0.01",
+                 "--outdir", str(out)]) == 3
+    assert _failed_lines(capsys.readouterr().err) == [
+        "FAILED: kappa 1 below admissible threshold 2.008 at depth=0.5 seed=1"]
+    assert sorted(path.name for path in out.iterdir()) == [
+        "manifest.json", "report.json", "runs.csv"]
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False and len(report["failures"]) == 1
+    rows = list(csv.DictReader((out / "runs.csv").read_text().splitlines()))
+    assert [float(row["depth"]) for row in rows] == [0.5, 1.0, 2.0]
+    for row in rows:
+        assert float(row["kappa_margin"]) == pytest.approx(-1.008, abs=1e-3)
+    # the depth ordering holds, so it adds no line
+    rates = [report["report"]["mean_a_hat"][d] for d in ("0.5", "1.0", "2.0")]
+    assert rates[0] > rates[1] > rates[2]
+
+
+def test_gronwall_checks_the_depth_ordering(tmp_path, capsys, monkeypatch):
+    # the fitted rates reversed across depths fail the ordering check alone
+    ensemble = experiments.gronwall_ensemble
+
+    def reversed_rates(initials, depths, *args, **kwargs):
+        reports = ensemble(initials, depths, *args, **kwargs)
+        by_depth = np.reshape(reports, (len(set(depths)), -1))
+        return [dataclasses.replace(rep, a_hat=mirror.a_hat)
+                for rep, mirror in zip(by_depth.ravel(),
+                                       by_depth[::-1].ravel())]
+
+    monkeypatch.setattr(experiments, "gronwall_ensemble", reversed_rates)
+    out = tmp_path / "g"
+    assert main(["gronwall", "--n", "128", "--seeds", "2", "--samples", "5",
+                 "--t-final", "0.05", "--outdir", str(out)]) == 3
+    failed = _failed_lines(capsys.readouterr().err)
+    assert len(failed) == 1
+    assert failed[0].startswith("FAILED: fitted rates not decreasing in depth")
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["report"]["all_bound_ok"] is True
 
 
 def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
@@ -1240,7 +1292,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # every command at small size, with the exit code and the one FAILED line
 # each run must give (None where none is checked); each usage error writes
 # to ``--outdir usage``.  The CI workflow's numpy-only leg runs these with
-# scipy absent, and its last step calls the installed script for three of
+# scipy absent, and its last step calls the installed script for four of
 # them, one per exit code
 SMOKE_RUNS = [
     ("simulate --n 64 --t-final 0.05 --outdir simulate", 0, None),
@@ -1266,6 +1318,14 @@ SMOKE_RUNS = [
     # a negative number in exponent form is read as the flag's value
     ("gronwall --epsilon -1e-2 --n 128 --seeds 2 --samples 5 --t-final 0.05 "
      "--outdir gronwall-epsilon", 0, None),
+    # kappa clears lambda_min but not the norm threshold: a failed check,
+    # as in beta
+    ("gronwall --kappa 1 --n 64 --seeds 1 --samples 2 --t-final 0.01 "
+     "--outdir gronwall-shift", 3,
+     "FAILED: kappa 1 below admissible threshold"),
+    # kappa does not clear lambda_min, so there is no form: a numerical
+    # failure, which writes nothing
+    ("beta --kappa 1 --amplitude 3 --outdir beta-spectrum", 2, None),
     ("illposed --n 64 --outdir illposed", 0, None),
     ("smoothing --n 256 --outdir smoothing", 0, None),
     ("twodepth --n 64 --t-final 0.05 --outdir twodepth", 0, None),

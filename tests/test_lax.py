@@ -1242,7 +1242,7 @@ def test_gronwall_experiment_reports():
     u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
     report = gronwall_experiment(u0, 1.0, -0.25, 32.0, t_final=0.2, dt=1e-3,
                                  n_samples=10)
-    assert report.bound_ok
+    assert np.all(np.isfinite(report.form_values) & (report.form_values > 0.0))
     assert report.kappa_margin > 0.0
     assert report.a_hat < 1e-3
     assert report.a_reference == pytest.approx(2.0, rel=1e-14)
@@ -1290,8 +1290,9 @@ def test_gronwall_experiment_matches_public_functions():
 
 def test_check_kappa_and_the_ensemble_share_the_shift_test():
     # a field near the constant -2 has lambda_min near -2: kappa = 1 clears
-    # the norm threshold at a small c_s but not the spectrum, and the
-    # ensemble fails on the same check that check_kappa returns
+    # the norm threshold at a small c_s but not the spectrum, so check_kappa
+    # fails, and the ensemble has no form there: its rule raises
+    # KappaTooSmallError, the error a spectrum below -kappa gives everywhere
     grid = SpectralGrid(TWO_PI, 64)
     coeffs = np.zeros(33, dtype=np.complex128)
     coeffs[0], coeffs[1] = -2.0 * grid.length, 0.01 * grid.length
@@ -1300,13 +1301,10 @@ def test_check_kappa_and_the_ensemble_share_the_shift_test():
     check = check_kappa(u0, s, kappa, c_s)
     assert kappa >= check.threshold and check.lambda_min + kappa <= 0.0
     assert not check.ok
-    message = ("admissible-shift condition failed along the run: "
-               "kappa=%.4g threshold=%.4g lambda_min=%.4g"
-               % (kappa, check.threshold, check.lambda_min))
-    with pytest.raises(NumericalError) as failure:
+    with pytest.raises(KappaTooSmallError,
+                       match="^shift 1 does not clear lambda_min = -2"):
         gronwall_experiment(u0, 1.0, s, kappa, t_final=0.01, dt=1e-3,
                             n_samples=2, c_s=c_s)
-    assert str(failure.value) == message
 
 
 def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
@@ -1366,18 +1364,16 @@ def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
         assert (a.a_hat, a.kappa_margin) == (b.a_hat, b.kappa_margin)
 
 
-@pytest.mark.parametrize("shift, message", [
-    pytest.param(64.0, "admissible-shift condition failed along the run: "
-                 "kappa=32 ", id="shifted"),
-    pytest.param(0.0, "solution blow-up at t=", id="clean"),
+@pytest.mark.parametrize("shift", [
+    pytest.param(64.0, id="shifted"),
+    pytest.param(0.0, id="clean"),
 ])
-def test_pending_samples_are_checked_before_a_stepper_error(
-        shift, message, tmp_path, capsys, monkeypatch):
+def test_a_stepper_error_leaves_pending_samples_unmeasured(
+        shift, tmp_path, capsys, monkeypatch):
     # the stepper yields a second sample, then blows up while that sample
-    # still waits for its Lanczos block.  Shifted, the sample fails the
-    # shift test and the run reports that failure, as it did when each
-    # sample was measured at once; clean, the pending block is measured
-    # and the blow-up follows
+    # still waits for its Lanczos block.  Shifted, that sample's spectrum
+    # lies below -kappa; either way no block is measured, the blow-up is
+    # the numerical failure reported (exit 2), and nothing is written
     measured = []
     lanczos = LaxSpectrum.lanczos
 
@@ -1400,17 +1396,17 @@ def test_pending_samples_are_checked_before_a_stepper_error(
             "--outdir", str(tmp_path / "g")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: " + message)
-    assert ("blow-up" in err) == (shift == 0.0)
-    assert measured == [2]
+    assert err.startswith("numerical failure: solution blow-up at t=")
+    assert measured == []
     assert not (tmp_path / "g").exists()
 
 
-def test_a_block_reports_its_first_failing_sample(tmp_path, capsys,
-                                                  monkeypatch):
-    # three samples share one Lanczos block and the 2nd and 3rd fail the
-    # shift test with different lambda_min: the block's one pass reports
-    # the 2nd, the first failing row in time order
+def test_a_block_reports_its_lowest_node_below_the_shift(tmp_path, capsys,
+                                                         monkeypatch):
+    # three samples share one Lanczos block and the 2nd and 3rd have
+    # spectra below -kappa, with different lambda_min: the block's one rule
+    # evaluation raises KappaTooSmallError on its lowest node, the 3rd's, a
+    # numerical failure (exit 2) that writes nothing
     measured, failing = [], []
     lanczos = LaxSpectrum.lanczos
 
@@ -1437,12 +1433,11 @@ def test_a_block_reports_its_first_failing_sample(tmp_path, capsys,
     assert measured == [3]
     second, third = (check_kappa(u, -0.25, 32.0) for u in failing)
     assert not second.ok and not third.ok
-    named = "threshold=%.4g lambda_min=%.4g"
-    assert (named % (second.threshold, second.lambda_min)
-            != named % (third.threshold, third.lambda_min))
-    assert err.startswith("numerical failure: admissible-shift condition "
-                          "failed along the run: kappa=32 "
-                          + named % (second.threshold, second.lambda_min))
+    assert third.lambda_min < second.lambda_min < -32.0
+    named = "lambda_min = %.6g"
+    assert named % second.lambda_min != named % third.lambda_min
+    assert err.startswith("numerical failure: shift 32 does not clear "
+                          + named % third.lambda_min)
     assert not (tmp_path / "g").exists()
 
 
@@ -1561,8 +1556,7 @@ def test_dense_route_serves_only_uncertified_fields(monkeypatch):
 
 
 def _scalars(report):
-    return (report.a_hat, report.bound_ok, report.a_reference,
-            report.kappa_margin)
+    return report.a_hat, report.a_reference, report.kappa_margin
 
 
 def test_gronwall_ensemble_matches_members():
@@ -1615,12 +1609,15 @@ def test_gronwall_experiment_validation():
 
 @pytest.mark.filterwarnings("ignore:advisory CFL")
 def test_gronwall_experiment_rejects_inadmissible_shift():
+    # kappa = 2 clears lambda_min but not the norm threshold: the run is
+    # measured, and its margin is negative, which the gronwall runner fails
     grid = SpectralGrid(TWO_PI, 128)
     big = random_field(grid, -0.25, 5.0, 3, decay=0.3)
-    assert not check_kappa(big, -0.25, 2.0).ok
-    with pytest.raises(NumericalError):
-        gronwall_experiment(big, 1.0, -0.25, 2.0, t_final=0.01, dt=1e-3,
-                            n_samples=2)
+    check = check_kappa(big, -0.25, 2.0)
+    assert not check.ok and check.lambda_min + 2.0 > 0.0
+    report = gronwall_experiment(big, 1.0, -0.25, 2.0, t_final=0.01, dt=1e-3,
+                                 n_samples=2)
+    assert report.kappa_margin <= 2.0 - check.threshold < 0.0
 
 
 def test_apriori_bound():
