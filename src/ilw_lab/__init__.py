@@ -58,6 +58,7 @@ from .lax import (
     form_flow_derivative,
     gronwall_ensemble,
     gronwall_experiment,
+    kappa_threshold,
     modes_to_xi_max,
     resolvent_form,
     resolvent_form_gradient,

@@ -37,11 +37,11 @@ from .evolution import (
     relative_drift,
     step_count,
 )
-from .lax import KappaRule, LaxSpectrum, _check_kappas, _shift_index, \
-    build_lax, build_weighted_rule, gronwall_ensemble, modes_to_xi_max, \
-    resolvent_state
-from .spectral import HERMITIAN_RTOL, RealField, SpectralGrid
-from .symbols import smoothing_operator_scan
+from .lax import KappaRule, LaxSpectrum, _shift_index, _truncation_size, \
+    build_lax, build_weighted_rule, gronwall_ensemble, kappa_threshold, \
+    modes_to_xi_max, resolvent_state
+from .spectral import HERMITIAN_RTOL, RealField, SpectralGrid, sobolev_norms
+from .symbols import smoothing_bound, smoothing_operator_scan
 from .waves import (
     distance_to_dirac,
     illposed_observables,
@@ -498,12 +498,17 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
     state = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
+    # past the grid's Hardy modes, the cut is a usage error named for modes
+    limit = _truncation_size(grid, None)
+    if p["modes"] > limit:
+        raise ContractError("beta.modes = %d exceeds %d, the Hardy modes that "
+                            "n = %d resolves" % (p["modes"], limit, p["n"]))
     xi_max = modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0 else None
     # one truncation serves the Lanczos measure and the resolvent solve
     lax = build_lax(state, xi_max)
     spectrum = LaxSpectrum.lanczos(lax, p["kappa"])
-    kcheck = _check_kappas(grid, state.coeffs, spectrum.lambda_min,
-                           _shift_index(p["s"], p["kappa"], 1.0), 1.0)
+    norm = sobolev_norms(grid, state.coeffs, _shift_index(p["s"], p["kappa"]))
+    threshold = kappa_threshold(norm, p["s"], 1.0)
     # the adaptive Gauss-Kronrod rule, with the tau profile it adapted on
     rule = build_weighted_rule(spectrum.form_at, p["kappa"], p["s"])
     # the shared closed-form rule that gronwall uses, against the adaptive one
@@ -528,21 +533,35 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
         "n_nodes": int(rule.tau_nodes.shape[0]),
         "rule_build_error": rule.build_error,
         # an overflowed threshold fails the check below; JSON holds no inf
-        "kappa_threshold": (kcheck.threshold if np.isfinite(kcheck.threshold)
-                            else None),
-        "lambda_min": kcheck.lambda_min,
+        "kappa_threshold": threshold if np.isfinite(threshold) else None,
+        "lambda_min": spectrum.lambda_min,
         "lambda_min_bound": float(spectrum.lambda_bound),
         "lanczos_steps": int(spectrum.steps),
-        "norm_h_s_kappa": kcheck.norm,
+        "norm_h_s_kappa": norm,
     }
     failures = []
-    if not kcheck.ok:
-        failures.append(_below_threshold(kcheck.kappa, kcheck.threshold))
+    # lambda_min clears -kappa: the rule's first form_at raised otherwise.
+    # "not >=" fails a NaN threshold too
+    if not p["kappa"] >= threshold:
+        failures.append(_below_threshold(p["kappa"], threshold))
     if route_gap > 1e-12:
         failures.append("resolvent and Lanczos forms differ by %.3e > 1e-12"
                         % route_gap)
     return RunReport(cfg.command, report, failures,
                      {"beta_profile.csv": table})
+
+
+def _reference_rate(depth: Optional[float], s: float, epsilon: float) -> float:
+    """The growth rate depth^-2 (1 + depth^(-|s| - 1/2 - epsilon)), the
+    ``smoothing_bound`` that the fitted rate is reported against, 0 without
+    a depth; a ContractError names epsilon and the depth where it overflows
+    (at depth 0 too, which only ``bo`` admits)."""
+    rate = (smoothing_bound(depth, -abs(s) - 0.5 - epsilon)
+            if depth is not None else 0.0)
+    if not np.isfinite(rate):
+        raise ContractError("the reference rate overflows at epsilon = %.3g "
+                            "and depth %.6g" % (epsilon, depth))
+    return rate
 
 
 def run_gronwall(cfg: ExperimentConfig) -> RunReport:
@@ -558,23 +577,31 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
                                    p["decay"])
                 for seed in seeds}
     tasks = [(depth, seed) for depth in depths for seed in seeds]
+    # a bad s, kappa or c_s and an overflowing reference rate fail here,
+    # before any step is taken
+    _shift_index(p["s"], p["kappa"], p["c_s"])
+    references = {depth: _reference_rate(depth, p["s"], p["epsilon"])
+                  for depth in depths}
     # one call over every member: the depths of a seed share its step, so
     # they are stepped as one batch
     results = gronwall_ensemble(
         [initials[seed] for _, seed in tasks], [depth for depth, _ in tasks],
         p["s"], p["kappa"], t_final=p["t_final"], dt=p["dt"] or None,
-        n_samples=p["samples"], c_s=p["c_s"], epsilon=p["epsilon"],
-        equation=p["equation"])
+        n_samples=p["samples"], equation=p["equation"])
+    # the smallest kappa - threshold over each member's samples
+    margins = [float((p["kappa"] - kappa_threshold(rep.norms, p["s"],
+                                                   p["c_s"])).min())
+               for rep in results]
     # form(t) <= exp(a_hat t) form(0) at every sample
     bound_ok = [bool(np.all(rep.form_values <= rep.form_values[0]
                             * np.exp(rep.a_hat * rep.times) * (1.0 + 1e-6)))
                 for rep in results]
     table = _csv(["depth", "seed", "a_hat", "a_reference", "bound_ok",
                   "kappa_margin", "form_initial", "form_final"],
-                 [(depth, seed, rep.a_hat, rep.a_reference, ok,
-                   rep.kappa_margin, float(rep.form_values[0]),
-                   float(rep.form_values[-1]))
-                  for (depth, seed), rep, ok in zip(tasks, results, bound_ok)])
+                 [(depth, seed, rep.a_hat, references[depth], ok, margin,
+                   float(rep.form_values[0]), float(rep.form_values[-1]))
+                  for (depth, seed), rep, ok, margin
+                  in zip(tasks, results, bound_ok, margins)])
 
     # tasks run depth-major, so row i holds the rates at depths[i]
     a_hats = np.reshape([rep.a_hat for rep in results], (len(depths), -1))
@@ -590,7 +617,6 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
         "all_bound_ok": all(bound_ok),
     }
     failures = []
-    margins = [rep.kappa_margin for rep in results]
     # "not >= 0" fails a NaN margin too, and argmin names a NaN first
     if not all(margin >= 0.0 for margin in margins):
         worst = int(np.argmin(margins))

@@ -50,10 +50,13 @@ in the substitution tau = kappa*exp(t) (``build_weighted_rule``) gives the
 tau profile that ``beta`` reports, its cross-check of the closed form, and
 the flow derivative; the ``WeightedFormRule`` keeps the profile it adapted
 on and the weighted value, so no tau is evaluated twice.
+The admissible-shift test asks kappa to clear a threshold in the H^s_kappa
+norm of the state (``kappa_threshold``), which ``check_kappa`` and the
+``beta`` and ``gronwall`` runners all compute.
 The growth layer tracks the weighted form along runs that it steps itself
 (``gronwall_ensemble``), and its ``GrowthReport`` holds measurements only:
-the trace, the fitted rate, the reference rate and the admissible-shift
-margin.  The ``gronwall`` runner applies every check to them.
+the trace, the H^s_kappa norm of each sample and the fitted rate.  The
+``gronwall`` runner brings the constants and applies every check.
 ``apriori_bound`` evaluates the closed-form H^s bound on a state that its
 caller evolved, so this module runs no ``evolve`` of its own.
 """
@@ -85,7 +88,7 @@ from .spectral import (
     sobolev_norms,
     synthesize,
 )
-from .symbols import apply_smoothing_dx, smoothing_bound
+from .symbols import apply_smoothing_dx
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the left half and
 # the centre of each table, mirrored once; the Gauss nodes sit at the odd
@@ -473,7 +476,7 @@ def _require_shift(lambda_min: float, tau: float):
             "shift %.6g does not clear lambda_min = %.6g" % (tau, lambda_min))
 
 
-def _shift_index(s: float, kappa: float, c_s: float) -> SobolevIndex:
+def _shift_index(s: float, kappa: float, c_s: float = 1.0) -> SobolevIndex:
     """The H^s_kappa index of the admissible-shift test, once s, kappa and
     c_s meet its contract; a kappa whose square overflows fails here."""
     _require_weight_exponent(s, kappa)
@@ -482,31 +485,24 @@ def _shift_index(s: float, kappa: float, c_s: float) -> SobolevIndex:
     return SobolevIndex(s, kappa)
 
 
-def _check_kappas(grid: SpectralGrid, coeffs: np.ndarray, lambda_min,
-                  index: SobolevIndex, c_s: float) -> KappaCheck:
-    """The admissible-shift test of kappa = ``index.kappa`` at the half
-    spectrum ``coeffs`` of one state, or at each row of a (B, n_points//2
-    + 1) stack, whose smallest eigenvalues (or Ritz values) are
-    ``lambda_min``: a KappaCheck with the H^s_kappa norm of each state and
-    the threshold c_s*(1 + norm)^(1/(2*sigma)), sigma = (1/2 + s)/2, that
-    kappa must clear there; an overflowed threshold is inf, which no finite
-    kappa clears.  ``np.power`` takes one state's norm through the same
-    ufunc loop as a stack's, so a row's threshold equals its one-state
-    call bit for bit (a float64 scalar's ``**`` would call libm's pow, which
-    differs from the vectorized loop in the last bit)."""
-    norms = sobolev_norms(grid, coeffs, index)
-    sigma = 0.5 * (0.5 + index.s)
+def kappa_threshold(norms, s: float, c_s: float):
+    """c_s*(1 + norm)^(1/(2*sigma)), sigma = (1/2 + s)/2: the shift that
+    kappa must clear at a state of H^s_kappa norm ``norms``, for one norm
+    or elementwise for an array of them.  An overflowed threshold is inf,
+    which no finite kappa clears.  ``np.power`` takes one norm through the
+    same ufunc loop as an array's, so each element's threshold equals its
+    one-norm call bit for bit (a float64 scalar's ``**`` would call libm's
+    pow, which differs from the vectorized loop in the last bit)."""
+    sigma = 0.5 * (0.5 + s)
     with np.errstate(over="ignore"):
-        thresholds = c_s * np.power(1.0 + norms, 1.0 / (2.0 * sigma))
-    return KappaCheck(kappa=index.kappa, threshold=thresholds,
-                      lambda_min=lambda_min, norm=norms)
+        return c_s * np.power(1.0 + norms, 1.0 / (2.0 * sigma))
 
 
 @dataclass(frozen=True)
 class KappaCheck:
-    """Outcome of the admissible-shift test at one state, or at each row
-    of a stack when ``threshold``, ``lambda_min`` and ``norm`` are (B,)
-    arrays.  A threshold that overflowed is inf, so its check fails."""
+    """Outcome of the admissible-shift test at one state; ``ok`` also reads
+    (B,) arrays of ``threshold`` and ``lambda_min`` elementwise.  A
+    threshold that overflowed is inf, so its check fails."""
 
     kappa: float
     threshold: float
@@ -522,13 +518,14 @@ class KappaCheck:
 
 def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
                 xi_max: Optional[float] = None) -> KappaCheck:
-    """Admissible-shift test of ``u`` on its Lanczos spectrum at kappa
-    (``_check_kappas`` on one state): ``lambda_min`` is the smallest Ritz
-    value of a certified state, which clears -kappa as the eigenvalues
-    do."""
+    """Admissible-shift test of ``u`` on its Lanczos spectrum at kappa:
+    the H^s_kappa ``norm`` of u, its ``kappa_threshold`` and
+    ``lambda_min``, the smallest Ritz value of a certified state, which
+    clears -kappa as the eigenvalues do."""
     spectrum = LaxSpectrum.lanczos(build_lax(u, xi_max), kappa)
-    return _check_kappas(u.grid, u.coeffs, spectrum.lambda_min,
-                         _shift_index(s, kappa, c_s), c_s)
+    norm = sobolev_norms(u.grid, u.coeffs, _shift_index(s, kappa, c_s))
+    return KappaCheck(kappa=kappa, threshold=kappa_threshold(norm, s, c_s),
+                      lambda_min=spectrum.lambda_min, norm=norm)
 
 
 # conjugate gradients stop once the residual is below this fraction of ||g||
@@ -960,46 +957,42 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
 
 @dataclass(frozen=True)
 class GrowthReport:
-    """Weighted-form trace along one run with its fitted growth rate, the
-    reference rate of its depth and the smallest kappa - threshold of the
-    admissible-shift test over its samples; it holds no check verdict."""
+    """Weighted-form trace along one run: the sample ``times``, the form at
+    each (``form_values``), the H^s_kappa norm of each sampled state
+    (``norms``) and the fitted growth rate ``a_hat``.  It holds
+    measurements only: no constant of the theory and no check verdict."""
 
     times: np.ndarray
     form_values: np.ndarray
+    norms: np.ndarray
     a_hat: float
-    a_reference: float
-    kappa_margin: float
 
 
 def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
                         kappa: float, t_final: float = 1.0,
                         dt: Optional[float] = None, n_samples: int = 100,
-                        c_s: float = 1.0, epsilon: float = 0.01,
                         equation: str = "ilw") -> GrowthReport:
     """Track the weighted form along a run and fit its exponential rate.
 
     The fitted rate is the worst absolute log-slope between consecutive
     samples, i.e. the empirical Lipschitz rate of log form(t); the drift can
     have either sign, and the unsigned rate is what scales with the
-    depth-correction strength.  The report also carries the smallest
-    kappa - threshold of the admissible-shift test over the samples
-    (``kappa_margin``), which is negative where kappa falls below the
-    threshold; the run goes on, and the caller decides what fails.  The form
-    at each sample is the ``KappaRule.values`` of the sampled state's
-    Lanczos spectrum.
+    depth-correction strength.  The report also carries the H^s_kappa norm
+    of each sampled state, from which the caller reads the admissible-shift
+    thresholds (``kappa_threshold``) at its own c_s and decides what fails.
+    The form at each sample is the ``KappaRule.values`` of the sampled
+    state's Lanczos spectrum.
     ``equation="bo"`` drops the depth correction, under which the form is
     conserved and a_hat collapses to integrator noise.  This is the
     one-member case of ``gronwall_ensemble``.
     """
     return gronwall_ensemble([u0], [depth], s, kappa, t_final=t_final, dt=dt,
-                             n_samples=n_samples, c_s=c_s, epsilon=epsilon,
-                             equation=equation)[0]
+                             n_samples=n_samples, equation=equation)[0]
 
 
 def gronwall_ensemble(initials: list, depths: list, s: float,
                       kappa: float, t_final: float = 1.0,
                       dt: Optional[float] = None, n_samples: int = 100,
-                      c_s: float = 1.0, epsilon: float = 0.01,
                       equation: str = "ilw") -> list:
     """``gronwall_experiment`` for each initial state at its own depth.
 
@@ -1014,20 +1007,16 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     time order and then member order.  A row's measure does not depend on
     the rest of the call, so it equals the one its sample gets alone.  Each
     block then takes one pass over all its rows: the zero-form check (first
-    block), one H^s_kappa norm reduction and one numpy power for the
-    admissible-shift thresholds (``_check_kappas``, which ``check_kappa``
-    runs on one state, so each row's threshold is its own), the margin
-    update and one evaluation of the ``KappaRule`` built once per call; no
-    field or spectrum is built per row.  The thresholds are measured, not
-    checked: a row below its threshold only lowers its member's margin.  A
-    row whose spectrum does not clear -kappa has no form, and the rule
-    raises KappaTooSmallError; a stepper error propagates as raised.
-    Every depth's reference rate is computed before the first step.
-    Reports come back in the order of ``initials``, each equal to the
-    member's own ``gronwall_experiment``.
+    block), one H^s_kappa norm reduction (``sobolev_norms``, so each row's
+    norm is its own) and one evaluation of the ``KappaRule`` built once per
+    call; no field or spectrum is built per row.  A row whose spectrum
+    does not clear -kappa has no form, and the rule raises
+    KappaTooSmallError; a stepper error propagates as raised.  Reports
+    come back in the order of ``initials``, each equal to the member's own
+    ``gronwall_experiment``.
     """
-    # a bad s, kappa or c_s fails here, before any step is taken
-    index = _shift_index(s, kappa, c_s)
+    # a bad s or kappa fails here, before any step is taken
+    index = _shift_index(s, kappa)
     if not initials:
         raise ContractError("empty ensemble: no initial states")
     if len(depths) != len(initials):
@@ -1040,7 +1029,6 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     by_depth = {depth: make_problem(equation, depth, grid)
                 for depth in dict.fromkeys(depths)}
     problems = [by_depth[depth] for depth in depths]
-    references = {depth: _reference_rate(depth, s, epsilon) for depth in by_depth}
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
 
@@ -1053,8 +1041,7 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     for step, members in batches.items():
         n_steps, _ = step_count(t_final, step)
         stride = max(1, n_steps // n_samples)
-        times, values = [], []
-        margin = np.full(len(members), np.inf)
+        times, values, norms = [], [], []
         stack = np.stack([initials[i].coeffs for i in members])
         samples = etdrk4_samples([problems[i] for i in members], stack,
                                  t_final, step, stride)
@@ -1069,34 +1056,19 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
                 raise ContractError("initial data has zero weighted form; "
                                     "no growth rate can be fitted")
             by_sample = (len(block), len(members))
-            thresholds = _check_kappas(grid, coeffs, spectra.lambda_min, index,
-                                       c_s).threshold.reshape(by_sample)
-            margin = np.minimum(margin, (kappa - thresholds).min(axis=0))
+            norms.append(sobolev_norms(grid, coeffs, index).reshape(by_sample))
             times += [t for t, _ in block]
             values.append(rule.values(spectra).reshape(by_sample))
         times, values = np.asarray(times), np.concatenate(values)
+        norms = np.concatenate(norms)
         # the worst absolute log-slope of each member
         slopes = np.diff(np.log(values), axis=0) / np.diff(times)[:, None]
         a_hat = np.max(np.abs(slopes), axis=0)
         for j, i in enumerate(members):
             reports[i] = GrowthReport(
-                times=times, form_values=values[:, j], a_hat=float(a_hat[j]),
-                a_reference=references[depths[i]],
-                kappa_margin=float(margin[j]))
+                times=times, form_values=values[:, j], norms=norms[:, j],
+                a_hat=float(a_hat[j]))
     return reports
-
-
-def _reference_rate(depth: Optional[float], s: float, epsilon: float) -> float:
-    """The growth rate depth^-2 (1 + depth^(-|s| - 1/2 - epsilon)), the
-    ``smoothing_bound`` that the fitted rate is reported against, 0 without
-    a depth; a ContractError names epsilon and the depth where it overflows
-    (at depth 0 too, which only ``bo`` admits)."""
-    rate = (smoothing_bound(depth, -abs(s) - 0.5 - epsilon)
-            if depth is not None else 0.0)
-    if not np.isfinite(rate):
-        raise ContractError("the reference rate overflows at epsilon = %.3g "
-                            "and depth %.6g" % (epsilon, depth))
-    return rate
 
 
 @dataclass(frozen=True)

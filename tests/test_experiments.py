@@ -22,8 +22,8 @@ from ilw_lab import (
     NumericalError,
     SpectralGrid,
     default_dt,
-    gronwall_ensemble,
     gronwall_experiment,
+    kappa_threshold,
     make_ilw,
     random_field,
 )
@@ -320,13 +320,12 @@ def test_gronwall_overflowing_reference_rate_exits_before_any_step(
                % (epsilon, depth))
     if "bo" in flags:
         # the command line rejects a depth of 0 by its declared range; the
-        # library still names the reference rate
+        # runner's reference rate still names it
         assert "usage error: gronwall.depth_list must be positive: '0'" in err
-        grid = SpectralGrid(2 * np.pi, 32)
         with pytest.raises(ContractError, match=re.escape(message)):
-            gronwall_ensemble([random_field(grid, -0.25, 0.4, 1, 0.25)],
-                              [0.0], -0.25, 32.0, t_final=0.01, n_samples=2,
-                              equation="bo")
+            experiments._reference_rate(0.0, -0.25, 0.01)
+        assert experiments._reference_rate(1.0, -0.25, 0.01) == \
+            pytest.approx(2.0, rel=1e-14)
     else:
         assert "usage error: " + message in err
     assert "Traceback" not in err
@@ -731,6 +730,32 @@ def test_cli_beta_needs_two_hardy_modes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, modes, limit, n", [
+    (["--n", "8", "--modes", "3"], 3, 2, 8),
+    (["--modes", "65"], 65, 64, 256),
+])
+def test_cli_beta_modes_past_the_grid_name_the_modes(tmp_path, capsys,
+                                                     monkeypatch, argv, modes,
+                                                     limit, n):
+    # more modes than the grid resolves: the error names beta.modes, the
+    # largest count the grid resolves and n, not the cut xi_max, which the
+    # command line never set, and no truncation is built
+    built = []
+    build_lax = experiments.build_lax
+    monkeypatch.setattr(experiments, "build_lax",
+                        lambda *args: built.append(args) or build_lax(*args))
+    out = tmp_path / "past"
+    assert main(["beta", *argv, "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("usage error: beta.modes = %d exceeds %d, the Hardy modes "
+                   "that n = %d resolves\n" % (modes, limit, n))
+    assert built == [] and not out.exists()
+    # the largest count the grid resolves runs
+    assert main(["beta", *argv[:-1], str(limit), "--outdir",
+                 str(tmp_path / "limit")]) == 0
+    capsys.readouterr()
+
+
 def test_illposed_sorts_its_sweep(tmp_path, capsys):
     out = tmp_path / "ip"
     assert main(["illposed", "--adelta-list", "3.0,2.8", "--n", "64",
@@ -990,14 +1015,16 @@ def test_gronwall_batches_match_member_runs(tmp_path, capsys):
     assert len(steps) == 3
     rows = []
     for depth in (0.5, 1.0):
+        a_reference = experiments._reference_rate(depth, p["s"], p["epsilon"])
         for seed, u0 in initials.items():
             rep = gronwall_experiment(u0, depth, p["s"], p["kappa"],
-                                      t_final=p["t_final"], n_samples=p["samples"],
-                                      c_s=p["c_s"], epsilon=p["epsilon"])
+                                      t_final=p["t_final"], n_samples=p["samples"])
             bound_ok = np.all(rep.form_values <= rep.form_values[0]
                               * np.exp(rep.a_hat * rep.times) * (1.0 + 1e-6))
-            rows.append((depth, seed, rep.a_hat, rep.a_reference, bound_ok,
-                         rep.kappa_margin, float(rep.form_values[0]),
+            margin = float((p["kappa"] - kappa_threshold(
+                rep.norms, p["s"], p["c_s"])).min())
+            rows.append((depth, seed, rep.a_hat, a_reference, bound_ok,
+                         margin, float(rep.form_values[0]),
                          float(rep.form_values[-1])))
     expected = _csv(["depth", "seed", "a_hat", "a_reference", "bound_ok",
                      "kappa_margin", "form_initial", "form_final"], rows)
@@ -1052,6 +1079,83 @@ def test_gronwall_checks_the_depth_ordering(tmp_path, capsys, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is False
     assert report["report"]["all_bound_ok"] is True
+
+
+def _wrap(monkeypatch, name, fault):
+    """Replace ``experiments.<name>`` by ``fault`` applied to its output."""
+    original = getattr(experiments, name)
+    monkeypatch.setattr(experiments, name,
+                        lambda *args, **kwargs: fault(original(*args, **kwargs)))
+
+
+def _drift(diagnostic, change):
+    """A fault of ``evolve``: ``change`` applied in place to the last entry
+    of one diagnostic series of the trajectory."""
+    def fault(trajectory):
+        series = trajectory.diagnostics[diagnostic]
+        series[-1] = change(series[-1])
+        return trajectory
+    return fault
+
+
+def _reverse_depths(samples):
+    """A fault of ``etdrk4_samples``: the depth rows of every sample of the
+    two-depth batch in reverse order, behind the deep-water row."""
+    for t, stack in samples:
+        yield t, np.concatenate((stack[:1], stack[:0:-1]))
+
+
+# one witness per FAILED line of a run at small size that passes as it
+# stands: the name of the one route its check compares, the fault put into
+# that route's output, and the line the fault must give alone; a line that
+# ends in a space is the prefix of one whose measured figures follow
+CHECK_WITNESSES = [
+    ("wave --n 64", "traveling_residual", lambda r: r + 1e-6,
+     "FAILED: traveling residual 1.000e-06 >= 1e-8"),
+    ("wave --n 64", "lattice_profile", lambda u: u.shifted(1e-3),
+     "FAILED: profile routes differ by "),
+    ("illposed --n 64", "distance_to_dirac", lambda d: d[::-1],
+     "FAILED: Dirac distances not decreasing: "),
+    ("illposed --n 64", "illposed_observables",
+     lambda obs: dataclasses.replace(obs, mode_2pi=1.0 + 0.0j),
+     "FAILED: mode moduli not converging to 2*pi: [1.0, 1.0, 1.0, 1.0]"),
+    ("illposed --n 64", "illposed_observables",
+     lambda obs: dataclasses.replace(obs, phase_rate=obs.phase_rate + 1e-6),
+     "FAILED: phase rate differs from -2*pi*t by 1.000e-06"),
+    ("illposed --n 64", "galilean", lambda u: u * (1.0 + 1e-6),
+     "FAILED: family mean off alpha by 5.000e-07"),
+    ("twodepth --n 64 --t-final 0.05", "etdrk4_samples", _reverse_depths,
+     "FAILED: deep-water gap not decreasing: "),
+    ("simulate --n 64 --t-final 0.05", "evolve",
+     _drift("mean", lambda mean: mean + 1e-3),
+     "FAILED: spatial mean drifted: 1.000e-03"),
+    ("simulate --n 64 --t-final 0.05", "evolve",
+     _drift("mass", lambda value: value * (1.0 + 1e-3)),
+     "FAILED: mass drift 1.000e-03 exceeds 1e-6"),
+]
+
+
+@pytest.mark.parametrize("argv, route, fault, line", CHECK_WITNESSES, ids=[
+    "%s-%s-%d" % (argv.split()[0], route, i)
+    for i, (argv, route, _, _) in enumerate(CHECK_WITNESSES)])
+def test_each_check_fails_alone_on_a_fault_in_its_route(
+        tmp_path, capsys, monkeypatch, argv, route, fault, line):
+    # the run passes as it stands; with the fault it exits 3, writes every
+    # output with "passed": false, and gives exactly its one FAILED line
+    out = tmp_path / "clean"
+    assert main(argv.split() + ["--outdir", str(out)]) == 0
+    assert _failed_lines(capsys.readouterr().err) == []
+    _wrap(monkeypatch, route, fault)
+    out = tmp_path / "fault"
+    assert main(argv.split() + ["--outdir", str(out)]) == 3
+    failed = _failed_lines(capsys.readouterr().err)
+    assert len(failed) == 1 and failed[0].startswith(line), failed
+    if not line.endswith(" "):
+        assert failed == [line]
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["failures"] == [failed[0][len("FAILED: "):]]
+    assert (out / "manifest.json").is_file()
 
 
 def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
@@ -1292,8 +1396,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # every command at small size, with the exit code and the one FAILED line
 # each run must give (None where none is checked); each usage error writes
 # to ``--outdir usage``.  The CI workflow's numpy-only leg runs these with
-# scipy absent, and its last step calls the installed script for four of
-# them, one per exit code
+# scipy absent, and its last step calls the installed script for five of
+# them: one per exit code, and the c_s that the gronwall runner rejects
 SMOKE_RUNS = [
     ("simulate --n 64 --t-final 0.05 --outdir simulate", 0, None),
     # at depth 1e-6 the Hamiltonian identity misses its tolerance: a failed
@@ -1331,11 +1435,13 @@ SMOKE_RUNS = [
     ("twodepth --n 64 --t-final 0.05 --outdir twodepth", 0, None),
     # usage errors: a grid spacing that underflows to 0, a wave number whose
     # square overflows, a config file with a duplicate option, a sweep that
-    # repeats a value, and a phase rate asked for at time 0
+    # repeats a value, a c_s that is not positive, and a phase rate asked
+    # for at time 0
 ] + [(argv + " --outdir usage", 1, None) for argv in (
     "simulate --length 5e-324", "wave --depth 1e-154", "wave --config dup.ini",
-    "gronwall --depth-list 1,1 --n 64", "illposed --adelta-list 2.8,2.8",
-    "illposed --t 0")]
+    "gronwall --depth-list 1,1 --n 64",
+    "gronwall --c-s 0 --n 64 --seeds 1 --samples 2 --t-final 0.01",
+    "illposed --adelta-list 2.8,2.8", "illposed --t 0")]
 
 
 @pytest.mark.parametrize("argv, exit_code, failed", SMOKE_RUNS, ids=[

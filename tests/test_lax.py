@@ -23,6 +23,7 @@ from ilw_lab import (
     forward_transform,
     gronwall_ensemble,
     gronwall_experiment,
+    kappa_threshold,
     make_bo,
     make_ilw,
     modes_to_xi_max,
@@ -40,6 +41,7 @@ from ilw_lab.spectral import (
     SobolevIndex,
     hardy_embed,
     hardy_project,
+    sobolev_norms,
     synthesize,
 )
 from ilw_lab.symbols import apply_smoothing_dx
@@ -564,19 +566,18 @@ def test_uncertified_rows_take_the_dense_path():
     assert not mixed.weights[0, steps:].any()
     rule, index = KappaRule.build(kappa, -0.25), SobolevIndex(-0.25, kappa)
     values = rule.values(mixed)
-    checks = lax_module._check_kappas(
-        grid, np.stack([small.coeffs, big.coeffs]), mixed.lambda_min, index,
-        1.0)
+    norms = sobolev_norms(grid, np.stack([small.coeffs, big.coeffs]), index)
+    checks = KappaCheck(kappa=kappa,
+                        threshold=kappa_threshold(norms, -0.25, 1.0),
+                        lambda_min=mixed.lambda_min, norm=norms)
     for i, (u, one) in enumerate(((small, alone), (big, lone))):
         assert one.nodes.ndim == 1 and np.ndim(one.steps) == 0
         assert one.lambda_min == mixed.lambda_min[i]
         assert one.lambda_bound == mixed.lambda_bound[i]
         assert rule.values(one) == values[i]
-        check = lax_module._check_kappas(grid, u.coeffs, one.lambda_min,
-                                         index, 1.0)
+        check = check_kappa(u, -0.25, kappa)
         for name in ("threshold", "lambda_min", "norm", "ok"):
             assert getattr(check, name) == getattr(checks, name)[i], name
-        assert check == check_kappa(u, -0.25, kappa)
     with pytest.raises(ContractError, match="one state"):
         mixed.form_at(np.array([kappa]))
     with pytest.raises(ContractError):
@@ -668,8 +669,8 @@ def test_check_kappa_threshold_overflow_fails_the_check():
 
 
 def test_kappa_check_ok_is_elementwise():
-    # the verdict gronwall_ensemble reads on a whole stack: a row fails on
-    # its threshold, on a NaN threshold or on lambda_min
+    # the verdict read on arrays, elementwise: an entry fails on its
+    # threshold, on a NaN threshold or on lambda_min
     check = KappaCheck(kappa=32.0,
                        threshold=np.array([31.0, 32.0, 33.0, np.nan, 1.0]),
                        lambda_min=np.array([0.0, -31.0, 0.0, 0.0, -32.0]),
@@ -677,28 +678,32 @@ def test_kappa_check_ok_is_elementwise():
     assert check.ok.tolist() == [True, True, False, False, False]
 
 
-def test_check_kappas_rows_equal_their_one_state_calls():
-    # one numpy power serves one state and a stack, so each row's threshold
-    # is its one-state call bit for bit.  Over these 64 fields a float64
-    # scalar's ** (libm's pow) would differ from the vectorized power in the
-    # last bit on 3 rows of an AVX-512 host; an overflowed row reads inf
+def test_kappa_threshold_rows_equal_their_one_state_calls():
+    # one numpy power serves one norm and a stack of them, so each row's
+    # threshold is its one-state call bit for bit, and so is check_kappa's.
+    # Over these 64 fields a float64 scalar's ** (libm's pow) would differ
+    # from the vectorized power in the last bit on 3 rows of an AVX-512
+    # host; an overflowed row reads inf
     grid = SpectralGrid(TWO_PI, 256)
     index = SobolevIndex(-0.25, 32.0)
     fields = [random_field(grid, -0.25, 0.4, seed, decay=0.25)
               for seed in range(1, 65)]
     fields.append(random_field(grid, -0.25, 1e100, 7, decay=0.25))
-    stack = np.stack([u.coeffs for u in fields])
+    norms = sobolev_norms(grid, np.stack([u.coeffs for u in fields]), index)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        checks = lax_module._check_kappas(grid, stack, np.zeros(len(fields)),
-                                          index, 1.0)
+        thresholds = kappa_threshold(norms, -0.25, 1.0)
         for i, u in enumerate(fields):
-            check = lax_module._check_kappas(grid, u.coeffs, 0.0, index, 1.0)
-            assert np.ndim(check.threshold) == 0
-            assert check.threshold == checks.threshold[i], i
-            assert check.norm == checks.norm[i], i
-    assert np.isfinite(checks.threshold[:-1]).all()
-    assert checks.threshold[-1] == np.inf and not checks.ok[-1]
+            norm = sobolev_norms(grid, u.coeffs, index)
+            threshold = kappa_threshold(norm, -0.25, 1.0)
+            assert np.ndim(threshold) == 0
+            assert threshold == thresholds[i], i
+            assert norm == norms[i], i
+    for i in range(0, len(fields), 16):
+        check = check_kappa(fields[i], -0.25, 32.0)
+        assert (check.norm, check.threshold) == (norms[i], thresholds[i])
+    assert np.isfinite(thresholds[:-1]).all()
+    assert thresholds[-1] == np.inf and not 32.0 >= thresholds[-1]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -1243,9 +1248,9 @@ def test_gronwall_experiment_reports():
     report = gronwall_experiment(u0, 1.0, -0.25, 32.0, t_final=0.2, dt=1e-3,
                                  n_samples=10)
     assert np.all(np.isfinite(report.form_values) & (report.form_values > 0.0))
-    assert report.kappa_margin > 0.0
+    assert report.norms.shape == report.times.shape == (11,)
+    assert np.all(32.0 - kappa_threshold(report.norms, -0.25, 1.0) > 0.0)
     assert report.a_hat < 1e-3
-    assert report.a_reference == pytest.approx(2.0, rel=1e-14)
 
     control = gronwall_experiment(u0, None, -0.25, 32.0, t_final=0.2, dt=1e-3,
                                   n_samples=10, equation="bo")
@@ -1280,19 +1285,21 @@ def test_gronwall_experiment_matches_public_functions():
         assert measures.steps[i] == steps
         assert np.array_equal(measures.nodes[i, :steps], spectrum.nodes)
         assert np.array_equal(measures.weights[i, :steps], spectrum.weights)
-    margin = min(kappa - check_kappa(state, s, kappa).threshold
-                 for state in states)
+    checks = [check_kappa(state, s, kappa) for state in states]
     assert len(states) == len(report.times) == 11
     assert report.form_values.tolist() == values
     assert np.all(np.abs(report.form_values - frozen) <= 1e-12 * frozen)
-    assert report.kappa_margin == margin
+    assert report.norms.tolist() == [check.norm for check in checks]
+    assert kappa_threshold(report.norms, s, 1.0).tolist() == [
+        check.threshold for check in checks]
 
 
 def test_check_kappa_and_the_ensemble_share_the_shift_test():
     # a field near the constant -2 has lambda_min near -2: kappa = 1 clears
     # the norm threshold at a small c_s but not the spectrum, so check_kappa
-    # fails, and the ensemble has no form there: its rule raises
-    # KappaTooSmallError, the error a spectrum below -kappa gives everywhere
+    # fails, and the ensemble, which takes no c_s, has no form there: its
+    # rule raises KappaTooSmallError, the error a spectrum below -kappa
+    # gives everywhere
     grid = SpectralGrid(TWO_PI, 64)
     coeffs = np.zeros(33, dtype=np.complex128)
     coeffs[0], coeffs[1] = -2.0 * grid.length, 0.01 * grid.length
@@ -1300,11 +1307,12 @@ def test_check_kappa_and_the_ensemble_share_the_shift_test():
     s, kappa, c_s = -0.25, 1.0, 1e-6
     check = check_kappa(u0, s, kappa, c_s)
     assert kappa >= check.threshold and check.lambda_min + kappa <= 0.0
+    assert check.threshold == kappa_threshold(check.norm, s, c_s)
     assert not check.ok
     with pytest.raises(KappaTooSmallError,
                        match="^shift 1 does not clear lambda_min = -2"):
         gronwall_experiment(u0, 1.0, s, kappa, t_final=0.01, dt=1e-3,
-                            n_samples=2, c_s=c_s)
+                            n_samples=2)
 
 
 def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
@@ -1361,7 +1369,8 @@ def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
     for a, b in zip(blocked, single):
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.form_values, b.form_values)
-        assert (a.a_hat, a.kappa_margin) == (b.a_hat, b.kappa_margin)
+        assert np.array_equal(a.norms, b.norms)
+        assert a.a_hat == b.a_hat
 
 
 @pytest.mark.parametrize("shift", [
@@ -1556,7 +1565,7 @@ def test_dense_route_serves_only_uncertified_fields(monkeypatch):
 
 
 def _scalars(report):
-    return report.a_hat, report.a_reference, report.kappa_margin
+    return report.a_hat, report.norms.tolist()
 
 
 def test_gronwall_ensemble_matches_members():
@@ -1610,14 +1619,17 @@ def test_gronwall_experiment_validation():
 @pytest.mark.filterwarnings("ignore:advisory CFL")
 def test_gronwall_experiment_rejects_inadmissible_shift():
     # kappa = 2 clears lambda_min but not the norm threshold: the run is
-    # measured, and its margin is negative, which the gronwall runner fails
+    # measured, and the threshold of its initial norm lies above kappa,
+    # which the gronwall runner fails
     grid = SpectralGrid(TWO_PI, 128)
     big = random_field(grid, -0.25, 5.0, 3, decay=0.3)
     check = check_kappa(big, -0.25, 2.0)
     assert not check.ok and check.lambda_min + 2.0 > 0.0
     report = gronwall_experiment(big, 1.0, -0.25, 2.0, t_final=0.01, dt=1e-3,
                                  n_samples=2)
-    assert report.kappa_margin <= 2.0 - check.threshold < 0.0
+    assert report.norms[0] == check.norm
+    margin = (2.0 - kappa_threshold(report.norms, -0.25, 1.0)).min()
+    assert margin <= 2.0 - check.threshold < 0.0
 
 
 def test_apriori_bound():
