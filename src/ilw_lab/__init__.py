@@ -44,7 +44,6 @@ from .experiments import (
     write_snapshot,
 )
 from .lax import (
-    AprioriBound,
     GrowthReport,
     KappaCheck,
     KappaRule,
@@ -61,7 +60,6 @@ from .lax import (
     kappa_threshold,
     modes_to_xi_max,
     resolvent_form,
-    resolvent_form_gradient,
     resolvent_state,
     weighted_resolvent_form,
 )

@@ -137,6 +137,7 @@ def read_snapshot(path) -> RealField:
 _AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
 _POSITIVE = ("must be positive", lambda v: v > 0)
 _STEP = ("must be >= 0 (0 selects the default step)", lambda v: v >= 0)
+_EQUATION = ("must be 'ilw' or 'bo'", lambda v: v in ("ilw", "bo"))
 
 # how a flag or an ini value is read, by kind; a ValueError rejects it
 _PARSERS = {
@@ -150,7 +151,7 @@ _PARSERS = {
 # per-command parameter schema: name -> (kind, default[, range])
 _SCHEMAS = {
     "simulate": {
-        "equation": ("str", "ilw"),
+        "equation": ("str", "ilw", _EQUATION),
         "depth": ("float", 1.0),
         "n": ("int", 256),
         "length": ("float", 6.283185307179586),
@@ -183,7 +184,7 @@ _SCHEMAS = {
                              lambda v: v >= 0)),
     },
     "gronwall": {
-        "equation": ("str", "ilw"),
+        "equation": ("str", "ilw", _EQUATION),
         "depth_list": ("float_list", [0.5, 1.0, 2.0], _POSITIVE),
         "seeds": ("int", 10, _AT_LEAST_ONE),
         "seed": ("int", 1),
@@ -223,7 +224,9 @@ _SCHEMAS = {
         "c2": ("float", 1.0),
         "depth_ratio": ("float", 2.0),
         "min_depth_list": ("float_list", [10.0, 20.0, 40.0]),
-        "frame": ("str", "renormalized"),
+        "frame": ("str", "renormalized",
+                  ("must be 'renormalized' or 'original'",
+                   lambda v: v in ("renormalized", "original"))),
         "n": ("int", 256),
         # the finite-depth correction at depth 40 is exp(-2*40*xi); only a
         # circle with fundamental frequency 1/8 keeps it above rounding
@@ -504,10 +507,12 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
         raise ContractError("beta.modes = %d exceeds %d, the Hardy modes that "
                             "n = %d resolves" % (p["modes"], limit, p["n"]))
     xi_max = modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0 else None
+    # a bad s or kappa fails before anything is measured
+    index = _shift_index(p["s"], p["kappa"])
     # one truncation serves the Lanczos measure and the resolvent solve
     lax = build_lax(state, xi_max)
     spectrum = LaxSpectrum.lanczos(lax, p["kappa"])
-    norm = sobolev_norms(grid, state.coeffs, _shift_index(p["s"], p["kappa"]))
+    norm = sobolev_norms(grid, state.coeffs, index)
     threshold = kappa_threshold(norm, p["s"], 1.0)
     # the adaptive Gauss-Kronrod rule, with the tau profile it adapted on
     rule = build_weighted_rule(spectrum.form_at, p["kappa"], p["s"])

@@ -2,9 +2,9 @@
 the resolvent functionals built on it.
 
 For a real field u the operator -i d/dx + P_+(u .) acts on the Hardy space
-of nonnegative frequencies.  Its truncation to 0 <= xi, eta <= xi_max has
-entries eta*[xi == eta] + u_hat(xi - eta)/L and is Hermitian.  The quadratic
-resolvent form
+of nonnegative frequencies.  Its truncation to the frequencies 0 <= xi,
+eta below a cut has entries eta*[xi == eta] + u_hat(xi - eta)/L and is
+Hermitian.  The quadratic resolvent form
 
     form(kappa; u) = < P_+ u, (L_u + kappa)^(-1) P_+ u >
 
@@ -12,9 +12,11 @@ is nonnegative for admissible shifts, is conserved by the deep-water flow,
 and its s-weighted integral in kappa is equivalent to the squared H^s_kappa
 norm.  ``build_lax`` makes the truncation (``LaxTruncation``) of a state,
 and a stack of states is one truncation too; it is the one place that
-derives the diagonal, the Toeplitz column, its circulant symbol and the
-symbol bound on lambda_min, and every route below takes the truncation it
-is given, so one bound per state certifies a shift for all of them.  Every
+chooses the cut (the field-level entries below take the largest one the
+grid resolves) and derives the diagonal, the Toeplitz column, its
+circulant symbol and the symbol bound on lambda_min, and every route below
+takes the truncation it is given, so one bound per state certifies a shift
+for all of them.  Every
 shift reads the form off one spectral measure of P_+ u
 (``LaxSpectrum``).  The experiments take it as the Gauss rule of a Lanczos
 run from P_+ u, whose matrix-vector products go through an FFT, stopped
@@ -36,8 +38,8 @@ The resolvent state m = -(L_u + kappa)^(-1) P_+ u has one solve,
 buffered FFT operator of the same truncation whenever its symbol bound
 certifies the shift, with a dense Cholesky solve as fallback and oracle, so
 the certified path never builds an m x m matrix.  The ``ResolventState``
-it returns carries m on the grid and the form's gradient, which the form,
-``resolvent_form_gradient`` and the flow derivative all read.
+it returns carries m on the grid and the form's gradient, which the form
+and the flow derivative read.
 The weighted integral integrates each node of the measure in closed form:
 integral_kappa^inf tau^(2s)/(lambda + tau) dtau is a hypergeometric
 function of lambda/kappa, which three 32-node Gauss-Jacobi rules
@@ -52,13 +54,14 @@ the flow derivative; the ``WeightedFormRule`` keeps the profile it adapted
 on and the weighted value, so no tau is evaluated twice.
 The admissible-shift test asks kappa to clear a threshold in the H^s_kappa
 norm of the state (``kappa_threshold``), which ``check_kappa`` and the
-``beta`` and ``gronwall`` runners all compute.
+``beta`` and ``gronwall`` runners all compute.  The module measures and its
+callers decide: ``apriori_bound`` is the closed-form H^s bound of an
+initial norm, for one norm or elementwise, and the caller compares it with
+the norms that it holds.
 The growth layer tracks the weighted form along runs that it steps itself
 (``gronwall_ensemble``), and its ``GrowthReport`` holds measurements only:
 the trace, the H^s_kappa norm of each sample and the fitted rate.  The
 ``gronwall`` runner brings the constants and applies every check.
-``apriori_bound`` evaluates the closed-form H^s bound on a state that its
-caller evolved, so this module runs no ``evolve`` of its own.
 """
 
 from __future__ import annotations
@@ -81,10 +84,8 @@ from .spectral import (
     RealField,
     SobolevIndex,
     SpectralGrid,
-    forward_transform,
     hardy_embed,
     hardy_project,
-    sobolev_norm,
     sobolev_norms,
     synthesize,
 )
@@ -516,15 +517,17 @@ class KappaCheck:
         return (self.kappa >= self.threshold) & (self.lambda_min + self.kappa > 0.0)
 
 
-def check_kappa(u: RealField, s: float, kappa: float, c_s: float = 1.0,
-                xi_max: Optional[float] = None) -> KappaCheck:
-    """Admissible-shift test of ``u`` on its Lanczos spectrum at kappa:
-    the H^s_kappa ``norm`` of u, its ``kappa_threshold`` and
-    ``lambda_min``, the smallest Ritz value of a certified state, which
-    clears -kappa as the eigenvalues do."""
-    spectrum = LaxSpectrum.lanczos(build_lax(u, xi_max), kappa)
-    norm = sobolev_norms(u.grid, u.coeffs, _shift_index(s, kappa, c_s))
-    return KappaCheck(kappa=kappa, threshold=kappa_threshold(norm, s, c_s),
+def check_kappa(u: RealField, s: float, kappa: float) -> KappaCheck:
+    """Admissible-shift test of ``u`` on the Lanczos spectrum of its
+    ``build_lax`` truncation at kappa: the H^s_kappa ``norm`` of u, its
+    ``kappa_threshold`` at c_s = 1 (a caller with another c_s applies
+    ``kappa_threshold`` to ``norm``) and ``lambda_min``, the smallest Ritz value of a
+    certified state, which clears -kappa as the eigenvalues do.  s and
+    kappa are checked before anything is measured."""
+    index = _shift_index(s, kappa)
+    spectrum = LaxSpectrum.lanczos(build_lax(u), kappa)
+    norm = sobolev_norms(u.grid, u.coeffs, index)
+    return KappaCheck(kappa=kappa, threshold=kappa_threshold(norm, s, 1.0),
                       lambda_min=spectrum.lambda_min, norm=norm)
 
 
@@ -656,18 +659,10 @@ def resolvent_state(lax: LaxTruncation, kappa: float) -> ResolventState:
     return ResolventState(grid=lax.grid, coeffs=-x, iterations=iterations)
 
 
-def resolvent_form(u: RealField, kappa: float, xi_max: Optional[float] = None) -> float:
-    """form(kappa; u) through two routes, cross-checked; see
-    ``ResolventState.form``."""
-    return resolvent_state(build_lax(u, xi_max), kappa).form(u)
-
-
-def resolvent_form_gradient(u: RealField, kappa: float,
-                            xi_max: Optional[float] = None) -> RealField:
-    """Variational derivative -(m + conj(m) + |m|^2) as a real field
-    (``ResolventState.gradient``)."""
-    return forward_transform(
-        resolvent_state(build_lax(u, xi_max), kappa).gradient, u.grid)
+def resolvent_form(u: RealField, kappa: float) -> float:
+    """form(kappa; u) on the ``build_lax`` truncation of u, through two
+    routes, cross-checked; see ``ResolventState.form``."""
+    return resolvent_state(build_lax(u), kappa).form(u)
 
 
 # -- weighted integral -----------------------------------------------------------
@@ -917,18 +912,19 @@ def build_weighted_rule(form_at: Callable, kappa: float,
                             form_values=form_values, value=value)
 
 
-def weighted_resolvent_form(u: RealField, kappa: float, s: float,
-                            xi_max: Optional[float] = None) -> WeightedFormRule:
+def weighted_resolvent_form(u: RealField, kappa: float,
+                            s: float) -> WeightedFormRule:
     """integral_kappa^inf tau^(2s) form(tau; u) dtau on the adaptive rule of
-    its Lanczos spectrum (``build_weighted_rule``), which carries the value
-    and the tau profile.  Values to be differenced along a trajectory come
-    from ``KappaRule.values``, whose rule does not depend on the state."""
+    the Lanczos spectrum of its ``build_lax`` truncation
+    (``build_weighted_rule``), which carries the value and the tau profile.
+    Values to be differenced along a trajectory come from
+    ``KappaRule.values``, whose rule does not depend on the state."""
     return build_weighted_rule(
-        LaxSpectrum.lanczos(build_lax(u, xi_max), kappa).form_at, kappa, s)
+        LaxSpectrum.lanczos(build_lax(u), kappa).form_at, kappa, s)
 
 
-def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
-                         xi_max: Optional[float] = None) -> float:
+def form_flow_derivative(u: RealField, kappa: float, depth: float,
+                         s: float) -> float:
     """Evaluate d/dt of the weighted form via the commutator identity.
 
     Under the deep-water part of the flow the form is exactly conserved, so
@@ -938,12 +934,13 @@ def form_flow_derivative(u: RealField, kappa: float, depth: float, s: float,
         d/dt = -integral tau^(2s) integral (m + conj(m) + |m|^2)
                (smoothing d/dx u) dx dtau.
 
-    The outer integral takes the adaptive weighted-form rule of the state's
-    spectrum (``build_weighted_rule``); at each rule node the gradient is
-    ``resolvent_state(lax, tau).gradient``, with its residual check.
+    The outer integral takes the adaptive weighted-form rule of the spectrum
+    of the state's ``build_lax`` truncation (``build_weighted_rule``); at
+    each rule node the gradient is ``resolvent_state(lax, tau).gradient``,
+    with its residual check.
     """
     _require_weight_exponent(s, kappa)
-    lax = build_lax(u, xi_max)
+    lax = build_lax(u)
     # its first form_at checks the shift
     rule = build_weighted_rule(LaxSpectrum.lanczos(lax, kappa).form_at,
                                kappa, s)
@@ -1071,33 +1068,19 @@ def gronwall_ensemble(initials: list, depths: list, s: float,
     return reports
 
 
-@dataclass(frozen=True)
-class AprioriBound:
-    """One evaluation of the closed-form growth bound against the flow."""
+def apriori_bound(norm0, s: float, t: float, c_s: float, a_rate: float):
+    """The closed-form H^s bound at time t on a state evolved from one of
+    H^s norm ``norm0``,
 
-    t: float
-    lhs: float
-    rhs: float
+        c_s^(|s|+1) * exp(a*t) * (1 + 2*c_s*exp(a*t)*norm0)^(2|s|/(1-2|s|))
+            * norm0,
 
-    @property
-    def ok(self) -> bool:
-        return self.lhs <= self.rhs
-
-
-def apriori_bound(u0: RealField, u_t: RealField, s: float, t: float,
-                  c_s: float, a_rate: float) -> AprioriBound:
-    """Compare ||u(t)||_{H^s} of a state u_t that the caller evolved from u0
-    for a time t with the closed-form bound
-
-        c_s^(|s|+1) * exp(a*t) * (1 + 2*c_s*exp(a*t)*||u0||)^(2|s|/(1-2|s|))
-            * ||u0||_{H^s}.
-    """
-    index = SobolevIndex(s, 1.0)
-    _require_weight_exponent(s, index.kappa)
-    lhs = sobolev_norm(u_t, index)
-    n0 = sobolev_norm(u0, index)
-    growth = np.exp(a_rate * t)
+    for one norm or elementwise for an array of them, as ``kappa_threshold``
+    is; the caller compares it with the norms that it holds.  An overflowed
+    bound is inf, through ``np.power`` (a float's ``**`` would raise)."""
+    _require_weight_exponent(s, 1.0)
     power = 2.0 * abs(s) / (1.0 - 2.0 * abs(s))
-    rhs = (c_s ** (abs(s) + 1.0) * growth
-           * (1.0 + 2.0 * c_s * growth * n0) ** power * n0)
-    return AprioriBound(t=t, lhs=lhs, rhs=float(rhs))
+    with np.errstate(over="ignore"):
+        growth = np.exp(a_rate * t)
+        return (np.power(c_s, abs(s) + 1.0) * growth
+                * np.power(1.0 + 2.0 * c_s * growth * norm0, power) * norm0)

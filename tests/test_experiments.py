@@ -161,7 +161,8 @@ def test_schema_declares_the_ranges():
         ("simulate", "samples"), ("simulate", "dt"), ("gronwall", "dt"),
         ("twodepth", "dt"), ("wave", "depth"), ("illposed", "depth"),
         ("beta", "modes"), ("gronwall", "seeds"), ("gronwall", "depth_list"),
-        ("gronwall", "samples")}
+        ("gronwall", "samples"), ("simulate", "equation"),
+        ("gronwall", "equation"), ("twodepth", "frame")}
 
 
 @pytest.mark.parametrize("command, key", RANGED)
@@ -517,6 +518,43 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "4096", "--kappa", "0.5"], "kappa must be >= 1"),
+    (["--n", "4096", "--s", "-0.75"], "the weighted form needs s in (-1/2, 0)"),
+])
+def test_beta_checks_s_and_kappa_before_it_measures(tmp_path, capsys,
+                                                   monkeypatch, argv, message):
+    # at n = 4096 kappa = 0.5 is not certified, so measuring first would
+    # take a dense 1024 x 1024 eigh before the usage error; neither the
+    # Lanczos run nor the dense measure is reached, and nothing is written
+    from ilw_lab import lax as lax_module
+    reached = []
+
+    def refuse(name):
+        return lambda *args, **kwargs: reached.append(name)
+
+    monkeypatch.setattr(lax_module.LaxSpectrum, "lanczos", refuse("lanczos"))
+    monkeypatch.setattr(lax_module, "_dense_measure", refuse("dense"))
+    out = tmp_path / "b"
+    assert main(["beta", *argv, "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == "usage error: %s\n" % message
+    assert reached == [] and not out.exists()
+
+
+def test_cli_unknown_equation_is_named_before_any_work(tmp_path, capsys,
+                                                       monkeypatch):
+    # the schema declares the equation, so an unknown one is rejected while
+    # the config resolves, ahead of the reference rate that overflows here
+    monkeypatch.setitem(experiments.RUNNERS, "gronwall", None)
+    out = tmp_path / "g"
+    assert main(["gronwall", "--n", "64", "--seeds", "1", "--samples", "2",
+                 "--t-final", "0.01", "--equation", "kdv", "--epsilon",
+                 "1e308", "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: gronwall.equation must be 'ilw' or 'bo': 'kdv'\n")
+    assert not out.exists()
 
 
 def test_cli_numerical_failure_exit(tmp_path, capsys):
@@ -1132,6 +1170,13 @@ CHECK_WITNESSES = [
     ("simulate --n 64 --t-final 0.05", "evolve",
      _drift("mass", lambda value: value * (1.0 + 1e-3)),
      "FAILED: mass drift 1.000e-03 exceeds 1e-6"),
+    ("simulate --n 64 --t-final 0.05", "quadratic_energy_decomposed",
+     lambda energy: energy + 1e-6,
+     "FAILED: Hamiltonian decomposition identity violated (gap 1.000e-06)"),
+    ("smoothing --n 256", "smoothing_operator_scan",
+     lambda scan: (dataclasses.replace(scan, measured=100.0 * scan.measured)
+                   if scan.depth == 4.0 else scan),
+     "FAILED: measured/bound ratio spread 109.699 >= 10"),
 ]
 
 
@@ -1328,10 +1373,10 @@ def test_simulate_rejects_unreadable_initial(tmp_path, capsys, initial):
 
 
 def test_run_rejects_unknown_equation(tmp_path):
-    cfg = load_config("simulate", overrides={"equation": "kdv"},
-                      output_dir=str(tmp_path / "x"))
-    with pytest.raises(ContractError):
-        run(cfg)
+    with pytest.raises(ContractError, match="simulate.equation must be"):
+        run(load_config("simulate", overrides={"equation": "kdv"},
+                        output_dir=str(tmp_path / "x")))
+    assert not (tmp_path / "x").exists()
 
 
 # ----------------------------------------------- recorded reference outputs
@@ -1396,8 +1441,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # every command at small size, with the exit code and the one FAILED line
 # each run must give (None where none is checked); each usage error writes
 # to ``--outdir usage``.  The CI workflow's numpy-only leg runs these with
-# scipy absent, and its last step calls the installed script for five of
-# them: one per exit code, and the c_s that the gronwall runner rejects
+# scipy absent, and its last step calls the installed script for six of
+# them: one per exit code, the c_s that the gronwall runner rejects and
+# the unknown equation that the gronwall schema rejects
 SMOKE_RUNS = [
     ("simulate --n 64 --t-final 0.05 --outdir simulate", 0, None),
     # at depth 1e-6 the Hamiltonian identity misses its tolerance: a failed
@@ -1435,12 +1481,13 @@ SMOKE_RUNS = [
     ("twodepth --n 64 --t-final 0.05 --outdir twodepth", 0, None),
     # usage errors: a grid spacing that underflows to 0, a wave number whose
     # square overflows, a config file with a duplicate option, a sweep that
-    # repeats a value, a c_s that is not positive, and a phase rate asked
-    # for at time 0
+    # repeats a value, a c_s that is not positive, an unknown equation, and
+    # a phase rate asked for at time 0
 ] + [(argv + " --outdir usage", 1, None) for argv in (
     "simulate --length 5e-324", "wave --depth 1e-154", "wave --config dup.ini",
     "gronwall --depth-list 1,1 --n 64",
     "gronwall --c-s 0 --n 64 --seeds 1 --samples 2 --t-final 0.01",
+    "gronwall --equation kdv --n 64 --seeds 1 --samples 2 --t-final 0.01",
     "illposed --adelta-list 2.8,2.8", "illposed --t 0")]
 
 

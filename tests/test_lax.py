@@ -29,18 +29,24 @@ from ilw_lab import (
     modes_to_xi_max,
     random_field,
     resolvent_form,
-    resolvent_form_gradient,
     resolvent_state,
     weighted_resolvent_form,
 )
 from ilw_lab.cli import main
 from ilw_lab.experiments import load_config, run, run_beta
 from ilw_lab import lax as lax_module
-from ilw_lab.lax import KappaCheck, KappaRule, LaxSpectrum, LaxTruncation
+from ilw_lab.lax import (
+    KappaCheck,
+    KappaRule,
+    LaxSpectrum,
+    LaxTruncation,
+    _shift_index,
+)
 from ilw_lab.spectral import (
     SobolevIndex,
     hardy_embed,
     hardy_project,
+    sobolev_norm,
     sobolev_norms,
     synthesize,
 )
@@ -655,16 +661,27 @@ def test_check_kappa_threshold_monotone():
     assert all(a >= b for a, b in zip(thresholds, thresholds[1:]))
     with pytest.raises(ContractError):
         check_kappa(u, -0.25, 0.5)
-    with pytest.raises(ContractError):
-        check_kappa(u, -0.25, 2.0, c_s=0.0)
+    with pytest.raises(ContractError, match="c_s must be positive"):
+        _shift_index(-0.25, 2.0, 0.0)
     with pytest.raises(ContractError):
         check_kappa(u, -0.75, 2.0)
+
+
+def test_check_kappa_checks_s_and_kappa_before_it_measures(monkeypatch):
+    reached = []
+    monkeypatch.setattr(LaxSpectrum, "lanczos",
+                        lambda *args: reached.append(args))
+    u = random_field(SpectralGrid(TWO_PI, 128), -0.25, 0.5, 4, decay=0.25)
+    for s, kappa in ((-0.25, 0.5), (-0.75, 2.0), (-0.25, np.inf)):
+        with pytest.raises(ContractError):
+            check_kappa(u, s, kappa)
+    assert reached == []
 
 
 def test_check_kappa_threshold_overflow_fails_the_check():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 1e100, 7, decay=0.25)
-    check = check_kappa(u, -0.25, 32.0, xi_max=31.0)
+    check = check_kappa(u, -0.25, 32.0)
     assert check.threshold == np.inf and not check.ok
 
 
@@ -927,7 +944,7 @@ def test_resolvent_state_neumann_expansion():
 def test_resolvent_form_against_dense_solve():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
-    value = resolvent_form(u, 32.0, xi_max=31.0)
+    value = resolvent_form(u, 32.0)
     oracle_matrix = dense_oracle(full_spectrum(u), grid, 32) + 32.0 * np.eye(32)
     g = hardy_project(u)[:32]
     x = np.linalg.solve(oracle_matrix, g)
@@ -1028,7 +1045,7 @@ def test_weighted_form_against_adaptive_quadrature():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
     s, kappa = -0.35, 8.0
-    profile = weighted_resolvent_form(u, kappa, s, xi_max=31.0)
+    profile = weighted_resolvent_form(u, kappa, s)
     spectrum = LaxSpectrum(build_lax(u, 31.0), u)
 
     def integrand(tau):
@@ -1073,8 +1090,9 @@ def test_weighted_form_monotone_in_kappa():
 def test_weighted_form_stable_under_deeper_truncation():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 7, decay=1.0)
-    v16 = weighted_resolvent_form(u, 8.0, -0.35, xi_max=16.0).value
-    v31 = weighted_resolvent_form(u, 8.0, -0.35, xi_max=31.0).value
+    v16 = build_weighted_rule(
+        LaxSpectrum.lanczos(build_lax(u, 16.0), 8.0).form_at, 8.0, -0.35).value
+    v31 = weighted_resolvent_form(u, 8.0, -0.35).value
     assert abs(v16 - v31) < 1e-9 * v31
 
 
@@ -1145,7 +1163,7 @@ def test_shared_rule_takes_the_closed_form_below_half_kappa(monkeypatch):
 def test_gradient_matches_finite_differences():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
-    gradient = resolvent_form_gradient(u, 32.0)
+    gradient = resolvent_state(build_lax(u), 32.0).gradient
     rng = np.random.default_rng(3)
     h = 1e-5
     for _ in range(20):
@@ -1155,7 +1173,7 @@ def test_gradient_matches_finite_differences():
         plus = forward_transform(u.samples() + h * v, grid)
         minus = forward_transform(u.samples() - h * v, grid)
         fd = (resolvent_form(plus, 32.0) - resolvent_form(minus, 32.0)) / (2 * h)
-        pairing = float(np.sum(gradient.samples() * v)) * grid.spacing
+        pairing = float(np.sum(gradient * v)) * grid.spacing
         assert abs(fd - pairing) < 1e-6
 
 
@@ -1218,7 +1236,7 @@ def test_flow_derivative_matches_finite_differences():
             LaxSpectrum.lanczos(build_lax(state, xi_max), kappa))
 
     fd = (beta(states[0.25 + h]) - beta(states[0.25 - h])) / (2.0 * h)
-    flow = form_flow_derivative(mid, kappa, depth, s, xi_max=xi_max)
+    flow = form_flow_derivative(mid, kappa, depth, s)
     assert abs(fd - flow) < 2e-4 * abs(flow)
 
 
@@ -1296,19 +1314,22 @@ def test_gronwall_experiment_matches_public_functions():
 
 def test_check_kappa_and_the_ensemble_share_the_shift_test():
     # a field near the constant -2 has lambda_min near -2: kappa = 1 clears
-    # the norm threshold at a small c_s but not the spectrum, so check_kappa
-    # fails, and the ensemble, which takes no c_s, has no form there: its
-    # rule raises KappaTooSmallError, the error a spectrum below -kappa
-    # gives everywhere
+    # the threshold of its norm at a small c_s but not the spectrum, so the
+    # shift test fails, and the ensemble, which takes no c_s, has no form
+    # there: its rule raises KappaTooSmallError, the error a spectrum below
+    # -kappa gives everywhere
     grid = SpectralGrid(TWO_PI, 64)
     coeffs = np.zeros(33, dtype=np.complex128)
     coeffs[0], coeffs[1] = -2.0 * grid.length, 0.01 * grid.length
     u0 = RealField(grid, coeffs)
     s, kappa, c_s = -0.25, 1.0, 1e-6
-    check = check_kappa(u0, s, kappa, c_s)
-    assert kappa >= check.threshold and check.lambda_min + kappa <= 0.0
-    assert check.threshold == kappa_threshold(check.norm, s, c_s)
+    check = check_kappa(u0, s, kappa)
+    threshold = kappa_threshold(check.norm, s, c_s)
+    assert kappa >= threshold and check.lambda_min + kappa <= 0.0
+    assert check.threshold == kappa_threshold(check.norm, s, 1.0)
     assert not check.ok
+    assert not KappaCheck(kappa=kappa, threshold=threshold,
+                          lambda_min=check.lambda_min, norm=check.norm).ok
     with pytest.raises(KappaTooSmallError,
                        match="^shift 1 does not clear lambda_min = -2"):
         gronwall_experiment(u0, 1.0, s, kappa, t_final=0.01, dt=1e-3,
@@ -1537,29 +1558,29 @@ def test_dense_route_serves_only_uncertified_fields(monkeypatch):
     monkeypatch.setattr(lax_module.LaxTruncation, "matrix", property(
         lambda self: calls.append("matrix") or gather(self)))
 
-    def dense_route(u, kappa, xi_max):
+    def dense_route(u, kappa):
         routes = []
         for fn, args in ((check_kappa, (u, -0.25, kappa)),
                          (weighted_resolvent_form, (u, kappa, -0.25)),
                          (resolvent_form, (u, kappa)),
                          (form_flow_derivative, (u, kappa, 1.0, -0.25))):
             calls.clear()
-            fn(*args, xi_max=xi_max)
+            fn(*args)
             routes.append(sorted(set(calls)))
         return routes
 
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 5, decay=0.3)
-    assert dense_route(u, 32.0, None) == [[]] * 4
+    assert dense_route(u, 32.0) == [[]] * 4
 
     # a + kappa <= 0 < lambda_min + kappa: positive definite, not certified
     grid = SpectralGrid(TWO_PI, 256)
     u = random_field(grid, -0.25, 5.0, 11, decay=0.0)
     bound = float(lax_module._symbol_bound(hardy_project(u)[:64],
                                            grid.length))
-    kappa = -0.5 * (bound + LaxSpectrum(build_lax(u, 63.0), u).lambda_min)
+    kappa = -0.5 * (bound + LaxSpectrum(build_lax(u), u).lambda_min)
     assert kappa >= 1.0
-    assert dense_route(u, kappa, 63.0) == [
+    assert dense_route(u, kappa) == [
         ["eigh", "matrix"], ["eigh", "matrix"], ["cholesky", "matrix"],
         ["cholesky", "eigh", "matrix"]]
 
@@ -1633,22 +1654,33 @@ def test_gronwall_experiment_rejects_inadmissible_shift():
 
 
 def test_apriori_bound():
+    # the bound reads the initial norm, for one norm or elementwise; the
+    # norms at t come from runs that the test evolves itself
     grid = SpectralGrid(TWO_PI, 128)
     problem = make_ilw(1.0, grid)
+    index = SobolevIndex(-0.25, 1.0)
 
-    def bound_at(u0):
+    def norms(u0):
         u_t = evolve(problem, u0, 0.2, dt=1e-3).final()
-        return apriori_bound(u0, u_t, -0.25, 0.2, 1.6, 1e-3)
+        return sobolev_norm(u0, index), sobolev_norm(u_t, index)
 
-    u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
-    bound = bound_at(u0)
-    assert bound.ok
+    n0, n_t = norms(random_field(grid, -0.25, 0.3, 5, decay=0.3))
+    bound = apriori_bound(n0, -0.25, 0.2, 1.6, 1e-3)
+    assert n_t <= bound
     # at s = -1/4 the bracket exponent 2|s|/(1 - 2|s|) is exactly one
-    from ilw_lab import SobolevIndex, sobolev_norm
-    n0 = sobolev_norm(u0, SobolevIndex(-0.25, 1.0))
     growth = np.exp(1e-3 * 0.2)
     expected = 1.6 ** 1.25 * growth * (1.0 + 2.0 * 1.6 * growth * n0) * n0
-    assert bound.rhs == pytest.approx(expected, rel=1e-12)
-    for seed in range(20):
-        z0 = random_field(grid, -0.25, 0.3, seed, decay=0.3)
-        assert bound_at(z0).ok
+    assert bound == pytest.approx(expected, rel=1e-12)
+    initial, final = np.array([
+        norms(random_field(grid, -0.25, 0.3, seed, decay=0.3))
+        for seed in range(20)]).T
+    bounds = apriori_bound(initial, -0.25, 0.2, 1.6, 1e-3)
+    assert np.all(final <= bounds)
+    assert bounds.tolist() == [apriori_bound(n, -0.25, 0.2, 1.6, 1e-3)
+                               for n in initial]
+    with pytest.raises(ContractError):
+        apriori_bound(n0, -0.5, 0.2, 1.6, 1e-3)
+    # an overflowed bound reads inf, as an overflowed threshold does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert apriori_bound(n0, -0.25, 0.2, 1e300, 1e-3) == np.inf
