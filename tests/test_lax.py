@@ -590,9 +590,9 @@ def test_uncertified_rows_take_the_dense_path():
         LaxSpectrum.lanczos(build_lax(small), np.inf)
 
 
-def test_all_uncertified_lanczos_stops_after_one_matvec(monkeypatch):
-    # with no certified row the recurrence runs on an empty stack, which is
-    # done after its first step; every row is the dense measure
+def test_all_uncertified_lanczos_takes_no_matvec(monkeypatch):
+    # with no certified row no row runs, so the recurrence stops before its
+    # first matvec; every row is the dense measure
     grid = SpectralGrid(TWO_PI, 128)
     fields = [random_field(grid, -0.25, 5.0, seed, decay=0.3)
               for seed in (3, 5)]
@@ -609,13 +609,60 @@ def test_all_uncertified_lanczos_stops_after_one_matvec(monkeypatch):
         assert np.all(lax.bound + kappa <= 0.0)
         calls.clear()
         spectrum = LaxSpectrum.lanczos(lax, kappa)
-        assert len(calls) <= 1 and all(shape[0] == 0 for shape in calls)
+        assert calls == []
         assert not np.any(spectrum.steps)
         nodes, weights = np.atleast_2d(spectrum.nodes, spectrum.weights)
         for i, u in enumerate(fields[:len(nodes)]):
             dense = LaxSpectrum(build_lax(u), u)
             assert np.array_equal(nodes[i], dense.nodes)
             assert np.array_equal(weights[i], dense.weights)
+
+
+def test_lanczos_rows_stay_in_place(monkeypatch):
+    # one stack of certified rows that stop at different steps, a zero row,
+    # an uncertified row and one whose norm overflows: every row keeps its
+    # index, a certified row equals its one-row run bit for bit, no entry is
+    # written past a row's steps, the matvec runs max(steps) times, and no
+    # row raises a numpy warning
+    grid = SpectralGrid(TWO_PI, 128)
+    kappa = 32.0
+    fields = [random_field(grid, -0.25, amp, seed, decay=decay)
+              for amp, seed, decay in ((0.3, 5, 0.3), (1e-6, 2, 2.0),
+                                       (20.0, 4, 0.0), (0.01, 1, 1.0),
+                                       (30.0, 6, 0.0), (1e300, 7, 0.0))]
+    fields.insert(2, constant_field(grid, 0.0))
+    lax = _stacked_lax(fields)
+    certified = lax.bound + kappa > 0.0
+    assert certified.tolist() == [True] * 5 + [False] * 2
+    calls = []
+    apply_lax = lax_module._apply_lax
+
+    def counting_apply_lax(padded, *args):
+        calls.append(padded.shape[0])
+        return apply_lax(padded, *args)
+
+    monkeypatch.setattr(lax_module, "_apply_lax", counting_apply_lax)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, beta, steps = lax_module._lanczos(lax, kappa)
+        assert calls == [len(fields)] * steps.max()
+        with pytest.raises(NumericalError, match="is not finite"):
+            LaxSpectrum.lanczos(lax, kappa)
+        spectra = LaxSpectrum.lanczos(_stacked_lax(fields[:-1]), kappa)
+        ones = [lax_module._lanczos(LaxTruncation(grid, g[None]), kappa)
+                for g in lax.g]
+    assert steps.tolist() == [8, 4, 1, 11, 5, 0, 0]
+    assert np.array_equal(spectra.steps, steps[:-1])
+    for i, (one_alpha, one_beta, one_steps) in enumerate(ones):
+        k = steps[i]
+        assert one_steps.tolist() == [k]
+        assert np.array_equal(alpha[i], one_alpha[0])
+        assert np.array_equal(beta[i], one_beta[0])
+        assert not alpha[i, k:].any() and not beta[i, k:].any()
+        if k:
+            one = LaxSpectrum.lanczos(build_lax(fields[i]), kappa)
+            assert np.array_equal(spectra.nodes[i, :k], one.nodes)
+            assert np.array_equal(spectra.weights[i, :k], one.weights)
 
 
 def test_build_lax_validation():
@@ -1490,8 +1537,12 @@ def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
         return np_cholesky(a, *args, **kwargs)
 
     def counting_lanczos(lax, *args):
-        lanczos_rows.extend(row.tobytes() for row in np.atleast_2d(lax.g))
-        return lanczos(lax, *args)
+        # the rows that took a step: an uncertified row stays in the stack
+        # with 0 steps
+        alpha, beta, steps = lanczos(lax, *args)
+        lanczos_rows.extend(row.tobytes() for row, k
+                            in zip(np.atleast_2d(lax.g), steps) if k > 0)
+        return alpha, beta, steps
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
