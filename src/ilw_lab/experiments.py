@@ -152,7 +152,7 @@ _PARSERS = {
 _SCHEMAS = {
     "simulate": {
         "equation": ("str", "ilw", _EQUATION),
-        "depth": ("float", 1.0),
+        "depth": ("float", 1.0, _POSITIVE),
         "n": ("int", 256),
         "length": ("float", 6.283185307179586),
         "seed": ("int", 1),
@@ -211,7 +211,7 @@ _SCHEMAS = {
         "n": ("int", 1024),
     },
     "smoothing": {
-        "depth_list": ("float_list", [0.25, 1.0, 4.0]),
+        "depth_list": ("float_list", [0.25, 1.0, 4.0], _POSITIVE),
         "s1_list": ("float_list", [-0.5, 0.0]),
         "s2_list": ("float_list", [1.0, 2.0]),
         # frequency spacing 1/4 resolves the symbol peak near 1/depth for
@@ -222,8 +222,8 @@ _SCHEMAS = {
     "twodepth": {
         "c1": ("float", 1.0),
         "c2": ("float", 1.0),
-        "depth_ratio": ("float", 2.0),
-        "min_depth_list": ("float_list", [10.0, 20.0, 40.0]),
+        "depth_ratio": ("float", 2.0, _POSITIVE),
+        "min_depth_list": ("float_list", [10.0, 20.0, 40.0], _POSITIVE),
         "frame": ("str", "renormalized",
                   ("must be 'renormalized' or 'original'",
                    lambda v: v in ("renormalized", "original"))),
@@ -556,13 +556,12 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
                      {"beta_profile.csv": table})
 
 
-def _reference_rate(depth: Optional[float], s: float, epsilon: float) -> float:
+def _reference_rate(depth: float, s: float, epsilon: float) -> float:
     """The growth rate depth^-2 (1 + depth^(-|s| - 1/2 - epsilon)), the
-    ``smoothing_bound`` that the fitted rate is reported against, 0 without
-    a depth; a ContractError names epsilon and the depth where it overflows
-    (at depth 0 too, which only ``bo`` admits)."""
-    rate = (smoothing_bound(depth, -abs(s) - 0.5 - epsilon)
-            if depth is not None else 0.0)
+    ``smoothing_bound`` that the fitted rate is reported against at each
+    ``--depth-list`` depth; a ContractError names epsilon and the depth
+    where it overflows."""
+    rate = smoothing_bound(depth, -abs(s) - 0.5 - epsilon)
     if not np.isfinite(rate):
         raise ContractError("the reference rate overflows at epsilon = %.3g "
                             "and depth %.6g" % (epsilon, depth))
@@ -587,12 +586,19 @@ def run_gronwall(cfg: ExperimentConfig) -> RunReport:
     _shift_index(p["s"], p["kappa"], p["c_s"])
     references = {depth: _reference_rate(depth, p["s"], p["epsilon"])
                   for depth in depths}
-    # one call over every member: the depths of a seed share its step, so
-    # they are stepped as one batch
-    results = gronwall_ensemble(
-        [initials[seed] for _, seed in tasks], [depth for depth, _ in tasks],
+    # one problem per flow: one per depth under ilw, and one deep-water flow
+    # under bo, which reads no depth and serves every depth's rows
+    flows = [None] if p["equation"] == "bo" else depths
+    problems = [make_problem(p["equation"], depth, grid) for depth in flows]
+    # one call over every member, flow-major: the flows of a seed share its
+    # step, so they are stepped as one batch
+    measured = gronwall_ensemble(
+        [initials[seed] for _ in problems for seed in seeds],
+        [problem for problem in problems for _ in seeds],
         p["s"], p["kappa"], t_final=p["t_final"], dt=p["dt"] or None,
-        n_samples=p["samples"], equation=p["equation"])
+        n_samples=p["samples"])
+    # the reports in the depth-major order of tasks
+    results = measured * (len(tasks) // len(measured))
     # the smallest kappa - threshold over each member's samples
     margins = [float((p["kappa"] - kappa_threshold(rep.norms, p["s"],
                                                    p["c_s"])).min())

@@ -63,9 +63,12 @@ callers decide: ``apriori_bound`` is the closed-form H^s bound of an
 initial norm, for one norm or elementwise, and the caller compares it with
 the norms that it holds.
 The growth layer tracks the weighted form along runs that it steps itself
-(``gronwall_ensemble``), and its ``GrowthReport`` holds measurements only:
-the trace, the H^s_kappa norm of each sample and the fitted rate.  The
-``gronwall`` runner brings the constants and applies every check.
+(``gronwall_ensemble``), from one initial state and one ``EvolutionProblem``
+per member, as ``etdrk4_samples`` takes them; the caller builds the
+problems, so the choice of flow is not made here.  Its ``GrowthReport``
+holds measurements only: the trace, the H^s_kappa norm of each sample and
+the fitted rate.  The ``gronwall`` runner chooses the flows, brings the
+constants and applies every check.
 """
 
 from __future__ import annotations
@@ -78,12 +81,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, KappaTooSmallError, NumericalError
-from .evolution import (
-    default_step,
-    etdrk4_samples,
-    make_problem,
-    step_count,
-)
+from .evolution import (EvolutionProblem, default_step, etdrk4_samples,
+                        step_count)
 from .spectral import (
     RealField,
     SobolevIndex,
@@ -972,11 +971,12 @@ class GrowthReport:
     a_hat: float
 
 
-def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
+def gronwall_experiment(u0: RealField, problem: EvolutionProblem, s: float,
                         kappa: float, t_final: float = 1.0,
-                        dt: Optional[float] = None, n_samples: int = 100,
-                        equation: str = "ilw") -> GrowthReport:
-    """Track the weighted form along a run and fit its exponential rate.
+                        dt: Optional[float] = None,
+                        n_samples: int = 100) -> GrowthReport:
+    """Track the weighted form along the run of ``problem`` from ``u0`` and
+    fit its exponential rate.
 
     The fitted rate is the worst absolute log-slope between consecutive
     samples, i.e. the empirical Lipschitz rate of log form(t); the drift can
@@ -986,53 +986,50 @@ def gronwall_experiment(u0: RealField, depth: Optional[float], s: float,
     thresholds (``kappa_threshold``) at its own c_s and decides what fails.
     The form at each sample is the ``KappaRule.values`` of the sampled
     state's Lanczos spectrum.
-    ``equation="bo"`` drops the depth correction, under which the form is
-    conserved and a_hat collapses to integrator noise.  This is the
-    one-member case of ``gronwall_ensemble``.
+    Under the deep-water flow (``make_bo``) the form is conserved and a_hat
+    collapses to integrator noise.  This is the one-member case of
+    ``gronwall_ensemble``.
     """
-    return gronwall_ensemble([u0], [depth], s, kappa, t_final=t_final, dt=dt,
-                             n_samples=n_samples, equation=equation)[0]
+    return gronwall_ensemble([u0], [problem], s, kappa, t_final=t_final,
+                             dt=dt, n_samples=n_samples)[0]
 
 
-def gronwall_ensemble(initials: list, depths: list, s: float,
+def gronwall_ensemble(initials: list, problems: list, s: float,
                       kappa: float, t_final: float = 1.0,
-                      dt: Optional[float] = None, n_samples: int = 100,
-                      equation: str = "ilw") -> list:
-    """``gronwall_experiment`` for each initial state at its own depth.
+                      dt: Optional[float] = None, n_samples: int = 100) -> list:
+    """``gronwall_experiment`` for each initial state under its own problem.
 
-    ``depths`` holds one depth per member (``None`` serves ``bo``); one
-    problem is built per distinct depth.  Members that resolve the same
-    step are advanced together as one batch by ``etdrk4_samples``, whatever
-    their depths: the default step depends only on the grid and the state,
-    so every depth of one initial state lands in the same batch.  The
-    samples are measured in blocks of consecutive ones, so no trajectory is
-    stored: one ``LaxSpectrum.lanczos`` call takes the stacks of as many
-    samples as fit in ``_LANCZOS_BLOCK_ROWS`` rows, and at least one, in
-    time order and then member order.  A row's measure does not depend on
-    the rest of the call, so it equals the one its sample gets alone.  Each
-    block then takes one pass over all its rows: the zero-form check (first
-    block), one H^s_kappa norm reduction (``sobolev_norms``, so each row's
-    norm is its own) and one evaluation of the ``KappaRule`` built once per
-    call; no field or spectrum is built per row.  A row whose spectrum
-    does not clear -kappa has no form, and the rule raises
-    KappaTooSmallError; a stepper error propagates as raised.  Reports
-    come back in the order of ``initials``, each equal to the member's own
-    ``gronwall_experiment``.
+    ``problems`` holds one ``EvolutionProblem`` per member, as
+    ``etdrk4_samples`` takes them, and every state and every problem lives
+    on one grid.  The caller chooses the flows: members that share one
+    problem object share its phi-tables.  Members that resolve the same step
+    are advanced together as one batch by ``etdrk4_samples``, whatever their
+    problems: the default step depends only on the grid and the state, so
+    one initial state under several flows lands in one batch.  The samples
+    are measured in blocks of consecutive ones, so no trajectory is stored:
+    one ``LaxSpectrum.lanczos`` call takes the stacks of as many samples as
+    fit in ``_LANCZOS_BLOCK_ROWS`` rows, and at least one, in time order and
+    then member order.  A row's measure does not depend on the rest of the
+    call, so it equals the one its sample gets alone.  Each block then takes
+    one pass over all its rows: the zero-form check (first block), one
+    H^s_kappa norm reduction (``sobolev_norms``, so each row's norm is its
+    own) and one evaluation of the ``KappaRule`` built once per call; no
+    field or spectrum is built per row.  A row whose spectrum does not clear
+    -kappa has no form, and the rule raises KappaTooSmallError; a stepper
+    error propagates as raised.  Reports come back in the order of
+    ``initials``, each equal to the member's own ``gronwall_experiment``.
     """
     # a bad s or kappa fails here, before any step is taken
     index = _shift_index(s, kappa)
     if not initials:
         raise ContractError("empty ensemble: no initial states")
-    if len(depths) != len(initials):
-        raise ContractError("%d depths for %d initial states"
-                            % (len(depths), len(initials)))
+    if len(problems) != len(initials):
+        raise ContractError("%d problems for %d initial states"
+                            % (len(problems), len(initials)))
     grid = initials[0].grid
-    if any(u0.grid != grid for u0 in initials):
+    if any(m.grid != grid for m in (*initials, *problems)):
         raise ContractError("ensemble members live on different grids")
     n_modes = _truncation_size(grid, None)
-    by_depth = {depth: make_problem(equation, depth, grid)
-                for depth in dict.fromkeys(depths)}
-    problems = [by_depth[depth] for depth in depths]
     if n_samples < 1:
         raise ContractError("n_samples must be positive")
 

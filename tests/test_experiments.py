@@ -162,7 +162,9 @@ def test_schema_declares_the_ranges():
         ("twodepth", "dt"), ("wave", "depth"), ("illposed", "depth"),
         ("beta", "modes"), ("gronwall", "seeds"), ("gronwall", "depth_list"),
         ("gronwall", "samples"), ("simulate", "equation"),
-        ("gronwall", "equation"), ("twodepth", "frame")}
+        ("gronwall", "equation"), ("twodepth", "frame"), ("simulate", "depth"),
+        ("smoothing", "depth_list"), ("twodepth", "min_depth_list"),
+        ("twodepth", "depth_ratio")}
 
 
 @pytest.mark.parametrize("command, key", RANGED)
@@ -247,6 +249,9 @@ def test_cli_reads_negative_numbers_in_exponent_form(tmp_path, capsys):
     # a deep-water run reads its depths only for the reference rate
     ["gronwall", "--equation", "bo", "--depth-list=-1,1", "--n", "64",
      "--seeds", "1", "--samples", "2", "--t-final", "0.01"],
+    # the deep-water flow reads no depth, but its depth is still declared
+    ["simulate", "--equation", "bo", "--depth", "-5", "--n", "64",
+     "--t-final", "0.05"],
 ])
 def test_cli_rejects_empty_lists_and_non_finite_numbers(tmp_path, capsys, argv):
     out = tmp_path / "x"
@@ -1054,8 +1059,9 @@ def test_gronwall_batches_match_member_runs(tmp_path, capsys):
     rows = []
     for depth in (0.5, 1.0):
         a_reference = experiments._reference_rate(depth, p["s"], p["epsilon"])
+        problem = make_ilw(depth, grid)
         for seed, u0 in initials.items():
-            rep = gronwall_experiment(u0, depth, p["s"], p["kappa"],
+            rep = gronwall_experiment(u0, problem, p["s"], p["kappa"],
                                       t_final=p["t_final"], n_samples=p["samples"])
             bound_ok = np.all(rep.form_values <= rep.form_values[0]
                               * np.exp(rep.a_hat * rep.times) * (1.0 + 1e-6))
@@ -1100,9 +1106,9 @@ def test_gronwall_checks_the_depth_ordering(tmp_path, capsys, monkeypatch):
     # the fitted rates reversed across depths fail the ordering check alone
     ensemble = experiments.gronwall_ensemble
 
-    def reversed_rates(initials, depths, *args, **kwargs):
-        reports = ensemble(initials, depths, *args, **kwargs)
-        by_depth = np.reshape(reports, (len(set(depths)), -1))
+    def reversed_rates(initials, problems, *args, **kwargs):
+        reports = ensemble(initials, problems, *args, **kwargs)
+        by_depth = np.reshape(reports, (len(set(map(id, problems))), -1))
         return [dataclasses.replace(rep, a_hat=mirror.a_hat)
                 for rep, mirror in zip(by_depth.ravel(),
                                        by_depth[::-1].ravel())]
@@ -1231,6 +1237,46 @@ def test_gronwall_steps_every_member_in_one_batch(tmp_path, capsys,
     capsys.readouterr()
     assert stepped == [6]
     assert measured == [36]
+
+
+def test_gronwall_steps_each_deep_water_seed_once(tmp_path, capsys,
+                                                  monkeypatch):
+    # the deep-water flow reads no depth: each seed is stepped once, in one
+    # stack, and every depth's rows repeat the one run's, which is the run
+    # at a single depth up to the depth and its reference rate; under ilw
+    # every seed is still stepped at every depth
+    from ilw_lab import lax as lax_module
+
+    stepped = []
+    stepper = lax_module.etdrk4_samples
+
+    def counting_stepper(problems, coeffs, *args):
+        stepped.append(len(coeffs))
+        return stepper(problems, coeffs, *args)
+
+    monkeypatch.setattr(lax_module, "etdrk4_samples", counting_stepper)
+    small = ["--n", "64", "--seeds", "2", "--samples", "2", "--t-final", "0.01"]
+
+    def rows(name, *argv):
+        stepped.clear()
+        out = tmp_path / name
+        assert main(["gronwall", *argv, *small, "--outdir", str(out)]) == 0
+        capsys.readouterr()
+        return _read_rows(out / "runs.csv")
+
+    one = rows("one", "--equation", "bo", "--depth-list", "1")
+    assert stepped == [2]
+    three = rows("three", "--equation", "bo")
+    assert stepped == [2]
+    assert [row["depth"] for row in three] == ["0.5"] * 2 + ["1.0"] * 2 \
+        + ["2.0"] * 2
+    kept = [key for key in three[0] if key not in ("depth", "a_reference")]
+    for depth in range(3):
+        for row, single in zip(three[2 * depth:2 * depth + 2], one):
+            assert [row[key] for key in kept] == [single[key] for key in kept]
+    assert len({row["a_reference"] for row in three}) == 3
+    assert len(rows("ilw")) == 6
+    assert stepped == [6]
 
 
 def test_gronwall_builds_no_rule_and_no_field_per_row(tmp_path, capsys,
@@ -1408,6 +1454,10 @@ def _read_rows(path):
     (["illposed", "--depth", "0.5", "--adelta-list", "1,2,3", "--t", "0.3",
       "--alpha", "-1"],
      "illposed.csv", TEST_REFERENCE / "illposed-boost/illposed.csv"),
+    # the deep-water control run: each seed once, its rows repeated per depth
+    (["gronwall", "--equation", "bo", "--n", "64", "--seeds", "2",
+      "--samples", "5", "--t-final", "0.05"],
+     "runs.csv", TEST_REFERENCE / "gronwall-bo/runs.csv"),
 ])
 def test_outputs_match_recorded_reference(tmp_path, capsys, argv, table,
                                           reference):
@@ -1416,7 +1466,7 @@ def test_outputs_match_recorded_reference(tmp_path, capsys, argv, table,
     capsys.readouterr()
     got = _read_rows(out / table)
     want = _read_rows(REFERENCE / reference)
-    if "seed" in want[0]:
+    if reference == "gronwall-ensemble/seed-1/runs.csv":
         # the short ensemble runs four of the recorded members
         members = {(row["depth"], row["seed"]) for row in got}
         want = [row for row in want if (row["depth"], row["seed"]) in members]

@@ -33,6 +33,7 @@ from ilw_lab import (
     weighted_resolvent_form,
 )
 from ilw_lab.cli import main
+from ilw_lab.evolution import make_problem
 from ilw_lab.experiments import load_config, run, run_beta
 from ilw_lab import lax as lax_module
 from ilw_lab.lax import (
@@ -1310,15 +1311,15 @@ def test_weighted_form_conserved_by_deep_water_flow():
 def test_gronwall_experiment_reports():
     grid = SpectralGrid(TWO_PI, 128)
     u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
-    report = gronwall_experiment(u0, 1.0, -0.25, 32.0, t_final=0.2, dt=1e-3,
-                                 n_samples=10)
+    report = gronwall_experiment(u0, make_ilw(1.0, grid), -0.25, 32.0,
+                                 t_final=0.2, dt=1e-3, n_samples=10)
     assert np.all(np.isfinite(report.form_values) & (report.form_values > 0.0))
     assert report.norms.shape == report.times.shape == (11,)
     assert np.all(32.0 - kappa_threshold(report.norms, -0.25, 1.0) > 0.0)
     assert report.a_hat < 1e-3
 
-    control = gronwall_experiment(u0, None, -0.25, 32.0, t_final=0.2, dt=1e-3,
-                                  n_samples=10, equation="bo")
+    control = gronwall_experiment(u0, make_bo(grid), -0.25, 32.0,
+                                  t_final=0.2, dt=1e-3, n_samples=10)
     # the deep-water flow conserves the form: only integrator noise remains
     assert control.a_hat < 1e-6
     assert control.a_hat < report.a_hat
@@ -1331,10 +1332,10 @@ def test_gronwall_experiment_matches_public_functions():
     grid = SpectralGrid(TWO_PI, 128)
     u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
     s, kappa = -0.25, 32.0
-    report = gronwall_experiment(u0, 1.0, s, kappa, t_final=0.2, dt=1e-3,
+    problem = make_ilw(1.0, grid)
+    report = gronwall_experiment(u0, problem, s, kappa, t_final=0.2, dt=1e-3,
                                  n_samples=10)
-    states = evolve(make_ilw(1.0, grid), u0, 0.2, dt=1e-3,
-                    store_stride=20).states
+    states = evolve(problem, u0, 0.2, dt=1e-3, store_stride=20).states
     values = [KappaRule.build(kappa, s).values(
         LaxSpectrum.lanczos(build_lax(state), kappa)) for state in states]
     rule = build_weighted_rule(
@@ -1379,8 +1380,8 @@ def test_check_kappa_and_the_ensemble_share_the_shift_test():
                           lambda_min=check.lambda_min, norm=check.norm).ok
     with pytest.raises(KappaTooSmallError,
                        match="^shift 1 does not clear lambda_min = -2"):
-        gronwall_experiment(u0, 1.0, s, kappa, t_final=0.01, dt=1e-3,
-                            n_samples=2)
+        gronwall_experiment(u0, make_ilw(1.0, grid), s, kappa, t_final=0.01,
+                            dt=1e-3, n_samples=2)
 
 
 def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
@@ -1402,8 +1403,10 @@ def test_ensemble_blocks_measure_each_sample_as_alone(monkeypatch):
         calls.append((lax.g.copy(), measures))
         return measures
 
+    problems = [make_ilw(depth, grid) for depth in (0.5, 1.0, 2.0)]
+
     def run_ensemble():
-        return gronwall_ensemble(initials, [0.5, 1.0, 2.0], -0.25, kappa,
+        return gronwall_ensemble(initials, problems, -0.25, kappa,
                                  t_final=0.03, dt=1e-3, n_samples=30)
 
     monkeypatch.setattr(LaxSpectrum, "lanczos", recording_lanczos)
@@ -1551,8 +1554,8 @@ def test_one_eigendecomposition_per_state(tmp_path, monkeypatch):
     u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
 
     def run_both():
-        report = gronwall_experiment(u0, 1.0, -0.25, 32.0, t_final=0.05,
-                                     dt=1e-3, n_samples=5)
+        report = gronwall_experiment(u0, make_ilw(1.0, grid), -0.25, 32.0,
+                                     t_final=0.05, dt=1e-3, n_samples=5)
         assert len(report.times) == 6
         states = len(lanczos_rows), list(dense_calls)
         run(load_config("beta", overrides={"n": 128},
@@ -1646,14 +1649,15 @@ def test_gronwall_ensemble_matches_members():
     grid = SpectralGrid(TWO_PI, 128)
     initials = [random_field(grid, -0.25, amp, seed, decay=0.25)
                 for amp, seed in ((30.0, 1), (0.3, 2), (0.4, 3))]
-    steps = [default_dt(make_ilw(1.0, grid), u0) for u0 in initials]
+    problems = {depth: make_ilw(depth, grid) for depth in (0.5, 1.0, 2.0)}
+    steps = [default_dt(problems[1.0], u0) for u0 in initials]
     assert steps[0] < steps[1] == steps[2]
-    reports = gronwall_ensemble(initials, [1.0] * 3, -0.25, 1e4, t_final=0.05,
-                                n_samples=5)
+    reports = gronwall_ensemble(initials, [problems[1.0]] * 3, -0.25, 1e4,
+                                t_final=0.05, n_samples=5)
     assert len(reports) == 3
     for u0, rep in zip(initials, reports):
-        alone = gronwall_experiment(u0, 1.0, -0.25, 1e4, t_final=0.05,
-                                    n_samples=5)
+        alone = gronwall_experiment(u0, problems[1.0], -0.25, 1e4,
+                                    t_final=0.05, n_samples=5)
         assert rep.times.tolist() == alone.times.tolist()
         assert rep.form_values.tolist() == alone.form_values.tolist()
         assert _scalars(rep) == _scalars(alone)
@@ -1661,31 +1665,39 @@ def test_gronwall_ensemble_matches_members():
     # depths, and each report still equals the member's own run
     members = [(u0, depth) for depth in (0.5, 1.0, 2.0) for u0 in initials]
     reports = gronwall_ensemble([u0 for u0, _ in members],
-                                [depth for _, depth in members], -0.25, 1e4,
-                                t_final=0.05, n_samples=5)
+                                [problems[depth] for _, depth in members],
+                                -0.25, 1e4, t_final=0.05, n_samples=5)
     for (u0, depth), rep in zip(members, reports):
-        alone = gronwall_experiment(u0, depth, -0.25, 1e4, t_final=0.05,
-                                    n_samples=5)
+        alone = gronwall_experiment(u0, problems[depth], -0.25, 1e4,
+                                    t_final=0.05, n_samples=5)
         assert rep.times.tolist() == alone.times.tolist()
         assert rep.form_values.tolist() == alone.form_values.tolist()
         assert _scalars(rep) == _scalars(alone)
     with pytest.raises(ContractError):
         gronwall_ensemble([], [], -0.25, 32.0)
-    with pytest.raises(ContractError, match="depths for"):
-        gronwall_ensemble(initials, [1.0], -0.25, 32.0)
+    with pytest.raises(ContractError, match="problems for"):
+        gronwall_ensemble(initials, [problems[1.0]], -0.25, 32.0)
     with pytest.raises(ContractError):
         gronwall_ensemble([initials[0], random_field(SpectralGrid(TWO_PI, 64),
                                                      -0.25, 0.3, 1)],
-                          [1.0, 1.0], -0.25, 32.0)
+                          [problems[1.0]] * 2, -0.25, 32.0)
+    # a problem on another grid with the same n: the state's shape passes
+    # the stepper's check, so only the ensemble's grid check names it
+    with pytest.raises(ContractError, match="members live on different grids"):
+        gronwall_ensemble(initials[:1], [make_ilw(1.0, SpectralGrid(1.0, 128))],
+                          -0.25, 32.0)
 
 
 def test_gronwall_experiment_validation():
     grid = SpectralGrid(TWO_PI, 128)
     u0 = random_field(grid, -0.25, 0.3, 5, decay=0.3)
+    # the flow is the caller's choice; make_problem guards its own inputs
     with pytest.raises(ContractError):
-        gronwall_experiment(u0, None, -0.25, 32.0, t_final=0.1, dt=1e-3)
+        make_problem("ilw", None, grid)
     with pytest.raises(ContractError):
-        gronwall_experiment(u0, 1.0, -0.25, 32.0, equation="kdv")
+        make_problem("kdv", 1.0, grid)
+    with pytest.raises(ContractError, match="n_samples must be positive"):
+        gronwall_experiment(u0, make_ilw(1.0, grid), -0.25, 32.0, n_samples=0)
 
 
 @pytest.mark.filterwarnings("ignore:advisory CFL")
@@ -1697,8 +1709,8 @@ def test_gronwall_experiment_rejects_inadmissible_shift():
     big = random_field(grid, -0.25, 5.0, 3, decay=0.3)
     check = check_kappa(big, -0.25, 2.0)
     assert not check.ok and check.lambda_min + 2.0 > 0.0
-    report = gronwall_experiment(big, 1.0, -0.25, 2.0, t_final=0.01, dt=1e-3,
-                                 n_samples=2)
+    report = gronwall_experiment(big, make_ilw(1.0, grid), -0.25, 2.0,
+                                 t_final=0.01, dt=1e-3, n_samples=2)
     assert report.norms[0] == check.norm
     margin = (2.0 - kappa_threshold(report.norms, -0.25, 1.0)).min()
     assert margin <= 2.0 - check.threshold < 0.0
