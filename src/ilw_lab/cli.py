@@ -15,7 +15,7 @@ import functools
 import sys
 
 from .errors import ContractError, NumericalError
-from .experiments import _PARSERS, _SCHEMAS, load_config, run
+from .experiments import _SCHEMAS, load_config, run
 
 _HELP = {
     "simulate": "evolve one initial state and record diagnostics",
@@ -50,25 +50,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _joined(argv: list) -> list:
-    """Each ``--key value`` of a numeric schema flag as ``--key=value`` when
-    the value parses as the key's kind: argparse would take a negative
-    number in exponent form (``--s -1e-1``) or a list (``-1,1``) for an
-    option."""
+    """Each exact schema flag and the token after it as one ``--key=value``
+    token, unless that token starts with ``--``: argparse would take a value
+    that starts with ``-`` (``--s -1e-1``, ``--depth-list -1,1``) for an
+    option.  The value is parsed by ``load_config`` alone."""
     schema = _SCHEMAS.get(argv[0], {}) if argv else {}
     out = []
     for arg in argv:
         flag = out[-1] if out else ""
-        spec = schema.get(flag[2:].replace("-", "_")) \
-            if flag.startswith("--") else None
-        if spec and spec[0] != "str":
-            try:
-                _PARSERS[spec[0]](arg)
-            except ValueError:
-                pass
-            else:
-                out[-1] = flag + "=" + arg
-                continue
-        out.append(arg)
+        if (flag.startswith("--") and flag[2:].replace("-", "_") in schema
+                and not arg.startswith("--")):
+            out[-1] = flag + "=" + arg
+        else:
+            out.append(arg)
     return out
 
 

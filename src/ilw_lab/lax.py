@@ -16,12 +16,13 @@ chooses the cut (the field-level entries below take the largest one the
 grid resolves) and derives the diagonal, the Toeplitz column, its
 circulant symbol and the symbol bound on lambda_min, and every route below
 takes the truncation it is given, so one bound per state certifies a shift
-for all of them.  Every
-shift reads the form off one spectral measure of P_+ u
-(``LaxSpectrum``).  The experiments take it as the Gauss rule of a Lanczos
-run from P_+ u, whose matrix-vector products go through an FFT, stopped
-once a Gauss-Radau upper bound certifies it at the smallest shift; one
-dense eigendecomposition of the whole matrix stays as its fallback and oracle.
+for all of them (``LaxTruncation.certifies``, which also rejects a kappa
+that is not finite).  Every shift reads the form off one spectral measure
+of P_+ u (``LaxSpectrum``).  The experiments take it as the Gauss rule of
+a Lanczos run from P_+ u, whose matrix-vector products go through an FFT,
+stopped once a Gauss-Radau upper bound certifies it at the smallest shift;
+one dense eigendecomposition of the whole matrix stays as its fallback and
+oracle.
 The run is the plain three-term recurrence, which keeps two basis vectors
 and reorthogonalizes nothing: for the Gauss rule of a smooth function such
 as 1/(lambda + tau) on a certified shift it is stable in finite precision
@@ -153,6 +154,14 @@ class LaxTruncation:
     def bound(self) -> np.ndarray:
         return _symbol_bound(self.g, self.grid.length)
 
+    def certifies(self, kappa: float):
+        """Whether the symbol bound clears -kappa, one bool per state: the
+        one test that certifies a shift, for every route.  A kappa that is
+        not finite is a ContractError."""
+        if not np.isfinite(kappa):
+            raise ContractError("kappa must be finite")
+        return self.bound + kappa > 0.0
+
     @cached_property
     def matrix(self) -> np.ndarray:
         # entry (xi, eta) is u_hat(xi - eta)/L: Hermitian, as u_hat(-k) = conj(u_hat(k))
@@ -271,7 +280,7 @@ def _lanczos(lax: LaxTruncation, kappa: float) -> tuple:
     to ``_ENCLOSURE_RTOL``, when beta_k is at the matvec's rounding level
     (breakdown: the Krylov space is invariant and the rule exact), or at
     k = m.  Every row keeps its index from input to output: a ``running``
-    mask starts at the certified rows (``lax.bound + kappa > 0``), only a
+    mask starts at the certified rows (``lax.certifies(kappa)``), only a
     running row records its alpha, beta and steps or moves its basis
     vector, and the run ends when no row runs, so a stack with no certified
     row takes no matvec.  A stopped row rides along in the matvecs until
@@ -287,7 +296,7 @@ def _lanczos(lax: LaxTruncation, kappa: float) -> tuple:
     rows, m = g.shape
     freqs, symbol = lax.frequencies, np.atleast_2d(lax.symbol)
     bound = np.atleast_1d(lax.bound)
-    running = bound + kappa > 0.0
+    running = np.atleast_1d(lax.certifies(kappa))
     padded = np.zeros((rows, 2 * m), dtype=np.complex128)
     spectrum = np.empty_like(padded)
     q = padded[:, :m]
@@ -426,18 +435,17 @@ class LaxSpectrum:
 
         One batched recurrence (``_lanczos``) serves every row of ``lax``
         as given, each at its own index, and decides which rows are
-        certified: ``lax.bound + kappa > 0``, read back here as a positive
-        step count.  The k x k Jacobi matrices are diagonalized in one
-        stacked ``np.linalg.eigh`` per distinct k, which keeps each row's
-        numbers free of the batch; row i keeps the Ritz values and
-        ||g||^2 S[0, j]^2 / L, ||g||^2 taken per group, so an uncertified
-        row's norm is never formed here.  A row with 0 steps is not
+        certified (``lax.certifies(kappa)``, which rejects a kappa that is
+        not finite), read back here as a positive step count.  The k x k
+        Jacobi matrices are diagonalized in one stacked ``np.linalg.eigh``
+        per distinct k, which keeps each row's numbers free of the batch;
+        row i keeps the Ritz values and ||g||^2 S[0, j]^2 / L, ||g||^2
+        taken per group, so an uncertified row's norm is never formed
+        here.  A row with 0 steps is not
         certified and takes the dense measure of its truncation
         (``_dense_measure``).  A one-state truncation gives a one-state
         spectrum, which fills its whole width.
         """
-        if not np.isfinite(kappa):
-            raise ContractError("kappa must be finite")
         g = np.atleast_2d(lax.g)
         alpha, beta, steps = _lanczos(lax, kappa)
         certified = steps > 0
@@ -631,22 +639,23 @@ def resolvent_state(lax: LaxTruncation, kappa: float) -> ResolventState:
     """m = -(L_u + kappa)^(-1) P_+ u on the one-state truncation ``lax``,
     solved from its Hardy data ``lax.g`` with a residual check.
 
-    A shift certified by the symbol bound (``lax.bound`` + kappa > 0, the
+    A shift certified by the symbol bound (``lax.certifies(kappa)``, the
     test that ``LaxSpectrum.lanczos`` makes) runs Jacobi-preconditioned
     conjugate gradients on the FFT operator; otherwise, or if they have not
     converged after m iterations, a Cholesky factorization of the dense
     matrix solves it and raises KappaTooSmallError when the shifted matrix
     is not positive definite.  Either way a relative residual above 1e-12
-    is a NumericalError.  A stacked truncation is a ContractError.
+    is a NumericalError.  A stacked truncation and a kappa that is not
+    finite are ContractErrors, raised before any solve.
     """
     if lax.g.ndim != 1:
         raise ContractError("a resolvent state takes a one-state truncation")
+    certified = lax.certifies(kappa)
     g = lax.g
     gnorm = float(np.linalg.norm(g))
     if not np.isfinite(gnorm):
         raise NumericalError("right-hand side norm %.3g is not finite" % gnorm)
-    solved = (_preconditioned_cg(lax, kappa, g, gnorm)
-              if lax.bound + kappa > 0.0 else None)
+    solved = _preconditioned_cg(lax, kappa, g, gnorm) if certified else None
     if solved is None:
         shifted = lax.matrix + kappa * np.eye(lax.frequencies.shape[0])
         try:
@@ -676,7 +685,9 @@ def resolvent_form(u: RealField, kappa: float) -> float:
 def _require_weight_exponent(s: float, kappa: float):
     if not -0.5 < s < 0.0:
         raise ContractError("the weighted form needs s in (-1/2, 0)")
-    if kappa < 1.0:
+    if not np.isfinite(kappa):
+        raise ContractError("kappa must be finite")
+    if not kappa >= 1.0:
         raise ContractError("kappa must be >= 1")
 
 
@@ -1081,8 +1092,9 @@ def apriori_bound(norm0, s: float, t: float, c_s: float, a_rate: float):
 
     for one norm or elementwise for an array of them, as ``kappa_threshold``
     is; the caller compares it with the norms that it holds.  An overflowed
-    bound is inf, through ``np.power`` (a float's ``**`` would raise)."""
-    _require_weight_exponent(s, 1.0)
+    bound is inf, through ``np.power`` (a float's ``**`` would raise).  s and
+    c_s meet the contract of the admissible-shift test (``_shift_index``)."""
+    _shift_index(s, 1.0, c_s)
     power = 2.0 * abs(s) / (1.0 - 2.0 * abs(s))
     with np.errstate(over="ignore"):
         growth = np.exp(a_rate * t)

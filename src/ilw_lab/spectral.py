@@ -281,15 +281,16 @@ def hardy_embed(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def multiplier_apply(field: RealField, symbol) -> RealField:
-    """Apply a Fourier multiplier given as a callable xi -> value or an array
-    on ``grid.frequencies`` (xi >= 0; at -xi it acts by the conjugate value).
+    """Apply the Fourier multiplier ``symbol``, a callable xi -> value called
+    once on ``grid.frequencies`` (xi >= 0; at -xi it acts by the conjugate
+    value).  Values of another shape or that are not finite are a
+    ContractError.
 
     The Nyquist slot gets the real part of the symbol, which zeroes it for
     odd (sign-discontinuous) symbols.
     """
     grid = field.grid
-    values = symbol(grid.frequencies) if callable(symbol) else np.asarray(symbol)
-    values = np.asarray(values, dtype=np.complex128)
+    values = np.asarray(symbol(grid.frequencies), dtype=np.complex128)
     if values.shape != grid.frequencies.shape:
         raise ContractError("symbol array must have shape (n_points//2 + 1,)")
     if not np.all(np.isfinite(values)):

@@ -725,6 +725,9 @@ def test_package_has_one_failure_channel():
     # a = adelta/depth = 2e154, whose square overflows
     (["wave", "--depth", "1e-154"], 1,
      "usage error: wave number a = 2e+154 is too large: a^2 overflows"),
+    # one s1 for two s2: the sweep has no pairs to scan
+    (["smoothing", "--s1-list", "0", "--s2-list", "1,2"], 1,
+     "usage error: s1_list and s2_list must pair up"),
 ])
 def test_cli_extreme_depths_exit_without_traceback(tmp_path, capsys, argv,
                                                    code, line):
@@ -1382,6 +1385,23 @@ def test_twodepth_ignores_dormant_second_depth(tmp_path, capsys):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+def test_twodepth_original_frame_shifts_back_to_the_renormalized_gaps(
+        tmp_path, capsys):
+    # the original frame moves each depth's run by gamma*t; shifted back, it
+    # leaves the deep-water gaps of the renormalized frame to rounding
+    gaps = {}
+    for frame in ("original", "renormalized"):
+        out = tmp_path / frame
+        assert main(["twodepth", "--n", "64", "--frame", frame,
+                     "--outdir", str(out)]) == 0
+        gaps[frame] = json.loads(
+            (out / "report.json").read_text())["report"]["l2_gaps"]
+    capsys.readouterr()
+    assert len(gaps["original"]) == len(gaps["renormalized"]) == 3
+    for original, renormalized in zip(gaps["original"], gaps["renormalized"]):
+        assert abs(original - renormalized) <= 1e-15
+
+
 def test_simulate_resumes_from_snapshot(tmp_path, capsys):
     first = tmp_path / "first"
     assert main(SIM_ARGS + ["--outdir", str(first)]) == 0
@@ -1458,6 +1478,9 @@ def _read_rows(path):
     (["gronwall", "--equation", "bo", "--n", "64", "--seeds", "2",
       "--samples", "5", "--t-final", "0.05"],
      "runs.csv", TEST_REFERENCE / "gronwall-bo/runs.csv"),
+    (["simulate", "--n", "64", "--t-final", "0.05"],
+     "trajectory.csv", TEST_REFERENCE / "simulate-n64/trajectory.csv"),
+    (["smoothing"], "smoothing.csv", TEST_REFERENCE / "smoothing/smoothing.csv"),
 ])
 def test_outputs_match_recorded_reference(tmp_path, capsys, argv, table,
                                           reference):

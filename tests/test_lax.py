@@ -945,6 +945,63 @@ def test_one_bound_certifies_both_routes():
     assert np.linalg.norm(shifted @ x - lax.g) <= 1e-12 * np.linalg.norm(lax.g)
 
 
+def test_cg_give_up_hands_over_to_cholesky(monkeypatch):
+    # with a residual target of 0 the conjugate gradients never converge:
+    # they give up after m iterations (129 matvecs at m = 64) and the
+    # Cholesky fallback solves the certified shift of criterion 5's field
+    grid = SpectralGrid(TWO_PI, 256)
+    lax = build_lax(random_field(grid, -0.25, 0.3, 7, decay=0.25))
+    solved = resolvent_state(lax, 32.0)
+    assert solved.iterations > 0
+    monkeypatch.setattr(lax_module, "_PCG_RTOL", 0.0)
+    fallback = resolvent_state(lax, 32.0)
+    assert fallback.iterations == 0
+    assert np.linalg.norm(fallback.coeffs - solved.coeffs) \
+        <= 1e-12 * np.linalg.norm(solved.coeffs)
+
+
+# each route that takes a shift, called with a bad value and a form_at that
+# counts its calls; apriori_bound takes the bad value as its c_s
+_BAD_SHIFT_ROUTES = {
+    "KappaRule.build": lambda u, value, calls: KappaRule.build(value, -0.25),
+    "build_weighted_rule": lambda u, value, calls: build_weighted_rule(
+        lambda taus: calls.append("form_at") or np.ones_like(taus), value,
+        -0.25),
+    "form_flow_derivative": lambda u, value, calls: form_flow_derivative(
+        u, value, 1.0, -0.25),
+    "resolvent_state": lambda u, value, calls: resolvent_state(
+        build_lax(u), value),
+    "resolvent_form": lambda u, value, calls: resolvent_form(u, value),
+    "LaxSpectrum.lanczos": lambda u, value, calls: LaxSpectrum.lanczos(
+        build_lax(u), value),
+    "apriori_bound": lambda u, value, calls: apriori_bound(
+        1.0, -0.25, 1.0, value, 0.0),
+}
+
+
+@pytest.mark.parametrize("route, value, message", [
+    *[(route, kappa, "kappa must be finite")
+      for route in sorted(set(_BAD_SHIFT_ROUTES) - {"apriori_bound"})
+      for kappa in (np.nan, np.inf, -np.inf)],
+    *[("apriori_bound", c_s, "c_s must be positive") for c_s in (0.0, -1.0)],
+])
+def test_bad_shift_is_a_usage_error_on_every_route(route, value, message,
+                                                   monkeypatch):
+    # rejected before anything is measured or solved
+    reached = []
+
+    def refuse(name):
+        return lambda *args, **kwargs: reached.append(name)
+
+    for name in ("_apply_lax", "_dense_measure", "_preconditioned_cg"):
+        monkeypatch.setattr(lax_module, name, refuse(name))
+    monkeypatch.setattr(np.linalg, "cholesky", refuse("cholesky"))
+    u = random_field(SpectralGrid(TWO_PI, 256), -0.25, 0.3, 7, decay=0.25)
+    with pytest.raises(ContractError, match="^%s$" % message):
+        _BAD_SHIFT_ROUTES[route](u, value, reached)
+    assert reached == []
+
+
 def test_lax_truncation_builds_its_matrix_only_when_read():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
