@@ -308,7 +308,7 @@ def step_count(t_final: float, dt: float) -> tuple:
 
 
 def etdrk4_samples(problems: list, coeffs: np.ndarray,
-                   t_final: float, dt: float, store_stride: int):
+                   t_final: float, dt: float, n_samples: int):
     """Advance a stack of half spectra, one state per row, to ``t_final``.
 
     ``coeffs`` has shape (B, N//2 + 1) and ``problems`` holds the problem of
@@ -320,11 +320,13 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
     once: the stages and the quadratic term live on the band the 2/3 rule
     keeps (a prefix of the half spectrum), and the modes past it, where
     the quadratic term is exactly 0, advance by the linear propagator
-    alone.  Yields ``(t, coeffs)`` at t = 0, every ``store_stride`` steps
-    and at ``t_final``; each yielded array is a copy that is never
-    modified afterwards.  Each row keeps its own checks: an advisory CFL
-    warning, and BlowUpError when it stops being finite or its sup-norm
-    exceeds 1e6 times its initial one.
+    alone.  Yields ``(t, coeffs)`` at t = 0, every
+    ``max(1, n_steps // n_samples)`` steps and at ``t_final``, where
+    ``n_steps`` is the ``step_count`` of the run; each yielded array is a
+    copy that is never modified afterwards.  A nonpositive ``n_samples`` is
+    a ContractError raised before any step.  Each row keeps its own checks:
+    an advisory CFL warning, and BlowUpError when it stops being finite or
+    its sup-norm exceeds 1e6 times its initial one.
     """
     c = np.array(coeffs, dtype=np.complex128)
     if c.ndim != 2 or c.shape[0] != len(problems) or not problems:
@@ -339,8 +341,9 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
     if c.shape[1] != grid.frequencies.shape[0]:
         raise ContractError("states must be a (B, n_points//2 + 1) stack")
     n_steps, dt = step_count(t_final, dt)
-    if store_stride < 1:
-        raise ContractError("store_stride must be positive")
+    if n_samples < 1:
+        raise ContractError("n_samples must be positive")
+    stride = max(1, n_steps // n_samples)
 
     n = grid.n_points
     sup0 = np.max(np.abs(np.fft.irfft(c, n) * (n / grid.length)), axis=1)
@@ -405,20 +408,18 @@ def etdrk4_samples(problems: list, coeffs: np.ndarray,
             if sup > blowup_level[row]:
                 raise BlowUpError(step * dt, sup)
 
-        if step % store_stride == 0 or step == n_steps:
+        if step % stride == 0 or step == n_steps:
             yield step * dt, c.copy()
 
 
 def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
-           dt: Optional[float] = None,
-           store_stride: Optional[int] = None) -> Trajectory:
+           dt: Optional[float] = None, n_samples: int = 100) -> Trajectory:
     """Advance the problem to t_final and sample along the way.
 
     The step is rounded so an integer number of steps lands exactly on
     ``t_final``; more than ``MAX_STEPS`` steps is a ContractError.  States
-    are recorded every ``store_stride`` steps (defaults to roughly 100
-    samples along the run); their diagnostics are evaluated when first
-    read.  Raises BlowUpError when the state stops being finite or its
+    are recorded at the times ``etdrk4_samples`` yields for ``n_samples``;
+    their diagnostics are evaluated when first read.  Raises BlowUpError when the state stops being finite or its
     sup-norm exceeds 1e6 times the initial one.
     The run is the one-row case of ``etdrk4_samples``, which steps in place
     on the dealiased band, and is deterministic given its inputs.
@@ -427,13 +428,10 @@ def evolve(problem: EvolutionProblem, initial: RealField, t_final: float,
         raise ContractError("initial state grid does not match the problem grid")
     if dt is None:
         dt = default_step(problem, initial, t_final)
-    n_steps, _ = step_count(t_final, dt)
-    if store_stride is None:
-        store_stride = max(1, n_steps // 100)
 
     times, states = [], []
     for t, c in etdrk4_samples([problem], initial.coeffs[None, :], t_final,
-                               dt, store_stride):
+                               dt, n_samples):
         times.append(t)
         states.append(RealField(problem.grid, c[0]) if states else initial)
     return Trajectory(problem=problem, times=np.asarray(times), states=states)

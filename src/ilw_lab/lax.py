@@ -82,8 +82,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, KappaTooSmallError, NumericalError
-from .evolution import (EvolutionProblem, default_step, etdrk4_samples,
-                        step_count)
+from .evolution import EvolutionProblem, default_step, etdrk4_samples
 from .spectral import (
     RealField,
     SobolevIndex,
@@ -477,9 +476,12 @@ class LaxSpectrum:
 
     def form_at(self, taus: np.ndarray) -> np.ndarray:
         """form(tau) = (1/L) sum |<w_j, g>|^2 / (lambda_j + tau) of one
-        state, vectorized; a stack is a ContractError."""
+        state, vectorized; a stack, or a tau that is not finite, is a
+        ContractError."""
         if self.nodes.ndim != 1:
             raise ContractError("form_at takes the spectrum of one state")
+        if not np.isfinite(taus).all():
+            raise ContractError("kappa must be finite")
         _require_shift(self.lambda_min, float(np.min(taus)))
         return _form_at(self.nodes, self.weights, taus)
 
@@ -495,7 +497,7 @@ def _shift_index(s: float, kappa: float, c_s: float = 1.0) -> SobolevIndex:
     """The H^s_kappa index of the admissible-shift test, once s, kappa and
     c_s meet its contract; a kappa whose square overflows fails here."""
     _require_weight_exponent(s, kappa)
-    if c_s <= 0:
+    if not c_s > 0:
         raise ContractError("c_s must be positive")
     return SobolevIndex(s, kappa)
 
@@ -891,7 +893,9 @@ def build_weighted_rule(form_at: Callable, kappa: float,
         tail = float(form_star * tau_star ** power / (2.0 * abs(s)))
         if tail <= 1e-9 * (abs(rough) + tail):
             break
-        if t_star >= 400.0:
+        # the horizon stops at 400, and before the next panel's taus
+        # would overflow (form_at takes no tau that is not finite)
+        if t_star >= min(400.0, np.log(np.finfo(float).max / kappa) - 2.0):
             raise NumericalError("weighted-form horizon runaway")
 
     for _ in range(400):
@@ -1016,7 +1020,9 @@ def gronwall_ensemble(initials: list, problems: list, s: float,
     problem object share its phi-tables.  Members that resolve the same step
     are advanced together as one batch by ``etdrk4_samples``, whatever their
     problems: the default step depends only on the grid and the state, so
-    one initial state under several flows lands in one batch.  The samples
+    one initial state under several flows lands in one batch.  Each batch
+    is sampled as ``etdrk4_samples`` samples ``n_samples``, which also
+    rejects a nonpositive count before any step.  The samples
     are measured in blocks of consecutive ones, so no trajectory is stored:
     one ``LaxSpectrum.lanczos`` call takes the stacks of as many samples as
     fit in ``_LANCZOS_BLOCK_ROWS`` rows, and at least one, in time order and
@@ -1041,8 +1047,6 @@ def gronwall_ensemble(initials: list, problems: list, s: float,
     if any(m.grid != grid for m in (*initials, *problems)):
         raise ContractError("ensemble members live on different grids")
     n_modes = _truncation_size(grid, None)
-    if n_samples < 1:
-        raise ContractError("n_samples must be positive")
 
     batches = {}
     for i, (u0, problem) in enumerate(zip(initials, problems)):
@@ -1051,12 +1055,10 @@ def gronwall_ensemble(initials: list, problems: list, s: float,
     rule = KappaRule.build(kappa, s)
     reports = [None] * len(initials)
     for step, members in batches.items():
-        n_steps, _ = step_count(t_final, step)
-        stride = max(1, n_steps // n_samples)
         times, values, norms = [], [], []
         stack = np.stack([initials[i].coeffs for i in members])
         samples = etdrk4_samples([problems[i] for i in members], stack,
-                                 t_final, step, stride)
+                                 t_final, step, n_samples)
         per_call = max(1, _LANCZOS_BLOCK_ROWS // len(members))
         while block := list(islice(samples, per_call)):
             # rows in time order, then member order

@@ -54,7 +54,7 @@ def test_criterion_1_traveling_wave_exactness():
     residual = traveling_residual(profile, speed, constants.B, 1.0)
 
     trajectory = evolve(make_ilw(1.0, grid), profile, 1.0, dt=5e-5,
-                        store_stride=5000)
+                        n_samples=4)
     translation = max(
         (state - profile.shifted(speed * t)).sup_norm() / profile.sup_norm()
         for t, state in zip(trajectory.times[1:], trajectory.states[1:]))
@@ -99,7 +99,7 @@ def test_criterion_4_deep_water_conservation():
     started = time.time()
     grid = SpectralGrid(TWO_PI, 256)
     u0 = random_field(grid, -0.25, 0.25, 1, decay=0.25)
-    trajectory = evolve(make_bo(grid), u0, 1.0, dt=1e-4, store_stride=1000)
+    trajectory = evolve(make_bo(grid), u0, 1.0, dt=1e-4, n_samples=10)
     xi_max = modes_to_xi_max(SpectralGrid(TWO_PI, 2048), 512)
     # the shared rule does not depend on the state
     rule = KappaRule.build(32.0, -0.25)
@@ -146,7 +146,7 @@ def test_criterion_6_flow_derivative_identity():
     # the Hamiltonian monitors are checked by criterion 10; none is read
     # here, so none is evaluated
     trajectory = evolve(make_ilw(0.5, grid), u0, 0.7501, dt=1e-4,
-                        store_stride=1)
+                        n_samples=7501)
     xi_max = modes_to_xi_max(grid, 64)
 
     def beta(state):
@@ -227,16 +227,16 @@ def test_criterion_10_integrator_quality():
     grid = SpectralGrid(TWO_PI, 256)
     u0 = random_field(grid, -0.25, 0.25, 7, decay=0.25)
     problem = make_ilw(1.0, grid)
-    trajectory = evolve(problem, u0, 1.0, dt=1e-3, store_stride=10)
+    trajectory = evolve(problem, u0, 1.0, dt=1e-3, n_samples=100)
     mass_drift = relative_drift(trajectory.diagnostics["mass"])
     energy_drift = relative_drift(trajectory.diagnostics["hamiltonian"])
 
     reference = evolve(problem, u0, 0.1, dt=1.25e-4,
-                       store_stride=10 ** 9).final()
+                       n_samples=1).final()
     errors = []
     steps = (1e-3, 5e-4, 2.5e-4)
     for dt in steps:
-        final = evolve(problem, u0, 0.1, dt=dt, store_stride=10 ** 9).final()
+        final = evolve(problem, u0, 0.1, dt=dt, n_samples=1).final()
         errors.append((final - reference).l2_norm())
     order = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
     elapsed = time.time() - started

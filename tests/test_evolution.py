@@ -187,7 +187,7 @@ def test_traveling_wave_translates_rigidly():
     profile = periodic_profile(a, depth, grid)
     c = periodic_speed(a, depth)
     trajectory = evolve(make_ilw(depth, grid), profile, 1.0, dt=1e-4,
-                        store_stride=10000)
+                        n_samples=1)
     target = profile.shifted(c * 1.0)
     gap = (trajectory.final() - target).sup_norm()
     assert gap < 1e-6
@@ -219,7 +219,7 @@ def test_non_finite_row_blows_up_at_the_first_step(row):
     calm = random_field(grid, -0.25, 0.1, 1, decay=0.3).coeffs
     stack = np.stack([calm, calm])
     stack[row] = np.nan
-    samples = etdrk4_samples([problem, problem], stack, 1.0, 1e-3, 10)
+    samples = etdrk4_samples([problem, problem], stack, 1.0, 1e-3, 100)
     assert next(samples)[0] == 0.0
     with pytest.raises(BlowUpError) as info:
         next(samples)
@@ -259,7 +259,7 @@ def test_diagnostics_are_evaluated_when_first_read(monkeypatch):
     problem = make_ilw(1.0, grid)
     trajectory = evolve(problem, random_field(grid, -0.25, 0.25, 2,
                                               decay=0.25), 0.02, dt=1e-3,
-                        store_stride=5)
+                        n_samples=4)
     assert calls == []
     diagnostics = trajectory.diagnostics
     assert len(calls) == 5
@@ -287,10 +287,10 @@ def test_step_count_lands_on_t_final_and_is_bounded():
             step_count(t_final, dt)
 
 
-def _samples(problems, stack, t_final, dt, stride):
+def _samples(problems, stack, t_final, dt, n_samples):
     # copy each yielded stack: the caller owns only what it copies
     return [(t, c.copy()) for t, c in etdrk4_samples(problems, stack, t_final,
-                                                     dt, stride)]
+                                                     dt, n_samples)]
 
 
 def test_batched_stepper_matches_single_rows():
@@ -315,7 +315,7 @@ def test_batched_stepper_matches_single_rows():
             assert np.array_equal(c_alone[0], c_batch[i])
     # evolve is the one-row case
     trajectory = evolve(problem, RealField(grid, rows[1]), 0.05, dt=1e-3,
-                        store_stride=7)
+                        n_samples=7)
     assert trajectory.times.tolist() == [t for t, _ in batched]
     for state, (_, c_batch) in zip(trajectory.states, batched):
         assert np.array_equal(state.coeffs, c_batch[1])
@@ -385,7 +385,7 @@ def test_band_stepper_matches_the_masked_stepper():
             rows.append(random_field(grid, -0.25, 0.4, seed, decay=0.25).coeffs)
     stack = np.stack(rows)
     yielded, snapshots = [], []
-    for t, c in etdrk4_samples(problems, stack, 1.0, 1e-3, 100):
+    for t, c in etdrk4_samples(problems, stack, 1.0, 1e-3, 10):
         yielded.append((t, c))
         snapshots.append(c.copy())
     assert all(np.array_equal(c, snapshot)
@@ -421,21 +421,21 @@ def test_batched_stepper_checks_each_row():
     with pytest.raises(BlowUpError) as info:
         with pytest.warns(RuntimeWarning, match="advisory CFL"):
             for _ in etdrk4_samples([problem, problem], np.stack([calm, huge]),
-                                    1.0, 1e-3, 10):
+                                    1.0, 1e-3, 100):
                 pass
     assert info.value.time > 0.0
     with pytest.raises(ContractError):
-        next(etdrk4_samples([problem], calm, 1.0, 1e-3, 10))
-    with pytest.raises(ContractError):
+        next(etdrk4_samples([problem], calm, 1.0, 1e-3, 100))
+    with pytest.raises(ContractError, match="n_samples must be positive"):
         next(etdrk4_samples([problem], np.stack([calm]), 1.0, 1e-3, 0))
     # one problem per row, all on one grid
     pair = np.stack([calm, calm])
     for problems in ([problem], [problem] * 3, []):
         with pytest.raises(ContractError, match="one problem per row"):
-            next(etdrk4_samples(problems, pair, 1.0, 1e-3, 10))
+            next(etdrk4_samples(problems, pair, 1.0, 1e-3, 100))
     other_grid = make_ilw(1.0, SpectralGrid(2.0, 64))
     with pytest.raises(ContractError, match="different grids"):
-        next(etdrk4_samples([problem, other_grid], pair, 1.0, 1e-3, 10))
+        next(etdrk4_samples([problem, other_grid], pair, 1.0, 1e-3, 100))
 
 
 # ------------------------------------------------------------- conservation
@@ -450,7 +450,7 @@ def test_mass_examples():
 def test_mass_and_energy_drift_tiny_on_short_run():
     grid = SpectralGrid(1.0, 256)
     u0 = random_field(grid, -0.25, 0.25, 7, decay=0.25)
-    trajectory = evolve(make_ilw(1.0, grid), u0, 0.1, dt=1e-3, store_stride=10)
+    trajectory = evolve(make_ilw(1.0, grid), u0, 0.1, dt=1e-3, n_samples=10)
     assert relative_drift(trajectory.diagnostics["mass"]) < 1e-9
     assert relative_drift(trajectory.diagnostics["hamiltonian"]) < 1e-9
 
@@ -549,11 +549,11 @@ def test_linear_flow_is_l2_isometry(monkeypatch):
 def test_deep_water_gap_shrinks_with_depth():
     grid = SpectralGrid(1.0, 128)
     u0 = random_field(grid, -0.25, 0.3, 15, decay=0.3)
-    bo_final = evolve(make_bo(grid), u0, 0.5, dt=1e-3, store_stride=500).final()
+    bo_final = evolve(make_bo(grid), u0, 0.5, dt=1e-3, n_samples=1).final()
     gaps = []
     for depth in (10.0, 20.0, 40.0):
         final = evolve(make_ilw(depth, grid), u0, 0.5, dt=1e-3,
-                       store_stride=500).final()
+                       n_samples=1).final()
         gaps.append((final - bo_final).l2_norm())
     assert gaps[0] > gaps[1] > gaps[2]
 
@@ -575,8 +575,8 @@ def test_galilean_boost_maps_solutions_to_solutions():
     u0 = random_field(grid, -0.25, 0.3, 30, decay=0.3)
     problem = make_ilw(1.0, grid)
     t = 0.5
-    u_t = evolve(problem, u0, t, dt=1e-3, store_stride=500).final()
+    u_t = evolve(problem, u0, t, dt=1e-3, n_samples=1).final()
     v0 = galilean(u0, gamma, 0.0)
-    v_t = evolve(problem, v0, t, dt=1e-3, store_stride=500).final()
+    v_t = evolve(problem, v0, t, dt=1e-3, n_samples=1).final()
     expected = galilean(u_t, gamma, t)
     assert (v_t - expected).sup_norm() < 1e-6

@@ -41,6 +41,7 @@ from ilw_lab.lax import (
     KappaRule,
     LaxSpectrum,
     LaxTruncation,
+    ResolventState,
     _shift_index,
 )
 from ilw_lab.spectral import (
@@ -983,7 +984,8 @@ _BAD_SHIFT_ROUTES = {
     *[(route, kappa, "kappa must be finite")
       for route in sorted(set(_BAD_SHIFT_ROUTES) - {"apriori_bound"})
       for kappa in (np.nan, np.inf, -np.inf)],
-    *[("apriori_bound", c_s, "c_s must be positive") for c_s in (0.0, -1.0)],
+    *[("apriori_bound", c_s, "c_s must be positive")
+      for c_s in (0.0, -1.0, np.nan)],
 ])
 def test_bad_shift_is_a_usage_error_on_every_route(route, value, message,
                                                    monkeypatch):
@@ -1000,6 +1002,84 @@ def test_bad_shift_is_a_usage_error_on_every_route(route, value, message,
     with pytest.raises(ContractError, match="^%s$" % message):
         _BAD_SHIFT_ROUTES[route](u, value, reached)
     assert reached == []
+
+
+@pytest.mark.parametrize("taus", [[np.nan], [np.inf], [-np.inf],
+                                  [32.0, np.inf]])
+def test_form_at_rejects_a_shift_that_is_not_finite(taus, monkeypatch):
+    # the spectrum is measured first; then no tau reaches the measure
+    u = random_field(SpectralGrid(TWO_PI, 256), -0.25, 0.3, 7, decay=0.25)
+    spectrum = LaxSpectrum.lanczos(build_lax(u), 32.0)
+    reached = []
+    monkeypatch.setattr(lax_module, "_form_at",
+                        lambda *args: reached.append(args))
+    with pytest.raises(ContractError, match="^kappa must be finite$"):
+        spectrum.form_at(np.array(taus))
+    assert reached == []
+
+
+def test_weighted_rule_horizon_stops_before_its_taus_overflow():
+    # near s = 0 the tail decays too slowly for the horizon to close, and
+    # kappa * exp(400) overflows at kappa = 1e150: the runaway is raised
+    # before a tau that is not finite reaches form_at, with no overflow
+    u = random_field(SpectralGrid(TWO_PI, 256), -0.25, 0.3, 7, decay=0.25)
+    spectrum = LaxSpectrum.lanczos(build_lax(u), 1e150)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="horizon runaway"):
+            build_weighted_rule(spectrum.form_at, 1e150, -0.01)
+
+
+def _scaled_synthesis(monkeypatch, factor):
+    monkeypatch.setattr(lax_module, "synthesize",
+                        lambda grid, coeffs: factor * synthesize(grid, coeffs))
+
+
+def _negated_weights(spectrum):
+    out = LaxSpectrum.__new__(LaxSpectrum)
+    vars(out).update(vars(spectrum), weights=-spectrum.weights)
+    return out
+
+
+# one fault per safety exit that a run which passes never reaches, on
+# criterion 5's field: each gets (monkeypatch, u, its resolvent state, its
+# spectrum) and makes the call that must stop at the exit
+_SAFETY_EXITS = {
+    "imaginary form": (
+        lambda mp, u, state, spectrum: ResolventState(
+            state.grid, 1j * state.coeffs, 0).form(u),
+        NumericalError, "resolvent form acquired an imaginary part$"),
+    "negative form": (
+        lambda mp, u, state, spectrum: ResolventState(
+            state.grid, -state.coeffs, 0).form(u),
+        KappaTooSmallError, "resolvent form is negative"),
+    "routes disagree": (
+        lambda mp, u, state, spectrum: _scaled_synthesis(mp, 1.0 + 1e-6)
+        or ResolventState(state.grid, state.coeffs, 0).form(u),
+        NumericalError, "resolvent form routes disagree: "),
+    "negative weighted form": (
+        lambda mp, u, state, spectrum: KappaRule.build(32.0, -0.25).values(
+            _negated_weights(spectrum)),
+        NumericalError, "weighted form came out negative$"),
+    "solve residual": (
+        lambda mp, u, state, spectrum: mp.setattr(
+            lax_module, "_PCG_RTOL", 1e-6)
+        or resolvent_state(build_lax(u), 32.0),
+        NumericalError, r"resolvent solve residual 4\.882e-07$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAFETY_EXITS))
+def test_safety_exits_fire_on_injected_faults(name, monkeypatch):
+    u = random_field(SpectralGrid(TWO_PI, 256), -0.25, 0.3, 7, decay=0.25)
+    state = resolvent_state(build_lax(u), 32.0)
+    spectrum = LaxSpectrum.lanczos(build_lax(u), 32.0)
+    # the field as it is passes every exit
+    state.form(u)
+    KappaRule.build(32.0, -0.25).values(spectrum)
+    call, error, message = _SAFETY_EXITS[name]
+    with pytest.raises(error, match="^" + message):
+        call(monkeypatch, u, state, spectrum)
 
 
 def test_lax_truncation_builds_its_matrix_only_when_read():
@@ -1331,7 +1411,7 @@ def test_flow_derivative_matches_finite_differences():
     xi_max = modes_to_xi_max(grid, 64)
     kappa, s, depth, h = 32.0, -0.25, 0.5, 1e-3
     problem = make_ilw(depth, grid)
-    states = {t: evolve(problem, u0, t, dt=1e-4, store_stride=10 ** 9).final()
+    states = {t: evolve(problem, u0, t, dt=1e-4, n_samples=1).final()
               for t in (0.25 - h, 0.25, 0.25 + h)}
     mid = states[0.25]
 
@@ -1351,7 +1431,7 @@ def test_weighted_form_conserved_by_deep_water_flow():
     xi_max = modes_to_xi_max(grid, 64)
     kappa, s, h = 32.0, -0.25, 1e-3
     problem = make_bo(grid)
-    states = {t: evolve(problem, u0, t, dt=1e-4, store_stride=10 ** 9).final()
+    states = {t: evolve(problem, u0, t, dt=1e-4, n_samples=1).final()
               for t in (0.25 - h, 0.25, 0.25 + h)}
     mid = states[0.25]
 
@@ -1392,7 +1472,7 @@ def test_gronwall_experiment_matches_public_functions():
     problem = make_ilw(1.0, grid)
     report = gronwall_experiment(u0, problem, s, kappa, t_final=0.2, dt=1e-3,
                                  n_samples=10)
-    states = evolve(problem, u0, 0.2, dt=1e-3, store_stride=20).states
+    states = evolve(problem, u0, 0.2, dt=1e-3, n_samples=10).states
     values = [KappaRule.build(kappa, s).values(
         LaxSpectrum.lanczos(build_lax(state), kappa)) for state in states]
     rule = build_weighted_rule(
@@ -1518,7 +1598,7 @@ def test_a_stepper_error_leaves_pending_samples_unmeasured(
         measured.append(len(lax.g))
         return lanczos(lax, *args)
 
-    def failing_stepper(problems, coeffs, t_final, dt, stride):
+    def failing_stepper(problems, coeffs, t_final, dt, n_samples):
         yield 0.0, coeffs
         grid = problems[0].grid
         shifted = coeffs.copy()
@@ -1551,7 +1631,7 @@ def test_a_block_reports_its_lowest_node_below_the_shift(tmp_path, capsys,
         measured.append(len(lax.g))
         return lanczos(lax, *args)
 
-    def stepper(problems, coeffs, t_final, dt, stride):
+    def stepper(problems, coeffs, t_final, dt, n_samples):
         yield 0.0, coeffs
         grid = problems[0].grid
         for j, drop in enumerate((64.0, 96.0), start=1):

@@ -161,7 +161,7 @@ def test_stepper_scales_exactly():
         grid_lam = SpectralGrid(TWO_PI / lam, 256)
         problems = [make_ilw(depth / lam, grid_lam) for depth, _ in members]
         return list(etdrk4_samples(problems, stack, 0.2 / lam ** 2,
-                                   1e-3 / lam ** 2, 50))
+                                   1e-3 / lam ** 2, 4))
 
     base = run(1.0)
     assert len(base) == 5 and not np.array_equal(base[-1][1], stack)
