@@ -43,9 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ini file with a [%s] section" % name)
         cmd.add_argument("--outdir", metavar="DIR", default=None,
                          help="output directory (default ilw_lab_%s)" % name)
-        for key in _SCHEMAS[name]:
+        for key, (kind, default, *declared) in _SCHEMAS[name].items():
+            shown = (",".join(map(str, default)) if kind == "float_list"
+                     else repr(default))
             cmd.add_argument("--" + key.replace("_", "-"), dest=key,
-                             default=None, metavar="V")
+                             default=None, metavar="V", help="; ".join(
+                                 ["default " + shown] + [w for w, _ in declared]))
     return parser
 
 

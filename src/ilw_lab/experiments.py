@@ -40,7 +40,8 @@ from .evolution import (
 from .lax import KappaRule, LaxSpectrum, _shift_index, _truncation_size, \
     build_lax, build_weighted_rule, gronwall_ensemble, kappa_threshold, \
     modes_to_xi_max, resolvent_state
-from .spectral import HERMITIAN_RTOL, RealField, SpectralGrid, sobolev_norms
+from .spectral import HERMITIAN_RTOL, MAX_POINTS, RealField, SpectralGrid, \
+    sobolev_norms
 from .symbols import smoothing_bound, smoothing_operator_scan
 from .waves import (
     distance_to_dirac,
@@ -136,6 +137,14 @@ def read_snapshot(path) -> RealField:
 # (each element of a list) must meet
 _AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
 _POSITIVE = ("must be positive", lambda v: v > 0)
+_NONNEGATIVE = ("must be >= 0", lambda v: v >= 0)
+_NONZERO = ("must be nonzero", lambda v: v != 0)
+_GRID = ("must be an even integer from 8 to %d" % MAX_POINTS,
+         lambda v: 8 <= v <= MAX_POINTS and v % 2 == 0)
+# the weighted form's exponent (result (i)) and the Dirac distance's
+# (result (ii))
+_WEIGHT_S = ("must lie in (-1/2, 0)", lambda v: -0.5 < v < 0)
+_DIRAC_S = ("must be below -1/2", lambda v: v < -0.5)
 _STEP = ("must be >= 0 (0 selects the default step)", lambda v: v >= 0)
 _EQUATION = ("must be 'ilw' or 'bo'", lambda v: v in ("ilw", "bo"))
 
@@ -153,62 +162,66 @@ _SCHEMAS = {
     "simulate": {
         "equation": ("str", "ilw", _EQUATION),
         "depth": ("float", 1.0, _POSITIVE),
-        "n": ("int", 256),
-        "length": ("float", 6.283185307179586),
+        "n": ("int", 256, _GRID),
+        "length": ("float", 6.283185307179586, _POSITIVE),
+        # seed, amplitude and decay are read only without --initial; their
+        # ranges are constraints (_CONSTRAINTS)
         "seed": ("int", 1),
         "amplitude": ("float", 0.25),
         "s_target": ("float", -0.25),
         # default spectra decay fast enough that the dealiased band carries
         # the whole field; the in-run mass check depends on it
         "decay": ("float", 0.25),
-        "t_final": ("float", 1.0),
+        "t_final": ("float", 1.0, _POSITIVE),
         "dt": ("float", 0.0, _STEP),
         "samples": ("int", 100, _AT_LEAST_ONE),
         "initial": ("str", ""),
     },
     "wave": {
         "depth": ("float", 1.0, _POSITIVE),
-        "adelta": ("float", 2.0),
-        "n": ("int", 1024),
-        "s_dirac": ("float", -0.6),
+        "adelta": ("float", 2.0, _POSITIVE),
+        "n": ("int", 1024, _GRID),
+        "s_dirac": ("float", -0.6, _DIRAC_S),
     },
     "beta": {
-        "n": ("int", 256),
-        "length": ("float", 1.0),
-        "seed": ("int", 1),
-        "amplitude": ("float", 0.3),
-        "decay": ("float", 0.02),
-        "s": ("float", -0.25),
-        "kappa": ("float", 32.0),
-        "modes": ("int", 0, ("must be >= 0 (0 keeps every mode)",
-                             lambda v: v >= 0)),
+        "n": ("int", 256, _GRID),
+        "length": ("float", 1.0, _POSITIVE),
+        "seed": ("int", 1, _NONNEGATIVE),
+        "amplitude": ("float", 0.3, _NONNEGATIVE),
+        "decay": ("float", 0.02, _NONNEGATIVE),
+        "s": ("float", -0.25, _WEIGHT_S),
+        "kappa": ("float", 32.0, _AT_LEAST_ONE),
+        # a truncation needs a positive cut, so at least 2 modes
+        "modes": ("int", 0, ("must be 0 (every mode) or >= 2",
+                             lambda v: v == 0 or v >= 2)),
     },
     "gronwall": {
         "equation": ("str", "ilw", _EQUATION),
         "depth_list": ("float_list", [0.5, 1.0, 2.0], _POSITIVE),
         "seeds": ("int", 10, _AT_LEAST_ONE),
-        "seed": ("int", 1),
-        "s": ("float", -0.25),
-        "kappa": ("float", 32.0),
-        "t_final": ("float", 1.0),
+        "seed": ("int", 1, _NONNEGATIVE),
+        "s": ("float", -0.25, _WEIGHT_S),
+        "kappa": ("float", 32.0, _AT_LEAST_ONE),
+        "t_final": ("float", 1.0, _POSITIVE),
         "dt": ("float", 0.0, _STEP),
-        "n": ("int", 256),
-        "length": ("float", 6.283185307179586),
-        "amplitude": ("float", 0.4),
+        "n": ("int", 256, _GRID),
+        "length": ("float", 6.283185307179586, _POSITIVE),
+        # a zero field has no weighted form to grow
+        "amplitude": ("float", 0.4, _POSITIVE),
         # fast spectral decay keeps the truncated-matrix conservation error
         # far below the smoothing-term signal that the fit measures
-        "decay": ("float", 0.25),
+        "decay": ("float", 0.25, _NONNEGATIVE),
         "samples": ("int", 100, _AT_LEAST_ONE),
-        "c_s": ("float", 1.0),
+        "c_s": ("float", 1.0, _POSITIVE),
         "epsilon": ("float", 0.01),
     },
     "illposed": {
         "depth": ("float", 1.0, _POSITIVE),
-        "adelta_list": ("float_list", [2.8, 3.0, 3.1, 3.14]),
-        "s": ("float", -0.6),
-        "t": ("float", 1.0),
+        "adelta_list": ("float_list", [2.8, 3.0, 3.1, 3.14], _POSITIVE),
+        "s": ("float", -0.6, _DIRAC_S),
+        "t": ("float", 1.0, _NONZERO),
         "alpha": ("float", 0.5),
-        "n": ("int", 1024),
+        "n": ("int", 1024, _GRID),
     },
     "smoothing": {
         "depth_list": ("float_list", [0.25, 1.0, 4.0], _POSITIVE),
@@ -216,28 +229,64 @@ _SCHEMAS = {
         "s2_list": ("float_list", [1.0, 2.0]),
         # frequency spacing 1/4 resolves the symbol peak near 1/depth for
         # every depth in the default sweep
-        "n": ("int", 2048),
-        "length": ("float", 25.132741228718345),
+        "n": ("int", 2048, _GRID),
+        "length": ("float", 25.132741228718345, _POSITIVE),
     },
     "twodepth": {
-        "c1": ("float", 1.0),
-        "c2": ("float", 1.0),
+        "c1": ("float", 1.0, _POSITIVE),
+        "c2": ("float", 1.0, _NONNEGATIVE),
         "depth_ratio": ("float", 2.0, _POSITIVE),
         "min_depth_list": ("float_list", [10.0, 20.0, 40.0], _POSITIVE),
         "frame": ("str", "renormalized",
                   ("must be 'renormalized' or 'original'",
                    lambda v: v in ("renormalized", "original"))),
-        "n": ("int", 256),
+        "n": ("int", 256, _GRID),
         # the finite-depth correction at depth 40 is exp(-2*40*xi); only a
         # circle with fundamental frequency 1/8 keeps it above rounding
-        "length": ("float", 50.26548245743669),
-        "seed": ("int", 1),
-        "amplitude": ("float", 0.25),
+        "length": ("float", 50.26548245743669, _POSITIVE),
+        "seed": ("int", 1, _NONNEGATIVE),
+        # a zero field leaves no deep-water gap to order
+        "amplitude": ("float", 0.25, _POSITIVE),
         "s_target": ("float", -0.25),
-        "decay": ("float", 0.5),
-        "t_final": ("float", 0.5),
+        "decay": ("float", 0.5, _NONNEGATIVE),
+        "t_final": ("float", 0.5, _POSITIVE),
         "dt": ("float", 0.0, _STEP),
     },
+}
+
+
+def _distinct(key: str) -> tuple:
+    """No value repeats in the sweep ``key``: its check compares sorted
+    neighbours, which a repeated value would always fail."""
+    return (key, lambda p: len(set(p[key])) == len(p[key]),
+            lambda p: "repeats a value: %s" % p[key])
+
+
+def _hardy_modes(p) -> int:
+    return _truncation_size(_make_grid(p), None)
+
+
+# constraints between keys, checked in this order once the last override is
+# read: the key each names, its test of the resolved parameters, and the
+# words of its usage error
+_CONSTRAINTS = {
+    "simulate": [(key, lambda p, key=key: p["initial"] or p[key] >= 0,
+                  lambda p, key=key: "must be >= 0 without --initial: %r"
+                  % p[key]) for key in ("seed", "amplitude", "decay")],
+    "beta": [("modes", lambda p: p["modes"] <= _hardy_modes(p),
+              lambda p: "= %d exceeds %d, the Hardy modes that n = %d "
+              "resolves" % (p["modes"], _hardy_modes(p), p["n"]))],
+    "gronwall": [
+        _distinct("depth_list"),
+        ("seeds", lambda p: p["seeds"] * len(p["depth_list"]) <= MAX_MEMBERS,
+         lambda p: "= %d at %d depths exceeds the limit of %d ensemble "
+         "members" % (p["seeds"], len(p["depth_list"]), MAX_MEMBERS))],
+    "illposed": [_distinct("adelta_list")],
+    "smoothing": [("s1_list", lambda p: len(p["s1_list"]) == len(p["s2_list"])
+                   and np.all(np.less_equal(p["s1_list"], p["s2_list"])),
+                   lambda p: "must pair up with s2_list, each value at most "
+                   "its pair: %s and %s" % (p["s1_list"], p["s2_list"]))],
+    "twodepth": [_distinct("min_depth_list")],
 }
 
 
@@ -274,7 +323,8 @@ def load_config(command: str, config_path: Optional[str] = None,
                 overrides: Optional[dict] = None,
                 output_dir: Optional[str] = None) -> ExperimentConfig:
     """Resolve defaults, then the [command] section of an ini file, then
-    explicit overrides.  Unknown keys and a malformed file are usage
+    explicit overrides, then check the constraints between keys.  Unknown
+    keys, a malformed file and a value outside its domain are usage
     errors."""
     if command not in _SCHEMAS:
         raise ContractError("unknown command %r" % command)
@@ -298,6 +348,9 @@ def load_config(command: str, config_path: Optional[str] = None,
         if key not in schema:
             raise ContractError("unknown parameter %r for %s" % (key, command))
         params[key] = _coerce(command, key, raw)
+    for key, admits, words in _CONSTRAINTS.get(command, ()):
+        if not admits(params):
+            raise ContractError("%s.%s %s" % (command, key, words(params)))
     out = Path(output_dir) if output_dir else Path("ilw_lab_%s" % command)
     return ExperimentConfig(command=command, params=params, output_dir=out)
 
@@ -386,16 +439,6 @@ def _initial_state(params, grid: SpectralGrid) -> RealField:
         return state
     return random_field(grid, params["s_target"], params["amplitude"],
                         params["seed"], params.get("decay", 0.0))
-
-
-def _sweep(cfg: ExperimentConfig, key: str) -> list:
-    """The values of a sweep in ascending order; its check compares
-    neighbours, which a repeated value would always fail."""
-    values = sorted(cfg.params[key])
-    if len(set(values)) < len(values):
-        raise ContractError("%s.%s repeats a value: %s"
-                            % (cfg.command, key, cfg.params[key]))
-    return values
 
 
 def _decreasing(values: list) -> bool:
@@ -500,13 +543,8 @@ def run_beta(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
     state = random_field(grid, p["s"], p["amplitude"], p["seed"], p["decay"])
-    # past the grid's Hardy modes, the cut is a usage error named for modes
-    limit = _truncation_size(grid, None)
-    if p["modes"] > limit:
-        raise ContractError("beta.modes = %d exceeds %d, the Hardy modes that "
-                            "n = %d resolves" % (p["modes"], limit, p["n"]))
     xi_max = modes_to_xi_max(grid, p["modes"]) if p["modes"] > 0 else None
-    # a bad s or kappa fails before anything is measured
+    # a kappa whose square overflows fails before anything is measured
     index = _shift_index(p["s"], p["kappa"])
     # one truncation serves the Lanczos measure and the resolvent solve
     lax = build_lax(state, xi_max)
@@ -570,19 +608,13 @@ def _reference_rate(depth: float, s: float, epsilon: float) -> float:
 def run_gronwall(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = _make_grid(p)
-    depths = _sweep(cfg, "depth_list")
-    if p["seeds"] * len(depths) > MAX_MEMBERS:
-        raise ContractError("gronwall.seeds = %d at %d depths exceeds the "
-                            "limit of %d ensemble members"
-                            % (p["seeds"], len(depths), MAX_MEMBERS))
+    depths = sorted(p["depth_list"])
     seeds = range(p["seed"], p["seed"] + p["seeds"])
     initials = {seed: random_field(grid, p["s"], p["amplitude"], seed,
                                    p["decay"])
                 for seed in seeds}
     tasks = [(depth, seed) for depth in depths for seed in seeds]
-    # a bad s, kappa or c_s and an overflowing reference rate fail here,
-    # before any step is taken
-    _shift_index(p["s"], p["kappa"], p["c_s"])
+    # an overflowing reference rate fails here, before any step is taken
     references = {depth: _reference_rate(depth, p["s"], p["epsilon"])
                   for depth in depths}
     # one problem per flow: one per depth under ilw, and one deep-water flow
@@ -646,7 +678,7 @@ def run_illposed(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
     grid = SpectralGrid(1.0, p["n"])
     t = p["t"]
-    adeltas = _sweep(cfg, "adelta_list")
+    adeltas = sorted(p["adelta_list"])
     wave_numbers = [adelta / p["depth"] for adelta in adeltas]
     profiles = [periodic_profile(a, p["depth"], grid) for a in wave_numbers]
     distances = distance_to_dirac(profiles, p["s"])
@@ -688,8 +720,6 @@ def run_illposed(cfg: ExperimentConfig) -> RunReport:
 
 def run_smoothing(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    if len(p["s1_list"]) != len(p["s2_list"]):
-        raise ContractError("s1_list and s2_list must pair up")
     grid = _make_grid(p)
     rows = []
     ratios = []
@@ -713,7 +743,7 @@ def run_smoothing(cfg: ExperimentConfig) -> RunReport:
 
 def run_twodepth(cfg: ExperimentConfig) -> RunReport:
     p = cfg.params
-    depths = _sweep(cfg, "min_depth_list")
+    depths = sorted(p["min_depth_list"])
     grid = _make_grid(p)
     u0 = random_field(grid, p["s_target"], p["amplitude"], p["seed"], p["decay"])
     limit_problem = make_bo_two_speed(p["c1"], p["c2"], grid)

@@ -32,6 +32,7 @@ from ilw_lab.cli import build_parser, main
 from ilw_lab.evolution import MAX_MEMBERS
 from ilw_lab.spectral import MAX_POINTS
 from ilw_lab.experiments import (
+    _CONSTRAINTS,
     _SCHEMAS,
     RunReport,
     _csv,
@@ -164,7 +165,19 @@ def test_schema_declares_the_ranges():
         ("gronwall", "samples"), ("simulate", "equation"),
         ("gronwall", "equation"), ("twodepth", "frame"), ("simulate", "depth"),
         ("smoothing", "depth_list"), ("twodepth", "min_depth_list"),
-        ("twodepth", "depth_ratio")}
+        ("twodepth", "depth_ratio"),
+        *((command, "n") for command in _SCHEMAS),
+        *((command, "length") for command in ("simulate", "beta", "gronwall",
+                                               "smoothing", "twodepth")),
+        *((command, "t_final") for command in ("simulate", "gronwall",
+                                                "twodepth")),
+        ("beta", "s"), ("beta", "kappa"), ("gronwall", "s"),
+        ("gronwall", "kappa"), ("gronwall", "c_s"),
+        *((command, key) for command in ("beta", "gronwall", "twodepth")
+          for key in ("seed", "decay", "amplitude")),
+        ("wave", "adelta"), ("wave", "s_dirac"), ("illposed", "adelta_list"),
+        ("illposed", "s"), ("illposed", "t"), ("twodepth", "c1"),
+        ("twodepth", "c2")}
 
 
 @pytest.mark.parametrize("command, key", RANGED)
@@ -189,12 +202,98 @@ def test_declared_ranges_reject_violations(tmp_path, capsys, monkeypatch,
     ("simulate", "dt", "0"), ("gronwall", "dt", "0"), ("twodepth", "dt", "0"),
     ("beta", "modes", "0"), ("simulate", "samples", "1"),
     ("gronwall", "seeds", "1"), ("gronwall", "samples", "1"),
+    *((command, "n", raw) for command in sorted(_SCHEMAS)
+      for raw in ("8", str(MAX_POINTS))),
+    *((command, key, "0") for command in ("simulate", "beta", "gronwall",
+                                          "twodepth")
+      for key in ("seed", "decay")),
+    ("simulate", "amplitude", "0"), ("beta", "amplitude", "0"),
+    ("twodepth", "c2", "0"), ("beta", "kappa", "1"), ("gronwall", "kappa", "1"),
+    # the cross-key constraints at their edges: the 64 Hardy modes of the
+    # default n = 256, and 3,333 seeds at the three default depths
+    ("beta", "modes", "2"), ("beta", "modes", "64"),
+    ("gronwall", "seeds", str(MAX_MEMBERS // 3)),
 ])
 def test_declared_ranges_admit_their_boundaries(tmp_path, command, key, raw):
     ini = tmp_path / "run.ini"
     ini.write_text("[%s]\n%s = %s\n" % (command, key, raw))
     assert load_config(command, overrides={key: raw}).params[key] == int(raw)
     assert load_config(command, str(ini)).params[key] == int(raw)
+
+
+# one violation of each cross-key constraint: the command, the key it names
+# and the settings that break it
+CONSTRAINT_VIOLATIONS = [
+    ("simulate", "seed", {"seed": "-1"}),
+    ("simulate", "amplitude", {"amplitude": "-1"}),
+    ("simulate", "decay", {"decay": "-1"}),
+    ("beta", "modes", {"modes": "65"}),
+    ("gronwall", "depth_list", {"depth_list": "1,1"}),
+    ("gronwall", "seeds", {"seeds": "5000"}),
+    ("illposed", "adelta_list", {"adelta_list": "2.8,2.8"}),
+    ("smoothing", "s1_list", {"s1_list": "3", "s2_list": "1"}),
+    ("smoothing", "s1_list", {"s1_list": "0", "s2_list": "1,2"}),
+    ("twodepth", "min_depth_list", {"min_depth_list": "10,10"}),
+]
+
+
+def test_every_constraint_has_a_violation():
+    assert {(command, key) for command, key, _ in CONSTRAINT_VIOLATIONS} == {
+        (command, key) for command, entries in _CONSTRAINTS.items()
+        for key, _, _ in entries}
+
+
+@pytest.mark.parametrize("command, key, settings", CONSTRAINT_VIOLATIONS)
+def test_constraints_reject_violations(tmp_path, capsys, monkeypatch, command,
+                                       key, settings):
+    # a broken constraint is a usage error that names its key once the
+    # config resolves, from flags and from an ini file alike; the runner is
+    # never reached
+    monkeypatch.setitem(experiments.RUNNERS, command, None)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[%s]\n" % command + "".join(
+        "%s = %s\n" % item for item in settings.items()))
+    flags = [token for name, raw in settings.items()
+             for token in ("--" + name.replace("_", "-"), raw)]
+    out = tmp_path / "x"
+    for source in (flags, ["--config", str(ini)]):
+        assert main([command, *source, "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: %s.%s " % (command, key))
+        assert err.count("\n") == 1 and not out.exists()
+
+
+def test_simulate_reads_no_seed_from_a_snapshot(tmp_path, capsys):
+    # seed, amplitude and decay make no field when --initial gives it
+    first = tmp_path / "first"
+    assert main(["simulate", "--n", "64", "--t-final", "0.01", "--outdir",
+                 str(first)]) == 0
+    for key in ("seed", "amplitude", "decay"):
+        assert main(["simulate", "--initial", str(first / "final.bin"),
+                     "--" + key, "-1", "--n", "64", "--t-final", "0.01",
+                     "--outdir", str(tmp_path / key)]) == 0
+    capsys.readouterr()
+
+
+def test_twodepth_zero_field_is_a_usage_error(tmp_path, capsys):
+    # a zero field has no deep-water gap to order: the run is not started,
+    # rather than failing its ordering check on a gap of 0 at every depth
+    out = tmp_path / "t"
+    assert main(["twodepth", "--amplitude", "0", "--n", "64", "--t-final",
+                 "0.01", "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: twodepth.amplitude must be positive: '0'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "beta"])
+def test_help_shows_each_default_and_range(capsys, command):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for key, (_, default, *declared) in _SCHEMAS[command].items():
+        shown = "; ".join(["default %r" % (default,)]
+                          + [words for words, _ in declared])
+        assert "--%s V %s" % (key.replace("_", "-"), shown) in text
 
 
 def test_cli_reads_negative_numbers_in_exponent_form(tmp_path, capsys):
@@ -368,8 +467,8 @@ def test_cli_rejects_grids_beyond_the_point_limit(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert main(argv + ["--outdir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert ("usage error: n_points = %s exceeds the limit of %d"
-            % (argv[2], MAX_POINTS)) in err
+    assert ("usage error: %s.n must be an even integer from 8 to %d: '%s'"
+            % (argv[0], MAX_POINTS, argv[2])) in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -526,9 +625,9 @@ def test_cli_usage_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--n", "4096", "--kappa", "0.5"], "kappa must be >= 1"),
-    (["--n", "4096", "--s", "-0.75"], "the weighted form needs s in (-1/2, 0)"),
-])
+    (["--n", "4096", "--kappa", "0.5"], "beta.kappa must be >= 1: '0.5'"),
+    (["--n", "4096", "--s", "-0.75"], "beta.s must lie in (-1/2, 0): '-0.75'"),
+], ids=["kappa", "s"])
 def test_beta_checks_s_and_kappa_before_it_measures(tmp_path, capsys,
                                                    monkeypatch, argv, message):
     # at n = 4096 kappa = 0.5 is not certified, so measuring first would
@@ -726,8 +825,10 @@ def test_package_has_one_failure_channel():
     (["wave", "--depth", "1e-154"], 1,
      "usage error: wave number a = 2e+154 is too large: a^2 overflows"),
     # one s1 for two s2: the sweep has no pairs to scan
-    (["smoothing", "--s1-list", "0", "--s2-list", "1,2"], 1,
-     "usage error: s1_list and s2_list must pair up"),
+    pytest.param(["smoothing", "--s1-list", "0", "--s2-list", "1,2"], 1,
+                 "usage error: smoothing.s1_list must pair up with s2_list, "
+                 "each value at most its pair: [0.0] and [1.0, 2.0]",
+                 id="smoothing-pairing"),
 ])
 def test_cli_extreme_depths_exit_without_traceback(tmp_path, capsys, argv,
                                                    code, line):
@@ -763,12 +864,13 @@ def test_cli_repeated_sweep_value_is_a_usage_error(tmp_path, capsys, argv,
 
 
 def test_cli_beta_needs_two_hardy_modes(tmp_path, capsys):
-    # one mode would put the frequency cut at 0; the error names the count,
-    # not a parameter the command line never set
+    # one mode would put the frequency cut at 0; the schema's range names
+    # beta.modes, not the count that the library checks
     out = tmp_path / "one"
     assert main(["beta", "--modes", "1", "--outdir", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: need at least 2 Hardy modes, got 1")
+    assert err.startswith("usage error: beta.modes must be 0 (every mode) or "
+                          ">= 2: '1'")
     assert "Traceback" not in err
     assert not out.exists()
     assert main(["beta", "--modes", "2", "--outdir",
@@ -1038,7 +1140,8 @@ def test_gronwall_rejects_empty_ensemble(tmp_path, capsys, extra):
 def test_gronwall_rejects_zero_initial_data(tmp_path, capsys):
     out = tmp_path / "g"
     assert main(GRONWALL_ARGS + ["--amplitude", "0", "--outdir", str(out)]) == 1
-    assert "zero weighted form" in capsys.readouterr().err
+    assert "usage error: gronwall.amplitude must be positive: '0'" \
+        in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 
@@ -1515,8 +1618,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # each run must give (None where none is checked); each usage error writes
 # to ``--outdir usage``.  The CI workflow's numpy-only leg runs these with
 # scipy absent, and its last step calls the installed script for six of
-# them: one per exit code, the c_s that the gronwall runner rejects and
-# the unknown equation that the gronwall schema rejects
+# them: one per exit code, and the c_s and the unknown equation that the
+# gronwall schema rejects
 SMOKE_RUNS = [
     ("simulate --n 64 --t-final 0.05 --outdir simulate", 0, None),
     # at depth 1e-6 the Hamiltonian identity misses its tolerance: a failed
@@ -1584,6 +1687,18 @@ def test_ci_smoke_step_runs_in_process(tmp_path, capsys, monkeypatch, argv,
         assert failed_lines == []
     outdir = tmp_path / argv.split("--outdir ")[1]
     assert (outdir / "report.json").is_file() == (exit_code in (0, 3))
+
+
+def test_readme_lists_every_declared_range():
+    # the range table of "Command line" in the schema's words: one row per
+    # command and range, with the keys that share it
+    rows = re.findall(r"^\| `(\w+)` \| ((?:`\w+`(?:, )?)+) \| (.+?) \|$",
+                      (ROOT / "README.md").read_text(), re.M)
+    listed = [(command, key, words) for command, keys, words in rows
+              for key in re.findall(r"`(\w+)`", keys)]
+    assert len(listed) == len(set(listed)) == len(RANGED)
+    assert set(listed) == {(command, key, _SCHEMAS[command][key][2][0])
+                           for command, key in RANGED}
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):

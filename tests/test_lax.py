@@ -1837,6 +1837,16 @@ def test_gronwall_experiment_validation():
         gronwall_experiment(u0, make_ilw(1.0, grid), -0.25, 32.0, n_samples=0)
 
 
+def test_gronwall_ensemble_rejects_zero_initial_data():
+    # a zero field has form(kappa; u0) = 0, so there is no growth to fit;
+    # the command line rejects gronwall --amplitude 0 by its declared range
+    grid = SpectralGrid(TWO_PI, 64)
+    zero = random_field(grid, -0.25, 0.0, 1)
+    with pytest.raises(ContractError, match="zero weighted form"):
+        gronwall_ensemble([zero], [make_ilw(1.0, grid)], -0.25, 32.0,
+                          t_final=0.01, dt=1e-3, n_samples=2)
+
+
 @pytest.mark.filterwarnings("ignore:advisory CFL")
 def test_gronwall_experiment_rejects_inadmissible_shift():
     # kappa = 2 clears lambda_min but not the norm threshold: the run is
