@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import json
+import operator
 import struct
 import time
 from dataclasses import dataclass, field
@@ -44,6 +45,7 @@ from .spectral import HERMITIAN_RTOL, MAX_POINTS, RealField, SpectralGrid, \
     sobolev_norms
 from .symbols import smoothing_bound, smoothing_operator_scan
 from .waves import (
+    ADELTA_MAX,
     distance_to_dirac,
     illposed_observables,
     lattice_profile,
@@ -57,12 +59,72 @@ _SNAPSHOT_MAGIC = b"ILW1"
 
 # -- seeded data ---------------------------------------------------------------
 
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _uniform_phases(seed: int, count: int) -> np.ndarray:
+    """numpy's ``default_rng(seed).uniform(0.0, 2*pi, count)``, bit for bit,
+    without importing numpy's random package, which imports ``secrets`` and
+    OpenSSL (about 6 MiB of memory in every process that draws a field).
+
+    numpy's ``SeedSequence`` hashes the seed's 32-bit words into a pool of
+    four and draws four 64-bit words from it; they seed PCG64's state and
+    increment (O'Neill, HMC-CS-2014-0905).  Each draw is one 128-bit LCG
+    step in Python, 0.3-0.6 us; the XSL-RR output and its 53-bit double
+    are then taken over every state at once.
+    """
+    seed = operator.index(seed)
+    entropy = [seed >> 32 * i & _MASK32
+               for i in range(max(1, -(-seed.bit_length() // 32)))]
+    hash_const = 0x43b0d7e5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931e8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xca01f9dd * x - 0x4973f715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = 0x8b51f9dd, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58f38ded & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    w0, w1, w2, w3 = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    states = []
+    for _ in range(count):
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        states.append(state.to_bytes(16, "little"))
+    low, high = np.frombuffer(b"".join(states), dtype="<u8").reshape(-1, 2).T
+    x, rot = high ^ low, high >> 58
+    out = x >> rot | x << (-rot & 63)
+    # numpy's 0.0 + 2*pi*u is 2*pi*u for u >= 0
+    return 2.0 * np.pi * ((out >> 11) * (1.0 / 9007199254740992.0))
+
+
 def random_field(grid: SpectralGrid, s_target: float, amplitude: float,
                  seed: int, decay: float = 0.0) -> RealField:
     """Rough random data with coefficient law amplitude*(1+|xi|)^(-r).
 
     r = |s_target| + 0.6 places the field just below H^{s_target} in the
-    large-N limit.  Phases come from one seeded generator; the zero mode
+    large-N limit.  The phases are numpy's
+    ``default_rng(seed).uniform(0, 2*pi, N/2)``; the zero mode
     takes amplitude*cos(theta_0) so the field stays real.  ``decay > 0``
     multiplies exp(-decay*|xi|), giving the analytic variants needed by the
     tight conservation experiments.
@@ -73,9 +135,8 @@ def random_field(grid: SpectralGrid, s_target: float, amplitude: float,
         raise ContractError("decay must be nonnegative")
     if seed < 0:
         raise ContractError("seed must be nonnegative")
-    rng = np.random.default_rng(seed)
     half = grid.n_points // 2
-    theta = rng.uniform(0.0, 2.0 * np.pi, half)
+    theta = _uniform_phases(seed, half)
     r = abs(s_target) + 0.6
     xi = np.abs(grid.frequencies[1:half])
     mag = amplitude * (1.0 + xi) ** (-r)
@@ -146,6 +207,9 @@ _GRID = ("must be an even integer from 8 to %d" % MAX_POINTS,
 _WEIGHT_S = ("must lie in (-1/2, 0)", lambda v: -0.5 < v < 0)
 _DIRAC_S = ("must be below -1/2", lambda v: v < -0.5)
 _STEP = ("must be >= 0 (0 selects the default step)", lambda v: v >= 0)
+# the profile denominators degenerate at a*depth = pi; ``waves`` still
+# checks the product a*depth, which can round across the bound
+_ADELTA = ("must be below pi - 1e-3", lambda v: v < ADELTA_MAX)
 _EQUATION = ("must be 'ilw' or 'bo'", lambda v: v in ("ilw", "bo"))
 
 # how a flag or an ini value is read, by kind; a ValueError rejects it
@@ -179,7 +243,7 @@ _SCHEMAS = {
     },
     "wave": {
         "depth": ("float", 1.0, _POSITIVE),
-        "adelta": ("float", 2.0, _POSITIVE),
+        "adelta": ("float", 2.0, _POSITIVE, _ADELTA),
         "n": ("int", 1024, _GRID),
         "s_dirac": ("float", -0.6, _DIRAC_S),
     },
@@ -217,7 +281,8 @@ _SCHEMAS = {
     },
     "illposed": {
         "depth": ("float", 1.0, _POSITIVE),
-        "adelta_list": ("float_list", [2.8, 3.0, 3.1, 3.14], _POSITIVE),
+        "adelta_list": ("float_list", [2.8, 3.0, 3.1, 3.14], _POSITIVE,
+                        _ADELTA),
         "s": ("float", -0.6, _DIRAC_S),
         "t": ("float", 1.0, _NONZERO),
         "alpha": ("float", 0.5),

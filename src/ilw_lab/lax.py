@@ -262,7 +262,8 @@ def _lanczos(lax: LaxTruncation, kappa: float) -> tuple:
     The matvec is a circulant embedding of size 2m of the Toeplitz part,
     applied by FFT, plus the diagonal D, so no m x m matrix is built; it
     runs on two (rows, 2m) buffers allocated once per run (``_apply_lax``),
-    the current basis vector sitting in the zero-tailed input.  Only q_k and
+    the current basis vector sitting in the zero-tailed input, and the
+    three-term update on (rows, m) arrays also allocated once.  Only q_k and
     q_{k-1} are kept: no basis is stored and none is reorthogonalized.  For
     the Gauss rule of a smooth function such as 1/(lambda + tau) on a
     certified shift the plain recurrence is stable in finite precision,
@@ -310,12 +311,16 @@ def _lanczos(lax: LaxTruncation, kappa: float) -> tuple:
     alpha, beta = np.zeros((rows, m)), np.zeros((rows, m))
     steps = np.zeros(rows, dtype=int)
     q_prev, beta_prev = np.zeros_like(q), np.zeros(rows)
+    recurrence, previous = np.empty_like(q_prev), np.empty_like(q_prev)
     for k in range(m):
         if not running.any():
             break
         w = _apply_lax(padded, spectrum, symbol, freqs)
         a_k = np.vecdot(q, w).real
-        w -= a_k[:, None] * q + beta_prev[:, None] * q_prev
+        np.multiply(a_k[:, None], q, out=recurrence)
+        np.multiply(beta_prev[:, None], q_prev, out=previous)
+        recurrence += previous
+        w -= recurrence
         b_k = np.sqrt(np.vecdot(w, w).real)
         alpha[running, k], beta[running, k] = a_k[running], b_k[running]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -337,7 +342,8 @@ def _lanczos(lax: LaxTruncation, kappa: float) -> tuple:
                               | (b_k <= tiny) | (k + 1 == m))
         steps[done] = k + 1
         running &= ~done
-        q_prev, beta_prev = q.copy(), b_k
+        np.copyto(q_prev, q)
+        beta_prev = b_k
         # a stopped row keeps its vector: its beta may be 0 (breakdown)
         np.divide(w, b_k[:, None], out=q, where=running[:, None])
     return alpha, beta, steps

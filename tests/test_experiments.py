@@ -31,6 +31,7 @@ from ilw_lab import experiments
 from ilw_lab.cli import build_parser, main
 from ilw_lab.evolution import MAX_MEMBERS
 from ilw_lab.spectral import MAX_POINTS
+from ilw_lab.waves import ADELTA_MAX
 from ilw_lab.experiments import (
     _CONSTRAINTS,
     _SCHEMAS,
@@ -65,6 +66,48 @@ def test_random_field_coefficient_law():
     assert abs(u.coeffs[0]) <= amplitude
     assert u.coeffs[64] == 0.0  # unpaired slot stays empty
     assert np.max(np.abs(u.samples().imag)) == 0.0
+
+
+# 2**160 + 7 has more 32-bit words than SeedSequence's pool of four
+@pytest.mark.parametrize("seed", [0, 1, 12, 2**32 - 1, 2**32, 2**64 + 3,
+                                  10**30, 2**160 + 7, np.int64(12)])
+@pytest.mark.parametrize("n", [8, 256, 4096])
+@pytest.mark.parametrize("decay", [0.0, 0.1])
+def test_random_field_draws_numpys_stream(seed, n, decay):
+    # the phases are numpy's default_rng(seed).uniform(0, 2*pi, n/2) bit for
+    # bit, though the library never imports numpy.random
+    grid = SpectralGrid(2 * np.pi, n)
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n // 2)
+    xi = np.abs(grid.frequencies[1:n // 2])
+    mag = 0.4 * (1.0 + xi) ** (-0.85)
+    if decay > 0.0:
+        mag = mag * np.exp(-decay * xi)
+    expected = np.zeros(n // 2 + 1, dtype=np.complex128)
+    expected[0] = 0.4 * np.cos(theta[0])
+    expected[1:n // 2] = mag * np.exp(1j * theta[1:])
+    assert np.array_equal(random_field(grid, -0.25, 0.4, seed, decay).coeffs,
+                          expected)
+
+
+def test_seeded_runs_never_import_numpy_random(tmp_path):
+    # random_field draws its stream without numpy.random, whose import
+    # brings in secrets and OpenSSL's _hashlib
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "\n".join([
+        "import sys",
+        "from ilw_lab import cli",
+        "assert cli.main(['beta', '--n', '64', '--outdir', 'b']) == 0",
+        "assert cli.main(['gronwall', '--n', '64', '--seeds', '1',"
+        " '--samples', '2', '--t-final', '0.01', '--outdir', 'g']) == 0",
+        "print(sorted({'numpy.random', 'secrets', '_hashlib'}"
+        " & set(sys.modules)))"])
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_random_field_validation():
@@ -860,6 +903,40 @@ def test_cli_repeated_sweep_value_is_a_usage_error(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("usage error: %s repeats a value: [" % key)
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, raw", [
+    ("wave", "adelta", "3.2"), ("illposed", "adelta_list", "2.8,3.2"),
+    ("wave", "adelta", repr(ADELTA_MAX))])
+def test_cli_adelta_at_or_above_its_bound_names_the_flag(tmp_path, capsys,
+                                                         command, key, raw):
+    # the declared range names the flag, from a flag and from an ini file,
+    # before the library checks the product a*depth
+    ini = tmp_path / "run.ini"
+    ini.write_text("[%s]\n%s = %s\n" % (command, key, raw))
+    out = tmp_path / "run"
+    for source in (["--" + key.replace("_", "-"), raw], ["--config", str(ini)]):
+        assert main([command, *source, "--outdir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: %s.%s must be below pi - 1e-3: '%s'\n" % (
+            command, key, raw)
+        assert not out.exists()
+
+
+def test_cli_adelta_below_its_bound_is_still_checked_as_a_product(tmp_path,
+                                                                  capsys):
+    # the largest adelta below the bound passes the range, but at depth 0.3
+    # a*depth = (adelta/0.3)*0.3 rounds up to the bound, which the library
+    # rejects
+    adelta = float(np.nextafter(ADELTA_MAX, 0.0))
+    assert (adelta / 0.3) * 0.3 >= ADELTA_MAX
+    out = tmp_path / "run"
+    assert main(["wave", "--depth", "0.3", "--adelta", repr(adelta),
+                 "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: a*depth = 3.140593 is outside the "
+                          "supported regime (< pi - 1e-3)")
     assert not out.exists()
 
 
@@ -1691,14 +1768,16 @@ def test_ci_smoke_step_runs_in_process(tmp_path, capsys, monkeypatch, argv,
 
 def test_readme_lists_every_declared_range():
     # the range table of "Command line" in the schema's words: one row per
-    # command and range, with the keys that share it
+    # command and range, with the keys that share it; a key with two ranges
+    # (adelta) is listed under each
     rows = re.findall(r"^\| `(\w+)` \| ((?:`\w+`(?:, )?)+) \| (.+?) \|$",
                       (ROOT / "README.md").read_text(), re.M)
     listed = [(command, key, words) for command, keys, words in rows
               for key in re.findall(r"`(\w+)`", keys)]
-    assert len(listed) == len(set(listed)) == len(RANGED)
-    assert set(listed) == {(command, key, _SCHEMAS[command][key][2][0])
-                           for command, key in RANGED}
+    declared = [(command, key, words) for command, key in RANGED
+                for words, _ in _SCHEMAS[command][key][2:]]
+    assert len(listed) == len(set(listed)) == len(declared)
+    assert set(listed) == set(declared)
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
