@@ -9,9 +9,14 @@ exponential time integration with conserved-quantity monitors
 functionals (`lax`), and deterministic batch experiments behind the
 ``ilw-lab`` command (`experiments`, `cli`).
 
-The package holds what the commands run.  Closed forms that only the tests
-compare against, such as the line soliton, the derivation identities of the
-periodized wave and the bare Hilbert and coth symbols, live with the tests.
+The package holds what the commands run, and each quantity has one route.
+Closed forms that only the tests compare against, such as the line soliton,
+the derivation identities of the periodized wave and the bare Hilbert and
+coth symbols, live with the tests.  A route that is one numpy call is made
+by its caller: the Hardy data of a field is the prefix ``u.coeffs[:m]`` of
+its half spectrum, a resolvent state is synthesized on the grid by one
+zero-padding inverse FFT (``ResolventState.samples``), and a field's
+Sobolev norm is ``sobolev_norms(u.grid, u.coeffs, index)``.
 """
 
 from .errors import BlowUpError, ContractError, KappaTooSmallError, NumericalError
@@ -31,7 +36,6 @@ from .evolution import (
     make_two_depth,
     mass,
     relative_drift,
-    rhs,
     step_count,
 )
 from .experiments import (
@@ -41,7 +45,6 @@ from .experiments import (
     random_field,
     read_snapshot,
     run,
-    write_snapshot,
 )
 from .lax import (
     GrowthReport,
@@ -68,17 +71,12 @@ from .spectral import (
     SobolevIndex,
     SpectralGrid,
     forward_transform,
-    hardy_embed,
-    hardy_project,
     multiplier_apply,
-    sobolev_norm,
     sobolev_norms,
-    synthesize,
 )
 from .symbols import (
     SmoothingScan,
     apply_smoothing_dx,
-    depth_dispersion_symbol,
     smoothing_operator_scan,
     smoothing_symbol,
 )

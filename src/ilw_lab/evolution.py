@@ -26,9 +26,8 @@ import numpy as np
 from .errors import BlowUpError, ContractError
 from .spectral import RealField, SpectralGrid, _zero_padded
 from .symbols import (
-    coth_dx2_symbol,
+    coth_dx_symbol,
     depth_dispersion_dx_symbol,
-    hilbert_dx2_symbol,
     smoothing_symbol,
 )
 
@@ -134,7 +133,8 @@ def make_two_depth(c1: float, c2: float, depth1: float, depth2: float,
     if frame not in ("renormalized", "original"):
         raise ContractError("frame must be 'renormalized' or 'original'")
     xi = grid.frequencies
-    sym = c1 * coth_dx2_symbol(xi, depth1) + c2 * coth_dx2_symbol(xi, depth2)
+    sym = (c1 * (1j * xi * coth_dx_symbol(xi, depth1))
+           + c2 * (1j * xi * coth_dx_symbol(xi, depth2)))
     if frame == "original":
         gamma = c1 / depth1 + c2 / depth2
         sym = sym - 1j * gamma * xi
@@ -145,7 +145,8 @@ def make_bo_two_speed(c1: float, c2: float, grid: SpectralGrid) -> EvolutionProb
     """Deep-water limit of the two-depth problem: (c1 + c2) * i*xi*|xi|."""
     if c1 <= 0 or c2 < 0:
         raise ContractError("two-depth weights need c1 > 0, c2 >= 0")
-    sym = (c1 + c2) * hilbert_dx2_symbol(grid.frequencies)
+    xi = grid.frequencies
+    sym = (c1 + c2) * (1j * xi * np.abs(xi))
     return EvolutionProblem(grid=grid, linear_symbol=sym, energy_symbol=None)
 
 
@@ -166,16 +167,6 @@ def _nonlinear_coeffs(problem: EvolutionProblem, band: np.ndarray,
     spectrum = np.fft.rfft(real, out=spectrum)
     return np.multiply(spectrum[..., :band.shape[-1]], problem.quadratic_factor,
                        out=out)
-
-
-def rhs(problem: EvolutionProblem, state: RealField) -> RealField:
-    """Full semi-discrete right-hand side at a state."""
-    if state.grid != problem.grid:
-        raise ContractError("state grid does not match the problem grid")
-    out = problem.linear_symbol * state.coeffs
-    width = problem.quadratic_factor.shape[0]
-    out[:width] += _nonlinear_coeffs(problem, state.coeffs[:width])
-    return RealField(problem.grid, out)
 
 
 def default_dt(problem: EvolutionProblem, state: RealField) -> float:

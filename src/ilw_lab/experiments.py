@@ -162,10 +162,6 @@ def snapshot_bytes(state: RealField) -> bytes:
             + full.astype("<c16").tobytes())
 
 
-def write_snapshot(path, state: RealField):
-    Path(path).write_bytes(snapshot_bytes(state))
-
-
 def read_snapshot(path) -> RealField:
     try:
         data = Path(path).read_bytes()
@@ -529,8 +525,9 @@ def run_simulate(cfg: ExperimentConfig) -> RunReport:
     grid = _make_grid(p)
     state = _initial_state(p, grid)
     problem = make_problem(p["equation"], p["depth"], grid)
-    dt = p["dt"] or default_step(problem, state, p["t_final"])
-    n_steps, _ = step_count(p["t_final"], dt)
+    # the report gives the step the run takes, rounded to land on t_final
+    n_steps, dt = step_count(
+        p["t_final"], p["dt"] or default_step(problem, state, p["t_final"]))
     trajectory = evolve(problem, state, p["t_final"], dt, p["samples"])
     names = sorted(trajectory.diagnostics)
     files = {

@@ -83,15 +83,7 @@ import numpy as np
 
 from .errors import ContractError, KappaTooSmallError, NumericalError
 from .evolution import EvolutionProblem, default_step, etdrk4_samples
-from .spectral import (
-    RealField,
-    SobolevIndex,
-    SpectralGrid,
-    hardy_embed,
-    hardy_project,
-    sobolev_norms,
-    synthesize,
-)
+from .spectral import RealField, SobolevIndex, SpectralGrid, sobolev_norms
 from .symbols import apply_smoothing_dx
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]: the left half and
@@ -615,7 +607,9 @@ class ResolventState:
 
     @cached_property
     def samples(self) -> np.ndarray:
-        return synthesize(self.grid, hardy_embed(self.grid, self.coeffs))
+        # ifft zero-pads the Hardy coefficients onto the full lattice
+        n = self.grid.n_points
+        return np.fft.ifft(self.coeffs, n) * (n / self.grid.length)
 
     @cached_property
     def gradient(self) -> np.ndarray:
@@ -628,7 +622,7 @@ class ResolventState:
         two integrates -u*m over the period on the grid.  They agree to
         rounding because m has no negative frequencies.
         """
-        g = hardy_project(u)[: self.coeffs.shape[0]]
+        g = u.coeffs[: self.coeffs.shape[0]]
         route_coeff = -np.vdot(g, self.coeffs) / self.grid.length
         route_phys = -np.sum(u.samples() * self.samples) * self.grid.spacing
         if abs(route_coeff.imag) > 1e-11 * (1.0 + abs(route_coeff.real)):

@@ -1,6 +1,5 @@
-"""Periodic spectral grids, transforms, weighted Sobolev norms of real
-fields, and the nonnegative-frequency (Hardy) projection with its embedding
-back into a full spectrum.
+"""Periodic spectral grids, transforms, weighted Sobolev norms and Fourier
+multipliers of real fields.
 
 Conventions.  On a period-``L`` domain the transform pair is
 
@@ -212,16 +211,6 @@ def forward_transform(samples: np.ndarray, grid: SpectralGrid) -> RealField:
     return RealField(grid, coeffs)
 
 
-def synthesize(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Complex-valued synthesis u(x_j) = (1/L) sum u_hat(xi) exp(i xi x_j)
-    of each full FFT-order spectrum along the last axis of ``coeffs``; a
-    row's values do not depend on the rest of the stack."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape[-1:] != (grid.n_points,):
-        raise ContractError("coefficient array must have shape (..., n_points)")
-    return np.fft.ifft(coeffs) * (grid.n_points / grid.length)
-
-
 @dataclass(frozen=True)
 class SobolevIndex:
     """Regularity s with an inflation parameter kappa >= 1.
@@ -246,38 +235,13 @@ class SobolevIndex:
         return np.sqrt(self.kappa ** 2 + np.asarray(xi) ** 2)
 
 
-def sobolev_norm(field: RealField, index: SobolevIndex) -> float:
-    """Weighted norm (1/L * sum <xi>_kappa^(2s) |u_hat|^2)^(1/2)."""
-    return float(sobolev_norms(field.grid, field.coeffs, index))
-
-
 def sobolev_norms(grid: SpectralGrid, coeffs: np.ndarray,
                   index: SobolevIndex) -> np.ndarray:
-    """``sobolev_norm`` of each half spectrum along the last axis of
-    ``coeffs``; a row's value does not depend on the rest of the stack."""
+    """Weighted norm (1/L * sum <xi>_kappa^(2s) |u_hat|^2)^(1/2) of each
+    half spectrum along the last axis of ``coeffs``; a row's value does not
+    depend on the rest of the stack."""
     w = grid.multiplicity * index.bracket(grid.frequencies) ** (2.0 * index.s)
     return np.sqrt((w * np.abs(coeffs) ** 2).sum(axis=-1) / grid.length)
-
-
-def hardy_project(field: RealField) -> np.ndarray:
-    """Coefficients on the nonnegative half-lattice xi = 0, xi_1, ...
-
-    The zero mode is kept; the Nyquist slot (shared by +-xi_N) is dropped.
-    Frequencies ascend with the index, matching
-    ``field.grid.frequencies[: n_points // 2]``.
-    """
-    return field.coeffs[: field.grid.n_points // 2].copy()
-
-
-def hardy_embed(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Place each one-sided coefficient vector along the last axis of
-    ``coeffs`` into a full FFT-order array of the same leading shape."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape[-1] > grid.n_points // 2:
-        raise ContractError("one-sided vector longer than the Hardy lattice")
-    out = np.zeros(coeffs.shape[:-1] + (grid.n_points,), dtype=np.complex128)
-    out[..., : coeffs.shape[-1]] = coeffs
-    return out
 
 
 def multiplier_apply(field: RealField, symbol) -> RealField:

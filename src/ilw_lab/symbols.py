@@ -41,11 +41,6 @@ def _coth_minus_inverse(xi, depth: float) -> np.ndarray:
     return np.where(np.abs(y) < _SERIES_CUT, series, direct)
 
 
-def depth_dispersion_symbol(xi, depth: float) -> np.ndarray:
-    """-i*(coth(depth*xi) - 1/(depth*xi)), removable value 0 at xi = 0."""
-    return -1j * _coth_minus_inverse(xi, depth)
-
-
 def smoothing_symbol(xi, depth: float) -> np.ndarray:
     """Real even symbol 2|xi| / (exp(2*depth*|xi|) - 1); value 1/depth at 0.
 
@@ -81,18 +76,6 @@ def depth_dispersion_dx_symbol(xi, depth: float) -> np.ndarray:
     as xi times the multiplier so that no 1/depth cancels."""
     xi = np.asarray(xi, dtype=float)
     return xi * _coth_minus_inverse(xi, depth)
-
-
-def coth_dx2_symbol(xi, depth: float) -> np.ndarray:
-    """i*xi^2*coth(depth*xi); removable value 0 at xi = 0 (odd imaginary)."""
-    xi = np.asarray(xi, dtype=float)
-    return 1j * xi * coth_dx_symbol(xi, depth)
-
-
-def hilbert_dx2_symbol(xi) -> np.ndarray:
-    """i*xi*|xi|, the deep-water counterpart of the dx2 symbols."""
-    xi = np.asarray(xi, dtype=float)
-    return 1j * xi * np.abs(xi)
 
 
 def apply_smoothing_dx(field: RealField, depth: float) -> RealField:

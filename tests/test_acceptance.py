@@ -20,7 +20,7 @@ from ilw_lab import (
     relative_drift,
     resolvent_form,
     resolvent_state,
-    sobolev_norm,
+    sobolev_norms,
     weighted_resolvent_form,
 )
 from ilw_lab.experiments import load_config, run
@@ -191,7 +191,7 @@ def test_criterion_8_norm_equivalence():
         amplitude = 0.1 + 0.4 * ((seed * 2654435761) % 1000) / 1000.0
         u = random_field(grid, -0.25, amplitude, seed, decay=0.15)
         beta = weighted_resolvent_form(u, 32.0, -0.25).value
-        norm = sobolev_norm(u, SobolevIndex(-0.25, 32.0))
+        norm = sobolev_norms(grid, u.coeffs, SobolevIndex(-0.25, 32.0))
         ratios.append(beta / norm ** 2)
     ratios = np.array(ratios)
     constant = float(max(ratios.max(), 1.0 / ratios.min()))

@@ -22,15 +22,13 @@ from ilw_lab import (
     mass,
     random_field,
     relative_drift,
-    rhs,
     step_count,
 )
 from ilw_lab import evolution
 from ilw_lab.spectral import MAX_POINTS
 from ilw_lab.symbols import (
-    coth_dx2_symbol,
+    coth_dx_symbol,
     depth_dispersion_dx_symbol,
-    hilbert_dx2_symbol,
     smoothing_symbol,
 )
 from ilw_lab.waves import periodic_profile, periodic_speed
@@ -96,7 +94,8 @@ def test_deep_water_symbol_limit():
 def test_two_depth_degenerate_reduction():
     grid = SpectralGrid(1.0, 128)
     problem = make_two_depth(0.7, 0.0, 2.0, 5.0, grid)
-    single = 0.7 * coth_dx2_symbol(grid.frequencies, 2.0)
+    xi = grid.frequencies
+    single = 0.7 * (1j * xi * coth_dx_symbol(xi, 2.0))
     single[grid.nyquist_index] = 0.0
     assert np.max(np.abs(problem.linear_symbol - single)) == 0.0
     # the dormant depth2 leaves no trace
@@ -135,12 +134,21 @@ def test_problem_validation():
 
 
 # ------------------------------------------------------------------ rhs
+# the right-hand side is linear_symbol * u plus the quadratic term that the
+# stepper runs, ``_nonlinear_coeffs``, on the 2/3 band; past the band that
+# term is exactly 0
+
+def _band(problem, u):
+    return u.coeffs[: problem.quadratic_factor.shape[0]]
+
 
 def test_rhs_zero_state():
     grid = SpectralGrid(1.0, 64)
     problem = make_ilw(1.0, grid)
-    out = rhs(problem, zero_field(grid))
-    assert np.max(np.abs(out.coeffs)) == 0.0
+    zero = zero_field(grid)
+    assert np.max(np.abs(problem.linear_symbol * zero.coeffs)) == 0.0
+    out = evolution._nonlinear_coeffs(problem, _band(problem, zero))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_rhs_single_mode_support():
@@ -149,10 +157,9 @@ def test_rhs_single_mode_support():
     problem = make_bo(grid)
     eps = 1e-3
     u = forward_transform(2.0 * eps * np.cos(TWO_PI * grid.nodes), grid)
-    out = rhs(problem, u)
-    nonlinear = out.coeffs - problem.linear_symbol * u.coeffs
+    nonlinear = evolution._nonlinear_coeffs(problem, _band(problem, u))
     allowed = {0, 2}
-    for i in range(33):
+    for i in range(nonlinear.shape[0]):
         if i not in allowed:
             assert abs(nonlinear[i]) < 1e-18
     # d/dx kills the zero mode too
@@ -163,11 +170,11 @@ def test_rhs_single_mode_support():
 def test_rhs_has_zero_mean():
     grid = SpectralGrid(1.0, 64)
     problem = make_ilw(0.5, grid)
+    assert problem.linear_symbol[0] == 0.0
     for seed in range(5):
         u = random_field(grid, -0.25, 0.5, seed)
-        assert rhs(problem, u).coeffs[0] == 0.0
-    with pytest.raises(ContractError):
-        rhs(problem, zero_field(SpectralGrid(1.0, 128)))
+        out = evolution._nonlinear_coeffs(problem, _band(problem, u))
+        assert out[0] == 0.0
 
 
 # ------------------------------------------------------------------ evolve
@@ -234,16 +241,36 @@ def test_advisory_cfl_warning_fires():
         evolve(make_bo(grid), u0, 2e-3, dt=1e-3)
 
 
+def test_blow_up_above_the_finite_level_reports_its_sup_norm(monkeypatch):
+    # with the level at twice the initial sup-norm, a finite state crosses
+    # it: the finite check reports that state's sup-norm, not inf
+    monkeypatch.setattr(evolution, "_BLOWUP_FACTOR", 2.0)
+    grid = SpectralGrid(1.0, 64)
+    u0 = forward_transform(5.0 * np.cos(TWO_PI * grid.nodes), grid)
+    with pytest.raises(BlowUpError, match="^solution blow-up at t=") as info:
+        with pytest.warns(RuntimeWarning, match="advisory CFL"):
+            evolve(make_bo(grid), u0, 1.0, 1e-2, 10)
+    assert 0.0 < info.value.time < 1.0
+    assert np.isfinite(info.value.sup_norm)
+    assert info.value.sup_norm > 2.0 * u0.sup_norm()
+
+
 def test_evolve_validation():
     grid = SpectralGrid(1.0, 64)
     problem = make_ilw(1.0, grid)
     u0 = zero_field(grid)
-    with pytest.raises(ContractError):
-        evolve(problem, u0, -1.0)
+    # the message of step_count alone: no default step is appended to it
+    for t_final in (-1.0, 0.0):
+        with pytest.raises(ContractError, match="^t_final must be positive$"):
+            evolve(problem, u0, t_final)
     with pytest.raises(ContractError):
         evolve(problem, u0, 1.0, dt=0.0)
     with pytest.raises(ContractError):
         evolve(problem, zero_field(SpectralGrid(1.0, 128)), 1.0)
+    # the same n on another period: no sample is taken on the wrong grid
+    with pytest.raises(ContractError, match="^initial state grid does not "
+                       "match the problem grid$"):
+        evolve(problem, zero_field(SpectralGrid(2.0, 64)), 1.0, 1e-1)
     with pytest.raises(ContractError, match="limit"):
         evolve(problem, u0, 1e300)
 
@@ -402,14 +429,17 @@ def test_rhs_matches_the_masked_quadratic_term():
     grid = SpectralGrid(TWO_PI, 256)
     problem = make_ilw(1.0, grid)
     u = random_field(grid, -0.25, 0.4, 3, decay=0.25)
-    expected = problem.linear_symbol * u.coeffs \
-        + _masked_quadratic_term(grid, u.coeffs)
-    got = rhs(problem, u).coeffs
-    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
-    # past the band only the linear part acts, bit for bit
+    masked = _masked_quadratic_term(grid, u.coeffs)
+    expected = problem.linear_symbol * u.coeffs + masked
+    got = evolution._nonlinear_coeffs(problem, _band(problem, u))
+    width = got.shape[0]
+    assert np.max(np.abs(got - masked[:width])) \
+        <= 1e-14 * np.max(np.abs(expected))
+    # past the band only the linear part acts: the band is the mask, and
+    # the masked term is 0 past it
     outside = ~_dealias_mask(grid)
-    assert np.all(got[outside]
-                  == problem.linear_symbol[outside] * u.coeffs[outside])
+    assert not outside[:width].any() and outside[width:].all()
+    assert not masked[outside].any()
 
 
 def test_batched_stepper_checks_each_row():
@@ -494,7 +524,7 @@ def test_problems_carry_the_energy_symbol_of_their_flow():
     for problem, energy, linear in (
             (make_ilw(0.7, grid), depth_dispersion_dx_symbol(xi, 0.7),
              depth_dispersion_dx2_symbol(xi, 0.7)),
-            (make_bo(grid), np.abs(xi), hilbert_dx2_symbol(xi))):
+            (make_bo(grid), np.abs(xi), 1j * xi * np.abs(xi))):
         assert problem.energy_symbol.tobytes() == energy.tobytes()
         assert problem.energy_symbol[nyquist] == energy[nyquist] != 0.0
         assert not problem.energy_symbol.flags.writeable

@@ -41,7 +41,7 @@ from ilw_lab.experiments import (
     load_config,
     read_snapshot,
     run,
-    write_snapshot,
+    snapshot_bytes,
 )
 
 
@@ -128,7 +128,7 @@ def test_snapshot_round_trip(tmp_path):
     grid = SpectralGrid(3.5, 64)
     u = random_field(grid, -0.25, 0.4, 3, decay=0.1)
     path = tmp_path / "state.bin"
-    write_snapshot(path, u)
+    path.write_bytes(snapshot_bytes(u))
     back = read_snapshot(path)
     assert back.grid == grid
     assert np.array_equal(back.coeffs, u.coeffs)
@@ -143,7 +143,7 @@ def test_snapshot_rejects_corruption(tmp_path):
     grid = SpectralGrid(1.0, 32)
     u = random_field(grid, -0.25, 0.4, 3)
     path = tmp_path / "state.bin"
-    write_snapshot(path, u)
+    path.write_bytes(snapshot_bytes(u))
     raw = path.read_bytes()
     bad_magic = tmp_path / "magic.bin"
     bad_magic.write_bytes(b"XXXX" + raw[4:])
@@ -316,6 +316,26 @@ def test_simulate_reads_no_seed_from_a_snapshot(tmp_path, capsys):
                      "--" + key, "-1", "--n", "64", "--t-final", "0.01",
                      "--outdir", str(tmp_path / key)]) == 0
     capsys.readouterr()
+
+
+def test_simulate_reports_the_step_it_took(tmp_path, capsys):
+    # 0.1 / 0.003 rounds to 33 steps, so each step is 0.1 / 33, not 0.003
+    out = tmp_path / "rounded"
+    assert main(["simulate", "--n", "64", "--t-final", "0.1", "--dt", "0.003",
+                 "--outdir", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["steps"] == 33
+    assert report["dt"] == 0.1 / 33
+
+
+def test_cli_empty_list_is_a_usage_error(tmp_path, capsys):
+    # a list flag that holds no value names its key, with no traceback
+    out = tmp_path / "empty"
+    assert main(["smoothing", "--depth-list", ",", "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: smoothing.depth_list needs at least one value\n")
+    assert not out.exists()
 
 
 def test_twodepth_zero_field_is_a_usage_error(tmp_path, capsys):
@@ -1599,7 +1619,7 @@ def test_simulate_resumes_from_snapshot(tmp_path, capsys):
 def test_simulate_rejects_truncated_snapshot(tmp_path, capsys):
     grid = SpectralGrid(2 * np.pi, 128)
     bad = tmp_path / "bad.bin"
-    write_snapshot(bad, random_field(grid, -0.25, 0.25, 1))
+    bad.write_bytes(snapshot_bytes(random_field(grid, -0.25, 0.25, 1)))
     bad.write_bytes(bad.read_bytes()[:-8])
     assert main(["simulate", "--n", "128", "--t-final", "0.05", "--dt", "1e-3",
                  "--initial", str(bad), "--outdir", str(tmp_path / "x")]) == 1

@@ -44,14 +44,7 @@ from ilw_lab.lax import (
     ResolventState,
     _shift_index,
 )
-from ilw_lab.spectral import (
-    SobolevIndex,
-    hardy_embed,
-    hardy_project,
-    sobolev_norm,
-    sobolev_norms,
-    synthesize,
-)
+from ilw_lab.spectral import SobolevIndex, sobolev_norms
 from ilw_lab.symbols import apply_smoothing_dx
 from oracles import hardy_norm
 
@@ -297,7 +290,7 @@ def test_lanczos_rows_do_not_depend_on_the_batch():
         for i, u in enumerate(fields):
             lax = build_lax(u, xi_max)
             alone = LaxSpectrum.lanczos(lax, 32.0)
-            assert np.array_equal(lax.g, hardy_project(u)[:m])
+            assert np.array_equal(lax.g, u.coeffs[:m])
             steps = batch.steps[i]
             assert steps == alone.steps
             # the row's measure, then its zero padding
@@ -878,7 +871,7 @@ def test_resolvent_solve_against_cholesky(m, field, monkeypatch):
     grid = SpectralGrid(TWO_PI, max(256, 4 * m))
     u = random_field(grid, -0.25, amplitude, 11, decay=decay)
     lax = build_lax(u, (m - 0.5) * grid.fundamental)
-    g = hardy_project(u)[:m]
+    g = u.coeffs[:m]
     bound = float(lax_module._symbol_bound(g, grid.length))
     kappas = [k for k in (-bound + 1e-4 * abs(bound), -bound + 1.0, 32.0)
               if k <= 32.0]
@@ -907,7 +900,7 @@ def test_resolvent_solve_uncertified_shift_is_cholesky(monkeypatch):
     grid = SpectralGrid(TWO_PI, 256)
     u = random_field(grid, -0.25, 5.0, 11, decay=0.0)
     lax = build_lax(u, 63.0)
-    g = hardy_project(u)[:64]
+    g = u.coeffs[:64]
     bound = float(lax_module._symbol_bound(g, grid.length))
     linalg = pytest.importorskip("scipy.linalg")
     lam = linalg.eigh(lax.matrix, eigvals_only=True)[0]
@@ -1031,8 +1024,9 @@ def test_weighted_rule_horizon_stops_before_its_taus_overflow():
 
 
 def _scaled_synthesis(monkeypatch, factor):
-    monkeypatch.setattr(lax_module, "synthesize",
-                        lambda grid, coeffs: factor * synthesize(grid, coeffs))
+    samples = ResolventState.samples.func
+    monkeypatch.setattr(ResolventState, "samples",
+                        property(lambda state: factor * samples(state)))
 
 
 def _negated_weights(spectrum):
@@ -1116,7 +1110,7 @@ def test_resolvent_state_neumann_expansion():
     for eps in sizes:
         u = forward_transform(eps * direction, grid)
         lax = build_lax(u, 31.0)
-        g = hardy_project(u)[:32]
+        g = u.coeffs[:32]
         m = resolvent_state(lax, kappa).coeffs
         t = lax.matrix - np.diag(lax.frequencies)
         m2 = -r0 @ g + r0 @ t @ r0 @ g
@@ -1131,7 +1125,7 @@ def test_resolvent_form_against_dense_solve():
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
     value = resolvent_form(u, 32.0)
     oracle_matrix = dense_oracle(full_spectrum(u), grid, 32) + 32.0 * np.eye(32)
-    g = hardy_project(u)[:32]
+    g = u.coeffs[:32]
     x = np.linalg.solve(oracle_matrix, g)
     oracle = float(np.real(np.vdot(g, x))) / grid.length
     assert value == pytest.approx(oracle, rel=1e-12)
@@ -1167,7 +1161,7 @@ def test_form_times_tau_converges_to_hardy_mass():
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, 0.3, 7, decay=0.25)
     spectrum = LaxSpectrum(build_lax(u, 31.0), u)
-    g = hardy_project(u)[:32]
+    g = u.coeffs[:32]
     hardy_mass = float(np.sum(np.abs(g) ** 2)) / grid.length
     tau = 1e4
     assert tau * spectrum.form_at(np.array([tau]))[0] == pytest.approx(
@@ -1375,7 +1369,7 @@ def test_flow_derivative_structure():
                                                     (5.0, 3, 64.0)])
 def test_flow_derivative_against_dense_eigenvectors(amplitude, seed, kappa):
     # m(tau) = -W diag(1/(lambda + tau)) W^H g from a dense eigh, synthesized
-    # mode by mode: independent of the resolvent solves and their synthesis
+    # mode by mode: independent of the resolvent solves
     grid = SpectralGrid(TWO_PI, 128)
     u = random_field(grid, -0.25, amplitude, seed, decay=0.25)
     lax = build_lax(u)
@@ -1384,7 +1378,7 @@ def test_flow_derivative_against_dense_eigenvectors(amplitude, seed, kappa):
         LaxSpectrum.lanczos(lax, kappa).form_at, kappa, -0.25)
     flow = form_flow_derivative(u, kappa, 1.0, -0.25)
 
-    g = hardy_project(u)[: lax.frequencies.shape[0]]
+    g = u.coeffs[:lax.frequencies.shape[0]]
     linalg = pytest.importorskip("scipy.linalg")
     lam, w = linalg.eigh(lax.matrix)
     taus = rule.taus
@@ -1393,8 +1387,7 @@ def test_flow_derivative_against_dense_eigenvectors(amplitude, seed, kappa):
     for tau, m in zip(taus, m_cols.T):
         state = resolvent_state(lax, tau).coeffs
         assert np.linalg.norm(state - m) <= 1e-12 * np.linalg.norm(m), tau
-    m_phys = np.array([synthesize(grid, hardy_embed(grid, m))
-                       for m in m_cols.T])
+    m_phys = np.array([ResolventState(grid, m, 0).samples for m in m_cols.T])
     q = apply_smoothing_dx(u, 1.0).samples()
     i1 = -(m_phys @ q) * grid.spacing
     i3 = -((np.abs(m_phys) ** 2) @ q) * grid.spacing
@@ -1767,8 +1760,7 @@ def test_dense_route_serves_only_uncertified_fields(monkeypatch):
     # a + kappa <= 0 < lambda_min + kappa: positive definite, not certified
     grid = SpectralGrid(TWO_PI, 256)
     u = random_field(grid, -0.25, 5.0, 11, decay=0.0)
-    bound = float(lax_module._symbol_bound(hardy_project(u)[:64],
-                                           grid.length))
+    bound = float(lax_module._symbol_bound(u.coeffs[:64], grid.length))
     kappa = -0.5 * (bound + LaxSpectrum(build_lax(u), u).lambda_min)
     assert kappa >= 1.0
     assert dense_route(u, kappa) == [
@@ -1872,7 +1864,8 @@ def test_apriori_bound():
 
     def norms(u0):
         u_t = evolve(problem, u0, 0.2, dt=1e-3).final()
-        return sobolev_norm(u0, index), sobolev_norm(u_t, index)
+        return (float(sobolev_norms(grid, u0.coeffs, index)),
+                float(sobolev_norms(grid, u_t.coeffs, index)))
 
     n0, n_t = norms(random_field(grid, -0.25, 0.3, 5, decay=0.3))
     bound = apriori_bound(n0, -0.25, 0.2, 1.6, 1e-3)

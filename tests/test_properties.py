@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ilw_lab import RealField, SpectralGrid, forward_transform
 from ilw_lab.cli import main
-from ilw_lab.experiments import read_snapshot, write_snapshot
+from ilw_lab.experiments import read_snapshot, snapshot_bytes
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -107,7 +107,7 @@ def test_snapshot_round_trips(data):
     grid, u = data
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.bin"
-        write_snapshot(path, u)
+        path.write_bytes(snapshot_bytes(u))
         assert path.stat().st_size == 16 + 16 * grid.n_points
         back = read_snapshot(path)
     assert back.grid == grid
@@ -121,7 +121,7 @@ def test_non_hermitian_snapshot_exits_1(data, draw):
     slot = draw.draw(st.integers(0, grid.n_points - 1))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "state.bin"
-        write_snapshot(path, u)
+        path.write_bytes(snapshot_bytes(u))
         raw = path.read_bytes()
         coeffs = np.frombuffer(raw[16:], dtype="<c16").copy()
         # an imaginary kick breaks the mirror pair of a paired slot and the

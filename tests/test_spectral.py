@@ -1,4 +1,4 @@
-"""Grids, transforms, weighted norms, Hardy projection, multipliers."""
+"""Grids, transforms, weighted norms, the Hardy data, multipliers."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,10 @@ from ilw_lab import (
     SobolevIndex,
     SpectralGrid,
     forward_transform,
-    hardy_embed,
-    hardy_project,
     multiplier_apply,
-    sobolev_norm,
-    synthesize,
+    sobolev_norms,
 )
+from ilw_lab.lax import ResolventState
 from ilw_lab.spectral import MAX_POINTS
 from oracles import hardy_norm
 
@@ -51,6 +49,11 @@ def test_grid_validation():
         SpectralGrid(0.0, 16)
     with pytest.raises(ContractError):
         SpectralGrid(-2.0, 16)
+    # an infinite period would leave a lattice with fundamental 0
+    for length in (float("inf"), float("nan")):
+        with pytest.raises(ContractError,
+                           match="^grid length must be positive and finite$"):
+            SpectralGrid(length, 8)
     # a spacing that underflows to 0, or is subnormal, leaves no lattice
     for length in (5e-324, 1e-310):
         with pytest.raises(ContractError, match="not a positive normal float"):
@@ -137,22 +140,14 @@ def test_forward_validation():
 
 
 def test_synthesize_is_fourier_series():
+    # a resolvent state's one-sided coefficients, synthesized on the grid
     grid = SpectralGrid(2.0, 16)
-    coeffs = np.zeros(16, dtype=np.complex128)
+    coeffs = np.zeros(3, dtype=np.complex128)
     coeffs[2] = 1.5 - 0.5j
-    vals = synthesize(grid, coeffs)
+    vals = ResolventState(grid, coeffs, 0).samples
     xi = grid.frequencies[2]
     expected = coeffs[2] * np.exp(1j * xi * grid.nodes) / grid.length
     assert np.max(np.abs(vals - expected)) < 1e-14
-    # a (B, n) stack: each row is its one-row synthesis, bit for bit
-    rng = np.random.default_rng(23)
-    stack = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
-    rows = synthesize(grid, stack)
-    assert rows.shape == (5, 16)
-    for row, one in zip(rows, stack):
-        assert np.array_equal(row, synthesize(grid, one))
-    with pytest.raises(ContractError):
-        synthesize(grid, np.ones((5, 15)))
 
 
 # ------------------------------------------------------------------- norms
@@ -160,12 +155,12 @@ def test_synthesize_is_fourier_series():
 def test_sobolev_norm_examples():
     grid = SpectralGrid(1.0, 32)
     zero = RealField(grid, np.zeros(17, dtype=np.complex128))
-    assert sobolev_norm(zero, SobolevIndex(-0.25, 2.0)) == 0.0
+    assert sobolev_norms(grid, zero.coeffs, SobolevIndex(-0.25, 2.0)) == 0.0
 
     f = forward_transform(2.0 * np.cos(2.0 * np.pi * grid.nodes), grid)
     # two unit coefficients, weight 1 at s = 0: norm sqrt(2) by Plancherel
-    assert sobolev_norm(f, SobolevIndex(0.0, 1.0)) == pytest.approx(
-        np.sqrt(2.0), rel=1e-14)
+    assert sobolev_norms(grid, f.coeffs, SobolevIndex(0.0, 1.0)) \
+        == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
 
 def test_sobolev_index_validation():
@@ -187,7 +182,7 @@ def test_plancherel_both_period_scales():
         grid = SpectralGrid(length, 128)
         f = random_real_field(grid, rng)
         phys = np.sqrt(np.sum(f.samples() ** 2) * grid.spacing)
-        spec = sobolev_norm(f, SobolevIndex(0.0, 1.0))
+        spec = sobolev_norms(grid, f.coeffs, SobolevIndex(0.0, 1.0))
         assert abs(phys - spec) < 1e-12 * spec
         assert abs(f.l2_norm() - spec) < 1e-12 * spec
 
@@ -200,8 +195,8 @@ def test_plain_norm_bounded_by_shifted_norm():
     for _ in range(1000):
         f = random_real_field(grid, rng, amplitude=rng.uniform(0.1, 3.0))
         kappa = rng.uniform(1.0, 50.0)
-        plain = sobolev_norm(f, SobolevIndex(s, 1.0))
-        shifted = sobolev_norm(f, SobolevIndex(s, kappa))
+        plain = sobolev_norms(grid, f.coeffs, SobolevIndex(s, 1.0))
+        shifted = sobolev_norms(grid, f.coeffs, SobolevIndex(s, kappa))
         assert plain <= kappa ** (-s) * shifted * (1.0 + 1e-12)
 
 
@@ -210,7 +205,7 @@ def test_norm_nonincreasing_in_kappa():
     rng = np.random.default_rng(9)
     for _ in range(50):
         f = random_real_field(grid, rng)
-        norms = [sobolev_norm(f, SobolevIndex(-0.25, k))
+        norms = [sobolev_norms(grid, f.coeffs, SobolevIndex(-0.25, k))
                  for k in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)]
         assert all(a >= b * (1.0 - 1e-12) for a, b in zip(norms, norms[1:]))
 
@@ -220,13 +215,13 @@ def test_norm_nonincreasing_in_kappa():
 def test_hardy_keeps_nonnegative_modes():
     grid = SpectralGrid(1.0, 32)
     f = forward_transform(2.0 * np.cos(2.0 * np.pi * grid.nodes), grid)
-    plus = hardy_project(f)
+    plus = f.coeffs[: grid.n_points // 2]
     hit = np.flatnonzero(np.abs(plus) > 1e-13)
     assert hit.tolist() == [1]
     assert plus[1] == pytest.approx(1.0, abs=1e-14)
 
     const = forward_transform(np.ones(32), grid)
-    assert hardy_project(const)[0] == pytest.approx(1.0, abs=1e-15)
+    assert const.coeffs[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_hardy_parseval_split():
@@ -234,7 +229,7 @@ def test_hardy_parseval_split():
     rng = np.random.default_rng(13)
     for _ in range(50):
         f = random_real_field(grid, rng, nyquist=True)
-        plus = hardy_project(f)
+        plus = f.coeffs[: grid.n_points // 2]
         # the full lattice, by the independent route of a complex FFT
         full = np.abs(np.fft.fft(f.samples()) * grid.spacing) ** 2
         plus_sq = np.sum(np.abs(plus) ** 2)
@@ -250,24 +245,16 @@ def test_hardy_idempotent_and_contractive():
     rng = np.random.default_rng(17)
     for _ in range(20):
         f = random_real_field(grid, rng, nyquist=True)
-        plus = hardy_project(f)
+        plus = f.coeffs[: grid.n_points // 2]
         # a real field's half spectrum is its one-sided data plus Nyquist
-        embedded = RealField(grid, hardy_embed(grid, plus)[: grid.n_points // 2 + 1])
-        again = hardy_project(embedded)
+        embedded = RealField(grid, np.append(plus, 0.0))
+        again = embedded.coeffs[: grid.n_points // 2]
         assert np.max(np.abs(again - plus)) == 0.0
         for s, kappa in ((-0.25, 1.0), (-0.4, 8.0), (0.0, 2.0)):
             idx = SobolevIndex(s, kappa)
             proj = hardy_norm(plus, grid.frequencies[: grid.n_points // 2],
                               grid.length, idx)
-            assert proj <= sobolev_norm(f, idx) * (1.0 + 1e-12)
-    # a (B, n) stack: each row is its one-row embedding, bit for bit
-    stack = rng.standard_normal((4, 20)) + 1j * rng.standard_normal((4, 20))
-    rows = hardy_embed(grid, stack)
-    assert rows.shape == (4, 64)
-    for row, one in zip(rows, stack):
-        assert np.array_equal(row, hardy_embed(grid, one))
-    with pytest.raises(ContractError):
-        hardy_embed(grid, np.ones((4, 33)))
+            assert proj <= sobolev_norms(grid, f.coeffs, idx) * (1.0 + 1e-12)
 
 
 # --------------------------------------------------------------- multipliers

@@ -10,16 +10,15 @@ from ilw_lab import (
     SobolevIndex,
     SpectralGrid,
     apply_smoothing_dx,
-    depth_dispersion_symbol,
     forward_transform,
     smoothing_operator_scan,
     smoothing_symbol,
-    sobolev_norm,
+    sobolev_norms,
 )
 from ilw_lab.symbols import (
-    coth_dx2_symbol,
+    _coth_minus_inverse,
+    coth_dx_symbol,
     depth_dispersion_dx_symbol,
-    hilbert_dx2_symbol,
 )
 from oracles import coth_symbol, depth_dispersion_dx2_symbol, hilbert_symbol
 
@@ -37,23 +36,25 @@ def test_hilbert_symbol_signs():
 
 
 def test_depth_dispersion_symbol_values():
-    assert depth_dispersion_symbol(np.array([0.0]), 1.0)[0] == 0.0
+    # the finite-depth multiplier coth(depth*xi) - 1/(depth*xi), the symbol
+    # -i times it, through its one evaluation
+    assert _coth_minus_inverse(np.array([0.0]), 1.0)[0] == 0.0
     # printed reference value at depth 1, xi 1
-    v = depth_dispersion_symbol(np.array([1.0]), 1.0)[0]
-    assert v == pytest.approx(-1j * (1.0 / np.tanh(1.0) - 1.0), rel=1e-14)
-    assert abs(v + 0.3130j) < 5e-5
-    # deep-water limit: the gap to the Hilbert symbol is the 1/(depth*xi)
-    # transport part, so it closes like 1/depth
-    gaps = [abs(depth_dispersion_symbol(np.array([3.0]), d)[0] - (-1j))
+    v = _coth_minus_inverse(np.array([1.0]), 1.0)[0]
+    assert v == pytest.approx(1.0 / np.tanh(1.0) - 1.0, rel=1e-14)
+    assert abs(v - 0.3130) < 5e-5
+    # deep-water limit: the gap to the Hilbert multiplier is the
+    # 1/(depth*xi) transport part, so it closes like 1/depth
+    gaps = [abs(_coth_minus_inverse(np.array([3.0]), d)[0] - 1.0)
             for d in (50.0, 500.0, 5e3, 1e13)]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
     assert gaps[0] == pytest.approx(1.0 / 150.0, rel=1e-10)
     assert gaps[-1] < 1e-12
     # small-argument branch agrees with the direct formula just above the cut
-    lo = depth_dispersion_symbol(np.array([0.009, 0.011]), 1.0)
-    direct = -1j * (1.0 / np.tanh(0.011) - 1.0 / 0.011)
+    lo = _coth_minus_inverse(np.array([0.009, 0.011]), 1.0)
+    direct = 1.0 / np.tanh(0.011) - 1.0 / 0.011
     assert lo[1] == pytest.approx(direct, rel=1e-12)
-    assert abs(lo[0].imag / 0.009 - lo[1].imag / 0.011) < 1e-3
+    assert abs(lo[0] / 0.009 - lo[1] / 0.011) < 1e-3
 
 
 def test_depth_multiplier_holds_at_every_depth():
@@ -78,7 +79,7 @@ def test_symbols_reject_bad_depth():
         with pytest.raises(ContractError):
             smoothing_symbol(np.array([1.0]), bad)
         with pytest.raises(ContractError):
-            depth_dispersion_symbol(np.array([1.0]), bad)
+            _coth_minus_inverse(np.array([1.0]), bad)
         with pytest.raises(ContractError):
             coth_symbol(np.array([1.0]), bad)
 
@@ -124,7 +125,7 @@ def test_dispersion_symbol_decomposition():
     xi = grid.frequencies
     for depth in (0.25, 1.0, 4.0):
         full = depth_dispersion_dx2_symbol(xi, depth)
-        reassembled = (hilbert_dx2_symbol(xi)
+        reassembled = (1j * xi * np.abs(xi)
                        - (1j / depth) * xi
                        + 1j * xi * smoothing_symbol(xi, depth))
         scale = np.max(np.abs(full))
@@ -133,7 +134,8 @@ def test_dispersion_symbol_decomposition():
 
 def test_composed_coth_symbol_zero_mode():
     xi = np.array([0.0, 1.0, -1.0])
-    vals = coth_dx2_symbol(xi, 2.0)
+    # the composed symbol i*xi^2*coth(depth*xi) as make_two_depth writes it
+    vals = 1j * xi * coth_dx_symbol(xi, 2.0)
     assert vals[0] == 0.0
     assert vals[1] == pytest.approx(1j / np.tanh(2.0), rel=1e-14)
     assert vals[2] == -vals[1]  # odd imaginary, hence Hermitian
@@ -165,12 +167,13 @@ def test_smoothing_dx_gains_regularity():
     from ilw_lab import RealField
     rough = RealField(grid, coeffs)
     image = apply_smoothing_dx(rough, 1.0)
-    high = sobolev_norm(image, SobolevIndex(10.0, 1.0))
+    high = sobolev_norms(grid, image.coeffs, SobolevIndex(10.0, 1.0))
     assert np.isfinite(high)
     # bounded by the sup of the weighted symbol times the L2 norm
     xi = grid.frequencies
     gain = np.abs(xi) * smoothing_symbol(xi, 1.0) * (1.0 + xi ** 2) ** 5.0
-    cap = np.max(gain) * sobolev_norm(rough, SobolevIndex(0.0, 1.0))
+    cap = np.max(gain) * sobolev_norms(grid, rough.coeffs,
+                                       SobolevIndex(0.0, 1.0))
     assert high <= cap * (1.0 + 1e-12)
 
 
